@@ -3,7 +3,7 @@ subshift queries, Cantor-Bendixson ranks, homomorphism search and obstruction
 reports, all deterministic.
 
 Exit status: 0 when the verdict matches the expectation flags (or none were
-given), 1 on a mismatch, 2 on usage errors.
+given), 1 on a mismatch, 2 on usage, input, budget and file errors.
 """
 
 from __future__ import annotations
@@ -191,8 +191,7 @@ def cmd_decide(args):
             with open(args.color_out, "w", encoding="utf-8") as fh:
                 fh.write(col.coloring_to_text(result.coloring, g.spec))
     else:
-        q = quo.quotient(g, args.level).undirected()
-        payload["witness"] = result.witness.as_json(q)
+        payload["witness"] = result.witness.as_json(result.quotient)
         payload["oddGirth"] = result.witness.length
     if not g.compact:
         payload["caveat"] = (
@@ -577,6 +576,9 @@ def main(argv=None) -> int:
             ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         print(FAMILY_GRAMMAR, file=sys.stderr)
+        return 2
+    except (col.SearchBudgetError, homs.HomBudgetError, sub.BudgetError, OSError) as e:
+        print("error: %s" % e, file=sys.stderr)
         return 2
 
 

@@ -234,22 +234,22 @@ def search_coloring(q: QuotientGraph, k: int) -> Optional[ClopenColoring]:
         adj[v].add(u)
     order = sorted(q.vertices, key=lambda v: (-len(adj[v]), q.alphabet.key(v)))
     color: dict = {}
-
-    def backtrack(idx: int) -> bool:
-        if idx == len(order):
-            return True
+    tries = [0] * len(order)  # the next color to try at each depth
+    idx = 0
+    while 0 <= idx < len(order):
         v = order[idx]
         used = {color[u] for u in adj[v] if u in color}
-        for c in range(k):
-            if c in used:
-                continue
+        c = next((c for c in range(tries[idx], k) if c not in used), k)
+        if c < k:
             color[v] = c
-            if backtrack(idx + 1):
-                return True
-            del color[v]
-        return False
-
-    if not backtrack(0):
+            tries[idx] = c + 1
+            idx += 1
+        else:  # every color failed below: backtrack
+            tries[idx] = 0
+            idx -= 1
+            if idx >= 0:
+                del color[order[idx]]
+    if idx < 0:
         return None
     return ClopenColoring(level=q.level, colors=k,
                           mapping={v: color[v] for v in q.vertices},

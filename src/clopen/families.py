@@ -48,9 +48,6 @@ class FiniteGraph:
                 es.append((v, u))
         self.edges = set(es)
 
-    def neighbors(self, u):
-        return sorted(v for (a, v) in self.edges if a == u)
-
     def degree(self, u) -> int:
         return len([1 for (a, _) in self.edges if a == u])
 
@@ -690,9 +687,6 @@ class OrbitIndexSet:
                     return True
                 l += 1
         return False
-
-    def members_upto(self, bound: int) -> list[int]:
-        return [i for i in range(bound + 1) if i in self]
 
     def scheme_level_list(self, upto: int) -> list[int]:
         if self.scheme_levels is None:

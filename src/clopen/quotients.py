@@ -12,9 +12,7 @@ statement survives, and reports say so.
 
 from __future__ import annotations
 
-import json
 import time
-from collections import deque
 from typing import Optional
 
 from .families import SymbolicGraph, edges_at_level
@@ -130,75 +128,101 @@ class WalkWitness:
 
 
 def _bfs_two_color(q: QuotientGraph):
-    """Per-component BFS 2-coloring; returns (colors, conflict edge or None).
+    """One BFS 2-coloring pass over the integer index of an undirected
+    quotient.
 
-    Vertices are seeded in alphabet order so the output is deterministic."""
-    adj: dict = {v: [] for v in q.vertices}
+    Vertex i is ``q.vertices[i]``; every constructor keeps the vertices in
+    alphabet order, so ascending ids are alphabet order.  Returns ``(adj,
+    colors, odd)``: ``adj[i]`` lists the neighbour ids of i ascending,
+    ``colors[i]`` is its BFS color (0 at the first vertex of each component)
+    and ``odd[i]`` says whether its component is not bipartite."""
+    ids = {v: i for i, v in enumerate(q.vertices)}
+    nbrs = [set() for _ in q.vertices]
     for (u, v) in q.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    colors: dict = {}
-    parent: dict = {}
-    for seed in q.vertices:
-        if seed in colors:
+        nbrs[ids[u]].add(ids[v])
+        nbrs[ids[v]].add(ids[u])
+    adj = [sorted(s) for s in nbrs]
+    colors = [-1] * len(adj)
+    odd = [False] * len(adj)
+    for seed in range(len(adj)):
+        if colors[seed] >= 0:
             continue
         colors[seed] = 0
-        parent[seed] = None
-        queue = deque([seed])
-        while queue:
-            u = queue.popleft()
-            for v in sorted(set(adj[u]), key=q.alphabet.key):
-                if v not in colors:
-                    colors[v] = 1 - colors[u]
-                    parent[v] = u
-                    queue.append(v)
-                elif colors[v] == colors[u]:
-                    return colors, (u, v), parent
-    return colors, None, parent
+        component = [seed]
+        bipartite = True
+        for u in component:  # appended to while walked: a FIFO queue
+            c = 1 - colors[u]
+            for v in adj[u]:
+                if colors[v] < 0:
+                    colors[v] = c
+                    component.append(v)
+                elif colors[v] != c:
+                    bipartite = False
+        if not bipartite:
+            for u in component:
+                odd[u] = True
+    return adj, colors, odd
 
 
-def odd_closed_walk(q: QuotientGraph) -> Optional[WalkWitness]:
+def _odd_walk_from(adj, root: int, limit: int):
+    """Vertex ids of the shortest odd closed walk at `root` if it is shorter
+    than `limit`, else None.
+
+    BFS in the bipartite double cover, node ``2 * vertex + side``, from
+    (root, 0) depth by depth; each node keeps the parent that discovered it
+    first, and the search stops on discovering (root, 1) or before depth
+    `limit`."""
+    start, target = 2 * root, 2 * root + 1
+    par = {start: None}
+    frontier = [start]
+    depth = 1
+    while frontier and depth < limit:
+        nxt = []
+        for x in frontier:
+            side = (x & 1) ^ 1
+            for v in adj[x >> 1]:
+                y = 2 * v + side
+                if y not in par:
+                    par[y] = x
+                    if y == target:
+                        path = []
+                        while y is not None:
+                            path.append(y >> 1)
+                            y = par[y]
+                        return path[::-1]
+                    nxt.append(y)
+        frontier = nxt
+        depth += 1
+    return None
+
+
+def odd_closed_walk(q: QuotientGraph, two_coloring=None) -> Optional[WalkWitness]:
     """A shortest odd closed walk if one exists (a self-loop has length one),
-    else None; ties are broken by the alphabet order."""
+    else None.  `two_coloring` is ``_bfs_two_color(q)`` when the caller
+    already has it.
+
+    Ties are broken by the alphabet order: the walk is the self-loop at the
+    first looped vertex; without loops its root is the first vertex in
+    alphabet order whose shortest odd closed walk has the minimum length, and
+    its path is the chain of first-discovery BFS parents from (root, 0) to
+    (root, 1) in the bipartite double cover, neighbours expanded in alphabet
+    order.  Only roots in non-bipartite components are searched."""
     q = q.undirected()
     edge_set = set(q.edges)
     for v in q.vertices:  # vertices are sorted already
         if (v, v) in edge_set:
             return WalkWitness([v, v], [q.reps.get((v, v))])
-    colors, conflict, _ = _bfs_two_color(q)
-    if conflict is None:
-        return None
-    # shortest odd closed walk via the bipartite double cover
-    adj: dict = {v: set() for v in q.vertices}
-    for (u, v) in q.edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj, _, odd = two_coloring or _bfs_two_color(q)
     best = None
-    for root in q.vertices:
-        dist = {(root, 0): 0}
-        par: dict = {(root, 0): None}
-        queue = deque([(root, 0)])
-        while queue:
-            (u, side) = queue.popleft()
-            if best is not None and dist[(u, side)] >= best[0]:
-                continue
-            for v in sorted(adj[u], key=q.alphabet.key):
-                nxt = (v, 1 - side)
-                if nxt not in dist:
-                    dist[nxt] = dist[(u, side)] + 1
-                    par[nxt] = (u, side)
-                    queue.append(nxt)
-        if (root, 1) in dist and (best is None or dist[(root, 1)] < best[0]):
-            path = []
-            cur = (root, 1)
-            while cur is not None:
-                path.append(cur[0])
-                cur = par[cur]
-            path.reverse()
-            best = (dist[(root, 1)], path)
-    if best is None:  # conflict found but no odd walk: cannot happen
-        raise AssertionError("2-coloring conflict without an odd closed walk")
-    _, path = best
+    limit = 2 * len(adj)  # above every double-cover distance
+    for root in range(len(adj)):
+        if odd[root]:
+            walk = _odd_walk_from(adj, root, limit)
+            if walk is not None:
+                best, limit = walk, len(walk) - 1
+    if best is None:
+        return None
+    path = [q.vertices[i] for i in best]
     reps = [q.reps.get((path[i], path[i + 1])) for i in range(len(path) - 1)]
     return WalkWitness(path, reps)
 
@@ -221,10 +245,12 @@ class Bipartite:
 
 class OddWalk:
     """Verdict: the quotient has an odd closed walk, so no clopen 2-coloring
-    exists at this level."""
+    exists at this level; carries the undirected quotient that labels the
+    witness."""
 
-    def __init__(self, witness: WalkWitness):
+    def __init__(self, witness: WalkWitness, quotient: QuotientGraph):
         self.witness = witness
+        self.quotient = quotient
 
     verdict = "odd-walk"
 
@@ -234,12 +260,11 @@ def decide_level(g: SymbolicGraph, n: int):
     from .colorings import ClopenColoring
 
     q = quotient(g, n).undirected()
-    walk = odd_closed_walk(q)
+    two_coloring = _bfs_two_color(q)
+    walk = odd_closed_walk(q, two_coloring)
     if walk is not None:
-        return OddWalk(walk)
-    colors, conflict, _ = _bfs_two_color(q)
-    assert conflict is None
-    mapping = {v: colors.get(v, 0) for v in q.vertices}
+        return OddWalk(walk, q)
+    mapping = dict(zip(q.vertices, two_coloring[1]))
     return Bipartite(ClopenColoring(level=n, colors=2, mapping=mapping,
                                     alphabet=q.alphabet, two_sided=q.two_sided))
 
@@ -260,7 +285,8 @@ def scan(g: SymbolicGraph, n_max: int, include_girth: bool = True,
             break
         t0 = time.perf_counter()
         q = quotient(g, n).undirected()
-        walk = odd_closed_walk(q)
+        two_coloring = _bfs_two_color(q)
+        walk = odd_closed_walk(q, two_coloring)
         ms = (time.perf_counter() - t0) * 1000.0
         entry = {
             "family": g.spec,
@@ -269,9 +295,8 @@ def scan(g: SymbolicGraph, n_max: int, include_girth: bool = True,
             "millis": round(ms, 3),
         }
         if walk is None:
-            colors, conflict, _ = _bfs_two_color(q)
             entry["verdict"] = "bipartite"
-            entry["coloring"] = {q.label(v): colors.get(v, 0) for v in q.vertices}
+            entry["coloring"] = {q.label(v): c for v, c in zip(q.vertices, two_coloring[1])}
             entry["oddGirth"] = None
             levels.append(entry)
             headline = "chi_c <= 2 (certified by the level-%d coloring)" % n
@@ -302,14 +327,6 @@ def scan(g: SymbolicGraph, n_max: int, include_girth: bool = True,
         "headline": headline,
         "levels": levels,
     }
-
-
-def report_json(report: dict, no_timing: bool = False) -> str:
-    if no_timing:
-        report = json.loads(json.dumps(report))
-        for entry in report.get("levels", []):
-            entry.pop("millis", None)
-    return json.dumps(report, indent=2, sort_keys=True)
 
 
 def to_dot(q: QuotientGraph) -> str:

@@ -1,10 +1,13 @@
 """CLI surface: subcommands, exit codes, determinism, round trips."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from clopen.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -191,3 +194,27 @@ def test_multicharacter_numeral_coloring_roundtrip(tmp_path, capsys):
                        "--coloring", str(colf), "--bound", "3",
                        "--expect", "ok")
     assert code == 0
+
+
+@pytest.mark.parametrize("family,levels,name", [
+    ("graph-o:d=(3)^inf", "5", "scan-graph-o-5.json"),
+    ("gm", "6", "scan-gm-6.json"),
+])
+def test_scan_json_matches_golden(capsys, family, levels, name):
+    # pins every witness: a change to the odd-walk tie-break fails here
+    code, out, _ = run(capsys, "scan", "--family", family, "--levels", levels,
+                       "--format", "json", "--no-timing")
+    assert code == 0
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ("subshift", "member", "--word", "(01)^inf.(01)^inf", "--fib-p", "1"),
+    ("color", "search", "--family", "gm", "--level", "2", "--colors", "9"),
+    ("spectrum", "--family", "ka:A=0,1", "--max-len", "100"),
+    ("cb", "rank", "--forest", "/nonexistent", "--resolution", "40"),
+], ids=["fib-budget", "color-budget", "hom-budget", "missing-file"])
+def test_budget_and_file_errors_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -238,3 +238,12 @@ def test_search_coloring_nine_cycle():
     q = quotient(go_graph(R3), 2)
     assert search_coloring(q, 2) is None
     assert search_coloring(q, 3) is not None
+
+
+def test_search_coloring_deep_quotient_without_recursion():
+    # gm level 6 has 2263 vertices, one search depth each: the search keeps
+    # an explicit stack, so it stays inside the default recursion limit
+    g = parse_family("gm")
+    c = search_coloring(quotient(g, 6), 3)
+    assert c is not None
+    assert verify_coloring(g, c, 6).ok
