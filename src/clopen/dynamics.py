@@ -310,6 +310,18 @@ def _sign_a_plus_b_sqrt(a: int, b: int, disc: int) -> int:
     return -1 if lhs > rhs else 1
 
 
+def _floor_quadratic(a: int, b: int, c: int, disc: int) -> int:
+    """floor((a + b*sqrt(disc)) / c) for c > 0 and non-square disc.
+
+    With m = isqrt(b^2*disc), b*sqrt(disc) lies strictly between m and m+1
+    when b > 0 (it is irrational), so its floor is m, and -m-1 when b < 0;
+    adding the integer a and dividing by c > 0 keeps the floor."""
+    m = math.isqrt(b * b * disc)
+    if b < 0:
+        m = -m - 1
+    return (a + m) // c
+
+
 class QuadraticReal:
     """(a + b*sqrt(disc)) / c with integer a, b, c > 0 and disc a positive
     non-square; comparisons are decided exactly."""
@@ -389,16 +401,7 @@ class QuadraticReal:
         return hash((self.a, self.b, self.c, self.disc))
 
     def floor(self) -> int:
-        # bracket with an integer square root, then bisect with exact cmp
-        lo = (self.a - abs(self.b) * (math.isqrt(self.disc) + 1)) // self.c - 1
-        hi = (self.a + abs(self.b) * (math.isqrt(self.disc) + 1)) // self.c + 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.cmp(mid) >= 0:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        return _floor_quadratic(self.a, self.b, self.c, self.disc)
 
     def frac(self) -> "QuadraticReal":
         return self - self.floor()
@@ -463,17 +466,57 @@ def check_rotation_number(r: QuadraticReal):
 
 def sturmian_code(r: QuadraticReal, x, a: int, b: int) -> Word:
     """Letters 0/1 of the rotation coding on window a..b (inclusive): position
-    n is 0 exactly when frac(x + n*r) lies in [0, r)."""
+    n is 0 exactly when frac(x + n*r) lies in [0, r).
+
+    Coded by the mechanical-word identity (Lothaire, Algebraic Combinatorics
+    on Words, ch. 2): letter n is 0 iff floor(x + n*r) > floor(x + (n-1)*r).
+    It is exact with no edge case: frac(x + n*r) < r iff x + (n-1)*r <
+    floor(x + n*r) iff floor(x + (n-1)*r) < floor(x + n*r), the last step
+    because floor(x + n*r) is an integer.  One exact integer floor per
+    letter, over the common denominator of x and r."""
     check_rotation_number(r)
     if a > b:
         raise ValueError("window must satisfy a <= b")
-    if not isinstance(x, QuadraticReal):
-        x = QuadraticReal.from_fraction(Fraction(x), r.disc)
+    y = r.scale(a - 1) + x
+    # x + n*r = (ya + yb*sqrt(D) + (n-a+1)*(ra + rb*sqrt(D))) / c
+    c, disc = y.c * r.c, r.disc
+    ya, yb, ra, rb = y.a * r.c, y.b * r.c, r.a * y.c, r.b * y.c
+    prev = y.floor()
     out = []
-    for n in range(a, b + 1):
-        y = (x + r.scale(n)).frac()
-        out.append("0" if y.cmp(r) < 0 else "1")
+    for _ in range(a, b + 1):
+        ya += ra
+        yb += rb
+        cur = _floor_quadratic(ya, yb, c, disc)
+        out.append("0" if cur > prev else "1")
+        prev = cur
     return tuple(out)
+
+
+class SturmianCoding:
+    """The rotation coding of (r, x) as one buffer that grows on demand in
+    both directions; windows are slices of it, so each position is coded
+    once."""
+
+    def __init__(self, r: QuadraticReal, x=0):
+        check_rotation_number(r)
+        self.r = r
+        self.x = x
+        self._lo = 0  # position of _buf[0]
+        self._buf: list = []
+
+    def window(self, a: int, b: int) -> Word:
+        """Letters at positions a..b (inclusive), as sturmian_code."""
+        if a > b:
+            raise ValueError("window must satisfy a <= b")
+        if not self._buf:
+            self._lo = a
+        elif a < self._lo:
+            self._buf[:0] = sturmian_code(self.r, self.x, a, self._lo - 1)
+            self._lo = a
+        hi = self._lo + len(self._buf)
+        if b >= hi:
+            self._buf.extend(sturmian_code(self.r, self.x, hi, b))
+        return tuple(self._buf[a - self._lo : b - self._lo + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,11 @@ from typing import Callable, Iterable, Sequence
 
 from .dynamics import (
     Radix,
-    check_rotation_number,
+    SturmianCoding,
     odometer_iter,
     orbit_point,
     parse_quadratic,
     parse_radix,
-    sturmian_code,
 )
 from .words import Alphabet, BiWord, BlockWord, UltWord, Word, numerals
 
@@ -448,15 +447,14 @@ def sturmian_block_system(
     r_spec: str, n_seq: Callable[[int], int] | None = None,
     L_seq: Callable[[int], int] | None = None
 ) -> BlockSystem:
-    r = parse_quadratic(r_spec)
-    check_rotation_number(r)
+    code = SturmianCoding(parse_quadratic(r_spec))
     if n_seq is None:
         n_seq = lambda l: l
     if L_seq is None:
         L_seq = lambda l: 0
 
     def block(l: int, i: int) -> Word:
-        return sturmian_code(r, 0, L_seq(l) + i, L_seq(l) + i + l)
+        return code.window(L_seq(l) + i, L_seq(l) + i + l)
 
     return BlockSystem(
         name="sturmian",

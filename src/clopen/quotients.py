@@ -32,6 +32,14 @@ class QuotientGraph:
         self.reps = reps or {}
         self.source = source
         self.two_sided = two_sided
+        self._two_coloring = None
+
+    def two_coloring(self):
+        """``_bfs_two_color(self)``, run at most once per quotient: a level
+        whose verdict comes from a self-loop never runs it."""
+        if self._two_coloring is None:
+            self._two_coloring = _bfs_two_color(self)
+        return self._two_coloring
 
     def undirected(self) -> "QuotientGraph":
         if not self.directed:
@@ -196,10 +204,10 @@ def _odd_walk_from(adj, root: int, limit: int):
     return None
 
 
-def odd_closed_walk(q: QuotientGraph, two_coloring=None) -> Optional[WalkWitness]:
+def odd_closed_walk(q: QuotientGraph) -> Optional[WalkWitness]:
     """A shortest odd closed walk if one exists (a self-loop has length one),
-    else None.  `two_coloring` is ``_bfs_two_color(q)`` when the caller
-    already has it.
+    else None.  Without a self-loop it reads ``q.two_coloring()``, which a
+    caller of an undirected `q` may then reuse for a bipartite verdict.
 
     Ties are broken by the alphabet order: the walk is the self-loop at the
     first looped vertex; without loops its root is the first vertex in
@@ -212,7 +220,7 @@ def odd_closed_walk(q: QuotientGraph, two_coloring=None) -> Optional[WalkWitness
     for v in q.vertices:  # vertices are sorted already
         if (v, v) in edge_set:
             return WalkWitness([v, v], [q.reps.get((v, v))])
-    adj, _, odd = two_coloring or _bfs_two_color(q)
+    adj, _, odd = q.two_coloring()
     best = None
     limit = 2 * len(adj)  # above every double-cover distance
     for root in range(len(adj)):
@@ -260,11 +268,10 @@ def decide_level(g: SymbolicGraph, n: int):
     from .colorings import ClopenColoring
 
     q = quotient(g, n).undirected()
-    two_coloring = _bfs_two_color(q)
-    walk = odd_closed_walk(q, two_coloring)
+    walk = odd_closed_walk(q)
     if walk is not None:
         return OddWalk(walk, q)
-    mapping = dict(zip(q.vertices, two_coloring[1]))
+    mapping = dict(zip(q.vertices, q.two_coloring()[1]))
     return Bipartite(ClopenColoring(level=n, colors=2, mapping=mapping,
                                     alphabet=q.alphabet, two_sided=q.two_sided))
 
@@ -285,8 +292,7 @@ def scan(g: SymbolicGraph, n_max: int, include_girth: bool = True,
             break
         t0 = time.perf_counter()
         q = quotient(g, n).undirected()
-        two_coloring = _bfs_two_color(q)
-        walk = odd_closed_walk(q, two_coloring)
+        walk = odd_closed_walk(q)
         ms = (time.perf_counter() - t0) * 1000.0
         entry = {
             "family": g.spec,
@@ -296,7 +302,7 @@ def scan(g: SymbolicGraph, n_max: int, include_girth: bool = True,
         }
         if walk is None:
             entry["verdict"] = "bipartite"
-            entry["coloring"] = {q.label(v): c for v, c in zip(q.vertices, two_coloring[1])}
+            entry["coloring"] = {q.label(v): c for v, c in zip(q.vertices, q.two_coloring()[1])}
             entry["oddGirth"] = None
             levels.append(entry)
             headline = "chi_c <= 2 (certified by the level-%d coloring)" % n

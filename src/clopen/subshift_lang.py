@@ -4,14 +4,14 @@ of symbolically presented countable compacta."""
 
 from __future__ import annotations
 
+from operator import eq
 from typing import Iterable, Optional, Sequence
 
 from .dynamics import (
     QuadraticReal,
-    check_rotation_number,
+    SturmianCoding,
     fibonacci_len,
     periodic_point_period,
-    sturmian_code,
 )
 from .words import BiWord, BlockWord, Word, as_word, format_word
 
@@ -167,16 +167,16 @@ class SturmianSubshift(SubshiftSpec):
     under-windowing)."""
 
     def __init__(self, r: QuadraticReal, x=0):
-        check_rotation_number(r)
-        self.r = r
-        self.x = x
+        self._code = SturmianCoding(r, x)
 
     @property
     def alphabet_letters(self):
         return ("0", "1")
 
     def window(self, length: int) -> Word:
-        return sturmian_code(self.r, self.x, 0, length - 1)
+        """The first `length` letters; languages of growing n extend one
+        coded prefix instead of coding each window afresh."""
+        return self._code.window(0, length - 1)
 
     def language(self, n: int) -> set:
         if n == 0:
@@ -221,16 +221,20 @@ def complexity(s: SubshiftSpec, n_max: int) -> list[int]:
 
 def power_free_check(w, k: int):
     """None when no nonempty v has v^k as a factor of w; otherwise the pair
-    (v, position) of the leftmost shortest violation."""
+    (v, position) of the leftmost shortest violation: the least |v|, then
+    the least position.
+
+    For each period l ascending, one pass marks the positions j with
+    w[j] == w[j+l]; v^k with |v| = l starts at i exactly when the marks at
+    i .. i+(k-1)*l-1 are all set, so the first such run of marks gives the
+    least i for the least l."""
     if k < 2:
         raise SubshiftError("power must be >= 2")
     w = as_word(w)
-    n = len(w)
-    for ln in range(1, n // k + 1):
-        for i in range(n - k * ln + 1):
-            v = w[i : i + ln]
-            if v * k == w[i : i + k * ln]:
-                return (v, i)
+    for ln in range(1, len(w) // k + 1):
+        i = bytes(map(eq, w, w[ln:])).find(b"\x01" * ((k - 1) * ln))
+        if i >= 0:
+            return (w[i : i + ln], i)
     return None
 
 

@@ -300,7 +300,13 @@ class BlockWord:
         return self._buf[i]
 
     def window(self, a: int, b: int) -> Word:
-        return tuple(self.letter(p) for p in range(a, b))
+        """Letters at positions a..b-1: the periodic left part letter by
+        letter, the rest sliced from the materialised tail."""
+        if b <= self.start:
+            return tuple(self.letter(p) for p in range(a, b))
+        self.letter(b - 1)  # materialise the tail up to b - 1
+        left = tuple(self.letter(p) for p in range(a, self.start))
+        return left + tuple(self._buf[max(a - self.start, 0) : b - self.start])
 
     def shift(self, k: int) -> "BlockWord":
         # the block tail stays anchored where it was; only the origin moves

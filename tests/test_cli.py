@@ -208,6 +208,28 @@ def test_scan_json_matches_golden(capsys, family, levels, name):
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+STURMIAN = "(3 - 1 sqrt 5)/2"
+
+
+@pytest.mark.parametrize("argv,name", [
+    (("subshift", "complexity", "--sturmian", STURMIAN, "--nmax", "30"),
+     "subshift-complexity-sturmian-30.txt"),
+    (("subshift", "lang", "--sturmian", STURMIAN, "--n", "40"),
+     "subshift-lang-sturmian-40.txt"),
+    (("subshift", "powerfree", "--fib-prefix", "2000", "--power", "4"),
+     "subshift-powerfree-fib-2000-4.txt"),
+    (("subshift", "powerfree", "--fib-prefix", "2000", "--power", "3"),
+     "subshift-powerfree-fib-2000-3.txt"),
+    (("cb", "rank", "--family", "rank-subshift:n=3", "--resolution", "40"),
+     "cb-rank-subshift-3.txt"),
+], ids=["complexity-30", "lang-40", "powerfree-4", "powerfree-3", "cb-rank-3"])
+def test_subshift_text_matches_golden(capsys, argv, name):
+    # pins the coded languages, the power witness and the CB window probes
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("argv", [
     ("subshift", "member", "--word", "(01)^inf.(01)^inf", "--fib-p", "1"),
     ("color", "search", "--family", "gm", "--level", "2", "--colors", "9"),

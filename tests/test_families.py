@@ -25,7 +25,7 @@ from clopen.families import (
     symmetrize,
     t_graph,
 )
-from clopen.words import UltWord, format_ult, parse_ult
+from clopen.words import UltWord, format_ult, format_word, parse_ult
 
 
 ALL_FAMILY_SPECS = [
@@ -145,6 +145,17 @@ def test_sturmian_block_graph():
     # blocks are the coded windows, of the declared width
     assert len(sys.block(3, 0)) == 4
     assert sys.width(3) == 8
+    # pinned from coding each block on its own: slices of the shared code
+    # buffer must give the same edges
+    lev = edges_at_level(g, 2)
+    assert [(format_word(s, lev.alphabet), format_word(t, lev.alphabet))
+            for (s, t) in lev.pairs] == [
+        ("0,1", "1,0"), ("0,1", "1,1"), ("0,1", "c,c"), ("0,a", "1,abar"),
+        ("0,abar", "c,a"), ("1,0", "0,1"), ("1,0", "1,1"), ("1,0", "c,c"),
+        ("1,1", "0,1"), ("1,1", "1,0"), ("1,1", "c,c"), ("1,a", "c,abar"),
+        ("1,abar", "0,a"), ("c,c", "0,1"), ("c,c", "1,0"), ("c,c", "1,1"),
+        ("c,a", "0,abar"), ("c,abar", "1,a"),
+    ]
 
 
 def test_graph_o_level_quotients_are_odometer_cycles():
