@@ -7,7 +7,6 @@ from .words import Alphabet, BiWord, BlockWord, UltWord, parse_bi, parse_ult
 from .dynamics import (
     QuadraticReal,
     Radix,
-    Substitution,
     fibonacci_len,
     fibonacci_word,
     odometer_iter,
@@ -30,12 +29,11 @@ from .families import (
     k0_graph,
     ka_graph,
     odd_cycle,
-    orient,
     parse_family,
     rank_subshift,
     restricted_orbit_graph,
-    symmetrize,
     t_graph,
+    with_direction,
 )
 from .quotients import decide_level, odd_closed_walk, odd_girth, quotient, scan
 from .colorings import (
@@ -56,7 +54,6 @@ from .subshift_lang import (
     complexity,
     expand_fib_forbidden,
     k0_forest,
-    language,
     member,
     power_free_check,
     rank_forest,

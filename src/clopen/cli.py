@@ -18,12 +18,13 @@ from . import homs
 from . import quotients as quo
 from . import subshift_lang as sub
 from .dynamics import parse_quadratic, parse_radix
-from .words import WordError, format_word, parse_bi, parse_prefix
+from .words import BudgetError, WordError, format_word, parse_bi, parse_prefix
 
 FAMILY_GRAMMAR = (
     "family spec strings: odd-cycle:p=2 | gm | gdelta:delta=(1)^inf | "
     "go-plus:d=2,(3)^inf | graph-o:d=(3)^inf | t | k0 | rank-subshift:n=2 | "
-    "gp:d=2,(3)^inf,p=1 | orbit:d=(3)^inf,S=sa{0} | ka:A=0,2 "
+    "gp:d=2,(3)^inf,p=1 | orbit:d=(3)^inf,S=sa{0} | ka:A=0,2 | "
+    "sturmian:r=(3 - 1 sqrt 5)/2 "
     "(suffix :oriented for the one-directional variants)"
 )
 
@@ -34,41 +35,6 @@ class Mismatch(Exception):
 
 class UsageError(Exception):
     pass
-
-
-class RunConfig:
-    """Everything a run depends on; all computations are seed-free."""
-
-    def __init__(self, family: str, levels: int = 4, bound=None,
-                 fmt: str = "text", budget_ms=None):
-        if levels <= 0:
-            raise UsageError("level budget must be positive")
-        if bound is not None and bound < 0:
-            raise UsageError("enumeration bound must be >= 0")
-        self.family = family
-        self.levels = levels
-        self.bound = bound
-        self.fmt = fmt
-        self.budget_ms = budget_ms
-
-    def to_args(self) -> list:
-        out = ["--family", self.family, "--levels", str(self.levels)]
-        if self.bound is not None:
-            out += ["--bound", str(self.bound)]
-        out += ["--format", self.fmt]
-        if self.budget_ms is not None:
-            out += ["--budget-ms", str(self.budget_ms)]
-        return out
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        return cls(
-            family=args.family,
-            levels=getattr(args, "levels", 4),
-            bound=getattr(args, "bound", None),
-            fmt=getattr(args, "format", "text"),
-            budget_ms=getattr(args, "budget_ms", None),
-        )
 
 
 def _family(spec: str) -> fam.SymbolicGraph:
@@ -115,32 +81,31 @@ def _expect(expected, actual):
 
 def cmd_family_show(args):
     g = _family(args.family)
-    lev = fam.edges_at_level(g, args.level, bound=args.bound)
+    q = quo.quotient(g, args.level, bound=args.bound)
     info = {
         "family": g.spec,
         "pointSet": g.point_set,
         "compact": g.compact,
         "directed": g.directed,
         "twoSided": g.two_sided,
-        "alphabet": list(lev.alphabet.letters),
+        "alphabet": list(q.alphabet.letters),
         "level": args.level,
-        "edgeCount": len(lev.pairs),
+        "edgeCount": len(q.edges),
     }
     if args.format == "json":
         _print_json(info, args.no_timing)
     else:
         for k, v in info.items():
             print("%s: %s" % (k, v))
-        q = quo.quotient(g, args.level, bound=args.bound)
-        shown = lev.pairs[: args.sample]
+        shown = q.edges[: args.sample]
         for (s, t) in shown:
-            x, y = lev.reps.get((s, t), (None, None))
+            x, y = q.reps.get((s, t), (None, None))
             print(
                 "  %s -- %s    e.g. (%s, %s)"
                 % (q.label(s), q.label(t), _point_str(x), _point_str(y))
             )
-        if len(lev.pairs) > len(shown):
-            print("  ... %d more" % (len(lev.pairs) - len(shown)))
+        if len(q.edges) > len(shown):
+            print("  ... %d more" % (len(q.edges) - len(shown)))
     return 0
 
 
@@ -211,9 +176,10 @@ def cmd_decide(args):
 
 
 def cmd_scan(args):
-    cfg = RunConfig.from_args(args)
-    g = _family(cfg.family)
-    report = quo.scan(g, cfg.levels, budget_ms=cfg.budget_ms)
+    if args.levels <= 0:
+        raise UsageError("level budget must be positive")
+    g = _family(args.family)
+    report = quo.scan(g, args.levels, budget_ms=args.budget_ms)
     if report["partial"]:
         print("warning: partial report (budget exhausted)", file=sys.stderr)
     if args.format == "json":
@@ -441,6 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, fmt=("text", "json")):
         p.add_argument("--format", choices=fmt, default="text")
         p.add_argument("--no-timing", action="store_true")
+
+    def bound(p):
         p.add_argument("--bound", type=int, default=None,
                        help="override the enumeration bound")
 
@@ -451,12 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--level", type=int, default=1)
     ps.add_argument("--sample", type=int, default=12)
     common(ps)
+    bound(ps)
     ps.set_defaults(fn=cmd_family_show)
 
     p = sp.add_parser("quotient", help="level-n quotient graph")
     p.add_argument("--family", required=True)
     p.add_argument("--level", type=int, required=True)
     common(p, fmt=("text", "json", "dot"))
+    bound(p)
     p.set_defaults(fn=cmd_quotient)
 
     p = sp.add_parser("decide", help="bipartite or odd-closed-walk at a level")
@@ -577,7 +547,7 @@ def main(argv=None) -> int:
         print("error: %s" % e, file=sys.stderr)
         print(FAMILY_GRAMMAR, file=sys.stderr)
         return 2
-    except (col.SearchBudgetError, homs.HomBudgetError, sub.BudgetError, OSError) as e:
+    except (BudgetError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -4,12 +4,12 @@ criterion for the delta-indexed families."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .dynamics import Radix, prefix_succ
-from .families import SymbolicGraph
+from .families import OrbitIndexSet, SymbolicGraph
 from .quotients import QuotientGraph, quotient
-from .words import Alphabet, Word, format_word, parse_prefix
+from .words import Alphabet, BudgetError, Word, format_word, parse_prefix
 
 
 class ColoringError(ValueError):
@@ -112,8 +112,8 @@ def verify_coloring(g: SymbolicGraph, c, bound: int) -> VerifyResult:
         q = quotient(g, n).undirected()
         checked = 0
         for (s, t) in q.edges:
-            cs = c.color_of_prefix(s[: _width(c)] if not c.two_sided else _mid(s, c))
-            ct = c.color_of_prefix(t[: _width(c)] if not c.two_sided else _mid(t, c))
+            cs = c.color_of_prefix(s[: c.level] if not c.two_sided else _mid(s, c))
+            ct = c.color_of_prefix(t[: c.level] if not c.two_sided else _mid(t, c))
             checked += 1
             if cs == ct:
                 return VerifyResult(False, Violation((q.label(s), q.label(t)), (cs, ct)),
@@ -126,10 +126,6 @@ def verify_coloring(g: SymbolicGraph, c, bound: int) -> VerifyResult:
         if cx == cy:
             return VerifyResult(False, Violation((x, y), (cx, cy)), False, count, bound)
     return VerifyResult(True, None, False, count, bound)
-
-
-def _width(c: ClopenColoring) -> int:
-    return c.level
 
 
 def _mid(s: Word, c: ClopenColoring) -> Word:
@@ -213,18 +209,14 @@ def t_coloring() -> PredicateColoring:
 # coloring search
 
 
-class SearchBudgetError(RuntimeError):
-    pass
-
-
 def search_coloring(q: QuotientGraph, k: int) -> Optional[ClopenColoring]:
     """Exhaustive backtracking proper k-coloring of the quotient, or None as
     an absence certificate.  Vertices are ordered by descending degree (ties
     by alphabet order), so the output is deterministic."""
     if k < 1 or k > 6:
-        raise SearchBudgetError("color count must be between 1 and 6")
+        raise BudgetError("color count must be between 1 and 6")
     if len(q.vertices) > 10**5:
-        raise SearchBudgetError("quotient too large for exhaustive search")
+        raise BudgetError("quotient too large for exhaustive search")
     q = q.undirected()
     adj: dict = {v: set() for v in q.vertices}
     for (u, v) in q.edges:
@@ -306,39 +298,6 @@ def return_parity_coloring(d: Radix, C: Word) -> ClopenColoring:
 # the delta-family subgraph criterion
 
 
-class IndexSetSpec:
-    """Eventually periodic subset of omega: a finite part plus arithmetic
-    progressions; membership and infinitude are decided from the
-    description."""
-
-    def __init__(self, finite: Iterable[int] = (), progressions=()):
-        self.finite = frozenset(int(i) for i in finite)
-        self.progressions = tuple((int(a), int(b)) for (a, b) in progressions)
-        if any(b <= 0 for (_, b) in self.progressions):
-            raise ColoringError("progression step must be positive")
-
-    def __contains__(self, i: int) -> bool:
-        if i in self.finite:
-            return True
-        return any(i >= a and (i - a) % b == 0 for (a, b) in self.progressions)
-
-    @property
-    def infinite(self) -> bool:
-        return bool(self.progressions)
-
-    @classmethod
-    def all(cls) -> "IndexSetSpec":
-        return cls((), ((0, 1),))
-
-    @classmethod
-    def evens(cls) -> "IndexSetSpec":
-        return cls((), ((0, 2),))
-
-    @classmethod
-    def empty(cls) -> "IndexSetSpec":
-        return cls()
-
-
 class DeltaSubgraphSpec:
     """Finite description of a subgraph (V, E) of a delta-family: the marker
     limit flag, the set of k whose central points all lie in V, and the
@@ -348,30 +307,34 @@ class DeltaSubgraphSpec:
     def __init__(
         self,
         has_center: bool = True,
-        center_levels: IndexSetSpec | None = None,
-        entry_sets: IndexSetSpec | None = None,
-        step_sets: IndexSetSpec | None = None,
-        exit_sets: IndexSetSpec | None = None,
+        center_levels: OrbitIndexSet | None = None,
+        entry_sets: OrbitIndexSet | None = None,
+        step_sets: OrbitIndexSet | None = None,
+        exit_sets: OrbitIndexSet | None = None,
         entry_overrides: dict | None = None,
         step_overrides: dict | None = None,
         exit_overrides: dict | None = None,
     ):
+        every = OrbitIndexSet(progressions=[(0, 1)])
+        if center_levels is not None and center_levels.scheme_levels is not None:
+            # charsub_check needs the level set eventually periodic
+            raise ColoringError("center levels cannot use an interval scheme")
         self.has_center = has_center
-        self.center_levels = center_levels or IndexSetSpec.all()
-        self.entry_sets = entry_sets or IndexSetSpec.all()
-        self.step_sets = step_sets or IndexSetSpec.all()
-        self.exit_sets = exit_sets or IndexSetSpec.all()
-        self.entry_overrides = dict(entry_overrides or {})  # k -> IndexSetSpec
-        self.step_overrides = dict(step_overrides or {})  # (k, i) -> IndexSetSpec
-        self.exit_overrides = dict(exit_overrides or {})  # k -> IndexSetSpec
+        self.center_levels = center_levels or every
+        self.entry_sets = entry_sets or every
+        self.step_sets = step_sets or every
+        self.exit_sets = exit_sets or every
+        self.entry_overrides = dict(entry_overrides or {})  # k -> OrbitIndexSet
+        self.step_overrides = dict(step_overrides or {})  # (k, i) -> OrbitIndexSet
+        self.exit_overrides = dict(exit_overrides or {})  # k -> OrbitIndexSet
 
-    def entry(self, k: int) -> IndexSetSpec:
+    def entry(self, k: int) -> OrbitIndexSet:
         return self.entry_overrides.get(k, self.entry_sets)
 
-    def step(self, k: int, i: int) -> IndexSetSpec:
+    def step(self, k: int, i: int) -> OrbitIndexSet:
         return self.step_overrides.get((k, i), self.step_sets)
 
-    def exit(self, k: int) -> IndexSetSpec:
+    def exit(self, k: int) -> OrbitIndexSet:
         return self.exit_overrides.get(k, self.exit_sets)
 
     def max_override(self) -> int:

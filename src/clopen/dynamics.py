@@ -40,14 +40,6 @@ class Radix:
         return out
 
     @property
-    def all_odd(self) -> bool:
-        return all(d % 2 == 1 for d in self.head + self.cycle)
-
-    @property
-    def has_even_digit(self) -> bool:
-        return not self.all_odd
-
-    @property
     def in_class_two_then_odd(self) -> bool:
         """First bound 2, all later bounds odd."""
         span = len(self.head) + len(self.cycle) + 1
@@ -207,17 +199,6 @@ def prefix_iter(d: Radix, t: Word, i: int) -> Word:
     return tuple(out)
 
 
-def odometer_level_orbit(d: Radix, l: int) -> list[Word]:
-    """The orbit of 0^(l+1) under the cyclic successor: a permutation cycle of
-    all length-(l+1) prefixes."""
-    t = ("0",) * (l + 1)
-    out = [t]
-    for _ in range(d.period(l + 1) - 1):
-        t = prefix_succ(d, t)
-        out.append(t)
-    return out
-
-
 def period_spectrum(d: Radix, l_max: int) -> list[int]:
     """[d_0 * ... * d_{l-1} for l = 1 .. l_max]."""
     return [d.period(l) for l in range(1, l_max + 1)]
@@ -346,29 +327,31 @@ class QuadraticReal:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def _coerce(self, other) -> "QuadraticReal":
+    def _coerce(self, other):
+        """`other` as a QuadraticReal, and the discriminant of a sum or
+        difference: that of whichever operand is irrational."""
         if isinstance(other, QuadraticReal):
             if other.disc != self.disc and other.b != 0 and self.b != 0:
                 raise ValueError("mixed discriminants are not comparable here")
-            return other
-        return QuadraticReal.from_fraction(Fraction(other), self.disc)
+            return other, (other.disc if self.b == 0 and other.b != 0 else self.disc)
+        return QuadraticReal.from_fraction(Fraction(other), self.disc), self.disc
 
     def __add__(self, other) -> "QuadraticReal":
-        o = self._coerce(other)
+        o, disc = self._coerce(other)
         return QuadraticReal(
             self.a * o.c + o.a * self.c,
             self.b * o.c + o.b * self.c,
             self.c * o.c,
-            self.disc,
+            disc,
         )
 
     def __sub__(self, other) -> "QuadraticReal":
-        o = self._coerce(other)
+        o, disc = self._coerce(other)
         return QuadraticReal(
             self.a * o.c - o.a * self.c,
             self.b * o.c - o.b * self.c,
             self.c * o.c,
-            self.disc,
+            disc,
         )
 
     def scale(self, n: int) -> "QuadraticReal":
@@ -380,18 +363,6 @@ class QuadraticReal:
     def cmp(self, other) -> int:
         return (self - other).sign()
 
-    def __lt__(self, other):
-        return self.cmp(other) < 0
-
-    def __le__(self, other):
-        return self.cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self.cmp(other) > 0
-
-    def __ge__(self, other):
-        return self.cmp(other) >= 0
-
     def __eq__(self, other):
         if not isinstance(other, (QuadraticReal, int, Fraction)):
             return NotImplemented
@@ -402,12 +373,6 @@ class QuadraticReal:
 
     def floor(self) -> int:
         return _floor_quadratic(self.a, self.b, self.c, self.disc)
-
-    def frac(self) -> "QuadraticReal":
-        return self - self.floor()
-
-    def approx(self) -> float:
-        return (self.a + self.b * math.sqrt(self.disc)) / self.c
 
     def __repr__(self):
         return "(%d %s %d sqrt %d)/%d" % (

@@ -14,11 +14,13 @@ below B(n); the cap is part of the alphabet reported for that level.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Iterable, Sequence
 
 from .dynamics import (
     Radix,
     SturmianCoding,
+    format_radix,
     odometer_iter,
     orbit_point,
     parse_quadratic,
@@ -46,9 +48,6 @@ class FiniteGraph:
             if not directed:
                 es.append((v, u))
         self.edges = set(es)
-
-    def degree(self, u) -> int:
-        return len([1 for (a, _) in self.edges if a == u])
 
     def undirected_edge_count(self) -> int:
         return len({frozenset(e) for e in self.edges if e[0] != e[1]}) + len(
@@ -119,31 +118,14 @@ class SymbolicGraph:
         return "SymbolicGraph(%s)" % self.spec
 
 
-def symmetrize(g: SymbolicGraph) -> SymbolicGraph:
-    """Close the generator under swaps and clear the directed flag."""
-    out = SymbolicGraph(
-        spec=g.spec.replace(":oriented", ""),
-        alphabet_for=g.alphabet_for,
-        generate=g.generate,
-        saturation=g.saturation,
-        directed=False,
-        two_sided=g.two_sided,
-        compact=g.compact,
-        point_set=g.point_set,
-        blocks=g.blocks,
-        block_count=g.block_count,
-        finite_core=g.finite_core,
-    )
-    return out
-
-
-def orient(g: SymbolicGraph) -> SymbolicGraph:
-    """Keep one direction per pair, by clause order of the generator."""
-    if g.generate is None:
-        raise FamilyError("no orientation scheme is defined for %s" % g.spec)
-    out = symmetrize(g)
-    out.directed = True
-    out.spec = g.spec if g.spec.endswith(":oriented") else g.spec + ":oriented"
+def with_direction(g: SymbolicGraph, directed: bool) -> SymbolicGraph:
+    """A copy of g that keeps one direction per generated pair, by clause
+    order of the generator, when `directed`, and is closed under swaps
+    otherwise; the spec carries the `:oriented` suffix exactly when directed."""
+    out = copy.copy(g)
+    out.directed = directed
+    spec = g.spec.removesuffix(":oriented")
+    out.spec = spec + ":oriented" if directed else spec
     return out
 
 
@@ -211,18 +193,20 @@ def _c(k):
     return ("c",) * k
 
 
+# the numeral alphabet of gm and gdelta is capped at the letters reachable
+# below the saturation bound, and the bound equals the cap so that enlarging
+# it cannot smuggle in new capped letters
+def _gm_saturation(n: int) -> int:
+    return 2 * (n + 2) + 1
+
+
+def _gm_alphabet(n: int) -> Alphabet:
+    return Alphabet(numerals(_gm_saturation(n) + 1) + ["c", "a", "abar"])
+
+
 def gm() -> SymbolicGraph:
     """Graph whose level-k part approximates the odd cycle on 2k+3 points;
     the space is not compact (numeral letters are unbounded)."""
-
-    # the numeral alphabet is capped at the letters reachable below the
-    # saturation bound, and the bound equals the cap so that enlarging it
-    # cannot smuggle in new capped letters
-    def alphabet_for(n: int) -> Alphabet:
-        return Alphabet(numerals(saturation(n) + 1) + ["c", "a", "abar"])
-
-    def saturation(n: int) -> int:
-        return 2 * (n + 2) + 1
 
     def generate(bound: int, level: int = 0) -> list:
         edges = []
@@ -252,9 +236,9 @@ def gm() -> SymbolicGraph:
 
     return SymbolicGraph(
         spec="gm",
-        alphabet_for=alphabet_for,
+        alphabet_for=_gm_alphabet,
         generate=generate,
-        saturation=saturation,
+        saturation=_gm_saturation,
         compact=False,
         point_set="({c,a,abar} u omega)^omega",
     )
@@ -268,12 +252,6 @@ def gdelta(delta: UltWord) -> SymbolicGraph:
     from .words import format_ult
 
     delta_str = format_ult(delta)
-
-    def alphabet_for(n: int) -> Alphabet:
-        return Alphabet(numerals(saturation(n) + 1) + ["c", "a", "abar"])
-
-    def saturation(n: int) -> int:
-        return 2 * (n + 2) + 1
 
     def generate(bound: int, level: int = 0) -> list:
         edges = []
@@ -305,9 +283,9 @@ def gdelta(delta: UltWord) -> SymbolicGraph:
 
     return SymbolicGraph(
         spec="gdelta:delta=%s" % delta_str,
-        alphabet_for=alphabet_for,
+        alphabet_for=_gm_alphabet,
         generate=generate,
-        saturation=saturation,
+        saturation=_gm_saturation,
         # infinitely many blocks force unbounded first letters
         compact="1" not in delta.cycle,
         point_set="P_delta (block k present iff delta(k)=1)",
@@ -364,9 +342,6 @@ def t_graph() -> SymbolicGraph:
 # block graphs built from a dynamical system
 
 
-DEFAULT_EXTRA = ("c", "a", "abar")
-
-
 def _two_then_odd_half_lengths(d: Radix, l_max: int) -> list[int]:
     """n_0 = 0 and n_{l+1} = (d_1 * ... * d_{l+1} - 1) / 2."""
     out = [0]
@@ -382,12 +357,10 @@ class BlockSystem:
     policy: how far the middle of a block must be walked for a given level
     (None: fully) and how many blocks saturate a level."""
 
-    def __init__(self, name, block, half_lengths, offsets, alphabet_base,
-                 middle_cap=None, saturation=None):
-        self.name = name
+    def __init__(self, block, half_lengths, alphabet_base, middle_cap=None,
+                 saturation=None):
         self.block = block  # (l, i) -> Word of length l+1
         self.half_lengths = half_lengths  # l -> n_l
-        self.offsets = offsets  # l -> L_l
         self.alphabet_base = alphabet_base  # list of digit letters
         self._middle_cap = middle_cap
         self._saturation = saturation
@@ -412,10 +385,8 @@ def _middle_range(lam: int, cap):
     return range(cap)
 
 
-def odometer_block_system(
-    d: Radix, n_seq: Callable[[int], int] | None = None,
-    L_seq: Callable[[int], int] | None = None
-) -> BlockSystem:
+def odometer_block_system(d: Radix, n_seq: Callable[[int], int] | None = None
+                          ) -> BlockSystem:
     if n_seq is None:
         if not d.in_class_two_then_odd:
             raise FamilyError(
@@ -426,133 +397,105 @@ def odometer_block_system(
         def n_seq(l: int) -> int:
             return _two_then_odd_half_lengths(d, l)[l]
 
-    if L_seq is None:
-        L_seq = lambda l: 0
-
     def block(l: int, i: int) -> Word:
-        return orbit_point(d, L_seq(l) + i).prefix(l + 1)
+        return orbit_point(d, i).prefix(l + 1)
 
     return BlockSystem(
-        name="odometer",
         block=block,
         half_lengths=n_seq,
-        offsets=L_seq,
         alphabet_base=numerals(d.max_digit()),
         # chain projections at a level repeat with the full period there
         middle_cap=lambda level: 2 * d.period(level + 1) + 2,
     )
 
 
-def sturmian_block_system(
-    r_spec: str, n_seq: Callable[[int], int] | None = None,
-    L_seq: Callable[[int], int] | None = None
-) -> BlockSystem:
+def sturmian_block_system(r_spec: str) -> BlockSystem:
     code = SturmianCoding(parse_quadratic(r_spec))
-    if n_seq is None:
-        n_seq = lambda l: l
-    if L_seq is None:
-        L_seq = lambda l: 0
 
     def block(l: int, i: int) -> Word:
-        return code.window(L_seq(l) + i, L_seq(l) + i + l)
+        return code.window(i, i + l)
 
     return BlockSystem(
-        name="sturmian",
         block=block,
-        half_lengths=n_seq,
-        offsets=L_seq,
+        half_lengths=lambda l: l,
         alphabet_base=["0", "1"],
         # aperiodic coding: saturation waits for factor recurrence instead
         saturation=lambda n: 4 * (n + 2) * (n + 2),
     )
 
 
-def offsets_from_revisit_schedule(zeta_head: Sequence[int],
-                                  zeta_cycle: Sequence[int],
-                                  n_seq: Callable[[int], int]) -> Callable[[int], int]:
-    """Window offsets derived from an eventually periodic revisit schedule:
-    even windows start at the scheduled value, odd windows end there.  The
-    schedule is a user-supplied parameter, not a canonical choice."""
-    head = tuple(int(v) for v in zeta_head)
-    cycle = tuple(int(v) for v in zeta_cycle)
-    if not cycle:
-        raise FamilyError("schedule cycle must be nonempty")
-
-    def zeta(m: int) -> int:
-        if m < len(head):
-            return head[m]
-        return cycle[(m - len(head)) % len(cycle)]
-
-    def L(l: int) -> int:
-        if l % 2 == 0:
-            return zeta(l // 2)
-        # the window [L_l, R_l] with R_l - L_l = 2 n_l + 1 ends at zeta(m)
-        return zeta(l // 2) - 2 * n_seq(l) - 1
-
-    return L
-
-
-def graph_from_system(system: BlockSystem, spec: str, compact: bool = True) -> SymbolicGraph:
+def graph_from_system(system: BlockSystem, spec: str,
+                      chain: int | None = None) -> SymbolicGraph:
     """The degree-<=1 graph whose level-l part chains the blocks s_l(0),...,
-    s_l(2n_l+1) between two marker points, approximating an odd cycle."""
+    s_l(2n_l+1) between two marker points, approximating an odd cycle.
 
-    alphabet = Alphabet(system.alphabet_base + list(DEFAULT_EXTRA))
-
-    def alphabet_for(n: int) -> Alphabet:
-        return alphabet
-
-    def saturation(n: int) -> int:
-        return system.saturation(n)
+    By default every level l >= 0 has one chain.  With chain=p the graph is
+    member p of the descending chain: only levels l >= p remain, and each
+    level has one chain per marker word d^(j+1), j <= bound, written after
+    every block, so that the closure carries a cycle of length 2 n_p + 3."""
+    marked = chain is not None
+    first = chain or 0
+    alphabet = Alphabet(system.alphabet_base + ["c", "a", "abar"] + (["d"] if marked else []))
 
     def generate(bound: int, level: int = 0) -> list:
+        markers = [("d",) * (j + 1) for j in range(bound + 1)] if marked else [()]
         edges = []
         cap = system.middle_cap(max(level, 1))
-        for l in range(bound + 1):
+        for l in range(first, first + bound + 1):
             lam = system.width(l)
             s = lambda i: system.block(l, i)
-            edges.append(
-                (
-                    UltWord(_c(l + 1) + ("a",), ("abar",)),
-                    UltWord(s(0) + ("abar",), ("a",)),
-                )
-            )
-            # chain indices beyond the cap repeat every level-`level`
-            # projection already produced (residues modulo the level period)
-            for i in _middle_range(lam, cap):
+            for D in markers:
                 edges.append(
                     (
-                        UltWord(s(i) + ("a",) * (i + 1), ("abar",)),
-                        UltWord(s(i + 1) + ("abar",) * (i + 2), ("a",)),
+                        UltWord(_c(l + 1) + D + ("a",), ("abar",)),
+                        UltWord(s(0) + D + ("abar",), ("a",)),
                     )
                 )
-            edges.append(
-                (
-                    UltWord(s(lam - 1) + ("a",) * lam, ("abar",)),
-                    UltWord(_c(l + 1) + ("abar",), ("a",)),
+                # chain indices beyond the cap repeat every level-`level`
+                # projection already produced (residues modulo the level period)
+                for i in _middle_range(lam, cap):
+                    edges.append(
+                        (
+                            UltWord(s(i) + D + ("a",) * (i + 1), ("abar",)),
+                            UltWord(s(i + 1) + D + ("abar",) * (i + 2), ("a",)),
+                        )
+                    )
+                edges.append(
+                    (
+                        UltWord(s(lam - 1) + D + ("a",) * lam, ("abar",)),
+                        UltWord(_c(l + 1) + D + ("abar",), ("a",)),
+                    )
                 )
-            )
         return edges
 
-    g = SymbolicGraph(
+    return SymbolicGraph(
         spec=spec,
-        alphabet_for=alphabet_for,
+        alphabet_for=lambda n: alphabet,
         generate=generate,
-        saturation=saturation,
-        compact=compact,
-        point_set="closure of the block graph projection",
+        saturation=system.saturation,
+        compact=True,
+        point_set="closure of the %sblock graph projection" % ("marked " if marked else ""),
         blocks=system.block,
-        block_count=lambda l: system.width(l),
+        block_count=system.width,
     )
-    return g
 
 
 def go_plus(d: Radix) -> SymbolicGraph:
     """Block graph of the odometer with the default schedule."""
-    from .dynamics import format_radix
-
     return graph_from_system(
         odometer_block_system(d), spec="go-plus:d=%s" % format_radix(d)
     )
+
+
+def gp_chain(d: Radix, p: int) -> SymbolicGraph:
+    """Member p of the descending chain: the odometer block graph with only
+    block levels l >= p, every block doubled behind a marker letter 'd'."""
+    if not d.in_class_two_then_odd:
+        raise FamilyError("the chain needs first bound 2 and odd later bounds")
+    if p < 0:
+        raise FamilyError("p must be >= 0")
+    return graph_from_system(odometer_block_system(d),
+                             spec="gp:d=%s,p=%d" % (format_radix(d), p), chain=p)
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +504,6 @@ def go_plus(d: Radix) -> SymbolicGraph:
 def go_graph(d: Radix) -> SymbolicGraph:
     """Graph induced by the odometer itself on the digit space: edges join
     each point to its successor."""
-    from .dynamics import format_radix
-
     alphabet = d.alphabet()
 
     def alphabet_for(n: int) -> Alphabet:
@@ -590,66 +531,6 @@ def go_graph(d: Radix) -> SymbolicGraph:
     )
 
 
-def gp_chain(d: Radix, p: int) -> SymbolicGraph:
-    """Member p of the descending chain: only block levels l >= p remain, and
-    every block is doubled behind a marker letter 'd' so that the closure
-    carries a cycle of length 2 n_p + 3."""
-    from .dynamics import format_radix
-
-    if not d.in_class_two_then_odd:
-        raise FamilyError("the chain needs first bound 2 and odd later bounds")
-    if p < 0:
-        raise FamilyError("p must be >= 0")
-    system = odometer_block_system(d)
-    alphabet = Alphabet(numerals(d.max_digit()) + ["c", "a", "abar", "d"])
-
-    def alphabet_for(n: int) -> Alphabet:
-        return alphabet
-
-    def saturation(n: int) -> int:
-        return max(n, 1)
-
-    def generate(bound: int, level: int = 0) -> list:
-        edges = []
-        cap = system.middle_cap(max(level, 1))
-        for l in range(p, p + bound + 1):
-            lam = system.width(l)
-            s = lambda i: system.block(l, i)
-            for j in range(bound + 1):
-                D = ("d",) * (j + 1)
-                edges.append(
-                    (
-                        UltWord(_c(l + 1) + D + ("a",), ("abar",)),
-                        UltWord(s(0) + D + ("abar",), ("a",)),
-                    )
-                )
-                for i in _middle_range(lam, cap):
-                    edges.append(
-                        (
-                            UltWord(s(i) + D + ("a",) * (i + 1), ("abar",)),
-                            UltWord(s(i + 1) + D + ("abar",) * (i + 2), ("a",)),
-                        )
-                    )
-                edges.append(
-                    (
-                        UltWord(s(lam - 1) + D + ("a",) * lam, ("abar",)),
-                        UltWord(_c(l + 1) + D + ("abar",), ("a",)),
-                    )
-                )
-        return edges
-
-    return SymbolicGraph(
-        spec="gp:d=%s,p=%d" % (format_radix(d), p),
-        alphabet_for=alphabet_for,
-        generate=generate,
-        saturation=saturation,
-        compact=True,
-        point_set="closure of the marked block graph projection",
-        blocks=system.block,
-        block_count=lambda l: system.width(l),
-    )
-
-
 # ---------------------------------------------------------------------------
 # restrictions of the odometer graph to countable orbit pieces
 
@@ -669,6 +550,11 @@ class OrbitIndexSet:
     @staticmethod
     def interval_base(l: int) -> int:
         return 3 ** (l + 2)
+
+    @property
+    def infinite(self) -> bool:
+        return bool(self.progressions) or (
+            self.scheme_levels is not None and self.scheme_levels.infinite)
 
     def __contains__(self, i: int) -> bool:
         if i in self.finite:
@@ -742,8 +628,6 @@ def parse_index_set(s: str) -> OrbitIndexSet:
 
 def restricted_orbit_graph(d: Radix, S: OrbitIndexSet) -> SymbolicGraph:
     """Edges join the i-th and (i+1)-st iterates of the zero word, for i in S."""
-    from .dynamics import format_radix
-
     alphabet = d.alphabet()
 
     def alphabet_for(n: int) -> Alphabet:
@@ -1028,9 +912,11 @@ def parse_family(spec: str) -> SymbolicGraph:
         g = restricted_orbit_graph(parse_radix(args["d"]), parse_index_set(args["S"]))
     elif name == "ka":
         g = ka_graph([int(t) for t in args["A"].split(",")] if args["A"] else [])
+    elif name == "sturmian":
+        g = graph_from_system(sturmian_block_system(args["r"]), spec="sturmian:r=%s" % args["r"])
     else:
         raise FamilyError("unknown family %r" % name)
-    return orient(g) if oriented else g
+    return with_direction(g, True) if oriented else g
 
 
 def _parse_args(argstr: str) -> dict:

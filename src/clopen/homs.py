@@ -7,10 +7,7 @@ from typing import Optional
 
 from .families import FiniteGraph, SymbolicGraph
 from .quotients import odd_girth, quotient
-
-
-class HomBudgetError(RuntimeError):
-    pass
+from .words import BudgetError
 
 
 class HomWitness:
@@ -29,29 +26,21 @@ class HomWitness:
             (self.mapping[u], self.mapping[v]) in H.edges for (u, v) in G.edges
         )
 
-    def compose(self, other: "HomWitness") -> "HomWitness":
-        """self: G -> H composed with other: H -> K."""
-        return HomWitness(
-            {u: other.mapping[v] for u, v in self.mapping.items()},
-            self.injective and other.injective,
-        )
-
 
 def hom_exists(G: FiniteGraph, H: FiniteGraph, injective: bool = False
                ) -> Optional[HomWitness]:
     """Backtracking search with degree-descending vertex order and forward
     checking; returns a witness or None as an exhaustive-absence certificate.
-    Deterministic: candidates are tried in vertex-list order."""
+    Deterministic: candidates are tried in vertex-list order.  The search
+    keeps an explicit stack, one level per source vertex."""
     if len(G.vertices) * len(H.vertices) > 10**6:
-        raise HomBudgetError("source x target size exceeds the search budget")
+        raise BudgetError("source x target size exceeds the search budget")
     hv = list(H.vertices)
     h_adj = {v: {w for (u, w) in H.edges if u == v} for v in H.vertices}
     g_adj: dict = {v: set() for v in G.vertices}
     for (u, v) in G.edges:
         g_adj[u].add(v)
     order = sorted(G.vertices, key=lambda v: (-len(g_adj[v]), G.vertices.index(v)))
-    pos = {v: i for i, v in enumerate(order)}
-    domains = {v: list(hv) for v in G.vertices}
     assign: dict = {}
 
     def propagate(v, img, domains):
@@ -74,35 +63,46 @@ def hom_exists(G: FiniteGraph, H: FiniteGraph, injective: bool = False
             new[u] = dom
         return new
 
-    def backtrack(idx, domains):
-        if idx == len(order):
-            return True
+    # depth idx assigns order[idx] from domains[idx], resuming at tries[idx]
+    domains = [{v: list(hv) for v in G.vertices}]
+    tries = [0]
+    idx = 0
+    while 0 <= idx < len(order):
         v = order[idx]
-        for img in domains[v]:
-            # all already-assigned neighbours must map to neighbours of img
-            if any(
-                u in assign and assign[u] not in h_adj[img] for u in g_adj[v]
-            ):
-                continue
+        cands = domains[idx][v]
+        nxt = None
+        while nxt is None and tries[idx] < len(cands):
+            img = cands[tries[idx]]
+            tries[idx] += 1
             if injective and img in assign.values():
                 continue
             assign[v] = img
-            nxt = propagate(v, img, domains)
-            if nxt is not None and backtrack(idx + 1, nxt):
-                return True
-            del assign[v]
-        return False
-
-    if backtrack(0, domains):
-        return HomWitness(assign, injective)
-    return None
+            # every assigned neighbour, v itself on a loop included, must map
+            # to a neighbour of img
+            if all(assign[u] in h_adj[img] for u in g_adj[v] if u in assign):
+                nxt = propagate(v, img, domains[idx])
+            if nxt is None:
+                del assign[v]
+        if nxt is not None:
+            domains.append(nxt)
+            tries.append(0)
+            idx += 1
+        else:  # every candidate failed below: backtrack
+            domains.pop()
+            tries.pop()
+            idx -= 1
+            if idx >= 0:
+                del assign[order[idx]]
+    if idx < 0:
+        return None
+    return HomWitness(assign, injective)
 
 
 def cycle_spectrum(G: FiniteGraph, max_len: int = 64) -> set:
     """Lengths of simple cycles of the underlying undirected graph, up to
     max_len, by DFS rooted at each minimal vertex."""
     if max_len > 64:
-        raise HomBudgetError("cycle length cap exceeds the search budget")
+        raise BudgetError("cycle length cap exceeds the search budget")
     adj: dict = {v: set() for v in G.vertices}
     for (u, v) in G.edges:
         if u != v:
@@ -211,20 +211,6 @@ def quotient_hom_obstruction(g1: SymbolicGraph, g2: SymbolicGraph, n: int,
 # finite graph exchange format
 
 
-def finite_graph_to_text(G: FiniteGraph) -> str:
-    lines = ["directed=%d" % (1 if G.directed else 0)]
-    seen = set()
-    for (u, v) in sorted(G.edges, key=lambda e: (str(e[0]), str(e[1]))):
-        if not G.directed and (v, u) in seen:
-            continue
-        seen.add((u, v))
-        lines.append("%s %s" % (u, v))
-    isolated = [v for v in G.vertices if G.degree(v) == 0]
-    for v in isolated:
-        lines.append("%s" % v)
-    return "\n".join(lines) + "\n"
-
-
 def finite_graph_from_text(text: str) -> FiniteGraph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("directed="):
@@ -242,19 +228,3 @@ def finite_graph_from_text(text: str) -> FiniteGraph:
         else:
             raise ValueError("bad edge line %r" % ln)
     return FiniteGraph(vertices, edges, directed=directed)
-
-
-def finite_graph_to_dot(G: FiniteGraph, name: str = "graph") -> str:
-    kind = "digraph" if G.directed else "graph"
-    arrow = "->" if G.directed else "--"
-    lines = ['%s "%s" {' % (kind, name)]
-    for v in G.vertices:
-        lines.append('  "%s";' % v)
-    seen = set()
-    for (u, v) in sorted(G.edges, key=lambda e: (str(e[0]), str(e[1]))):
-        if not G.directed and (v, u) in seen:
-            continue
-        seen.add((u, v))
-        lines.append('  "%s" %s "%s";' % (u, arrow, v))
-    lines.append("}")
-    return "\n".join(lines)

@@ -243,10 +243,11 @@ def odd_girth(q: QuotientGraph) -> Optional[int]:
 
 class Bipartite:
     """Verdict: the quotient is 2-colorable; carries the pulled-back clopen
-    coloring at this level."""
+    coloring at this level and the undirected quotient it colors."""
 
-    def __init__(self, coloring):
+    def __init__(self, coloring, quotient: QuotientGraph):
         self.coloring = coloring
+        self.quotient = quotient
 
     verdict = "bipartite"
 
@@ -273,11 +274,10 @@ def decide_level(g: SymbolicGraph, n: int):
         return OddWalk(walk, q)
     mapping = dict(zip(q.vertices, q.two_coloring()[1]))
     return Bipartite(ClopenColoring(level=n, colors=2, mapping=mapping,
-                                    alphabet=q.alphabet, two_sided=q.two_sided))
+                                    alphabet=q.alphabet, two_sided=q.two_sided), q)
 
 
-def scan(g: SymbolicGraph, n_max: int, include_girth: bool = True,
-         budget_ms: float | None = None) -> dict:
+def scan(g: SymbolicGraph, n_max: int, budget_ms: float | None = None) -> dict:
     """Per-level verdicts 1..n_max with witnesses, odd girths and timing; the
     headline distinguishes the clopen-level statement from the full
     compactness-backed claim.  A time budget yields a partial, flagged
@@ -291,26 +291,24 @@ def scan(g: SymbolicGraph, n_max: int, include_girth: bool = True,
             partial = True
             break
         t0 = time.perf_counter()
-        q = quotient(g, n).undirected()
-        walk = odd_closed_walk(q)
+        result = decide_level(g, n)
         ms = (time.perf_counter() - t0) * 1000.0
+        q = result.quotient
         entry = {
             "family": g.spec,
             "level": n,
             "edgeCount": q.edge_count(),
             "millis": round(ms, 3),
+            "verdict": result.verdict,
         }
-        if walk is None:
-            entry["verdict"] = "bipartite"
-            entry["coloring"] = {q.label(v): c for v, c in zip(q.vertices, q.two_coloring()[1])}
+        levels.append(entry)
+        if isinstance(result, Bipartite):
+            entry["coloring"] = {q.label(v): c for v, c in result.coloring.mapping.items()}
             entry["oddGirth"] = None
-            levels.append(entry)
             headline = "chi_c <= 2 (certified by the level-%d coloring)" % n
             break
-        entry["verdict"] = "odd-walk"
-        entry["witness"] = walk.as_json(q)
-        entry["oddGirth"] = walk.length if include_girth else None
-        levels.append(entry)
+        entry["witness"] = result.witness.as_json(q)
+        entry["oddGirth"] = result.witness.length
     reached = levels[-1]["level"] if levels else 0
     if headline is None:
         if partial:

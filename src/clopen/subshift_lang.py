@@ -13,14 +13,10 @@ from .dynamics import (
     fibonacci_len,
     periodic_point_period,
 )
-from .words import BiWord, BlockWord, Word, as_word, format_word
+from .words import BiWord, BudgetError, Word, as_word, format_word
 
 
 class SubshiftError(ValueError):
-    pass
-
-
-class BudgetError(RuntimeError):
     pass
 
 
@@ -207,10 +203,6 @@ class FinitePointSet(SubshiftSpec):
         return out
 
 
-def language(s: SubshiftSpec, n: int) -> set:
-    return s.language(n)
-
-
 def complexity(s: SubshiftSpec, n_max: int) -> list[int]:
     return [len(s.language(n)) for n in range(1, n_max + 1)]
 
@@ -324,13 +316,6 @@ class LimitForest:
                 out.add(ch.id)
                 stack.append(ch.id)
         return out
-
-    def leaves_removed(self) -> "LimitForest":
-        leaf_ids = {i for i in self.nodes if not self.children(i)}
-        kept = [n for n in self.nodes.values() if n.id not in leaf_ids]
-        if not kept:
-            raise SubshiftError("removing the leaves empties the forest")
-        return LimitForest(kept)
 
 
 def _family_windows(node: ForestNode, radius: int, shifts: int) -> set:

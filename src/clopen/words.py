@@ -21,6 +21,10 @@ class WordError(ValueError):
     """Malformed word, alphabet or word expression."""
 
 
+class BudgetError(RuntimeError):
+    """A search or enumeration would exceed its fixed size budget."""
+
+
 def as_word(letters) -> Word:
     """Coerce a string (one letter per character) or iterable to a word."""
     if isinstance(letters, str):
@@ -315,31 +319,6 @@ class BlockWord:
 
     def __repr__(self):
         return "BlockWord(start=%d)" % self.start
-
-
-# ---------------------------------------------------------------------------
-# spec-level operations (module API)
-
-
-def prefix(w: UltWord, n: int) -> Word:
-    return w.prefix(n)
-
-
-def shift_bi(b: BiWord, k: int) -> BiWord:
-    return b.shift(k)
-
-
-def factors(x, m: int) -> set:
-    return x.factors(m)
-
-
-def eq(x, y) -> bool:
-    """True iff the denoted sequences are equal (canonical comparison)."""
-    if isinstance(x, UltWord) and isinstance(y, UltWord):
-        return x == y
-    if isinstance(x, BiWord) and isinstance(y, BiWord):
-        return x == y
-    raise WordError("cannot compare %r with %r" % (type(x), type(y)))
 
 
 # ---------------------------------------------------------------------------

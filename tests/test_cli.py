@@ -149,16 +149,17 @@ def test_usage_error_exit_code():
     assert ei.value.code == 2
 
 
-def test_runconfig_round_trip():
-    from clopen.cli import RunConfig, UsageError, build_parser
-
-    cfg = RunConfig("go-plus:d=2,(3)^inf", levels=3, bound=5, fmt="json")
-    args = build_parser().parse_args(["scan"] + cfg.to_args())
-    back = RunConfig.from_args(args)
-    assert (back.family, back.levels, back.bound, back.fmt) == (
-        cfg.family, cfg.levels, cfg.bound, cfg.fmt)
-    with pytest.raises(UsageError):
-        RunConfig("gm", levels=0)
+def test_scan_levels_and_bound_usage(capsys):
+    code, _, err = run(capsys, "scan", "--family", "gm", "--levels", "0")
+    assert code == 2 and err == "usage error: level budget must be positive\n"
+    # only family show and quotient enumerate with an overridden bound
+    for argv in (("scan", "--family", "gm", "--levels", "2"),
+                 ("decide", "--family", "gm", "--level", "2"),
+                 ("obstruct", "--g1", "gm", "--g2", "gm", "--level", "2")):
+        with pytest.raises(SystemExit) as ei:
+            main(list(argv) + ["--bound", "3"])
+        assert ei.value.code == 2
+        assert "unrecognized arguments: --bound 3" in capsys.readouterr().err
 
 
 def test_scan_budget_flag(capsys):
@@ -240,3 +241,64 @@ def test_budget_and_file_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+FOREST = (
+    "node alpha0 orbit=(01)^inf.(01)^inf parent=root\n"
+    "node beta0 orbit=(01)^inf.1(01)^inf parent=alpha0\n"
+)
+JSON = ("--format", "json", "--no-timing")
+GO34 = "graph-o:d=3,4,(3)^inf"
+GP1 = "gp:d=2,(3)^inf,p=1"
+CORPUS = [
+    # representatives pin the block-chain edge order and the orientation
+    (("family", "show", "--family", "go-plus:d=2,(3)^inf", "--level", "2"),
+     "family-show-go-plus-2.txt"),
+    (("family", "show", "--family", GP1, "--level", "2"), "family-show-gp1-2.txt"),
+    (("family", "show", "--family", "go-plus:d=2,(3)^inf:oriented", "--level", "2"),
+     "family-show-go-plus-oriented-2.txt"),
+    (("quotient", "--family", GP1, "--level", "3", "--format", "json"), "quotient-gp1-3.json"),
+    (("scan", "--family", GO34, "--levels", "3") + JSON, "scan-graph-o-34-3.json"),
+    (("decide", "--family", GO34, "--level", "2") + JSON, "decide-graph-o-34-2.json"),
+    (("decide", "--family", "k0", "--level", "2") + JSON, "decide-k0-2.json"),
+    (("scan", "--family", "sturmian:r=" + STURMIAN, "--levels", "3") + JSON,
+     "scan-sturmian-3.json"),
+    # the README CLI examples, verbatim
+    (("scan", "--family", "go-plus:d=2,(3)^inf", "--levels", "4"), "readme-scan.txt"),
+    (("decide", "--family", GO34, "--level", "2", "--color-out", "c.txt"), "readme-decide.txt"),
+    (("color", "verify", "--family", GO34, "--coloring", "c.txt", "--bound", "4"),
+     "readme-verify-c.txt"),
+    (("color", "verify", "--family", "t", "--predicate", "t-coloring", "--bound", "10"),
+     "readme-verify-t.txt"),
+    (("color", "search", "--family", "k0", "--level", "4", "--colors", "3"),
+     "readme-search-k0.txt"),
+    (("quotient", "--family", "graph-o:d=(3)^inf", "--level", "2", "--format", "dot"),
+     "readme-quotient-dot.txt"),
+    (("subshift", "complexity", "--sturmian", STURMIAN, "--nmax", "12"), "readme-complexity.txt"),
+    (("subshift", "member", "--word", "(10101101)^inf.(10101101)^inf", "--fib-p", "0"),
+     "readme-member.txt"),
+    (("subshift", "powerfree", "--fib-prefix", "500", "--power", "4"), "readme-powerfree.txt"),
+    (("cb", "rank", "--family", "k0", "--resolution", "40"), "readme-cb-k0.txt"),
+    (("cb", "rank", "--forest", "forest.txt", "--resolution", "40"), "readme-cb-forest.txt"),
+    (("hom", "--source", "odd-cycle:p=1", "--target", "odd-cycle:p=0"), "readme-hom-c5-c3.txt"),
+    (("hom", "--source", "odd-cycle:p=0", "--target", "graph-o:d=(3)^inf@1"),
+     "readme-hom-c3-go1.txt"),
+    (("spectrum", "--family", "ka:A=0,1"), "readme-spectrum.txt"),
+    (("obstruct", "--g1", "gp:d=2,(3)^inf,p=0", "--g2", GP1, "--level", "2"),
+     "readme-obstruct.txt"),
+]
+
+
+@pytest.mark.parametrize("argv,name", CORPUS, ids=[n.rsplit(".", 1)[0] for _, n in CORPUS])
+def test_cli_matches_golden(tmp_path, monkeypatch, capsys, argv, name):
+    # the coloring file is the one the README's decide example writes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "forest.txt").write_text(FOREST, encoding="utf-8")
+    colf = tmp_path / "c.txt"
+    golden_colf = (GOLDEN / "readme-decide-c.txt").read_text(encoding="utf-8")
+    if "--color-out" not in argv:
+        colf.write_text(golden_colf, encoding="utf-8")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+    assert colf.read_text(encoding="utf-8") == golden_colf

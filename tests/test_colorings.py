@@ -9,7 +9,6 @@ from clopen.colorings import (
     ClopenColoring,
     ColoringError,
     DeltaSubgraphSpec,
-    IndexSetSpec,
     UndeterminedPrefixError,
     charsub_check,
     coloring_from_text,
@@ -23,7 +22,7 @@ from clopen.colorings import (
     verify_coloring,
 )
 from clopen.dynamics import parse_radix, prefix_succ
-from clopen.families import edges_at_level, go_graph, go_plus, parse_family
+from clopen.families import edges_at_level, go_graph, go_plus, parse_family, parse_index_set
 from clopen.quotients import odd_closed_walk, quotient, scan
 from clopen.words import parse_ult
 
@@ -178,14 +177,14 @@ def test_charsub_full_family_and_failures():
     assert not v.big and "center" in v.failing_clause
     # restricting a clause to the evens keeps the sets infinite
     assert charsub_check(
-        delta, DeltaSubgraphSpec(entry_sets=IndexSetSpec.evens())
+        delta, DeltaSubgraphSpec(entry_sets=parse_index_set("0+2k"))
     ).big
     # cutting one clause to a finite set kills the criterion
-    v2 = charsub_check(delta, DeltaSubgraphSpec(exit_sets=IndexSetSpec({1, 2}, ())))
+    v2 = charsub_check(delta, DeltaSubgraphSpec(exit_sets=parse_index_set("{1,2}")))
     assert not v2.big and "exit" in v2.failing_clause
     # dropping central points from cofinally many levels kills it too
     v3 = charsub_check(
-        delta, DeltaSubgraphSpec(center_levels=IndexSetSpec({0, 1, 2}, ()))
+        delta, DeltaSubgraphSpec(center_levels=parse_index_set("{0,1,2}"))
     )
     assert not v3.big
 

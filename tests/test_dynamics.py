@@ -22,7 +22,6 @@ from clopen.dynamics import (
     fibonacci_word,
     format_radix,
     odometer_iter,
-    odometer_level_orbit,
     odometer_pred,
     odometer_succ,
     parse_quadratic,
@@ -52,9 +51,9 @@ def test_radix_grammar_round_trip():
 
 
 def test_radix_classes():
-    assert R3.all_odd and not R3.in_class_two_then_odd
-    assert R23.in_class_two_then_odd and not R23.all_odd
-    assert parse_radix("3,4,(3)^inf").has_even_digit
+    assert not R3.in_class_two_then_odd
+    assert R23.in_class_two_then_odd
+    assert not parse_radix("3,4,(3)^inf").in_class_two_then_odd
     assert not parse_radix("2,(4)^inf").in_class_two_then_odd
 
 
@@ -101,8 +100,18 @@ def test_iter_negative_from_zero():
     )
 
 
+def level_orbit(d, l):
+    """The orbit of 0^(l+1) under the cyclic successor."""
+    t = ("0",) * (l + 1)
+    out = [t]
+    for _ in range(d.period(l + 1) - 1):
+        t = prefix_succ(d, t)
+        out.append(t)
+    return out
+
+
 def test_level_orbit_example():
-    assert odometer_level_orbit(R23, 1) == [
+    assert level_orbit(R23, 1) == [
         ("0", "0"),
         ("1", "0"),
         ("0", "1"),
@@ -110,8 +119,8 @@ def test_level_orbit_example():
         ("0", "2"),
         ("1", "2"),
     ]
-    assert odometer_level_orbit(R3, 0) == [("0",), ("1",), ("2",)]
-    assert len(odometer_level_orbit(R3, 2)) == 27
+    assert level_orbit(R3, 0) == [("0",), ("1",), ("2",)]
+    assert len(level_orbit(R3, 2)) == 27
 
 
 def test_succ_on_prefixes_is_a_single_cycle():
@@ -183,20 +192,39 @@ def test_fibonacci_limit_prefixes_are_nested():
 def test_quadratic_parse_and_compare():
     r = parse_quadratic("(3 - 1 sqrt 5)/2")
     assert repr(r) == "(3 - 1 sqrt 5)/2"
-    assert 0 < r < Fraction(1, 2)
-    assert r < Fraction(39, 100) and Fraction(38, 100) < r
+    assert r.cmp(0) > 0 and r.cmp(Fraction(1, 2)) < 0
+    assert r.cmp(Fraction(39, 100)) < 0 and r.cmp(Fraction(38, 100)) > 0
     s = parse_quadratic("(7 - 3 sqrt 5)/2")
-    assert 0 < s < Fraction(1, 2)
-    assert s < r
+    assert s.cmp(0) > 0 and s.cmp(Fraction(1, 2)) < 0
+    assert s.cmp(r) < 0
     assert r == r + 0
     assert (r - r).sign() == 0
+
+
+def test_quadratic_mixed_discriminants():
+    # 1/2 + sqrt 2 in either order: the irrational operand's discriminant
+    half, root2 = QuadraticReal(1, 0, 2, 5), QuadraticReal(0, 1, 1, 2)
+    for v in (half + root2, root2 + half):
+        assert repr(v) == "(1 + 2 sqrt 2)/2" and v.floor() == 1
+    for v, want in ((half - root2, "(1 - 2 sqrt 2)/2"), (root2 - half, "(-1 + 2 sqrt 2)/2")):
+        assert repr(v) == want
+    with pytest.raises(ValueError):
+        root2 + QuadraticReal(0, 1, 1, 3)
+
+
+def approx(v: QuadraticReal) -> float:
+    return (v.a + v.b * math.sqrt(v.disc)) / v.c
+
+
+def frac(v: QuadraticReal) -> QuadraticReal:
+    return v - v.floor()
 
 
 def test_quadratic_floor_and_frac():
     r = parse_quadratic("(3 - 1 sqrt 5)/2")
     big = r.scale(13)  # ~4.97
     assert big.floor() == 4
-    fr = big.frac()
+    fr = frac(big)
     assert 0 <= fr.cmp(0) or fr.cmp(0) == 0
     assert fr.cmp(1) < 0
     neg = r.scale(-3)  # ~-1.14
@@ -206,7 +234,7 @@ def test_quadratic_floor_and_frac():
         n = rng.randrange(-50, 50)
         v = r.scale(n) + Fraction(rng.randrange(-10, 10), 7)
         f = v.floor()
-        assert f == math.floor(v.approx())  # far from integers for these inputs
+        assert f == math.floor(approx(v))  # far from integers for these inputs
         assert v.cmp(f) >= 0 and v.cmp(f + 1) < 0
 
 
@@ -229,13 +257,13 @@ def test_sturmian_equivariance():
         x = Fraction(rng.randrange(0, 40), 41)
         a = rng.randrange(-50, 0)
         b = rng.randrange(0, 50)
-        x1 = (QuadraticReal.from_fraction(x, r.disc) + r).frac()
+        x1 = frac(QuadraticReal.from_fraction(x, r.disc) + r)
         assert sturmian_code(r, x, a + 1, b + 1) == sturmian_code(r, x1, a, b)
 
 
 def test_sturmian_matches_float_oracle():
     r = parse_quadratic("(3 - 1 sqrt 5)/2")
-    rf = r.approx()
+    rf = approx(r)
     code = sturmian_code(r, Fraction(1, 7), -30, 30)
     for idx, n in enumerate(range(-30, 31)):
         y = (1 / 7 + n * rf) % 1.0

@@ -16,14 +16,13 @@ from clopen.families import (
     k0_graph,
     ka_graph,
     odd_cycle,
-    orient,
     parse_family,
     parse_index_set,
     rank_subshift,
     restricted_orbit_graph,
     sturmian_block_system,
-    symmetrize,
     t_graph,
+    with_direction,
 )
 from clopen.words import UltWord, format_ult, format_word, parse_ult
 
@@ -42,6 +41,7 @@ ALL_FAMILY_SPECS = [
     "gp:d=2,(3)^inf,p=1",
     "orbit:d=(3)^inf,S=sa{0}",
     "ka:A=0,1",
+    "sturmian:r=(3 - 1 sqrt 5)/2",
 ]
 
 
@@ -275,13 +275,16 @@ def test_ka_preconditions():
 def test_symmetrize_and_orient():
     for spec in ("gm", "go-plus:d=2,(3)^inf"):
         g = parse_family(spec)
-        o = orient(g)
-        assert o.directed and not symmetrize(o).directed
+        o = with_direction(g, True)
+        sym = with_direction(o, False)
+        assert o.directed and not sym.directed and not g.directed
+        assert (o.spec, sym.spec) == (spec + ":oriented", spec)
+        assert with_direction(o, True).spec == o.spec
         # the symmetrization of the oriented family gives the same level sets
         for n in (1, 2, 3):
-            assert pairs(symmetrize(o), n) == pairs(g, n)
-        # symmetrize is idempotent
-        assert pairs(symmetrize(symmetrize(g)), 2) == pairs(g, 2)
+            assert pairs(sym, n) == pairs(g, n)
+        # symmetrizing is idempotent
+        assert pairs(with_direction(sym, False), 2) == pairs(g, 2)
         # the oriented level set is one direction of the symmetric one
         po = pairs(o, 2)
         ps = pairs(g, 2)
@@ -362,22 +365,6 @@ def test_block_tops_approach_the_half_maximum_point():
     for l in range(4):
         top = g.blocks(l, g.block_count(l) - 1)
         assert top == ("1",) + ("1",) * l  # (3-1)/2 = 1 at every later position
-
-
-def test_custom_revisit_schedule_offsets():
-    from clopen.families import offsets_from_revisit_schedule, odometer_block_system
-
-    d = parse_radix("2,(3)^inf")
-    n_seq = lambda l: [0, 1, 4, 13, 40][l] if l < 5 else 0
-    L = offsets_from_revisit_schedule([0], [2], n_seq)
-    assert L(0) == 0 and L(2) == 2 and L(4) == 2
-    assert L(1) == 0 - 2 * n_seq(1) - 1  # odd windows end at the schedule
-    sys_ = odometer_block_system(d, L_seq=L)
-    g = graph_from_system(sys_, spec="go-plus-scheduled")
-    lev = edges_at_level(g, 1)
-    assert len(lev.pairs) > 0
-    ps = set(lev.pairs)
-    assert {(t, s) for (s, t) in ps} == ps
 
 
 def test_gdelta_compactness_tracks_delta():

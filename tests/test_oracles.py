@@ -1,6 +1,9 @@
 """Differential oracles for the decision layer: the odd girth and the BFS
 2-coloring checked against networkx on random small graphs and on every
-family quotient at levels <= 4."""
+family quotient at levels <= 4, and the homomorphism search against brute
+force over all maps."""
+
+import itertools
 
 import networkx as nx
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clopen.families import FiniteGraph, parse_family
+from clopen.homs import hom_exists
 from clopen.quotients import _bfs_two_color, from_finite_graph, odd_girth, quotient
 from test_families import ALL_FAMILY_SPECS
 
@@ -46,8 +50,8 @@ def check_against_networkx(q):
 
 
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=10))
+def small_graphs(draw, max_n=10):
+    n = draw(st.integers(min_value=1, max_value=max_n))
     edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=3 * n))
     return FiniteGraph(list(range(n)), edges, directed=draw(st.booleans()))
@@ -64,3 +68,23 @@ def test_family_quotients_against_networkx(spec):
     g = parse_family(spec)
     for n in (1, 2, 3, 4):
         check_against_networkx(quotient(g, n))
+
+
+def brute_force_hom(G, H, injective):
+    """Oracle: some map V(G) -> V(H) sends every edge to an edge."""
+    for images in itertools.product(H.vertices, repeat=len(G.vertices)):
+        if injective and len(set(images)) < len(images):
+            continue
+        m = dict(zip(G.vertices, images))
+        if all((m[u], m[v]) in H.edges for (u, v) in G.edges):
+            return True
+    return False
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_graphs(max_n=6), small_graphs(max_n=6), st.booleans())
+def test_hom_exists_against_brute_force(G, H, injective):
+    w = hom_exists(G, H, injective=injective)
+    assert (w is not None) == brute_force_hom(G, H, injective)
+    if w is not None:
+        assert w.check(G, H)

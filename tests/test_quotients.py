@@ -142,13 +142,13 @@ def test_bipartite_pullback_verifies(spec):
 
 
 def test_symmetrization_commutes_with_quotient():
-    from clopen.families import orient, symmetrize
+    from clopen.families import with_direction
 
     for spec in ("go-plus:d=2,(3)^inf", "gm", "graph-o:d=(3)^inf"):
         g = parse_family(spec)
-        o = orient(g)
+        o = with_direction(g, True)
         for n in (1, 2, 3):
-            q_sym_first = quotient(symmetrize(o), n)
+            q_sym_first = quotient(with_direction(o, False), n)
             q_sym_last = quotient(o, n).undirected()
             assert set(q_sym_first.edges) == set(q_sym_last.edges), (spec, n)
 
@@ -184,9 +184,7 @@ def test_dot_export():
 
 
 def test_directed_quotient_of_oriented_family():
-    from clopen.families import orient
-
-    g = orient(parse_family("go-plus:d=2,(3)^inf"))
+    g = parse_family("go-plus:d=2,(3)^inf:oriented")
     q = quotient(g, 1)
     assert q.directed
     assert (("c",), ("0",)) in set(q.edges)
