@@ -265,7 +265,7 @@ def cmd_color_search(args):
     return 0
 
 
-def _subshift_spec(args) -> sub.SubshiftSpec:
+def _subshift_spec(args) -> sub.Subshift:
     if getattr(args, "sturmian", None):
         return sub.SturmianSubshift(parse_quadratic(args.sturmian))
     if getattr(args, "points", None):

@@ -7,7 +7,8 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .dynamics import Radix, prefix_succ
-from .families import OrbitIndexSet, SymbolicGraph
+from .families import FiniteGraph, OrbitIndexSet, SymbolicGraph
+from .homs import hom_exists
 from .quotients import QuotientGraph, quotient
 from .words import Alphabet, BudgetError, Word, format_word, parse_prefix
 
@@ -210,41 +211,23 @@ def t_coloring() -> PredicateColoring:
 
 
 def search_coloring(q: QuotientGraph, k: int) -> Optional[ClopenColoring]:
-    """Exhaustive backtracking proper k-coloring of the quotient, or None as
-    an absence certificate.  Vertices are ordered by descending degree (ties
-    by alphabet order), so the output is deterministic."""
+    """Exhaustive search for a proper k-coloring of the quotient, or None as
+    an absence certificate.
+
+    A proper k-coloring is a homomorphism into the complete graph K_k, so
+    this is ``hom_exists(q.undirected(), K_k)``: vertices in the order
+    (-degree, alphabet order), since the quotient's vertex ids are in
+    alphabet order, and colors tried ascending.  The coloring is the first
+    solution in that order, which forward checking does not change."""
     if k < 1 or k > 6:
         raise BudgetError("color count must be between 1 and 6")
     if len(q.vertices) > 10**5:
         raise BudgetError("quotient too large for exhaustive search")
     q = q.undirected()
-    adj: dict = {v: set() for v in q.vertices}
-    for (u, v) in q.edges:
-        if u == v:
-            return None  # a self-loop defeats every coloring
-        adj[u].add(v)
-        adj[v].add(u)
-    order = sorted(q.vertices, key=lambda v: (-len(adj[v]), q.alphabet.key(v)))
-    color: dict = {}
-    tries = [0] * len(order)  # the next color to try at each depth
-    idx = 0
-    while 0 <= idx < len(order):
-        v = order[idx]
-        used = {color[u] for u in adj[v] if u in color}
-        c = next((c for c in range(tries[idx], k) if c not in used), k)
-        if c < k:
-            color[v] = c
-            tries[idx] = c + 1
-            idx += 1
-        else:  # every color failed below: backtrack
-            tries[idx] = 0
-            idx -= 1
-            if idx >= 0:
-                del color[order[idx]]
-    if idx < 0:
+    w = hom_exists(q, FiniteGraph(range(k), [(i, j) for i in range(k) for j in range(i)]))
+    if w is None:
         return None
-    return ClopenColoring(level=q.level, colors=k,
-                          mapping={v: color[v] for v in q.vertices},
+    return ClopenColoring(level=q.level, colors=k, mapping=w.mapping,
                           alphabet=q.alphabet, two_sided=q.two_sided,
                           name="searched")
 

@@ -61,6 +61,16 @@ class FiniteGraph:
         )
 
 
+def adjacency(vertices: Sequence, edges: Iterable) -> list:
+    """The integer index of a finite graph: vertex i is ``vertices[i]`` and
+    ``adj[i]`` lists the ids of i's out-neighbours in ascending order."""
+    ids = {v: i for i, v in enumerate(vertices)}
+    nbrs = [set() for _ in ids]
+    for (u, v) in edges:
+        nbrs[ids[u]].add(ids[v])
+    return [sorted(s) for s in nbrs]
+
+
 def odd_cycle(p: int) -> FiniteGraph:
     """The symmetric cycle on 2p+3 vertices."""
     if p < 0:
@@ -443,26 +453,29 @@ def graph_from_system(system: BlockSystem, spec: str,
         cap = system.middle_cap(max(level, 1))
         for l in range(first, first + bound + 1):
             lam = system.width(l)
-            s = lambda i: system.block(l, i)
+            # chain indices beyond the cap repeat every level-`level`
+            # projection already produced (residues modulo the level period)
+            middle = _middle_range(lam, cap)
+            # each block once per level, shared by every marker
+            s = [system.block(l, i) for i in range(len(middle) + 1)]
+            last = s[-1] if len(s) == lam else system.block(l, lam - 1)
             for D in markers:
                 edges.append(
                     (
                         UltWord(_c(l + 1) + D + ("a",), ("abar",)),
-                        UltWord(s(0) + D + ("abar",), ("a",)),
+                        UltWord(s[0] + D + ("abar",), ("a",)),
                     )
                 )
-                # chain indices beyond the cap repeat every level-`level`
-                # projection already produced (residues modulo the level period)
-                for i in _middle_range(lam, cap):
+                for i in middle:
                     edges.append(
                         (
-                            UltWord(s(i) + D + ("a",) * (i + 1), ("abar",)),
-                            UltWord(s(i + 1) + D + ("abar",) * (i + 2), ("a",)),
+                            UltWord(s[i] + D + ("a",) * (i + 1), ("abar",)),
+                            UltWord(s[i + 1] + D + ("abar",) * (i + 2), ("a",)),
                         )
                     )
                 edges.append(
                     (
-                        UltWord(s(lam - 1) + D + ("a",) * lam, ("abar",)),
+                        UltWord(last + D + ("a",) * lam, ("abar",)),
                         UltWord(_c(l + 1) + D + ("abar",), ("a",)),
                     )
                 )

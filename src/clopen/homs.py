@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .families import FiniteGraph, SymbolicGraph
+from .families import FiniteGraph, SymbolicGraph, adjacency
 from .quotients import odd_girth, quotient
 from .words import BudgetError
 
@@ -29,73 +29,71 @@ class HomWitness:
 
 def hom_exists(G: FiniteGraph, H: FiniteGraph, injective: bool = False
                ) -> Optional[HomWitness]:
-    """Backtracking search with degree-descending vertex order and forward
-    checking; returns a witness or None as an exhaustive-absence certificate.
-    Deterministic: candidates are tried in vertex-list order.  The search
-    keeps an explicit stack, one level per source vertex."""
+    """Backtracking search with forward checking over the integer indexes of
+    G and H; returns a witness or None as an exhaustive-absence certificate.
+
+    Source vertices are assigned in the order (-out-degree, id) and
+    candidates are tried in ascending target id, so the witness is the first
+    solution in that order.  Assigning a vertex restricts the domains of its
+    unassigned out-neighbours, undone from a per-depth trail on backtrack,
+    and a set of used images enforces injectivity.  Both only cut subtrees
+    without a solution, so the first solution is the one plain backtracking
+    in the same order finds.  The search keeps an explicit stack, one level
+    per source vertex."""
     if len(G.vertices) * len(H.vertices) > 10**6:
         raise BudgetError("source x target size exceeds the search budget")
-    hv = list(H.vertices)
-    h_adj = {v: {w for (u, w) in H.edges if u == v} for v in H.vertices}
-    g_adj: dict = {v: set() for v in G.vertices}
-    for (u, v) in G.edges:
-        g_adj[u].add(v)
-    order = sorted(G.vertices, key=lambda v: (-len(g_adj[v]), G.vertices.index(v)))
-    assign: dict = {}
-
-    def propagate(v, img, domains):
-        """Restrict the domains of later vertices; None when one empties."""
-        new = dict(domains)
-        for u in G.vertices:
-            if u in assign or u == v:
-                continue
-            allowed = None
-            if u in g_adj[v]:
-                allowed = h_adj[img]
-            dom = [
-                w
-                for w in new[u]
-                if (allowed is None or w in allowed)
-                and not (injective and w == img)
-            ]
-            if not dom:
-                return None
-            new[u] = dom
-        return new
-
-    # depth idx assigns order[idx] from domains[idx], resuming at tries[idx]
-    domains = [{v: list(hv) for v in G.vertices}]
-    tries = [0]
-    idx = 0
-    while 0 <= idx < len(order):
-        v = order[idx]
-        cands = domains[idx][v]
-        nxt = None
-        while nxt is None and tries[idx] < len(cands):
-            img = cands[tries[idx]]
-            tries[idx] += 1
-            if injective and img in assign.values():
-                continue
-            assign[v] = img
-            # every assigned neighbour, v itself on a loop included, must map
-            # to a neighbour of img
-            if all(assign[u] in h_adj[img] for u in g_adj[v] if u in assign):
-                nxt = propagate(v, img, domains[idx])
-            if nxt is None:
-                del assign[v]
-        if nxt is not None:
-            domains.append(nxt)
-            tries.append(0)
-            idx += 1
-        else:  # every candidate failed below: backtrack
-            domains.pop()
-            tries.pop()
-            idx -= 1
-            if idx >= 0:
-                del assign[order[idx]]
-    if idx < 0:
+    g_adj = adjacency(G.vertices, G.edges)
+    h_adj = [set(a) for a in adjacency(H.vertices, H.edges)]
+    every = list(range(len(h_adj)))
+    looped = [w for w in every if w in h_adj[w]]
+    # a source loop maps onto a target loop; every other edge is checked when
+    # its second end is assigned
+    domains = [looped if v in g_adj[v] else every for v in range(len(g_adj))]
+    if not all(domains):
         return None
-    return HomWitness(assign, injective)
+    order = sorted(range(len(g_adj)), key=lambda v: (-len(g_adj[v]), v))
+    assign = [-1] * len(g_adj)
+    used = set()
+    trail = [[] for _ in order]  # per depth: (vertex, domain before restriction)
+    tries = [0] * len(order)
+
+    def place(v, img, undo) -> bool:
+        """Restrict v's unassigned out-neighbours to img's out-neighbours;
+        False when an assigned one disagrees or a domain empties."""
+        allowed = h_adj[img]
+        for u in g_adj[v]:
+            if assign[u] >= 0:
+                if assign[u] not in allowed:
+                    return False
+            elif u != v:
+                undo.append((u, domains[u]))
+                domains[u] = [w for w in domains[u] if w in allowed]
+                if not domains[u]:
+                    return False
+        return True
+
+    depth = 0
+    while 0 <= depth < len(order):
+        v, undo = order[depth], trail[depth]
+        # take back v's image and what it restricted before the next candidate
+        for (u, dom) in undo:
+            domains[u] = dom
+        undo.clear()
+        used.discard(assign[v])
+        assign[v] = -1
+        if tries[depth] == len(domains[v]):  # every candidate failed: backtrack
+            tries[depth] = 0
+            depth -= 1
+            continue
+        img = domains[v][tries[depth]]
+        tries[depth] += 1
+        if not (injective and img in used) and place(v, img, undo):
+            assign[v] = img
+            used.add(img)
+            depth += 1
+    if depth < 0:
+        return None
+    return HomWitness(dict(zip(G.vertices, (H.vertices[w] for w in assign))), injective)
 
 
 def cycle_spectrum(G: FiniteGraph, max_len: int = 64) -> set:
@@ -103,30 +101,23 @@ def cycle_spectrum(G: FiniteGraph, max_len: int = 64) -> set:
     max_len, by DFS rooted at each minimal vertex."""
     if max_len > 64:
         raise BudgetError("cycle length cap exceeds the search budget")
-    adj: dict = {v: set() for v in G.vertices}
-    for (u, v) in G.edges:
-        if u != v:
-            adj[u].add(v)
-            adj[v].add(u)
-    index = {v: i for i, v in enumerate(G.vertices)}
+    adj = adjacency(G.vertices, [e for (u, v) in G.edges if u != v
+                                 for e in ((u, v), (v, u))])
     lengths: set = set()
 
-    def dfs(root, current, path_set, length, prev):
+    def dfs(root, current, path_set, length):
+        # paths grow to at most max_len - 1 edges, so cycles to max_len
         for nxt in adj[current]:
-            if nxt == root and length >= 2 and nxt != prev:
+            if nxt == root and length >= 2:
                 lengths.add(length + 1)
-            elif (
-                nxt not in path_set
-                and index[nxt] > index[root]
-                and length + 1 < max_len
-            ):
+            elif nxt not in path_set and nxt > root and length + 1 < max_len:
                 path_set.add(nxt)
-                dfs(root, nxt, path_set, length + 1, current)
+                dfs(root, nxt, path_set, length + 1)
                 path_set.discard(nxt)
 
-    for root in G.vertices:
-        dfs(root, root, {root}, 0, None)
-    return {l for l in lengths if 3 <= l <= max_len}
+    for root in range(len(adj)):
+        dfs(root, root, {root}, 0)
+    return lengths
 
 
 class ObstructionReport:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from .families import SymbolicGraph, edges_at_level
+from .families import SymbolicGraph, adjacency, edges_at_level
 from .words import Alphabet, Word, format_word
 
 
@@ -144,12 +144,7 @@ def _bfs_two_color(q: QuotientGraph):
     colors, odd)``: ``adj[i]`` lists the neighbour ids of i ascending,
     ``colors[i]`` is its BFS color (0 at the first vertex of each component)
     and ``odd[i]`` says whether its component is not bipartite."""
-    ids = {v: i for i, v in enumerate(q.vertices)}
-    nbrs = [set() for _ in q.vertices]
-    for (u, v) in q.edges:
-        nbrs[ids[u]].add(ids[v])
-        nbrs[ids[v]].add(ids[u])
-    adj = [sorted(s) for s in nbrs]
+    adj = adjacency(q.vertices, q.edges)  # q's edges are symmetric
     colors = [-1] * len(adj)
     odd = [False] * len(adj)
     for seed in range(len(adj)):

@@ -76,16 +76,7 @@ def expand_fib_forbidden(p: int, budget: int = 200_000) -> ForbiddenSet:
 # subshift presentations and languages
 
 
-class SubshiftSpec:
-    def language(self, n: int) -> set:
-        raise NotImplementedError
-
-    @property
-    def alphabet_letters(self) -> tuple:
-        raise NotImplementedError
-
-
-class ForbiddenSubshift(SubshiftSpec):
+class ForbiddenSubshift:
     """All biinfinite words avoiding F: the language is computed exactly from
     the de-Bruijn-style transition graph pruned to its biinfinite part."""
 
@@ -93,10 +84,6 @@ class ForbiddenSubshift(SubshiftSpec):
         self.letters = tuple(letters)
         self.F = F
         self._pruned: Optional[set] = None
-
-    @property
-    def alphabet_letters(self):
-        return self.letters
 
     def _avoids(self, w: Word) -> bool:
         for m in {len(f) for f in self.F.words}:
@@ -156,7 +143,7 @@ class ForbiddenSubshift(SubshiftSpec):
         return words
 
 
-class SturmianSubshift(SubshiftSpec):
+class SturmianSubshift:
     """Factors of the rotation coding; computed from a coded window of length
     4*(n+2)^2, a certified subset that equals the true language whenever the
     window passes the recurrence bound (the complexity cross-check n+1 detects
@@ -164,10 +151,6 @@ class SturmianSubshift(SubshiftSpec):
 
     def __init__(self, r: QuadraticReal, x=0):
         self._code = SturmianCoding(r, x)
-
-    @property
-    def alphabet_letters(self):
-        return ("0", "1")
 
     def window(self, length: int) -> Word:
         """The first `length` letters; languages of growing n extend one
@@ -181,20 +164,13 @@ class SturmianSubshift(SubshiftSpec):
         return {buf[i : i + n] for i in range(len(buf) - n + 1)}
 
 
-class FinitePointSet(SubshiftSpec):
+class FinitePointSet:
     """Explicit list of eventually periodic points; language is exact."""
 
     def __init__(self, points: Sequence[BiWord]):
         self.points = list(points)
         if not self.points:
             raise SubshiftError("need at least one point")
-
-    @property
-    def alphabet_letters(self):
-        letters = set()
-        for p in self.points:
-            letters |= p.letters_used()
-        return tuple(sorted(letters))
 
     def language(self, n: int) -> set:
         out: set = set()
@@ -203,7 +179,11 @@ class FinitePointSet(SubshiftSpec):
         return out
 
 
-def complexity(s: SubshiftSpec, n_max: int) -> list[int]:
+# the subshift presentations; each gives its factor language by language(n)
+Subshift = ForbiddenSubshift | SturmianSubshift | FinitePointSet
+
+
+def complexity(s: Subshift, n_max: int) -> list[int]:
     return [len(s.language(n)) for n in range(1, n_max + 1)]
 
 
@@ -230,7 +210,7 @@ def power_free_check(w, k: int):
     return None
 
 
-def uniform_recurrence_bound(s: SubshiftSpec, w, l_max: int):
+def uniform_recurrence_bound(s: Subshift, w, l_max: int):
     """Least l <= l_max such that w is a factor of every length-l word of the
     language, or (None, escaping word) when no such l exists below the cap."""
     w = as_word(w)

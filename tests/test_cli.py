@@ -286,6 +286,15 @@ CORPUS = [
     (("spectrum", "--family", "ka:A=0,1"), "readme-spectrum.txt"),
     (("obstruct", "--g1", "gp:d=2,(3)^inf,p=0", "--g2", GP1, "--level", "2"),
      "readme-obstruct.txt"),
+    # the first mapping the homomorphism search finds, or its absence
+    (("hom", "--source", "graph-o:d=(3)^inf@3", "--target", "odd-cycle:p=2"),
+     "hom-go3-c7.txt"),
+    (("hom", "--source", "odd-cycle:p=4", "--target", "graph-o:d=(3)^inf@4"),
+     "hom-c11-go4.txt"),
+    (("hom", "--source", "graph-o:d=(3)^inf@7", "--target", "odd-cycle:p=0"),
+     "hom-go7-c3.txt"),
+    (("hom", "--source", "graph-o:d=(3)^inf@3", "--target", "odd-cycle:p=2",
+      "--injective"), "hom-go3-c7-injective.txt"),
 ]
 
 
@@ -302,3 +311,18 @@ def test_cli_matches_golden(tmp_path, monkeypatch, capsys, argv, name):
     assert code == 0
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
     assert colf.read_text(encoding="utf-8") == golden_colf
+
+
+@pytest.mark.parametrize("family,level,name", [
+    ("gm", "6", "color-search-gm-6.txt"),
+    (GP1, "4", "color-search-gp1-4.txt"),
+    ("k0", "8", "color-search-k0-8.txt"),
+], ids=["gm-6", "gp1-4", "k0-8"])
+def test_color_search_matches_golden(tmp_path, capsys, family, level, name):
+    # pins the first proper 3-coloring the search finds
+    colf = tmp_path / "c.txt"
+    code, out, _ = run(capsys, "color", "search", "--family", family,
+                       "--level", level, "--colors", "3", "--out", str(colf))
+    assert code == 0
+    assert out == "found: proper 3-coloring of the level-%s quotient\n" % level
+    assert colf.read_text(encoding="utf-8") == (GOLDEN / name).read_text(encoding="utf-8")
