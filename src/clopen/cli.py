@@ -47,8 +47,10 @@ def _family(spec: str) -> fam.SymbolicGraph:
 def _finite_graph(spec: str) -> fam.FiniteGraph:
     """odd-cycle:p=N | file:PATH | FAMILY@LEVEL (the level-n quotient)."""
     if spec.startswith("odd-cycle:"):
-        args = dict(tok.split("=") for tok in spec.split(":")[1].split(","))
-        return fam.odd_cycle(int(args["p"]))
+        p = spec[len("odd-cycle:"):]
+        if not (p.startswith("p=") and p[2:].isdigit()):
+            raise UsageError("odd cycle spec must be odd-cycle:p=N with N >= 0: %r" % spec)
+        return fam.odd_cycle(int(p[2:]))
     if spec.startswith("file:"):
         with open(spec[len("file:") :], encoding="utf-8") as fh:
             return homs.finite_graph_from_text(fh.read())
@@ -214,10 +216,11 @@ def cmd_color_build(args):
     elif args.kind == "three-beta":
         c = col.three_coloring_beta(g)
     elif args.kind == "return-parity":
-        if not args.cylinder:
-            raise UsageError("return-parity needs --cylinder")
         d = parse_radix(_family_arg(args.family, "d"))
-        c = col.return_parity_coloring(d, parse_prefix(args.cylinder))
+        C = parse_prefix(args.cylinder or "")
+        if not C or not all(a.isdigit() and int(a) < d.digit(j) for j, a in enumerate(C)):
+            raise UsageError("return-parity needs --cylinder, digits below the radix bounds")
+        c = col.return_parity_coloring(d, C)
     else:
         raise UsageError("unknown coloring kind %r" % args.kind)
     text = col.coloring_to_text(c, g.spec)
@@ -230,8 +233,10 @@ def cmd_color_build(args):
 
 
 def _family_arg(spec: str, key: str) -> str:
-    name, _, argstr = spec.partition(":")
-    return fam._parse_args(argstr)[key]
+    args = fam._parse_args(spec.partition(":")[2])
+    if key not in args:
+        raise UsageError("family %r has no %s= argument" % (spec, key))
+    return args[key]
 
 
 def cmd_color_verify(args):
@@ -240,9 +245,11 @@ def cmd_color_verify(args):
         if args.predicate != "t-coloring":
             raise UsageError("unknown predicate coloring %r" % args.predicate)
         c = col.t_coloring()
-    else:
+    elif args.coloring:
         with open(args.coloring, encoding="utf-8") as fh:
             c, _ = col.coloring_from_text(fh.read(), g.alphabet_for(args.bound))
+    else:
+        raise UsageError("need --coloring FILE or --predicate t-coloring")
     res = col.verify_coloring(g, c, args.bound)
     print(res.describe())
     _expect(args.expect, "ok" if res.ok else "violation")
@@ -279,6 +286,8 @@ def _subshift_spec(args) -> sub.Subshift:
 
 def _forbidden(args):
     if getattr(args, "fib_p", None) is not None:
+        if args.fib_p < 0:
+            raise UsageError("--fib-p must be >= 0")
         return sub.expand_fib_forbidden(args.fib_p)
     if getattr(args, "forbidden", None):
         return sub.ForbiddenSet(args.forbidden.split(","))

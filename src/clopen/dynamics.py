@@ -250,14 +250,14 @@ def fibonacci_word(p: int) -> Word:
     return fibonacci_word(p - 2) + fibonacci_word(p - 1)
 
 
-@lru_cache(maxsize=None)
 def fibonacci_len(p: int) -> int:
     """f_0 = 2, f_1 = 3, f_{p+2} = f_p + f_{p+1}."""
-    if p == 0:
-        return 2
-    if p == 1:
-        return 3
-    return fibonacci_len(p - 2) + fibonacci_len(p - 1)
+    if p < 0:
+        raise ValueError("p must be >= 0")
+    a, b = 2, 3
+    for _ in range(p):
+        a, b = b, a + b
+    return a
 
 
 def fibonacci_limit_prefix(n: int) -> Word:

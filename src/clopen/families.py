@@ -1,9 +1,11 @@
 """Constructors for the concrete symbolic graph families, each exposing exact
 level-n edge enumeration.
 
-A SymbolicGraph is an edge generator: `generate(bound)` returns the finite
+A SymbolicGraph is an edge generator: `generate(bound, n)` returns a finite
 list of primitive directed edges whose clause parameters are at most `bound`,
-as pairs of exactly represented points.  `edges_at_level(g, n)` projects those
+as pairs of exactly represented points, complete for the level-n projections
+(block graphs skip the edges that only repeat a projection, see
+`graph_from_system`).  `edges_at_level(g, n)` projects those
 edges to length-n prefixes (symmetric windows for two-sided families) using
 the family's saturation bound B(n); stability under enlarging the bound is a
 runtime-checkable property.
@@ -119,11 +121,6 @@ class SymbolicGraph:
         self.block_count = block_count
         self.finite_core = finite_core
 
-    def project(self, x, n: int) -> Word:
-        if self.two_sided:
-            return x.window(-n, n)
-        return x.prefix(n)
-
     def __repr__(self):
         return "SymbolicGraph(%s)" % self.spec
 
@@ -179,7 +176,10 @@ def edges_at_level(g: SymbolicGraph, n: int, bound: int | None = None) -> LevelE
     for (x, y) in g.generate(bound, n):
         if not _letters_ok(g, x, n, allowed) or not _letters_ok(g, y, n, allowed):
             continue
-        s, t = g.project(x, n), g.project(y, n)
+        if g.two_sided:
+            s, t = x.window(-n, n), y.window(-n, n)
+        else:
+            s, t = x.prefix(n), y.prefix(n)
         add(s, t, x, y)
         if not g.directed:
             add(t, s, y, x)
@@ -352,34 +352,21 @@ def t_graph() -> SymbolicGraph:
 # block graphs built from a dynamical system
 
 
-def _two_then_odd_half_lengths(d: Radix, l_max: int) -> list[int]:
-    """n_0 = 0 and n_{l+1} = (d_1 * ... * d_{l+1} - 1) / 2."""
-    out = [0]
-    prod = 1
-    for l in range(1, l_max + 1):
-        prod *= d.digit(l)
-        out.append((prod - 1) // 2)
-    return out
-
-
 class BlockSystem:
-    """Supplies the words s_l(i) used as block labels, plus the enumeration
-    policy: how far the middle of a block must be walked for a given level
-    (None: fully) and how many blocks saturate a level."""
+    """Supplies the words s_l(i) used as block labels, the half-lengths n_l,
+    how many blocks saturate a level, and for a periodic system `period(n)`:
+    a period in i of every s_l(i) cut to n letters (None: aperiodic)."""
 
-    def __init__(self, block, half_lengths, alphabet_base, middle_cap=None,
+    def __init__(self, block, half_lengths, alphabet_base, period=None,
                  saturation=None):
         self.block = block  # (l, i) -> Word of length l+1
         self.half_lengths = half_lengths  # l -> n_l
         self.alphabet_base = alphabet_base  # list of digit letters
-        self._middle_cap = middle_cap
+        self.period = period
         self._saturation = saturation
 
     def width(self, l: int) -> int:
         return 2 * self.half_lengths(l) + 2
-
-    def middle_cap(self, level: int):
-        return self._middle_cap(level) if self._middle_cap else None
 
     def saturation(self, n: int) -> int:
         if self._saturation is not None:
@@ -387,35 +374,20 @@ class BlockSystem:
         return max(n, 1)
 
 
-def _middle_range(lam: int, cap):
-    """Middle chain indices to walk: everything when the block is narrow,
-    otherwise the first `cap` of them (later projections repeat)."""
-    if cap is None or lam - 1 <= cap:
-        return range(lam - 1)
-    return range(cap)
-
-
-def odometer_block_system(d: Radix, n_seq: Callable[[int], int] | None = None
-                          ) -> BlockSystem:
-    if n_seq is None:
-        if not d.in_class_two_then_odd:
-            raise FamilyError(
-                "default block schedule needs first bound 2 and odd later "
-                "bounds; pass an explicit half-length sequence otherwise"
-            )
-
-        def n_seq(l: int) -> int:
-            return _two_then_odd_half_lengths(d, l)[l]
+def odometer_block_system(d: Radix) -> BlockSystem:
+    if not d.in_class_two_then_odd:
+        raise FamilyError("odometer blocks need first bound 2 and odd later bounds")
 
     def block(l: int, i: int) -> Word:
         return orbit_point(d, i).prefix(l + 1)
 
     return BlockSystem(
         block=block,
-        half_lengths=n_seq,
+        # n_l = (d_1 * ... * d_l - 1) / 2, the bound d_0 = 2 left out
+        half_lengths=lambda l: (d.period(l + 1) // 2 - 1) // 2,
         alphabet_base=numerals(d.max_digit()),
-        # chain projections at a level repeat with the full period there
-        middle_cap=lambda level: 2 * d.period(level + 1) + 2,
+        # the i-th iterate cut to n digits repeats with period d_0 * ... * d_(n-1)
+        period=d.period,
     )
 
 
@@ -442,7 +414,24 @@ def graph_from_system(system: BlockSystem, spec: str,
     By default every level l >= 0 has one chain.  With chain=p the graph is
     member p of the descending chain: only levels l >= p remain, and each
     level has one chain per marker word d^(j+1), j <= bound, written after
-    every block, so that the closure carries a cycle of length 2 n_p + 3."""
+    every block, so that the closure carries a cycle of length 2 n_p + 3.
+
+    `generate(bound, level)` walks each chain only as far as an n-letter
+    prefix (n = level) can see.  Both cuts are exact: every edge they skip
+    projects onto a pair that an edge emitted earlier in the same block
+    level already gave, so the level-n pairs and each pair's first edge are
+    those of the full walk.
+
+    - Middle of a chain: edge i joins s_l(i) D a^(i+1) abar^inf to
+      s_l(i+1) D abar^(i+2) a^inf.  For i > n the runs fill the rest of both
+      prefixes, so the pair depends only on s_l(i) and s_l(i+1) cut to n
+      letters, which repeat with period(n).  Index i >= period(n) + n + 1
+      thus repeats index i - period(n) > n of the same chain, and the walk
+      stops at min(lam - 1, period(n) + n + 1).
+    - Markers: every endpoint is an (l+1)-letter word followed by D, so a
+      prefix reads at most n - l - 1 marker letters, and every marker longer
+      than d^max(n - l - 1, 1) projects its chain exactly as that marker
+      does.  Block level l walks only the first max(n - l - 1, 1) markers."""
     marked = chain is not None
     first = chain or 0
     alphabet = Alphabet(system.alphabet_base + ["c", "a", "abar"] + (["d"] if marked else []))
@@ -450,16 +439,14 @@ def graph_from_system(system: BlockSystem, spec: str,
     def generate(bound: int, level: int = 0) -> list:
         markers = [("d",) * (j + 1) for j in range(bound + 1)] if marked else [()]
         edges = []
-        cap = system.middle_cap(max(level, 1))
         for l in range(first, first + bound + 1):
             lam = system.width(l)
-            # chain indices beyond the cap repeat every level-`level`
-            # projection already produced (residues modulo the level period)
-            middle = _middle_range(lam, cap)
+            middle = range(lam - 1 if system.period is None
+                           else min(lam - 1, system.period(level) + level + 1))
             # each block once per level, shared by every marker
             s = [system.block(l, i) for i in range(len(middle) + 1)]
             last = s[-1] if len(s) == lam else system.block(l, lam - 1)
-            for D in markers:
+            for D in markers[: max(level - l - 1, 1)]:
                 edges.append(
                     (
                         UltWord(_c(l + 1) + D + ("a",), ("abar",)),
@@ -503,8 +490,6 @@ def go_plus(d: Radix) -> SymbolicGraph:
 def gp_chain(d: Radix, p: int) -> SymbolicGraph:
     """Member p of the descending chain: the odometer block graph with only
     block levels l >= p, every block doubled behind a marker letter 'd'."""
-    if not d.in_class_two_then_odd:
-        raise FamilyError("the chain needs first bound 2 and odd later bounds")
     if p < 0:
         raise FamilyError("p must be >= 0")
     return graph_from_system(odometer_block_system(d),

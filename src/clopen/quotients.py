@@ -45,14 +45,9 @@ class QuotientGraph:
         if not self.directed:
             return self
         sym = set(self.edges) | {(v, u) for (u, v) in self.edges}
-        reps = dict(self.reps)
-        for (u, v) in list(self.reps):
-            if (v, u) not in reps:
-                x, y = self.reps[(u, v)]
-                reps[(v, u)] = (y, x)
         return QuotientGraph(
             self.level, self.vertices, sorted(sym, key=lambda e: (self.alphabet.key(e[0]), self.alphabet.key(e[1]))),
-            False, self.alphabet, reps, self.source, self.two_sided,
+            False, self.alphabet, source=self.source, two_sided=self.two_sided,
         )
 
     def edge_count(self) -> int:
@@ -115,11 +110,10 @@ def quotient(g: SymbolicGraph, n: int, bound: int | None = None) -> QuotientGrap
 
 
 class WalkWitness:
-    """A closed odd walk in a quotient, with representative edges per step."""
+    """A closed odd walk in a quotient."""
 
-    def __init__(self, vertices, reps):
+    def __init__(self, vertices):
         self.vertices = list(vertices)  # v_0, ..., v_k with v_0 == v_k
-        self.reps = reps
 
     @property
     def length(self) -> int:
@@ -214,7 +208,7 @@ def odd_closed_walk(q: QuotientGraph) -> Optional[WalkWitness]:
     edge_set = set(q.edges)
     for v in q.vertices:  # vertices are sorted already
         if (v, v) in edge_set:
-            return WalkWitness([v, v], [q.reps.get((v, v))])
+            return WalkWitness([v, v])
     adj, _, odd = q.two_coloring()
     best = None
     limit = 2 * len(adj)  # above every double-cover distance
@@ -225,9 +219,7 @@ def odd_closed_walk(q: QuotientGraph) -> Optional[WalkWitness]:
                 best, limit = walk, len(walk) - 1
     if best is None:
         return None
-    path = [q.vertices[i] for i in best]
-    reps = [q.reps.get((path[i], path[i + 1])) for i in range(len(path) - 1)]
-    return WalkWitness(path, reps)
+    return WalkWitness([q.vertices[i] for i in best])
 
 
 def odd_girth(q: QuotientGraph) -> Optional[int]:

@@ -58,12 +58,13 @@ def expand_fib_forbidden(p: int, budget: int = 200_000) -> ForbiddenSet:
     0 < 8|w| < f(9p+5)."""
     limit = fibonacci_len(9 * p + 5)
     max_w = (limit - 1) // 8
-    count = 2 ** (max_w + 1) - 2
-    if count > budget:
-        raise BudgetError(
-            "stage %d needs %d power words, over the budget of %d"
-            % (p, count, budget)
-        )
+    k = max_w + 1  # the stage forbids 2^k - 2 power words
+    # 2^k - 2 > budget exactly when k reaches the bit length of budget + 2
+    if k >= (budget + 2).bit_length():
+        count = ("2^%d - 2" % k if k.bit_length() <= 64
+                 else "2^k - 2 (k of %d bits)" % k.bit_length())
+        raise BudgetError("stage %d needs %s power words, over the budget of %d"
+                          % (p, count, budget))
     words = [("0", "0"), ("1", "1", "1")]
     for ln in range(1, max_w + 1):
         for i in range(2**ln):

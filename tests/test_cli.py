@@ -231,16 +231,30 @@ def test_subshift_text_matches_golden(capsys, argv, name):
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("argv", [
-    ("subshift", "member", "--word", "(01)^inf.(01)^inf", "--fib-p", "1"),
-    ("color", "search", "--family", "gm", "--level", "2", "--colors", "9"),
-    ("spectrum", "--family", "ka:A=0,1", "--max-len", "100"),
-    ("cb", "rank", "--forest", "/nonexistent", "--resolution", "40"),
-], ids=["fib-budget", "color-budget", "hom-budget", "missing-file"])
-def test_budget_and_file_errors_exit_2(capsys, argv):
+MEMBER = ("subshift", "member", "--word", "(01)^inf.(01)^inf", "--fib-p")
+RETURN_PARITY = ("color", "build", "--family", "graph-o:d=(3)^inf", "--kind", "return-parity")
+
+
+@pytest.mark.parametrize("argv,prefix", [
+    (MEMBER + ("1",), "error: stage 1 needs 2^200 - 2 power words, over the budget"),
+    (("color", "search", "--family", "gm", "--level", "2", "--colors", "9"), "error: "),
+    (("spectrum", "--family", "ka:A=0,1", "--max-len", "100"), "error: "),
+    (("cb", "rank", "--forest", "/nonexistent", "--resolution", "40"), "error: "),
+    (MEMBER + ("-1",), "usage error: --fib-p must be >= 0"),
+    (MEMBER + ("2",), "error: stage 2 needs 2^15175 - 2 power words"),
+    (MEMBER + ("120",), "error: stage 120 needs 2^k - 2 (k of 752 bits) power words"),
+    (("hom", "--source", "odd-cycle:x=1", "--target", "odd-cycle:p=0"), "usage error: "),
+    (("color", "build", "--family", "gm", "--kind", "parity"), "usage error: "),
+    (("color", "verify", "--family", "gm", "--bound", "2"), "usage error: "),
+    (RETURN_PARITY + ("--cylinder", "x"), "usage error: "),
+    (RETURN_PARITY + ("--cylinder", "13"), "usage error: "),
+], ids=["fib-budget", "color-budget", "hom-budget", "missing-file", "fib-negative",
+        "fib-2", "fib-120", "odd-cycle-key", "parity-no-radix", "verify-no-coloring",
+        "cylinder-letter", "cylinder-digit"])
+def test_budget_and_file_errors_exit_2(capsys, argv, prefix):
     code, out, err = run(capsys, *argv)
     assert code == 2
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(prefix) and err.count("\n") == 1
 
 
 FOREST = (
@@ -286,6 +300,10 @@ CORPUS = [
     (("spectrum", "--family", "ka:A=0,1"), "readme-spectrum.txt"),
     (("obstruct", "--g1", "gp:d=2,(3)^inf,p=0", "--g2", GP1, "--level", "2"),
      "readme-obstruct.txt"),
+    # the README examples that print JSON, in JSON
+    (("scan", "--family", "go-plus:d=2,(3)^inf", "--levels", "4") + JSON, "readme-scan-json.json"),
+    (("obstruct", "--g1", "gp:d=2,(3)^inf,p=0", "--g2", GP1, "--level", "2") + JSON,
+     "readme-obstruct-json.json"),
     # the first mapping the homomorphism search finds, or its absence
     (("hom", "--source", "graph-o:d=(3)^inf@3", "--target", "odd-cycle:p=2"),
      "hom-go3-c7.txt"),

@@ -1,8 +1,13 @@
 """Family constructors: clause-level examples, saturation stability,
 projection coherence, degree bounds and swap closure."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
+from clopen.cli import _point_str
 from clopen.dynamics import parse_radix
 from clopen.families import (
     FamilyError,
@@ -24,6 +29,7 @@ from clopen.families import (
     t_graph,
     with_direction,
 )
+from clopen.quotients import quotient
 from clopen.words import UltWord, format_ult, format_word, parse_ult
 
 
@@ -393,11 +399,33 @@ def test_ka_map_is_injective_on_generated_points():
         assert len(set(targets)) == len(targets)
 
 
-def test_explicit_schedule_allows_all_odd_radix():
-    from clopen.families import graph_from_system, odometer_block_system
 
-    d = parse_radix("(3)^inf")
-    sys_ = odometer_block_system(d, n_seq=lambda l: l)
-    g = graph_from_system(sys_, spec="go-odd-blocks")
-    ps = set(edges_at_level(g, 1).pairs)
-    assert (("c",), ("0",)) in ps
+# each level's pairs in order, every pair with its first representative edge
+# as `family show` prints it, pinned from the uncut block-chain walk; the
+# block families also at levels 5-6 and with the bound enlarged by 3
+ENUMERATION = json.loads((Path(__file__).parent / "golden" / "enumeration.json")
+                         .read_text(encoding="utf-8"))
+ENUMERATION_CASES = {
+    "%s@%d" % (spec, n) + ("+%d" % extra if extra else ""): (spec, n, extra)
+    for (spec, n, extra) in [
+        (s, n, 0) for spec in ALL_FAMILY_SPECS for s in (spec, spec + ":oriented")
+        for n in range(4 if spec.startswith("sturmian") else 5)
+    ] + [
+        (spec, n, extra)
+        for spec in ("go-plus:d=2,(3)^inf", "gp:d=2,(3)^inf,p=0", "gp:d=2,(3)^inf,p=1")
+        for n in (5, 6) for extra in (0, 3)
+    ]
+}
+
+
+@pytest.mark.parametrize("key", ENUMERATION_CASES)
+def test_enumeration_matches_golden(key):
+    spec, n, extra = ENUMERATION_CASES[key]
+    g = parse_family(spec)
+    q = quotient(g, n, bound=g.saturation(n) + extra)
+    digest = hashlib.sha256()
+    for (s, t) in q.edges:
+        x, y = q.reps[(s, t)]
+        digest.update(("%s -- %s    e.g. (%s, %s)\n" % (
+            q.label(s), q.label(t), _point_str(x), _point_str(y))).encode())
+    assert ENUMERATION[key] == {"pairs": len(q.edges), "sha256": digest.hexdigest()}
