@@ -35,7 +35,7 @@ from .families import (
     t_graph,
     with_direction,
 )
-from .quotients import decide_level, odd_closed_walk, odd_girth, quotient, scan
+from .quotients import decide_level, odd_closed_walk, quotient, scan
 from .colorings import (
     ClopenColoring,
     PredicateColoring,

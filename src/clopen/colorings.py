@@ -218,18 +218,48 @@ def search_coloring(q: QuotientGraph, k: int) -> Optional[ClopenColoring]:
     this is ``hom_exists(q.undirected(), K_k)``: vertices in the order
     (-degree, alphabet order), since the quotient's vertex ids are in
     alphabet order, and colors tried ascending.  The coloring is the first
-    solution in that order, which forward checking does not change."""
+    solution in that order, which forward checking does not change.
+
+    For k = 2 that solution is read off ``q.two_coloring()`` in linear time:
+    a non-bipartite quotient has none, and on a bipartite one the search
+    gives the first vertex of each component in its order color 0, which
+    forces the rest, so it is the component's BFS coloring, flipped where
+    that vertex has color 1."""
     if k < 1 or k > 6:
         raise BudgetError("color count must be between 1 and 6")
     if len(q.vertices) > 10**5:
         raise BudgetError("quotient too large for exhaustive search")
     q = q.undirected()
-    w = hom_exists(q, FiniteGraph(range(k), [(i, j) for i in range(k) for j in range(i)]))
-    if w is None:
+    if k == 2:
+        mapping = _first_two_coloring(q)
+    else:
+        w = hom_exists(q, FiniteGraph(range(k), [(i, j) for i in range(k) for j in range(i)]))
+        mapping = None if w is None else w.mapping
+    if mapping is None:
         return None
-    return ClopenColoring(level=q.level, colors=k, mapping=w.mapping,
+    return ClopenColoring(level=q.level, colors=k, mapping=mapping,
                           alphabet=q.alphabet, two_sided=q.two_sided,
                           name="searched")
+
+
+def _first_two_coloring(q: QuotientGraph) -> Optional[dict]:
+    """The first 2-coloring of the undirected `q` in the order (-degree,
+    id), or None when `q` is not bipartite."""
+    adj, colors, odd = q.two_coloring()
+    if any(odd):
+        return None
+    first = [-1] * len(adj)
+    for seed in sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v)):
+        if first[seed] < 0:
+            flip = colors[seed]
+            first[seed] = 0
+            component = [seed]
+            for u in component:  # appended to while walked
+                for v in adj[u]:
+                    if first[v] < 0:
+                        first[v] = colors[v] ^ flip
+                        component.append(v)
+    return dict(zip(q.vertices, first))
 
 
 # ---------------------------------------------------------------------------

@@ -251,12 +251,16 @@ def fibonacci_word(p: int) -> Word:
 
 
 def fibonacci_len(p: int) -> int:
-    """f_0 = 2, f_1 = 3, f_{p+2} = f_p + f_{p+1}."""
+    """f_0 = 2, f_1 = 3, f_{p+2} = f_p + f_{p+1}, that is the Fibonacci
+    number F(p + 3), by fast doubling in O(log p) multiplications:
+    F(2k) = F(k)(2F(k+1) - F(k)) and F(2k+1) = F(k)^2 + F(k+1)^2."""
     if p < 0:
         raise ValueError("p must be >= 0")
-    a, b = 2, 3
-    for _ in range(p):
-        a, b = b, a + b
+    a, b = 0, 1  # F(k), F(k+1) for k the leading bits of p + 3 read so far
+    for bit in bin(p + 3)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
     return a
 
 

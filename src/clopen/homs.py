@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .families import FiniteGraph, SymbolicGraph, adjacency
-from .quotients import odd_girth, quotient
+from .quotients import odd_closed_walk, quotient
 from .words import BudgetError
 
 
@@ -156,9 +156,8 @@ def quotient_hom_obstruction(g1: SymbolicGraph, g2: SymbolicGraph, n: int,
     every reduction compatible with the level-n data.  When both families
     expose finite cores, simple cycles obstruct injective reductions via the
     cycle spectrum."""
-    q1 = quotient(g1, n).undirected()
-    q2 = quotient(g2, n).undirected()
-    o1, o2 = odd_girth(q1), odd_girth(q2)
+    w1, w2 = (odd_closed_walk(quotient(g, n)) for g in (g1, g2))
+    o1, o2 = (None if w is None else w.length for w in (w1, w2))
     girth_obstructed = o1 is not None and (o2 is None or o2 > o1)
     spectra = None
     spectrum_reason = ""

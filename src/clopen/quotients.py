@@ -119,9 +119,6 @@ class WalkWitness:
     def length(self) -> int:
         return len(self.vertices) - 1
 
-    def closed(self) -> bool:
-        return self.vertices[0] == self.vertices[-1]
-
     def as_json(self, q: QuotientGraph) -> dict:
         return {
             "length": self.length,
@@ -193,6 +190,29 @@ def _odd_walk_from(adj, root: int, limit: int):
     return None
 
 
+def _odd_length_from(adj, core, root: int, limit: int):
+    """Length of the shortest odd closed walk at `root` if it is shorter than
+    `limit`, else None, by an ordinary BFS over the `core` vertices: 2d + 1
+    for the first depth d with an edge between two vertices at depth d."""
+    depth = {root: 0}
+    frontier = [root]
+    d = 0
+    while frontier and 2 * d + 1 < limit:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                dv = depth.get(v)
+                if dv is None:
+                    if core[v]:
+                        depth[v] = d + 1
+                        nxt.append(v)
+                elif dv == d:
+                    return 2 * d + 1
+        frontier = nxt
+        d += 1
+    return None
+
+
 def odd_closed_walk(q: QuotientGraph) -> Optional[WalkWitness]:
     """A shortest odd closed walk if one exists (a self-loop has length one),
     else None.  Without a self-loop it reads ``q.two_coloring()``, which a
@@ -203,29 +223,67 @@ def odd_closed_walk(q: QuotientGraph) -> Optional[WalkWitness]:
     alphabet order whose shortest odd closed walk has the minimum length, and
     its path is the chain of first-discovery BFS parents from (root, 0) to
     (root, 1) in the bipartite double cover, neighbours expanded in alphabet
-    order.  Only roots in non-bipartite components are searched."""
+    order.  Only one double-cover search runs, from that root; the root and
+    the length come from four exact steps:
+
+    1. Peel vertices of degree <= 1 off the non-bipartite components.  A walk
+       of the minimum length g is a simple cycle (a repeated vertex would
+       split it into two shorter closed walks, one of them odd), so every
+       root attaining g lies on a cycle, in this 2-core; a vertex outside it
+       lies on no cycle, so its odd walks are not simple and longer than g.
+    2. A core component whose core degrees are all 2 is one odd cycle: every
+       closed walk in its component winds round it, so each of its vertices
+       has the cycle's length, and its candidate is its least id.  O(V).
+    3. Every other core root gets its length from an ordinary BFS, cut off
+       at the best length so far (Itai and Rodeh, SIAM J. Comput. 1978): an
+       edge joining two vertices at depth d closes an odd walk of length
+       2d + 1, and an odd closed walk must take a step that keeps the depth,
+       so none is shorter.  A shortest one never enters the peeled trees,
+       since an excursion into a tree returns along itself, so the BFS stays
+       in the core.
+    4. The witness is ``_odd_walk_from`` at the chosen root, the same path
+       the search from every root found."""
     q = q.undirected()
     edge_set = set(q.edges)
     for v in q.vertices:  # vertices are sorted already
         if (v, v) in edge_set:
             return WalkWitness([v, v])
     adj, _, odd = q.two_coloring()
-    best = None
-    limit = 2 * len(adj)  # above every double-cover distance
-    for root in range(len(adj)):
-        if odd[root]:
-            walk = _odd_walk_from(adj, root, limit)
-            if walk is not None:
-                best, limit = walk, len(walk) - 1
-    if best is None:
+    deg = [len(a) if o else 0 for a, o in zip(adj, odd)]
+    leaves = [v for v, d in enumerate(deg) if d == 1]
+    for v in leaves:  # appended to while walked
+        deg[v] = 0
+        for u in adj[v]:
+            if deg[u] > 0:  # not peeled yet
+                deg[u] -= 1
+                if deg[u] == 1:
+                    leaves.append(u)
+    core = [d >= 2 for d in deg]
+    best, root = 2 * len(adj), None  # above every odd closed walk
+    roots = []  # core vertices outside the cycle components
+    seen = [False] * len(adj)
+    for seed in range(len(adj)):
+        if not core[seed] or seen[seed]:
+            continue
+        seen[seed] = True
+        component = [seed]
+        for u in component:  # appended to while walked
+            for v in adj[u]:
+                if core[v] and not seen[v]:
+                    seen[v] = True
+                    component.append(v)
+        if any(deg[u] != 2 for u in component):
+            roots += component
+        elif len(component) < best:  # seeds ascend: ties keep the first
+            best, root = len(component), seed
+    for v in sorted(roots):
+        # a later root must be strictly shorter, an earlier one may tie
+        length = _odd_length_from(adj, core, v, best + (root is not None and v < root))
+        if length is not None:
+            best, root = length, v
+    if root is None:
         return None
-    return WalkWitness([q.vertices[i] for i in best])
-
-
-def odd_girth(q: QuotientGraph) -> Optional[int]:
-    """Length of the shortest odd closed walk, or None when bipartite."""
-    w = odd_closed_walk(q)
-    return None if w is None else w.length
+    return WalkWitness([q.vertices[i] for i in _odd_walk_from(adj, root, best + 1)])
 
 
 class Bipartite:

@@ -119,10 +119,10 @@ def test_c06_descending_chain():
     obstruction report says so."""
     d = parse_radix("2,(3)^inf")
     g0, g1 = gp_chain(d, 0), gp_chain(d, 1)
-    from clopen.quotients import odd_girth
+    from clopen.quotients import odd_closed_walk
 
-    assert odd_girth(quotient(g0, 1)) == 3
-    assert odd_girth(quotient(g1, 2)) == 5
+    assert odd_closed_walk(quotient(g0, 1)).length == 3
+    assert odd_closed_walk(quotient(g1, 2)).length == 5
     rep = quotient_hom_obstruction(g0, g1, 2)
     assert rep.obstructed
     assert rep.odd_girths == (3, 5)

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, determinism, round trips."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -209,6 +210,20 @@ def test_scan_json_matches_golden(capsys, family, levels, name):
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+def test_scan_graph_o_9_matches_golden_digests(capsys):
+    # each level is one odd cycle of 3^n vertices; the golden, recorded with
+    # the search from every root, holds a sha256 of each witness's labels
+    code, out, _ = run(capsys, "scan", "--family", "graph-o:d=(3)^inf", "--levels", "9",
+                       "--format", "json", "--no-timing")
+    assert code == 0
+    payload = json.loads(out)
+    for e in payload["levels"]:
+        vertices = e["witness"].pop("vertices")
+        e["witness"]["sha256"] = hashlib.sha256("\n".join(vertices).encode()).hexdigest()
+    assert payload == json.loads((GOLDEN / "scan-graph-o-9-digests.json").read_text(encoding="utf-8"))
+    assert [e["oddGirth"] for e in payload["levels"]] == [3 ** n for n in range(1, 10)]
+
+
 STURMIAN = "(3 - 1 sqrt 5)/2"
 
 
@@ -243,13 +258,15 @@ RETURN_PARITY = ("color", "build", "--family", "graph-o:d=(3)^inf", "--kind", "r
     (MEMBER + ("-1",), "usage error: --fib-p must be >= 0"),
     (MEMBER + ("2",), "error: stage 2 needs 2^15175 - 2 power words"),
     (MEMBER + ("120",), "error: stage 120 needs 2^k - 2 (k of 752 bits) power words"),
+    (MEMBER + ("100000",), "error: stage 100000 needs 2^k - 2 (k of 624820 bits) power "
+                           "words, over the budget of 200000\n"),
     (("hom", "--source", "odd-cycle:x=1", "--target", "odd-cycle:p=0"), "usage error: "),
     (("color", "build", "--family", "gm", "--kind", "parity"), "usage error: "),
     (("color", "verify", "--family", "gm", "--bound", "2"), "usage error: "),
     (RETURN_PARITY + ("--cylinder", "x"), "usage error: "),
     (RETURN_PARITY + ("--cylinder", "13"), "usage error: "),
 ], ids=["fib-budget", "color-budget", "hom-budget", "missing-file", "fib-negative",
-        "fib-2", "fib-120", "odd-cycle-key", "parity-no-radix", "verify-no-coloring",
+        "fib-2", "fib-120", "fib-100000", "odd-cycle-key", "parity-no-radix", "verify-no-coloring",
         "cylinder-letter", "cylinder-digit"])
 def test_budget_and_file_errors_exit_2(capsys, argv, prefix):
     code, out, err = run(capsys, *argv)
@@ -344,3 +361,20 @@ def test_color_search_matches_golden(tmp_path, capsys, family, level, name):
     assert code == 0
     assert out == "found: proper 3-coloring of the level-%s quotient\n" % level
     assert colf.read_text(encoding="utf-8") == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_color_search_two_colors(tmp_path, capsys):
+    # k = 2 is decided by the BFS 2-coloring: the level-4 quotient of graph-o
+    # is an 81-cycle, and the level-3 quotient of GO34 is bipartite, with the
+    # file the backtracking search wrote pinned
+    code, out, _ = run(capsys, "color", "search", "--family", "graph-o:d=(3)^inf",
+                       "--level", "4", "--colors", "2", "--expect", "absent")
+    assert code == 0
+    assert out == "absent: no proper 2-coloring of the level-4 quotient\n"
+    colf = tmp_path / "c.txt"
+    code, out, _ = run(capsys, "color", "search", "--family", GO34, "--level", "3",
+                       "--colors", "2", "--out", str(colf))
+    assert code == 0
+    assert out == "found: proper 2-coloring of the level-3 quotient\n"
+    assert colf.read_text(encoding="utf-8") == (GOLDEN / "color-search-go34-3-k2.txt").read_text(
+        encoding="utf-8")

@@ -183,6 +183,13 @@ def test_fibonacci_recurrence_and_lengths():
     assert 8 * fibonacci_len(5) < fibonacci_len(14)
 
 
+def test_fibonacci_len_equals_the_recurrence():
+    a, b = 2, 3
+    for p in range(300):
+        assert fibonacci_len(p) == a
+        a, b = b, a + b
+
+
 def test_fibonacci_limit_prefixes_are_nested():
     a = fibonacci_limit_prefix(100)
     b = fibonacci_limit_prefix(400)

@@ -12,7 +12,7 @@ from clopen.homs import (
     hom_exists,
     quotient_hom_obstruction,
 )
-from clopen.quotients import odd_girth, quotient
+from clopen.quotients import quotient
 from clopen.words import BudgetError
 
 

@@ -1,8 +1,9 @@
 """Differential oracles for the decision layer: the odd girth and the BFS
-2-coloring checked against networkx on random small graphs and on every
-family quotient at levels <= 4, the homomorphism search against brute
-force over all maps, and the cycle spectrum against networkx's simple
-cycles."""
+2-coloring checked against networkx, and the odd-walk witness against a
+search from every root, on random small graphs, on graphs of odd cycles and
+on every family quotient at levels <= 4; the 2-coloring search against the
+homomorphism search into K_2, the homomorphism search against brute force
+over all maps, and the cycle spectrum against networkx's simple cycles."""
 
 import itertools
 
@@ -11,9 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clopen.colorings import search_coloring
 from clopen.families import FiniteGraph, ka_graph, parse_family
 from clopen.homs import cycle_spectrum, hom_exists
-from clopen.quotients import _bfs_two_color, from_finite_graph, odd_girth, quotient
+from clopen.quotients import (
+    _bfs_two_color,
+    _odd_walk_from,
+    from_finite_graph,
+    odd_closed_walk,
+    quotient,
+)
 from test_families import ALL_FAMILY_SPECS
 
 
@@ -35,9 +43,32 @@ def double_cover_odd_girth(G):
     return min(lengths, default=None)
 
 
-def check_against_networkx(q):
+def all_roots_odd_walk(q):
+    """Oracle: the odd-walk witness by a double-cover search from every root
+    of every non-bipartite component, each cut off at the best length so
+    far, so that the first root of the minimum length wins; the self-loop at
+    the first looped vertex comes first."""
+    q = q.undirected()
+    edge_set = set(q.edges)
+    for v in q.vertices:
+        if (v, v) in edge_set:
+            return [v, v]
+    adj, _, odd = _bfs_two_color(q)
+    best = None
+    limit = 2 * len(adj)
+    for root in range(len(adj)):
+        if odd[root]:
+            walk = _odd_walk_from(adj, root, limit)
+            if walk is not None:
+                best, limit = walk, len(walk) - 1
+    return None if best is None else [q.vertices[i] for i in best]
+
+
+def check_against_oracles(q):
     G = nx_graph(q)
-    assert odd_girth(q) == double_cover_odd_girth(G)
+    w = odd_closed_walk(q)
+    assert (None if w is None else w.length) == double_cover_odd_girth(G)
+    assert (None if w is None else w.vertices) == all_roots_odd_walk(q)
     adj, colors, odd = _bfs_two_color(q.undirected())
     assert any(odd) == (not nx.is_bipartite(G))
     index = {v: i for i, v in enumerate(q.vertices)}
@@ -61,14 +92,60 @@ def small_graphs(draw, max_n=10):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(small_graphs())
 def test_random_graphs_against_networkx(G):
-    check_against_networkx(from_finite_graph(G))
+    check_against_oracles(from_finite_graph(G))
 
 
 @pytest.mark.parametrize("spec", ALL_FAMILY_SPECS)
 def test_family_quotients_against_networkx(spec):
     g = parse_family(spec)
     for n in (1, 2, 3, 4):
-        check_against_networkx(quotient(g, n))
+        check_against_oracles(quotient(g, n))
+
+
+@st.composite
+def odd_cycle_graphs(draw):
+    """Undirected graphs made of odd cycles (sometimes two of one length, for
+    the tie-break), random chords (which may join cycles or make self-loops),
+    pendant trees and now and then a self-loop, with the vertex ids permuted
+    so that the alphabet order does not follow the construction."""
+    lengths = draw(st.lists(st.sampled_from([3, 5, 7, 9]), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        lengths.append(lengths[0])
+    edges, n = [], 0
+    for length in lengths:
+        edges += [(n + i, n + (i + 1) % length) for i in range(length)]
+        n += length
+    for _ in range(draw(st.integers(0, 3))):  # chords
+        edges.append((draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))))
+    for _ in range(draw(st.integers(0, 6))):  # pendant trees
+        edges.append((n, draw(st.integers(0, n - 1))))
+        n += 1
+    if draw(st.integers(0, 4)) == 0:
+        v = draw(st.integers(0, n - 1))
+        edges.append((v, v))
+    perm = draw(st.permutations(range(n)))
+    return FiniteGraph(range(n), [(perm[u], perm[v]) for (u, v) in edges])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(odd_cycle_graphs())
+def test_odd_cycle_graphs_against_oracles(G):
+    check_against_oracles(from_finite_graph(G))
+
+
+K2 = FiniteGraph(range(2), [(1, 0)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_graphs(max_n=10), st.booleans())
+def test_two_coloring_search_against_hom_exists(G, bipartite):
+    if bipartite:  # keep only the edges across a fixed cut: most graphs then 2-color
+        G = FiniteGraph(G.vertices, [(u, v) for (u, v) in G.edges if (u + v) % 2],
+                        directed=G.directed)
+    q = from_finite_graph(G)
+    w = hom_exists(q.undirected(), K2)
+    c = search_coloring(q, 2)
+    assert (None if c is None else c.mapping) == (None if w is None else w.mapping)
 
 
 def brute_force_hom(G, H, injective):
