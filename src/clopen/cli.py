@@ -81,9 +81,17 @@ def _expect(expected, actual):
 # subcommands
 
 
+def _bounded_quotient(g: fam.SymbolicGraph, args) -> quo.QuotientGraph:
+    """The quotient of `family show` and `quotient`, whose --bound overrides
+    the enumeration bound."""
+    if args.bound is not None and args.bound < 0:
+        raise UsageError("--bound must be >= 0")
+    return quo.quotient(g, args.level, bound=args.bound)
+
+
 def cmd_family_show(args):
     g = _family(args.family)
-    q = quo.quotient(g, args.level, bound=args.bound)
+    q = _bounded_quotient(g, args)
     info = {
         "family": g.spec,
         "pointSet": g.point_set,
@@ -125,7 +133,7 @@ def _point_str(x) -> str:
 
 def cmd_quotient(args):
     g = _family(args.family)
-    q = quo.quotient(g, args.level, bound=args.bound)
+    q = _bounded_quotient(g, args)
     if args.format == "dot":
         print(quo.to_dot(q))
     elif args.format == "json":

@@ -215,16 +215,16 @@ def search_coloring(q: QuotientGraph, k: int) -> Optional[ClopenColoring]:
     an absence certificate.
 
     A proper k-coloring is a homomorphism into the complete graph K_k, so
-    this is ``hom_exists(q.undirected(), K_k)``: vertices in the order
-    (-degree, alphabet order), since the quotient's vertex ids are in
-    alphabet order, and colors tried ascending.  The coloring is the first
-    solution in that order, which forward checking does not change.
+    this is ``hom_exists(q.undirected(), K_k)``: vertices in depth-first
+    preorder, seeds in the order (-degree, alphabet order), since the
+    quotient's vertex ids are in alphabet order, and colors tried ascending.  The coloring is the
+    first solution in that order, which forward checking does not change.
 
     For k = 2 that solution is read off ``q.two_coloring()`` in linear time:
     a non-bipartite quotient has none, and on a bipartite one the search
-    gives the first vertex of each component in its order color 0, which
-    forces the rest, so it is the component's BFS coloring, flipped where
-    that vertex has color 1."""
+    gives each component's first vertex, its seed, color 0, which forces the
+    rest, so it is the component's BFS coloring, flipped where that vertex
+    has color 1."""
     if k < 1 or k > 6:
         raise BudgetError("color count must be between 1 and 6")
     if len(q.vertices) > 10**5:
@@ -243,8 +243,9 @@ def search_coloring(q: QuotientGraph, k: int) -> Optional[ClopenColoring]:
 
 
 def _first_two_coloring(q: QuotientGraph) -> Optional[dict]:
-    """The first 2-coloring of the undirected `q` in the order (-degree,
-    id), or None when `q` is not bipartite."""
+    """The first 2-coloring of the undirected `q` in ``hom_exists``'s order,
+    whose first vertex in each component is the component's first in the
+    order (-degree, id), or None when `q` is not bipartite."""
     adj, colors, odd = q.two_coloring()
     if any(odd):
         return None

@@ -216,13 +216,20 @@ def _gm_alphabet(n: int) -> Alphabet:
 
 def gm() -> SymbolicGraph:
     """Graph whose level-k part approximates the odd cycle on 2k+3 points;
-    the space is not compact (numeral letters are unbounded)."""
+    the space is not compact (numeral letters are unbounded).
+
+    `generate(bound, level)` walks the run length j + 1 only up to
+    max(n - 1, 1), where n = level.  The cut is exact: for j >= n - 2 every point of every clause
+    has the same n-prefix as at j = n - 2 with the same k and i, and the j
+    loop is outside the i loop, so each skipped edge repeats a pair that an
+    earlier edge already gave; the level-n pairs and each pair's first edge
+    are unchanged."""
 
     def generate(bound: int, level: int = 0) -> list:
         edges = []
         for k in range(bound + 1):
             K = str(k)
-            for j in range(bound + 1):
+            for j in range(min(bound, max(level - 2, 0)) + 1):
                 edges.append(
                     (
                         UltWord(_c(k + 1) + ("a",) * (j + 1), ("abar",)),

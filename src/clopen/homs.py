@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .families import FiniteGraph, SymbolicGraph, adjacency
-from .quotients import odd_closed_walk, quotient
+from .quotients import odd_closed_walk, odd_girth_root, quotient
 from .words import BudgetError
 
 
@@ -30,20 +30,38 @@ class HomWitness:
 def hom_exists(G: FiniteGraph, H: FiniteGraph, injective: bool = False
                ) -> Optional[HomWitness]:
     """Backtracking search with forward checking over the integer indexes of
-    G and H; returns a witness or None as an exhaustive-absence certificate.
+    G and H; returns a witness or None as an absence certificate.
 
-    Source vertices are assigned in the order (-out-degree, id) and
-    candidates are tried in ascending target id, so the witness is the first
+    Two checks decide absence before any search.  When G and H are both
+    undirected, a hom maps every odd closed walk of G onto an odd closed
+    walk of H of the same length, so it is absent when G has one shorter
+    than every odd closed walk of H; ``odd_girth_root`` gives both odd
+    girths.  A source loop needs a target loop, so G's odd girth is computed
+    only when H's is above 3 or H is bipartite: below that only a loop in G
+    could be shorter.  Only then does the size budget apply.
+
+    Source vertices are assigned in depth-first preorder over the underlying
+    undirected graph of G: seeds in the order (-out-degree, id), neighbours
+    in ascending id.  So each vertex after its component's first has an
+    assigned neighbour, and the walk closes each cycle before it opens the
+    next; a breadth-first order would interleave the cycles through a
+    vertex, and a failed closure would then retry every cycle opened since.
+    Candidates are tried in ascending target id, so the witness is the first
     solution in that order.  Assigning a vertex restricts the domains of its
     unassigned out-neighbours, undone from a per-depth trail on backtrack,
     and a set of used images enforces injectivity.  Both only cut subtrees
     without a solution, so the first solution is the one plain backtracking
     in the same order finds.  The search keeps an explicit stack, one level
     per source vertex."""
-    if len(G.vertices) * len(H.vertices) > 10**6:
-        raise BudgetError("source x target size exceeds the search budget")
     g_adj = adjacency(G.vertices, G.edges)
-    h_adj = [set(a) for a in adjacency(H.vertices, H.edges)]
+    h_adj = adjacency(H.vertices, H.edges)
+    if not (G.directed or H.directed):
+        h_girth = odd_girth_root(h_adj)
+        if h_girth is None or h_girth[0] > 3:
+            g_girth = odd_girth_root(g_adj)
+            if g_girth is not None and (h_girth is None or h_girth[0] > g_girth[0]):
+                return None
+    h_adj = [set(a) for a in h_adj]
     every = list(range(len(h_adj)))
     looped = [w for w in every if w in h_adj[w]]
     # a source loop maps onto a target loop; every other edge is checked when
@@ -51,7 +69,26 @@ def hom_exists(G: FiniteGraph, H: FiniteGraph, injective: bool = False
     domains = [looped if v in g_adj[v] else every for v in range(len(g_adj))]
     if not all(domains):
         return None
-    order = sorted(range(len(g_adj)), key=lambda v: (-len(g_adj[v]), v))
+    if len(G.vertices) * len(H.vertices) > 10**6:
+        raise BudgetError("source x target size exceeds the search budget")
+    und = g_adj if not G.directed else adjacency(
+        G.vertices, [e for (u, v) in G.edges for e in ((u, v), (v, u))])
+    order = []
+    placed = [False] * len(g_adj)
+    for seed in sorted(range(len(g_adj)), key=lambda v: (-len(g_adj[v]), v)):
+        if not placed[seed]:
+            placed[seed] = True
+            order.append(seed)
+            stack = [iter(und[seed])]  # per open vertex: its unscanned neighbours
+            while stack:
+                for v in stack[-1]:
+                    if not placed[v]:
+                        placed[v] = True
+                        order.append(v)
+                        stack.append(iter(und[v]))
+                        break
+                else:
+                    stack.pop()
     assign = [-1] * len(g_adj)
     used = set()
     trail = [[] for _ in order]  # per depth: (vertex, domain before restriction)

@@ -35,10 +35,14 @@ class QuotientGraph:
         self._two_coloring = None
 
     def two_coloring(self):
-        """``_bfs_two_color(self)``, run at most once per quotient: a level
-        whose verdict comes from a self-loop never runs it."""
+        """``(adj, colors, odd)`` of an undirected quotient, computed at most
+        once: ``adj`` is its integer index (vertex i is ``self.vertices[i]``;
+        every constructor keeps the vertices in alphabet order, so ascending
+        ids are alphabet order) and the rest is ``_bfs_two_color(adj)``.  A
+        level whose verdict comes from an odd closed walk never runs it."""
         if self._two_coloring is None:
-            self._two_coloring = _bfs_two_color(self)
+            adj = adjacency(self.vertices, self.edges)  # the edges are symmetric
+            self._two_coloring = (adj,) + _bfs_two_color(adj)
         return self._two_coloring
 
     def undirected(self) -> "QuotientGraph":
@@ -126,16 +130,11 @@ class WalkWitness:
         }
 
 
-def _bfs_two_color(q: QuotientGraph):
-    """One BFS 2-coloring pass over the integer index of an undirected
-    quotient.
-
-    Vertex i is ``q.vertices[i]``; every constructor keeps the vertices in
-    alphabet order, so ascending ids are alphabet order.  Returns ``(adj,
-    colors, odd)``: ``adj[i]`` lists the neighbour ids of i ascending,
-    ``colors[i]`` is its BFS color (0 at the first vertex of each component)
+def _bfs_two_color(adj):
+    """One BFS 2-coloring pass over the integer index `adj` of an undirected
+    graph, neighbour lists ascending.  Returns ``(colors, odd)``:
+    ``colors[i]`` is i's BFS color (0 at the first vertex of each component)
     and ``odd[i]`` says whether its component is not bipartite."""
-    adj = adjacency(q.vertices, q.edges)  # q's edges are symmetric
     colors = [-1] * len(adj)
     odd = [False] * len(adj)
     for seed in range(len(adj)):
@@ -155,7 +154,7 @@ def _bfs_two_color(q: QuotientGraph):
         if not bipartite:
             for u in component:
                 odd[u] = True
-    return adj, colors, odd
+    return colors, odd
 
 
 def _odd_walk_from(adj, root: int, limit: int):
@@ -213,18 +212,16 @@ def _odd_length_from(adj, core, root: int, limit: int):
     return None
 
 
-def odd_closed_walk(q: QuotientGraph) -> Optional[WalkWitness]:
-    """A shortest odd closed walk if one exists (a self-loop has length one),
-    else None.  Without a self-loop it reads ``q.two_coloring()``, which a
-    caller of an undirected `q` may then reuse for a bipartite verdict.
+def odd_girth_root(adj):
+    """``(length, root)`` of a shortest odd closed walk of the undirected
+    graph with integer index `adj` (neighbour lists ascending; a self-loop
+    has length one), root the least id attaining that length, or None when
+    the graph is bipartite.
 
-    Ties are broken by the alphabet order: the walk is the self-loop at the
-    first looped vertex; without loops its root is the first vertex in
-    alphabet order whose shortest odd closed walk has the minimum length, and
-    its path is the chain of first-discovery BFS parents from (root, 0) to
-    (root, 1) in the bipartite double cover, neighbours expanded in alphabet
-    order.  Only one double-cover search runs, from that root; the root and
-    the length come from four exact steps:
+    A self-loop at the least looped id comes first, before any coloring
+    pass.  Otherwise ``_bfs_two_color`` marks the non-bipartite components,
+    and the root and the length come from three exact steps, with no search
+    from every root:
 
     1. Peel vertices of degree <= 1 off the non-bipartite components.  A walk
        of the minimum length g is a simple cycle (a repeated vertex would
@@ -240,15 +237,11 @@ def odd_closed_walk(q: QuotientGraph) -> Optional[WalkWitness]:
        2d + 1, and an odd closed walk must take a step that keeps the depth,
        so none is shorter.  A shortest one never enters the peeled trees,
        since an excursion into a tree returns along itself, so the BFS stays
-       in the core.
-    4. The witness is ``_odd_walk_from`` at the chosen root, the same path
-       the search from every root found."""
-    q = q.undirected()
-    edge_set = set(q.edges)
-    for v in q.vertices:  # vertices are sorted already
-        if (v, v) in edge_set:
-            return WalkWitness([v, v])
-    adj, _, odd = q.two_coloring()
+       in the core."""
+    for v, nbrs in enumerate(adj):
+        if v in nbrs:
+            return 1, v
+    _, odd = _bfs_two_color(adj)
     deg = [len(a) if o else 0 for a, o in zip(adj, odd)]
     leaves = [v for v, d in enumerate(deg) if d == 1]
     for v in leaves:  # appended to while walked
@@ -281,9 +274,28 @@ def odd_closed_walk(q: QuotientGraph) -> Optional[WalkWitness]:
         length = _odd_length_from(adj, core, v, best + (root is not None and v < root))
         if length is not None:
             best, root = length, v
-    if root is None:
+    return None if root is None else (best, root)
+
+
+def odd_closed_walk(q: QuotientGraph) -> Optional[WalkWitness]:
+    """A shortest odd closed walk if one exists (a self-loop has length one),
+    else None.
+
+    Ties are broken by the alphabet order: the root and the length are
+    ``odd_girth_root``'s, the first vertex in alphabet order whose shortest
+    odd closed walk has the minimum length (the first looped vertex when
+    there is a self-loop).  The path is the chain of first-discovery BFS
+    parents from (root, 0) to (root, 1) in the bipartite double cover,
+    neighbours expanded in alphabet order: ``_odd_walk_from`` at that root,
+    the only double-cover search, which gives the same path the search from
+    every root found."""
+    q = q.undirected()
+    adj = adjacency(q.vertices, q.edges)  # the edges are symmetric
+    found = odd_girth_root(adj)
+    if found is None:
         return None
-    return WalkWitness([q.vertices[i] for i in _odd_walk_from(adj, root, best + 1)])
+    length, root = found
+    return WalkWitness([q.vertices[i] for i in _odd_walk_from(adj, root, length + 1)])
 
 
 class Bipartite:

@@ -131,6 +131,27 @@ def test_hom_against_quotient(capsys):
     assert code == 0
 
 
+def test_hom_decides_before_search(capsys):
+    # both bipartite, 108 source vertices: the connected source order finds
+    # the map at once (the former order did not finish in 20 s)
+    from clopen.cli import _finite_graph
+    from clopen.homs import HomWitness
+
+    source, target = GO34 + "@4", GO34 + "@2"
+    code, out, _ = run(capsys, "hom", "--source", source, "--target", target,
+                       "--expect", "found")
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "found:"
+    mapping = dict(ln.strip().split(" -> ") for ln in lines[1:])
+    G, H = _finite_graph(source), _finite_graph(target)
+    assert len(G.vertices) == 108 and HomWitness(mapping, False).check(G, H)
+    # odd girth 729 below 2187: refused before the size budget (729 x 2187
+    # vertices) applies
+    code, out, err = run(capsys, "hom", "--source", "graph-o:d=(3)^inf@6",
+                         "--target", "graph-o:d=(3)^inf@7")
+    assert (code, out, err) == (0, "absent: exhaustive search found no homomorphism\n", "")
+
+
 def test_quotient_dot_and_family_show(capsys):
     code, out, _ = run(capsys, "quotient", "--family", "graph-o:d=(3)^inf",
                        "--level", "1", "--format", "dot")
@@ -265,9 +286,13 @@ RETURN_PARITY = ("color", "build", "--family", "graph-o:d=(3)^inf", "--kind", "r
     (("color", "verify", "--family", "gm", "--bound", "2"), "usage error: "),
     (RETURN_PARITY + ("--cylinder", "x"), "usage error: "),
     (RETURN_PARITY + ("--cylinder", "13"), "usage error: "),
+    (("quotient", "--family", "gm", "--level", "2", "--bound", "-5"),
+     "usage error: --bound must be >= 0"),
+    (("family", "show", "--family", "gm", "--level", "2", "--bound", "-1"),
+     "usage error: --bound must be >= 0"),
 ], ids=["fib-budget", "color-budget", "hom-budget", "missing-file", "fib-negative",
         "fib-2", "fib-120", "fib-100000", "odd-cycle-key", "parity-no-radix", "verify-no-coloring",
-        "cylinder-letter", "cylinder-digit"])
+        "cylinder-letter", "cylinder-digit", "quotient-negative-bound", "show-negative-bound"])
 def test_budget_and_file_errors_exit_2(capsys, argv, prefix):
     code, out, err = run(capsys, *argv)
     assert code == 2

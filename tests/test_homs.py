@@ -72,6 +72,19 @@ def test_hom_budget():
         hom_exists(big, big)
 
 
+def test_hom_refusals_before_the_size_budget():
+    # 1203 x 1000 vertices is over the budget, but each pair is decided first:
+    # an odd cycle has no hom into a bipartite graph or into a graph of
+    # larger odd girth, and a source loop needs a target loop
+    C, even = odd_cycle(600), FiniteGraph(range(1000), [(i, (i + 1) % 1000) for i in range(1000)])
+    assert hom_exists(C, even) is None
+    assert hom_exists(C, odd_cycle(601)) is None
+    looped = FiniteGraph(range(1203), [(0, 0)], directed=True)
+    assert hom_exists(looped, FiniteGraph(range(1000), [], directed=True)) is None
+    with pytest.raises(BudgetError):  # no odd closed walk in the source
+        hom_exists(even, C)
+
+
 def test_cycle_spectrum_examples():
     assert cycle_spectrum(odd_cycle(1)) == {5}
     square = FiniteGraph(range(4), [(i, (i + 1) % 4) for i in range(4)])

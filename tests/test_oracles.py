@@ -3,7 +3,8 @@
 search from every root, on random small graphs, on graphs of odd cycles and
 on every family quotient at levels <= 4; the 2-coloring search against the
 homomorphism search into K_2, the homomorphism search against brute force
-over all maps, and the cycle spectrum against networkx's simple cycles."""
+over all maps and against the former search in (-degree, id) order, and the
+cycle spectrum against networkx's simple cycles."""
 
 import itertools
 
@@ -13,10 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clopen.colorings import search_coloring
-from clopen.families import FiniteGraph, ka_graph, parse_family
+from clopen.families import FiniteGraph, adjacency, ka_graph, odd_cycle, parse_family
 from clopen.homs import cycle_spectrum, hom_exists
 from clopen.quotients import (
-    _bfs_two_color,
     _odd_walk_from,
     from_finite_graph,
     odd_closed_walk,
@@ -53,7 +53,7 @@ def all_roots_odd_walk(q):
     for v in q.vertices:
         if (v, v) in edge_set:
             return [v, v]
-    adj, _, odd = _bfs_two_color(q)
+    adj, _, odd = q.two_coloring()
     best = None
     limit = 2 * len(adj)
     for root in range(len(adj)):
@@ -69,7 +69,7 @@ def check_against_oracles(q):
     w = odd_closed_walk(q)
     assert (None if w is None else w.length) == double_cover_odd_girth(G)
     assert (None if w is None else w.vertices) == all_roots_odd_walk(q)
-    adj, colors, odd = _bfs_two_color(q.undirected())
+    adj, colors, odd = q.undirected().two_coloring()
     assert any(odd) == (not nx.is_bipartite(G))
     index = {v: i for i, v in enumerate(q.vertices)}
     for comp in nx.connected_components(G):
@@ -148,13 +148,36 @@ def test_two_coloring_search_against_hom_exists(G, bipartite):
     assert (None if c is None else c.mapping) == (None if w is None else w.mapping)
 
 
+def dfs_order(G):
+    """The source order of the homomorphism search, by list position:
+    recursive depth-first preorder over the underlying undirected graph,
+    seeds by descending out-degree, then position, neighbours by ascending
+    position."""
+    pos = {x: i for i, x in enumerate(G.vertices)}
+    nbrs = {x: set() for x in G.vertices}
+    for (u, v) in G.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    outdeg = {x: len({v for (u, v) in G.edges if u == x}) for x in G.vertices}
+    order = []
+
+    def visit(u):
+        order.append(u)
+        for v in sorted(nbrs[u], key=pos.get):
+            if v not in order:
+                visit(v)
+
+    for seed in sorted(G.vertices, key=lambda x: (-outdeg[x], pos[x])):
+        if seed not in order:
+            visit(seed)
+    return order
+
+
 def brute_force_hom(G, H, injective):
     """Oracle: the first map V(G) -> V(H) sending every edge to an edge,
-    with the source vertices ordered by descending out-degree, then list
-    position, and the images compared in target list order; None when there
-    is none."""
-    outdeg = {x: len({v for (u, v) in G.edges if u == x}) for x in G.vertices}
-    order = sorted(G.vertices, key=lambda x: (-outdeg[x], G.vertices.index(x)))
+    with the source vertices in ``dfs_order`` and the images compared in
+    target list order; None when there is none."""
+    order = dfs_order(G)
     for images in itertools.product(H.vertices, repeat=len(order)):
         if injective and len(set(images)) < len(images):
             continue
@@ -172,6 +195,130 @@ def test_hom_exists_against_brute_force(G, H, injective):
     assert (None if w is None else w.mapping) == brute_force_hom(G, H, injective)
     if w is not None:
         assert w.check(G, H)
+
+
+class OracleBudget(Exception):
+    pass
+
+
+def degree_order_hom(G, H, injective, budget=None):
+    """Oracle: the former homomorphism search, with no absence check before
+    it and the source in the order (-out-degree, id), which is not
+    connected; same forward checking, trail and loop domains.  Raises
+    OracleBudget after `budget` steps."""
+    g_adj = adjacency(G.vertices, G.edges)
+    h_adj = [set(a) for a in adjacency(H.vertices, H.edges)]
+    every = list(range(len(h_adj)))
+    looped = [w for w in every if w in h_adj[w]]
+    domains = [looped if v in g_adj[v] else every for v in range(len(g_adj))]
+    if not all(domains):
+        return None
+    order = sorted(range(len(g_adj)), key=lambda v: (-len(g_adj[v]), v))
+    assign = [-1] * len(g_adj)
+    used = set()
+    trail = [[] for _ in order]
+    tries = [0] * len(order)
+
+    def place(v, img, undo):
+        allowed = h_adj[img]
+        for u in g_adj[v]:
+            if assign[u] >= 0:
+                if assign[u] not in allowed:
+                    return False
+            elif u != v:
+                undo.append((u, domains[u]))
+                domains[u] = [w for w in domains[u] if w in allowed]
+                if not domains[u]:
+                    return False
+        return True
+
+    depth = steps = 0
+    while 0 <= depth < len(order):
+        steps += 1
+        if budget is not None and steps > budget:
+            raise OracleBudget()
+        v, undo = order[depth], trail[depth]
+        for (u, dom) in undo:
+            domains[u] = dom
+        undo.clear()
+        used.discard(assign[v])
+        assign[v] = -1
+        if tries[depth] == len(domains[v]):
+            tries[depth] = 0
+            depth -= 1
+            continue
+        img = domains[v][tries[depth]]
+        tries[depth] += 1
+        if not (injective and img in used) and place(v, img, undo):
+            assign[v] = img
+            used.add(img)
+            depth += 1
+    if depth < 0:
+        return None
+    return dict(zip(G.vertices, (H.vertices[w] for w in assign)))
+
+
+def undirected_odd_girth(G):
+    """The odd girth of an undirected graph by the networkx double cover, 1
+    with a loop, None when bipartite."""
+    U = nx.Graph()
+    U.add_nodes_from(G.vertices)
+    U.add_edges_from(G.edges)
+    return double_cover_odd_girth(U)
+
+
+def check_hom_against_degree_order(G, H, injective=False, budget=None):
+    """Same verdict as the former search, a valid map when found, and every
+    odd-girth refusal confirmed absent by the former search.  Where the
+    former search runs out of `budget`, a refusal is confirmed on G's
+    shortest odd cycle instead, which maps into G; returns whether the
+    former search decided G -> H."""
+    w = hom_exists(G, H, injective=injective)
+    if w is not None:
+        assert w.check(G, H)
+    try:
+        old = degree_order_hom(G, H, injective, budget)
+    except OracleBudget:
+        old = "undecided"
+    else:
+        assert (w is None) == (old is None)
+    if not (G.directed or H.directed):
+        og, oh = undirected_odd_girth(G), undirected_odd_girth(H)
+        if og is not None and (oh is None or oh > og):
+            assert w is None
+            if old == "undecided":
+                cycle = FiniteGraph(range(og), [(i, (i + 1) % og) for i in range(og)])
+                assert degree_order_hom(cycle, H, injective) is None
+            else:
+                assert old is None
+    return old != "undecided"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_graphs(max_n=8), small_graphs(max_n=8), st.booleans())
+def test_hom_exists_against_degree_order_search(G, H, injective):
+    check_hom_against_degree_order(G, H, injective)
+
+
+def test_hom_exists_against_degree_order_search_on_odd_cycles():
+    for p in range(6):
+        for q in range(6):
+            check_hom_against_degree_order(odd_cycle(p), odd_cycle(q))
+            check_hom_against_degree_order(odd_cycle(p), odd_cycle(q), injective=True)
+
+
+@pytest.mark.parametrize("spec", ALL_FAMILY_SPECS)
+def test_hom_exists_against_degree_order_search_on_quotients(spec):
+    g = parse_family(spec)
+    qs = [quotient(g, n) for n in (1, 2, 3)]
+    decided = 0
+    for G in qs:
+        for H in qs:
+            # a level-3 quotient onto itself is left out: on graph-o's
+            # 27-cycle and on ka's, neither search finishes in seconds
+            if G is not H or G.level < 3:
+                decided += check_hom_against_degree_order(G, H, budget=10**5)
+    assert decided >= 6
 
 
 def nx_spectrum(G, max_len):
