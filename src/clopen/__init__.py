@@ -53,7 +53,6 @@ from .subshift_lang import (
     cb_rank,
     complexity,
     expand_fib_forbidden,
-    k0_forest,
     member,
     power_free_check,
     rank_forest,

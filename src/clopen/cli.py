@@ -44,8 +44,9 @@ def _family(spec: str) -> fam.SymbolicGraph:
         raise UsageError("unknown or malformed family %r (%s)\n%s" % (spec, e, FAMILY_GRAMMAR))
 
 
-def _finite_graph(spec: str) -> fam.FiniteGraph:
-    """odd-cycle:p=N | file:PATH | FAMILY@LEVEL (the level-n quotient)."""
+def _finite_graph(spec: str):
+    """odd-cycle:p=N | file:PATH | FAMILY@LEVEL (the undirected level-n
+    quotient, which the searches read as a finite graph)."""
     if spec.startswith("odd-cycle:"):
         p = spec[len("odd-cycle:"):]
         if not (p.startswith("p=") and p[2:].isdigit()):
@@ -56,7 +57,7 @@ def _finite_graph(spec: str) -> fam.FiniteGraph:
             return homs.finite_graph_from_text(fh.read())
     if "@" in spec:
         fspec, level = spec.rsplit("@", 1)
-        return quo.quotient(_family(fspec), int(level)).undirected().to_finite_graph()
+        return quo.quotient(_family(fspec), int(level)).undirected()
     raise UsageError(
         "finite graph spec must be odd-cycle:p=N, file:PATH or FAMILY@LEVEL: %r"
         % spec
@@ -72,6 +73,14 @@ def _print_json(payload, no_timing: bool):
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _at_least(args, option: str, low: int):
+    """The value of ``--option``, a usage error when it is given below `low`."""
+    value = getattr(args, option.replace("-", "_"))
+    if value is not None and value < low:
+        raise UsageError("--%s must be >= %d" % (option, low))
+    return value
+
+
 def _expect(expected, actual):
     if expected is not None and expected != actual:
         raise Mismatch("expected %s, got %s" % (expected, actual))
@@ -84,13 +93,12 @@ def _expect(expected, actual):
 def _bounded_quotient(g: fam.SymbolicGraph, args) -> quo.QuotientGraph:
     """The quotient of `family show` and `quotient`, whose --bound overrides
     the enumeration bound."""
-    if args.bound is not None and args.bound < 0:
-        raise UsageError("--bound must be >= 0")
-    return quo.quotient(g, args.level, bound=args.bound)
+    return quo.quotient(g, args.level, bound=_at_least(args, "bound", 0))
 
 
 def cmd_family_show(args):
     g = _family(args.family)
+    sample = _at_least(args, "sample", 0)
     q = _bounded_quotient(g, args)
     info = {
         "family": g.spec,
@@ -107,7 +115,7 @@ def cmd_family_show(args):
     else:
         for k, v in info.items():
             print("%s: %s" % (k, v))
-        shown = q.edges[: args.sample]
+        shown = q.edges[:sample]
         for (s, t) in shown:
             x, y = q.reps.get((s, t), (None, None))
             print(
@@ -147,11 +155,7 @@ def cmd_quotient(args):
         _print_json(payload, args.no_timing)
     else:
         print("%s level %d: %d vertices, %d edges" % (g.spec, q.level, len(q.vertices), q.edge_count()))
-        seen = set()
-        for (u, v) in q.edges:
-            if not q.directed and (v, u) in seen:
-                continue
-            seen.add((u, v))
+        for (u, v) in q.distinct_edges():
             print("  %s %s %s" % (q.label(u), "->" if q.directed else "--", q.label(v)))
     return 0
 
@@ -189,7 +193,7 @@ def cmd_scan(args):
     if args.levels <= 0:
         raise UsageError("level budget must be positive")
     g = _family(args.family)
-    report = quo.scan(g, args.levels, budget_ms=args.budget_ms)
+    report = quo.scan(g, args.levels, budget_ms=_at_least(args, "budget-ms", 0))
     if report["partial"]:
         print("warning: partial report (budget exhausted)", file=sys.stderr)
     if args.format == "json":
@@ -249,16 +253,17 @@ def _family_arg(spec: str, key: str) -> str:
 
 def cmd_color_verify(args):
     g = _family(args.family)
+    bound = _at_least(args, "bound", 0)
     if args.predicate:
         if args.predicate != "t-coloring":
             raise UsageError("unknown predicate coloring %r" % args.predicate)
         c = col.t_coloring()
     elif args.coloring:
         with open(args.coloring, encoding="utf-8") as fh:
-            c, _ = col.coloring_from_text(fh.read(), g.alphabet_for(args.bound))
+            c, _ = col.coloring_from_text(fh.read(), g.alphabet_for(bound))
     else:
         raise UsageError("need --coloring FILE or --predicate t-coloring")
-    res = col.verify_coloring(g, c, args.bound)
+    res = col.verify_coloring(g, c, bound)
     print(res.describe())
     _expect(args.expect, "ok" if res.ok else "violation")
     return 0
@@ -294,9 +299,7 @@ def _subshift_spec(args) -> sub.Subshift:
 
 def _forbidden(args):
     if getattr(args, "fib_p", None) is not None:
-        if args.fib_p < 0:
-            raise UsageError("--fib-p must be >= 0")
-        return sub.expand_fib_forbidden(args.fib_p)
+        return sub.expand_fib_forbidden(_at_least(args, "fib-p", 0))
     if getattr(args, "forbidden", None):
         return sub.ForbiddenSet(args.forbidden.split(","))
     return None
@@ -314,6 +317,7 @@ def cmd_subshift_member(args):
 
 
 def cmd_subshift_lang(args):
+    _at_least(args, "n", 0)
     s = _subshift_spec(args)
     words = sorted(s.language(args.n))
     print("%d words of length %d" % (len(words), args.n))
@@ -323,6 +327,7 @@ def cmd_subshift_lang(args):
 
 
 def cmd_subshift_complexity(args):
+    _at_least(args, "nmax", 0)
     s = _subshift_spec(args)
     counts = sub.complexity(s, args.nmax)
     print(",".join(str(c) for c in counts))
@@ -333,7 +338,7 @@ def cmd_subshift_powerfree(args):
     if args.fib_prefix is not None:
         from .dynamics import fibonacci_limit_prefix
 
-        w = fibonacci_limit_prefix(args.fib_prefix)
+        w = fibonacci_limit_prefix(_at_least(args, "fib-prefix", 0))
     elif args.word:
         w = tuple(args.word)
     else:
@@ -350,14 +355,15 @@ def cmd_subshift_powerfree(args):
 
 
 def cmd_cb_rank(args):
+    _at_least(args, "resolution", 1)
+    spec = _family(args.family).spec if args.family and not args.forest else ""
     if args.forest:
         with open(args.forest, encoding="utf-8") as fh:
             forest = sub.forest_from_text(fh.read())
-    elif args.family == "k0":
-        forest = sub.k0_forest()
-    elif args.family and args.family.startswith("rank-subshift:"):
-        n = int(args.family.split("n=")[1])
-        forest = sub.rank_forest(n)
+    elif spec == "k0":  # the forest of rank-subshift:n=0
+        forest = sub.rank_forest(0)
+    elif spec.startswith("rank-subshift:") and not spec.endswith(":oriented"):
+        forest = sub.rank_forest(int(_family_arg(spec, "n")))
     else:
         raise UsageError("need --forest FILE or --family k0|rank-subshift:n=N")
     rep = sub.cb_rank(forest, args.resolution)
@@ -379,12 +385,13 @@ def cmd_hom(args):
     else:
         print("found:")
         for u in G.vertices:
-            print("  %s -> %s" % (u, w.mapping[u]))
+            print("  %s -> %s" % (G.label(u), H.label(w.mapping[u])))
         _expect(args.expect, "found")
     return 0
 
 
 def cmd_spectrum(args):
+    max_len = _at_least(args, "max-len", 0)
     if args.graph:
         G = _finite_graph(args.graph)
     else:
@@ -392,7 +399,7 @@ def cmd_spectrum(args):
         if g.finite_core is None:
             raise UsageError("family %s has no finite core" % g.spec)
         G = g.finite_core()
-    spec = sorted(homs.cycle_spectrum(G, args.max_len))
+    spec = sorted(homs.cycle_spectrum(G, max_len))
     print(",".join(str(l) for l in spec) if spec else "empty")
     return 0
 

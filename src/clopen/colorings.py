@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .dynamics import Radix, prefix_succ
+from .dynamics import Radix, prefix_succ, prefix_value
 from .families import FiniteGraph, OrbitIndexSet, SymbolicGraph
 from .homs import hom_exists
 from .quotients import QuotientGraph, quotient
@@ -45,11 +45,6 @@ class ClopenColoring:
         if key not in self.mapping:
             raise TotalityError("prefix %r not in the declared map" % (format_word(key),))
         return self.mapping[key]
-
-    def color_of_point(self, x) -> int:
-        if self.two_sided:
-            return self.color_of_prefix(x.window(-self.level, self.level))
-        return self.color_of_prefix(x.prefix(self.level))
 
     def as_json(self) -> dict:
         return {
@@ -220,47 +215,23 @@ def search_coloring(q: QuotientGraph, k: int) -> Optional[ClopenColoring]:
     quotient's vertex ids are in alphabet order, and colors tried ascending.  The coloring is the
     first solution in that order, which forward checking does not change.
 
-    For k = 2 that solution is read off ``q.two_coloring()`` in linear time:
-    a non-bipartite quotient has none, and on a bipartite one the search
-    gives each component's first vertex, its seed, color 0, which forces the
-    rest, so it is the component's BFS coloring, flipped where that vertex
-    has color 1."""
+    For k = 2 the same search takes linear time.  K_2 is bipartite, so a
+    non-bipartite or looped quotient is refused by odd girth before any
+    search.  On a bipartite one, every vertex after its component's first
+    has an assigned neighbour in depth-first preorder, so forward checking
+    leaves it one color and no domain empties: each component's first
+    vertex gets color 0 and the rest is forced, with no backtracking."""
     if k < 1 or k > 6:
         raise BudgetError("color count must be between 1 and 6")
     if len(q.vertices) > 10**5:
         raise BudgetError("quotient too large for exhaustive search")
     q = q.undirected()
-    if k == 2:
-        mapping = _first_two_coloring(q)
-    else:
-        w = hom_exists(q, FiniteGraph(range(k), [(i, j) for i in range(k) for j in range(i)]))
-        mapping = None if w is None else w.mapping
-    if mapping is None:
+    w = hom_exists(q, FiniteGraph(range(k), [(i, j) for i in range(k) for j in range(i)]))
+    if w is None:
         return None
-    return ClopenColoring(level=q.level, colors=k, mapping=mapping,
+    return ClopenColoring(level=q.level, colors=k, mapping=w.mapping,
                           alphabet=q.alphabet, two_sided=q.two_sided,
                           name="searched")
-
-
-def _first_two_coloring(q: QuotientGraph) -> Optional[dict]:
-    """The first 2-coloring of the undirected `q` in ``hom_exists``'s order,
-    whose first vertex in each component is the component's first in the
-    order (-degree, id), or None when `q` is not bipartite."""
-    adj, colors, odd = q.two_coloring()
-    if any(odd):
-        return None
-    first = [-1] * len(adj)
-    for seed in sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v)):
-        if first[seed] < 0:
-            flip = colors[seed]
-            first[seed] = 0
-            component = [seed]
-            for u in component:  # appended to while walked
-                for v in adj[u]:
-                    if first[v] < 0:
-                        first[v] = colors[v] ^ flip
-                        component.append(v)
-    return dict(zip(q.vertices, first))
 
 
 # ---------------------------------------------------------------------------
@@ -277,22 +248,16 @@ class UndeterminedPrefixError(ColoringError):
 
 
 def return_time(d: Radix, C: Word, x: Word) -> int:
-    """r_C(x): least l < L with the l-th odometer iterate of x entering the
-    cylinder C, where L is twice the full period at |C| (every orbit returns
-    within one period)."""
-    C = tuple(C)
-    x = tuple(x)
+    """r_C(x): least l >= 0 with the l-th odometer iterate of x entering the
+    cylinder C.  The odometer acts on the first |C| digits as +1 on their
+    mixed-radix value modulo P = d_0 ... d_{|C|-1}, so this is
+    (val(C) - val(x|C|)) mod P."""
     if not C:
         raise ColoringError("cylinder must be nonempty")
     if len(x) < len(C):
         raise UndeterminedPrefixError(len(C))
-    L = 2 * d.period(len(C))
-    t = x
-    for l in range(L):
-        if t[: len(C)] == C:
-            return l
-        t = prefix_succ(d, t)
-    raise AssertionError("odometer orbit failed to return within one period")
+    n = len(C)
+    return (prefix_value(d, C) - prefix_value(d, x[:n])) % d.period(n)
 
 
 def return_parity_coloring(d: Radix, C: Word) -> ClopenColoring:

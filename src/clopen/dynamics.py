@@ -182,15 +182,19 @@ def prefix_succ(d: Radix, t: Word) -> Word:
     return tuple(str(v) for v in out)
 
 
+def prefix_value(d: Radix, t: Word) -> int:
+    """Mixed-radix value of a digit string: the sum of t_j * d_0 ... d_{j-1},
+    its position in the cycle of length-|t| strings that starts at 0...0."""
+    value = 0
+    for j in reversed(range(len(t))):
+        value = value * d.digit(j) + int(t[j])
+    return value
+
+
 def prefix_iter(d: Radix, t: Word, i: int) -> Word:
     """i-th cyclic iterate on length-|t| digit strings."""
     n = len(t)
-    value = 0
-    mult = 1
-    for j in range(n):
-        value += int(t[j]) * mult
-        mult *= d.digit(j)
-    value = (value + i) % mult if n else 0
+    value = (prefix_value(d, t) + i) % d.period(n)
     out = []
     for j in range(n):
         b = d.digit(j)

@@ -51,6 +51,9 @@ class FiniteGraph:
                 es.append((v, u))
         self.edges = set(es)
 
+    def label(self, v) -> str:
+        return str(v)
+
     def undirected_edge_count(self) -> int:
         return len({frozenset(e) for e in self.edges if e[0] != e[1]}) + len(
             [1 for (u, v) in self.edges if u == v]
@@ -785,10 +788,8 @@ def rank_subshift(n: int) -> SymbolicGraph:
 
 def _ka_points_and_map(A: Sequence[int], chain_depth: int):
     """Point list of the family and its homeomorphism, restricted to spine
-    chain depth `chain_depth`; the even cycles for n in A are always complete."""
-    A = sorted(set(int(a) for a in A))
-    if len(A) > 4 or any(a > 4 or a < 0 for a in A):
-        raise FamilyError("A must be a set of at most 4 levels, each <= 4")
+    chain depth `chain_depth`; the even cycles for n in A (sorted and checked
+    by ``ka_graph``) are always complete."""
 
     def up(e):  # epsilon + 1 mod 4
         return (e + 1) % 4

@@ -32,18 +32,6 @@ class QuotientGraph:
         self.reps = reps or {}
         self.source = source
         self.two_sided = two_sided
-        self._two_coloring = None
-
-    def two_coloring(self):
-        """``(adj, colors, odd)`` of an undirected quotient, computed at most
-        once: ``adj`` is its integer index (vertex i is ``self.vertices[i]``;
-        every constructor keeps the vertices in alphabet order, so ascending
-        ids are alphabet order) and the rest is ``_bfs_two_color(adj)``.  A
-        level whose verdict comes from an odd closed walk never runs it."""
-        if self._two_coloring is None:
-            adj = adjacency(self.vertices, self.edges)  # the edges are symmetric
-            self._two_coloring = (adj,) + _bfs_two_color(adj)
-        return self._two_coloring
 
     def undirected(self) -> "QuotientGraph":
         if not self.directed:
@@ -69,14 +57,16 @@ class QuotientGraph:
                  + format_word(v[mid:], self.alphabet))
         return s if s else "<empty>"
 
-    def to_finite_graph(self):
-        from .families import FiniteGraph
-
-        return FiniteGraph(
-            [self.label(v) for v in self.vertices],
-            [(self.label(u), self.label(v)) for (u, v) in self.edges],
-            directed=self.directed,
-        )
+    def distinct_edges(self) -> list:
+        """The edges, an undirected one once, in the direction listed first."""
+        if self.directed:
+            return self.edges
+        seen, out = set(), []
+        for (u, v) in self.edges:
+            if (v, u) not in seen:
+                seen.add((u, v))
+                out.append((u, v))
+        return out
 
 
 def from_finite_graph(G, name: str = "finite") -> QuotientGraph:
@@ -329,7 +319,8 @@ def decide_level(g: SymbolicGraph, n: int):
     walk = odd_closed_walk(q)
     if walk is not None:
         return OddWalk(walk, q)
-    mapping = dict(zip(q.vertices, q.two_coloring()[1]))
+    colors, _ = _bfs_two_color(adjacency(q.vertices, q.edges))  # symmetric edges
+    mapping = dict(zip(q.vertices, colors))
     return Bipartite(ClopenColoring(level=n, colors=2, mapping=mapping,
                                     alphabet=q.alphabet, two_sided=q.two_sided), q)
 
@@ -397,11 +388,7 @@ def to_dot(q: QuotientGraph) -> str:
     lines = ['%s "%s level %d" {' % (kind, q.source or "quotient", q.level)]
     for v in q.vertices:
         lines.append('  "%s";' % q.label(v))
-    seen = set()
-    for (u, v) in q.edges:
-        if not q.directed and (v, u) in seen:
-            continue
-        seen.add((u, v))
+    for (u, v) in q.distinct_edges():
         lines.append('  "%s" %s "%s";' % (q.label(u), arrow, q.label(v)))
     lines.append("}")
     return "\n".join(lines)

@@ -431,17 +431,6 @@ def _probe_span(node: ForestNode, D: int) -> int:
 # built-in forests and the forest file format
 
 
-def k0_forest() -> LimitForest:
-    from .families import rank_point_alpha, rank_point_beta
-
-    return LimitForest(
-        [
-            ForestNode("alpha0", rank_point_alpha(0), None),
-            ForestNode("beta0", rank_point_beta(0), "alpha0"),
-        ]
-    )
-
-
 def rank_forest(n: int) -> LimitForest:
     """The chain alpha_0 <- alpha_1 <- ... <- alpha_n <- beta_n."""
     from .families import rank_point_alpha, rank_point_beta

@@ -27,8 +27,6 @@ class BudgetError(RuntimeError):
 
 def as_word(letters) -> Word:
     """Coerce a string (one letter per character) or iterable to a word."""
-    if isinstance(letters, str):
-        return tuple(letters)
     return tuple(letters)
 
 

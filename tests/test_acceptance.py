@@ -28,9 +28,9 @@ from clopen.subshift_lang import (
     cb_rank,
     complexity,
     expand_fib_forbidden,
-    k0_forest,
     member,
     power_free_check,
+    rank_forest,
 )
 from clopen.words import BiWord
 
@@ -140,7 +140,7 @@ def test_c07_sturmian_complexity():
 def test_c08_doubled_letter_subshift():
     """rank 2 verified at resolution 40; odd walks at levels 1-4; a proper
     3-coloring of the level-4 quotient exists."""
-    rep = cb_rank(k0_forest(), 40)
+    rep = cb_rank(rank_forest(0), 40)  # the two orbits of k0
     assert rep.rank == 2 and rep.verified
     g = parse_family("k0")
     report = scan(g, 4)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from clopen.cli import main
+from clopen.cli import FAMILY_GRAMMAR, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -142,8 +142,10 @@ def test_hom_decides_before_search(capsys):
                        "--expect", "found")
     lines = out.splitlines()
     assert code == 0 and lines[0] == "found:"
-    mapping = dict(ln.strip().split(" -> ") for ln in lines[1:])
     G, H = _finite_graph(source), _finite_graph(target)
+    g_vertex, h_vertex = ({q.label(v): v for v in q.vertices} for q in (G, H))
+    mapping = {g_vertex[u]: h_vertex[w]
+               for u, w in (ln.strip().split(" -> ") for ln in lines[1:])}
     assert len(G.vertices) == 108 and HomWitness(mapping, False).check(G, H)
     # odd girth 729 below 2187: refused before the size budget (729 x 2187
     # vertices) applies
@@ -290,13 +292,43 @@ RETURN_PARITY = ("color", "build", "--family", "graph-o:d=(3)^inf", "--kind", "r
      "usage error: --bound must be >= 0"),
     (("family", "show", "--family", "gm", "--level", "2", "--bound", "-1"),
      "usage error: --bound must be >= 0"),
+    (("subshift", "lang", "--sturmian", STURMIAN, "--n", "-1"),
+     "usage error: --n must be >= 0"),
+    (("subshift", "complexity", "--sturmian", STURMIAN, "--nmax", "-2"),
+     "usage error: --nmax must be >= 0"),
+    (("color", "verify", "--family", "t", "--predicate", "t-coloring", "--bound", "-1"),
+     "usage error: --bound must be >= 0"),
+    (("cb", "rank", "--family", "k0", "--resolution", "0"),
+     "usage error: --resolution must be >= 1"),
+    (("spectrum", "--family", "ka:A=1", "--max-len", "-1"), "usage error: --max-len must be >= 0"),
+    (("family", "show", "--family", "gm", "--sample", "-1"), "usage error: --sample must be >= 0"),
+    (("scan", "--family", "gm", "--levels", "2", "--budget-ms", "-1"),
+     "usage error: --budget-ms must be >= 0"),
+    (("subshift", "powerfree", "--fib-prefix", "-5", "--power", "3"),
+     "usage error: --fib-prefix must be >= 0"),
 ], ids=["fib-budget", "color-budget", "hom-budget", "missing-file", "fib-negative",
         "fib-2", "fib-120", "fib-100000", "odd-cycle-key", "parity-no-radix", "verify-no-coloring",
-        "cylinder-letter", "cylinder-digit", "quotient-negative-bound", "show-negative-bound"])
+        "cylinder-letter", "cylinder-digit", "quotient-negative-bound", "show-negative-bound",
+        "lang-negative-n", "complexity-negative-nmax", "verify-negative-bound",
+        "cb-zero-resolution", "spectrum-negative-max-len", "show-negative-sample",
+        "scan-negative-budget", "powerfree-negative-prefix"])
 def test_budget_and_file_errors_exit_2(capsys, argv, prefix):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith(prefix) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec,reason", [
+    ("rank-subshift:", "('n')"),
+    ("rank-subshift:n=-1", "(rank parameter must be between 0 and 4)"),
+    ("rank-subshift:n=5", "(rank parameter must be between 0 and 4)"),
+])
+def test_cb_rank_bad_family_exits_2(capsys, spec, reason):
+    # the family parser's usage error: its reason, then the spec grammar
+    code, out, err = run(capsys, "cb", "rank", "--family", spec)
+    assert (code, out) == (2, "")
+    assert err == "usage error: unknown or malformed family %r %s\n%s\n" % (
+        spec, reason, FAMILY_GRAMMAR)
 
 
 FOREST = (

@@ -154,6 +154,34 @@ def test_return_time_cocycle():
             t = nxt
 
 
+def stepped_return_time(d, C, x):
+    """Oracle: step the odometer from x until its first |C| digits are C."""
+    t = tuple(x)
+    for l in range(d.period(len(C))):
+        if t[: len(C)] == C:
+            return l
+        t = prefix_succ(d, t)
+    raise AssertionError("no return within one period")
+
+
+def prefixes(d, n):
+    t = ("0",) * n
+    for _ in range(d.period(n)):
+        yield t
+        t = prefix_succ(d, t)
+
+
+@pytest.mark.parametrize("radix", ["(3)^inf", "2,(3)^inf", "3,4,(3)^inf", "2,5,(4)^inf"])
+def test_return_time_against_stepping(radix):
+    # every cylinder and every prefix at least as long, lengths <= 3
+    d = parse_radix(radix)
+    for c_len in (1, 2, 3):
+        for C in prefixes(d, c_len):
+            for x_len in range(c_len, 4):
+                for x in prefixes(d, x_len):
+                    assert return_time(d, C, x) == stepped_return_time(d, C, x)
+
+
 def test_return_parity_proper_off_the_cylinder():
     d = R3
     C = ("0", "0")

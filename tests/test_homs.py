@@ -134,10 +134,10 @@ def test_ka_obstruction_via_spectrum():
 
 def test_quotient_to_quotient_search():
     d3 = parse_radix("(3)^inf")
-    q1 = quotient(parse_family("graph-o:d=(3)^inf"), 1).to_finite_graph()
+    q1 = quotient(parse_family("graph-o:d=(3)^inf"), 1)
     assert hom_exists(odd_cycle(0), q1) is not None
     # the level-2 quotient is a 9-cycle: the triangle cannot map into it
-    q2 = quotient(parse_family("graph-o:d=(3)^inf"), 2).to_finite_graph()
+    q2 = quotient(parse_family("graph-o:d=(3)^inf"), 2)
     assert hom_exists(odd_cycle(0), q2) is None
     assert hom_exists(q2, q1) is not None  # 9-cycle wraps onto the triangle
 

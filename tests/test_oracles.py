@@ -2,7 +2,7 @@
 2-coloring checked against networkx, and the odd-walk witness against a
 search from every root, on random small graphs, on graphs of odd cycles and
 on every family quotient at levels <= 4; the 2-coloring search against the
-homomorphism search into K_2, the homomorphism search against brute force
+component-wise BFS coloring, the homomorphism search against brute force
 over all maps and against the former search in (-degree, id) order, and the
 cycle spectrum against networkx's simple cycles."""
 
@@ -17,6 +17,7 @@ from clopen.colorings import search_coloring
 from clopen.families import FiniteGraph, adjacency, ka_graph, odd_cycle, parse_family
 from clopen.homs import cycle_spectrum, hom_exists
 from clopen.quotients import (
+    _bfs_two_color,
     _odd_walk_from,
     from_finite_graph,
     odd_closed_walk,
@@ -53,7 +54,8 @@ def all_roots_odd_walk(q):
     for v in q.vertices:
         if (v, v) in edge_set:
             return [v, v]
-    adj, _, odd = q.two_coloring()
+    adj = adjacency(q.vertices, q.edges)
+    _, odd = _bfs_two_color(adj)
     best = None
     limit = 2 * len(adj)
     for root in range(len(adj)):
@@ -69,7 +71,8 @@ def check_against_oracles(q):
     w = odd_closed_walk(q)
     assert (None if w is None else w.length) == double_cover_odd_girth(G)
     assert (None if w is None else w.vertices) == all_roots_odd_walk(q)
-    adj, colors, odd = q.undirected().two_coloring()
+    adj = adjacency(q.vertices, q.undirected().edges)
+    colors, odd = _bfs_two_color(adj)
     assert any(odd) == (not nx.is_bipartite(G))
     index = {v: i for i, v in enumerate(q.vertices)}
     for comp in nx.connected_components(G):
@@ -133,19 +136,38 @@ def test_odd_cycle_graphs_against_oracles(G):
     check_against_oracles(from_finite_graph(G))
 
 
-K2 = FiniteGraph(range(2), [(1, 0)])
+def first_two_coloring(q):
+    """Oracle: the first 2-coloring of the undirected `q` in the search's
+    order, or None when `q` is not bipartite.  Each component's first vertex
+    in the order (-degree, id) gets color 0, which forces the rest: the
+    component's BFS coloring, flipped where that vertex has color 1."""
+    adj = adjacency(q.vertices, q.edges)
+    colors, odd = _bfs_two_color(adj)
+    if any(odd):
+        return None
+    first = [-1] * len(adj)
+    for seed in sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v)):
+        if first[seed] < 0:
+            flip = colors[seed]
+            first[seed] = 0
+            component = [seed]
+            for u in component:  # appended to while walked
+                for v in adj[u]:
+                    if first[v] < 0:
+                        first[v] = colors[v] ^ flip
+                        component.append(v)
+    return dict(zip(q.vertices, first))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(small_graphs(max_n=10), st.booleans())
-def test_two_coloring_search_against_hom_exists(G, bipartite):
+def test_two_coloring_search_against_bfs_coloring(G, bipartite):
     if bipartite:  # keep only the edges across a fixed cut: most graphs then 2-color
         G = FiniteGraph(G.vertices, [(u, v) for (u, v) in G.edges if (u + v) % 2],
                         directed=G.directed)
     q = from_finite_graph(G)
-    w = hom_exists(q.undirected(), K2)
     c = search_coloring(q, 2)
-    assert (None if c is None else c.mapping) == (None if w is None else w.mapping)
+    assert (None if c is None else c.mapping) == first_two_coloring(q.undirected())
 
 
 def dfs_order(G):

@@ -21,7 +21,6 @@ from clopen.subshift_lang import (
     complexity,
     expand_fib_forbidden,
     forest_from_text,
-    k0_forest,
     member,
     power_free_check,
     rank_forest,
@@ -123,7 +122,7 @@ def test_uniform_recurrence():
 
 
 def test_cb_rank_k0():
-    rep = cb_rank(k0_forest(), 40)
+    rep = cb_rank(rank_forest(0), 40)  # the two orbits of k0
     assert rep.rank == 2 and rep.verified
 
 
