@@ -10,7 +10,6 @@ from .dynamics import (
     fibonacci_len,
     fibonacci_word,
     odometer_iter,
-    odometer_succ,
     parse_quadratic,
     parse_radix,
     period_spectrum,

@@ -356,14 +356,12 @@ def cmd_subshift_powerfree(args):
 
 def cmd_cb_rank(args):
     _at_least(args, "resolution", 1)
-    spec = _family(args.family).spec if args.family and not args.forest else ""
+    g = _family(args.family) if args.family and not args.forest else None
     if args.forest:
         with open(args.forest, encoding="utf-8") as fh:
             forest = sub.forest_from_text(fh.read())
-    elif spec == "k0":  # the forest of rank-subshift:n=0
-        forest = sub.rank_forest(0)
-    elif spec.startswith("rank-subshift:") and not spec.endswith(":oriented"):
-        forest = sub.rank_forest(int(_family_arg(spec, "n")))
+    elif g is not None and g.forest is not None and not g.directed:
+        forest = g.forest  # the orbits the family's shift graph walks
     else:
         raise UsageError("need --forest FILE or --family k0|rank-subshift:n=N")
     rep = sub.cb_rank(forest, args.resolution)
@@ -566,12 +564,9 @@ def main(argv=None) -> int:
     except UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return 2
-    except (WordError, fam.FamilyError, col.ColoringError, sub.SubshiftError,
-            ValueError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        print(FAMILY_GRAMMAR, file=sys.stderr)
-        return 2
-    except (BudgetError, OSError) as e:
+    except (ValueError, BudgetError, OSError) as e:
+        # every library error class but BudgetError is a ValueError; a
+        # family-spec error is a UsageError and carries the grammar itself
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -26,8 +26,7 @@ class ClopenColoring:
     prefixes (windows for two-sided families) to colors 0..k-1."""
 
     def __init__(self, level: int, colors: int, mapping: dict,
-                 alphabet: Alphabet | None = None, two_sided: bool = False,
-                 name: str = ""):
+                 alphabet: Alphabet | None = None, two_sided: bool = False):
         if colors < 1:
             raise ColoringError("need at least one color")
         self.level = level
@@ -35,7 +34,6 @@ class ClopenColoring:
         self.mapping = dict(mapping)
         self.alphabet = alphabet
         self.two_sided = two_sided
-        self.name = name
         for v, c in self.mapping.items():
             if not (0 <= c < colors):
                 raise ColoringError("color %r out of range for %r" % (c, v))
@@ -55,12 +53,10 @@ class ClopenColoring:
 
 
 class PredicateColoring:
-    """Decision procedure on points with a declared color count; verification
-    against a family is a bounded edge sweep (sound but partial)."""
+    """Decision procedure on points; verification against a family is a
+    bounded edge sweep (sound but partial)."""
 
-    def __init__(self, name: str, colors: int, fn: Callable):
-        self.name = name
-        self.colors = colors
+    def __init__(self, fn: Callable):
         self.fn = fn
 
     def color_of_point(self, x) -> int:
@@ -156,19 +152,20 @@ def parity_coloring(d: Radix) -> ClopenColoring:
         mapping[t] = i % 2
         t = prefix_succ(d, t)
     return ClopenColoring(level=level, colors=2, mapping=mapping,
-                          alphabet=d.alphabet(), name="parity")
+                          alphabet=d.alphabet())
 
 
-def three_coloring_beta(g: SymbolicGraph, check_levels: int = 6) -> ClopenColoring:
+def three_coloring_beta(g: SymbolicGraph) -> ClopenColoring:
     """Level-1 3-coloring of a block family: marker class, first letter 0,
     first letter 1.  Requires block i of every level to start with the letter
-    matching the parity of i; rejected with a counterexample otherwise."""
-    if g.blocks is None or g.block_count is None:
+    matching the parity of i, checked on block levels 0..5; rejected with a
+    counterexample otherwise."""
+    if g.system is None:
         raise ColoringError("family %s does not expose blocks" % g.spec)
-    for l in range(check_levels):
-        for i in range(g.block_count(l)):
+    for l in range(6):
+        for i in range(g.system.width(l)):
             want = str(i % 2)
-            got = g.blocks(l, i)[0]
+            got = g.system.block(l, i)[0]
             if got != want:
                 raise ColoringError(
                     "block hypothesis fails at level %d index %d: first "
@@ -176,7 +173,7 @@ def three_coloring_beta(g: SymbolicGraph, check_levels: int = 6) -> ClopenColori
                 )
     mapping = {("c",): 0, ("0",): 1, ("1",): 2}
     return ClopenColoring(level=1, colors=3, mapping=mapping,
-                          alphabet=g.alphabet_for(1), name="marker-0-1")
+                          alphabet=g.alphabet_for(1))
 
 
 def t_coloring() -> PredicateColoring:
@@ -198,7 +195,7 @@ def t_coloring() -> PredicateColoring:
                     return 1
         return 0
 
-    return PredicateColoring("t-coloring", 2, fn)
+    return PredicateColoring(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +227,7 @@ def search_coloring(q: QuotientGraph, k: int) -> Optional[ClopenColoring]:
     if w is None:
         return None
     return ClopenColoring(level=q.level, colors=k, mapping=w.mapping,
-                          alphabet=q.alphabet, two_sided=q.two_sided,
-                          name="searched")
+                          alphabet=q.alphabet, two_sided=q.two_sided)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +266,7 @@ def return_parity_coloring(d: Radix, C: Word) -> ClopenColoring:
         mapping[t] = return_time(d, C, t) % 2
         t = prefix_succ(d, t)
     return ClopenColoring(level=level, colors=2, mapping=mapping,
-                          alphabet=d.alphabet(), name="return-parity")
+                          alphabet=d.alphabet())
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Odometer arithmetic on mixed-radix spaces, substitutions and Fibonacci
-words, exact quadratic-irrational arithmetic and Sturmian codings, and
-periodicity of two-sided words."""
+"""Odometer arithmetic on mixed-radix spaces, Fibonacci words, exact
+quadratic-irrational arithmetic and Sturmian codings, and periodicity of
+two-sided words."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .words import Alphabet, BiWord, UltWord, Word, as_word
+from .words import Alphabet, BiWord, UltWord, Word
 
 
 class InvalidPointError(ValueError):
@@ -50,8 +50,8 @@ class Radix:
     def max_digit(self) -> int:
         return max(self.head + self.cycle)
 
-    def alphabet(self, extra: Sequence[str] = ()) -> Alphabet:
-        return Alphabet([str(i) for i in range(self.max_digit())] + list(extra))
+    def alphabet(self) -> Alphabet:
+        return Alphabet([str(i) for i in range(self.max_digit())])
 
     def check_point(self, x: UltWord):
         """Every letter must be a numeral below its digit bound."""
@@ -124,29 +124,6 @@ def _suffix_is_constant(d: Radix, x: UltWord, j0: int, value_of) -> bool:
     return all(value_of(int(x.letter(j)), d.digit(j)) for j in range(j0, span))
 
 
-def odometer_succ(d: Radix, x: UltWord) -> UltWord:
-    """The +1-with-carry map; wraps the all-maximal word to the zero word."""
-    d.check_point(x)
-    span = len(x.head) + len(d.head) + math.lcm(len(x.cycle), len(d.cycle))
-    for n in range(span):
-        if int(x.letter(n)) < d.digit(n) - 1:
-            head = ("0",) * n + (str(int(x.letter(n)) + 1),)
-            return UltWord(head + x.drop(n + 1).head, x.drop(n + 1).cycle)
-    return d.zero()
-
-
-def odometer_pred(d: Radix, x: UltWord) -> UltWord:
-    """Inverse of odometer_succ, by the mirrored borrow rule."""
-    d.check_point(x)
-    span = len(x.head) + len(d.head) + math.lcm(len(x.cycle), len(d.cycle))
-    for n in range(span):
-        if int(x.letter(n)) > 0:
-            head = tuple(str(d.digit(j) - 1) for j in range(n))
-            head += (str(int(x.letter(n)) - 1),)
-            return UltWord(head + x.drop(n + 1).head, x.drop(n + 1).cycle)
-    return d.max_word_from(0)
-
-
 def odometer_iter(d: Radix, x: UltWord, i: int) -> UltWord:
     """i-th iterate (i may be negative) via digitwise add with carries."""
     d.check_point(x)
@@ -191,18 +168,6 @@ def prefix_value(d: Radix, t: Word) -> int:
     return value
 
 
-def prefix_iter(d: Radix, t: Word, i: int) -> Word:
-    """i-th cyclic iterate on length-|t| digit strings."""
-    n = len(t)
-    value = (prefix_value(d, t) + i) % d.period(n)
-    out = []
-    for j in range(n):
-        b = d.digit(j)
-        out.append(str(value % b))
-        value //= b
-    return tuple(out)
-
-
 def period_spectrum(d: Radix, l_max: int) -> list[int]:
     """[d_0 * ... * d_{l-1} for l = 1 .. l_max]."""
     return [d.period(l) for l in range(1, l_max + 1)]
@@ -214,34 +179,7 @@ def orbit_point(d: Radix, i: int) -> UltWord:
 
 
 # ---------------------------------------------------------------------------
-# substitutions and Fibonacci words
-
-
-class Substitution:
-    """Letter-to-word map extended to words by concatenation."""
-
-    def __init__(self, images: dict):
-        self.images = {a: as_word(w) for a, w in images.items()}
-        if any(len(w) == 0 for w in self.images.values()):
-            raise ValueError("substitution images must be nonempty")
-
-    def apply(self, w) -> Word:
-        out: list = []
-        for a in as_word(w):
-            out.extend(self.images[a])
-        return tuple(out)
-
-
-def substitute(t: Substitution, w, k: int) -> Word:
-    if k < 0:
-        raise ValueError("iteration count must be >= 0")
-    out = as_word(w)
-    for _ in range(k):
-        out = t.apply(out)
-    return out
-
-
-FIB_SUBSTITUTION = Substitution({"0": "1", "1": "01"})
+# Fibonacci words
 
 
 @lru_cache(maxsize=None)

@@ -96,6 +96,10 @@ class SymbolicGraph:
     the graph itself is the symmetrization unless `directed` is set.  Points
     are UltWords (one-sided spaces), or BiWords/BlockWords (two-sided
     subshifts), in which case level n reads the symmetric window [-n, n).
+
+    A two-sided family carries its `forest`, the LimitForest whose orbits
+    it walks and whose Cantor-Bendixson rank `cb rank` verifies; a block
+    family carries its BlockSystem as `system`.
     """
 
     def __init__(
@@ -105,11 +109,10 @@ class SymbolicGraph:
         generate: Callable[[int, int], list],
         saturation: Callable[[int], int],
         directed: bool = False,
-        two_sided: bool = False,
+        forest=None,
         compact: bool = True,
         point_set: str = "",
-        blocks: Callable[[int, int], Word] | None = None,
-        block_count: Callable[[int], int] | None = None,
+        system: BlockSystem | None = None,
         finite_core: Callable[[], FiniteGraph] | None = None,
     ):
         self.spec = spec
@@ -117,12 +120,15 @@ class SymbolicGraph:
         self.generate = generate
         self.saturation = saturation
         self.directed = directed
-        self.two_sided = two_sided
+        self.forest = forest
         self.compact = compact
         self.point_set = point_set
-        self.blocks = blocks
-        self.block_count = block_count
+        self.system = system
         self.finite_core = finite_core
+
+    @property
+    def two_sided(self) -> bool:
+        return self.forest is not None
 
     def __repr__(self):
         return "SymbolicGraph(%s)" % self.spec
@@ -485,8 +491,7 @@ def graph_from_system(system: BlockSystem, spec: str,
         saturation=system.saturation,
         compact=True,
         point_set="closure of the %sblock graph projection" % ("marked " if marked else ""),
-        blocks=system.block,
-        block_count=system.width,
+        system=system,
     )
 
 
@@ -679,10 +684,6 @@ def restricted_orbit_graph(d: Radix, S: OrbitIndexSet) -> SymbolicGraph:
 # two-sided subshift families
 
 
-def _k0_alpha0() -> BiWord:
-    return BiWord(("0", "1"), (), ("0", "1"))
-
-
 def _rank_block(m: int, j: int) -> Word:
     """Level-m block j: level 0 blocks are all 01; at level m+1 block 0 is 11
     and block j+1 is (01)^(j+1) 11 followed by the level-m blocks 0..j+1."""
@@ -699,7 +700,7 @@ def _rank_block(m: int, j: int) -> Word:
 def rank_point_alpha(m: int) -> BiWord | BlockWord:
     """(01)-periodic to the left; 11 then the level-(m-1) blocks to the right."""
     if m == 0:
-        return _k0_alpha0()
+        return BiWord(("0", "1"), (), ("0", "1"))
     if m == 1:
         return BiWord(("0", "1"), ("1", "1"), ("0", "1"))
     return BlockWord(
@@ -720,48 +721,43 @@ def rank_point_beta(m: int) -> BiWord | BlockWord:
     )
 
 
-def _shift_edges(points: list, bound: int) -> list:
-    """Edges (x, shift-by-one image) for finitely many shifts of each base
-    point; a periodic base contributes its whole finite orbit."""
-    from .dynamics import periodic_point_period
+def _shift_graph(spec: str, forest, saturation: Callable[[int], int],
+                 point_set: str) -> SymbolicGraph:
+    """Graph of the shift on the orbits of a declared forest: an edge joins
+    each point of a node's orbit walk (`ForestNode.orbit`, which shifts an
+    aperiodic base by -bound..bound) to its shift by one, in forest order."""
+    alphabet = Alphabet(["0", "1"])
 
-    edges = []
-    for base in points:
-        period = None
-        if isinstance(base, BiWord):
-            period = periodic_point_period(base)
-        if period is not None:
-            for k in range(period):
-                edges.append((base.shift(k), base.shift(k + 1)))
-        else:
-            for k in range(-bound, bound + 1):
-                edges.append((base.shift(k), base.shift(k + 1)))
-    return edges
+    def generate(bound: int, level: int = 0) -> list:
+        return [(x, x.shift(1)) for node in forest.nodes.values() for x in node.orbit(bound)]
+
+    return SymbolicGraph(
+        spec=spec,
+        alphabet_for=lambda n: alphabet,
+        generate=generate,
+        saturation=saturation,
+        forest=forest,
+        compact=True,
+        point_set=point_set,
+    )
 
 
 def k0_graph() -> SymbolicGraph:
     """Graph of the shift on the union of the 2-periodic orbit and the orbit
-    of the word with a single doubled letter."""
-    alphabet = Alphabet(["0", "1"])
-    points = [_k0_alpha0(), rank_point_beta(0)]
+    of the word with a single doubled letter: the forest rank_forest(0)."""
+    from .subshift_lang import rank_forest
 
-    return SymbolicGraph(
-        spec="k0",
-        alphabet_for=lambda n: alphabet,
-        generate=lambda bound, level=0: _shift_edges(points, bound),
-        saturation=lambda n: 2 * n + 4,
-        two_sided=True,
-        compact=True,
-        point_set="two shift orbits in {0,1}^Z",
-    )
+    return _shift_graph("k0", rank_forest(0), lambda n: 2 * n + 4,
+                        "two shift orbits in {0,1}^Z")
 
 
 def rank_subshift(n: int) -> SymbolicGraph:
-    """Countable subshift of rank n+2: orbits of alpha_0..alpha_n and beta_n."""
+    """Countable subshift of rank n+2: orbits of alpha_0..alpha_n and beta_n,
+    the forest rank_forest(n)."""
+    from .subshift_lang import rank_forest
+
     if not (0 <= n <= 4):
         raise FamilyError("rank parameter must be between 0 and 4")
-    alphabet = Alphabet(["0", "1"])
-    points = [rank_point_alpha(m) for m in range(n + 1)] + [rank_point_beta(n)]
 
     def saturation(level: int) -> int:
         # past this many shifts, every window already occurred: the block
@@ -771,15 +767,8 @@ def rank_subshift(n: int) -> SymbolicGraph:
             pos += len(_rank_block(max(n, 1), j))
         return pos + 2 * level
 
-    return SymbolicGraph(
-        spec="rank-subshift:n=%d" % n,
-        alphabet_for=lambda level: alphabet,
-        generate=lambda bound, level=0: _shift_edges(points, bound),
-        saturation=saturation,
-        two_sided=True,
-        compact=True,
-        point_set="countable subshift of rank %d" % (n + 2),
-    )
+    return _shift_graph("rank-subshift:n=%d" % n, rank_forest(n), saturation,
+                        "countable subshift of rank %d" % (n + 2))
 
 
 # ---------------------------------------------------------------------------

@@ -186,13 +186,12 @@ class ObstructionReport:
         return out
 
 
-def quotient_hom_obstruction(g1: SymbolicGraph, g2: SymbolicGraph, n: int,
-                             spectrum_cap: int = 40) -> ObstructionReport:
+def quotient_hom_obstruction(g1: SymbolicGraph, g2: SymbolicGraph, n: int) -> ObstructionReport:
     """Compare the level-n quotients: odd closed walks must map to odd closed
     walks of at most equal length, so a larger target odd girth obstructs
     every reduction compatible with the level-n data.  When both families
     expose finite cores, simple cycles obstruct injective reductions via the
-    cycle spectrum."""
+    cycle spectrum, of lengths up to 40."""
     w1, w2 = (odd_closed_walk(quotient(g, n)) for g in (g1, g2))
     o1, o2 = (None if w is None else w.length for w in (w1, w2))
     girth_obstructed = o1 is not None and (o2 is None or o2 > o1)
@@ -200,8 +199,8 @@ def quotient_hom_obstruction(g1: SymbolicGraph, g2: SymbolicGraph, n: int,
     spectrum_reason = ""
     spectrum_obstructed = False
     if g1.finite_core is not None and g2.finite_core is not None:
-        s1 = cycle_spectrum(g1.finite_core(), spectrum_cap)
-        s2 = cycle_spectrum(g2.finite_core(), spectrum_cap)
+        s1 = cycle_spectrum(g1.finite_core(), 40)
+        s2 = cycle_spectrum(g2.finite_core(), 40)
         spectra = (s1, s2)
         missing = sorted(s1 - s2)
         if missing:

@@ -69,7 +69,7 @@ class QuotientGraph:
         return out
 
 
-def from_finite_graph(G, name: str = "finite") -> QuotientGraph:
+def from_finite_graph(G) -> QuotientGraph:
     """Wrap a finite graph as a level-1 quotient so the coloring search and
     walk machinery apply to it."""
     labels = {v: (str(v),) for v in G.vertices}
@@ -80,7 +80,7 @@ def from_finite_graph(G, name: str = "finite") -> QuotientGraph:
     )
     return QuotientGraph(
         1, sorted(labels.values(), key=alphabet.key), edges, G.directed, alphabet,
-        source=name,
+        source="finite",
     )
 
 

@@ -53,18 +53,18 @@ def member(b: BiWord, F: ForbiddenSet) -> bool:
     return True
 
 
-def expand_fib_forbidden(p: int, budget: int = 200_000) -> ForbiddenSet:
+def expand_fib_forbidden(p: int) -> ForbiddenSet:
     """The stage-p forbidden set: 00, 111, and all eighth powers w^8 with
-    0 < 8|w| < f(9p+5)."""
+    0 < 8|w| < f(9p+5), refused over a budget of 200000 words."""
     limit = fibonacci_len(9 * p + 5)
     max_w = (limit - 1) // 8
     k = max_w + 1  # the stage forbids 2^k - 2 power words
-    # 2^k - 2 > budget exactly when k reaches the bit length of budget + 2
-    if k >= (budget + 2).bit_length():
+    # 2^k - 2 > 200000 exactly when k reaches the bit length of 200002
+    if k >= (200_000 + 2).bit_length():
         count = ("2^%d - 2" % k if k.bit_length() <= 64
                  else "2^k - 2 (k of %d bits)" % k.bit_length())
-        raise BudgetError("stage %d needs %s power words, over the budget of %d"
-                          % (p, count, budget))
+        raise BudgetError("stage %d needs %s power words, over the budget of 200000"
+                          % (p, count))
     words = [("0", "0"), ("1", "1", "1")]
     for ln in range(1, max_w + 1):
         for i in range(2**ln):
@@ -236,21 +236,24 @@ def _occurs(w: Word, v: Word) -> bool:
 
 
 class ForestNode:
-    """An orbit family: explicit points of a finite orbit, or the full shift
-    orbit of an infinite-orbit base point."""
+    """An orbit family: the finite orbit of a shift-periodic base point, or
+    the full shift orbit of an infinite-orbit base point."""
 
     def __init__(self, node_id: str, base, parent: str | None):
         self.id = node_id
         self.base = base  # BiWord or BlockWord
         self.parent = parent  # node id or None for roots
 
-    def finite_orbit(self):
-        """The explicit orbit when the base is shift-periodic, else None."""
-        if isinstance(self.base, BiWord):
-            p = periodic_point_period(self.base)
-            if p is not None:
-                return [self.base.shift(k) for k in range(p)]
-        return None
+    def period(self):
+        """The least shift period of a shift-periodic base, else None."""
+        return periodic_point_period(self.base) if isinstance(self.base, BiWord) else None
+
+    def orbit(self, span: int) -> list:
+        """The whole finite orbit, shift(k) for k < period, when the base is
+        shift-periodic; else shift(k) for -span <= k <= span."""
+        p = self.period()
+        return [self.base.shift(k)
+                for k in (range(p) if p is not None else range(-span, span + 1))]
 
 
 class LimitForest:
@@ -299,23 +302,8 @@ class LimitForest:
         return out
 
 
-def _family_windows(node: ForestNode, radius: int, shifts: int) -> set:
-    fin = node.finite_orbit()
-    if fin is not None:
-        return {p.window(-radius, radius) for p in fin}
-    return {
-        node.base.shift(k).window(-radius, radius)
-        for k in range(-shifts, shifts + 1)
-    }
-
-
 def _family_factors(node: ForestNode, m: int, span: int) -> set:
-    fin = node.finite_orbit()
-    if fin is not None:
-        out: set = set()
-        for p in fin:
-            out |= p.factors(m)
-        return out
+    # a factor set is shift-invariant, and exact for an eventually periodic base
     if isinstance(node.base, BiWord):
         return node.base.factors(m)
     buf = node.base.window(-span, span)
@@ -344,12 +332,13 @@ class CBReport:
         return "\n".join(lines)
 
 
-def cb_rank(forest: LimitForest, resolution: int = 40, min_hits: int = 3) -> CBReport:
+def cb_rank(forest: LimitForest, resolution: int = 40) -> CBReport:
     """Rank = forest height; the verification checks, at the given resolution,
-    that (i) each child family really accumulates on its parent (its windows
-    match parent windows for parameters beyond the declared span, on both
-    sides when possible) and (ii) each node carries a factor of length <= the
-    resolution that no non-descendant family contains."""
+    that (i) each child family really accumulates on its parent (at least
+    three of its windows match parent windows for parameters beyond the
+    declared span, on both sides when possible) and (ii) each node carries a
+    factor of length <= the resolution that no non-descendant family
+    contains."""
     edge_checks = {}
     node_checks = {}
     D = resolution
@@ -357,13 +346,13 @@ def cb_rank(forest: LimitForest, resolution: int = 40, min_hits: int = 3) -> CBR
         if node.parent is None:
             continue
         parent = forest.nodes[node.parent]
-        if node.finite_orbit() is not None:
+        if node.period() is not None:
             edge_checks[(node.id, node.parent)] = (
                 False,
                 "finite families cannot accumulate on anything",
             )
             continue
-        parent_windows = _family_windows(parent, D, shifts=4 * D + 8)
+        parent_windows = {x.window(-D, D) for x in parent.orbit(4 * D + 8)}
         probe_span = _probe_span(node, D)
         hits_pos = sum(
             1
@@ -375,7 +364,7 @@ def cb_rank(forest: LimitForest, resolution: int = 40, min_hits: int = 3) -> CBR
             for k in range(D + 1, probe_span)
             if node.base.shift(-k).window(-D, D) in parent_windows
         )
-        ok = hits_pos + hits_neg >= min_hits and max(hits_pos, hits_neg) > 0
+        ok = hits_pos + hits_neg >= 3 and max(hits_pos, hits_neg) > 0
         edge_checks[(node.id, node.parent)] = (
             ok,
             "%d matching windows beyond the resolution (+%d/-%d)"

@@ -306,12 +306,22 @@ RETURN_PARITY = ("color", "build", "--family", "graph-o:d=(3)^inf", "--kind", "r
      "usage error: --budget-ms must be >= 0"),
     (("subshift", "powerfree", "--fib-prefix", "-5", "--power", "3"),
      "usage error: --fib-prefix must be >= 0"),
+    # errors of no family spec: one line, without the spec grammar
+    (("subshift", "powerfree", "--word", "0101", "--power", "0"),
+     "error: power must be >= 2\n"),
+    (("quotient", "--family", "gm", "--level", "-1"), "error: level must be >= 0\n"),
+    # a family without a declared forest, and an oriented variant
+    (("cb", "rank", "--family", "k0:oriented"),
+     "usage error: need --forest FILE or --family k0|rank-subshift:n=N\n"),
+    (("cb", "rank", "--family", "gm"),
+     "usage error: need --forest FILE or --family k0|rank-subshift:n=N\n"),
 ], ids=["fib-budget", "color-budget", "hom-budget", "missing-file", "fib-negative",
         "fib-2", "fib-120", "fib-100000", "odd-cycle-key", "parity-no-radix", "verify-no-coloring",
         "cylinder-letter", "cylinder-digit", "quotient-negative-bound", "show-negative-bound",
         "lang-negative-n", "complexity-negative-nmax", "verify-negative-bound",
         "cb-zero-resolution", "spectrum-negative-max-len", "show-negative-sample",
-        "scan-negative-budget", "powerfree-negative-prefix"])
+        "scan-negative-budget", "powerfree-negative-prefix", "powerfree-power-0",
+        "quotient-negative-level", "cb-oriented-family", "cb-family-without-forest"])
 def test_budget_and_file_errors_exit_2(capsys, argv, prefix):
     code, out, err = run(capsys, *argv)
     assert code == 2

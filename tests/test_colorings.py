@@ -77,8 +77,8 @@ def test_three_coloring_beta():
     assert verify_coloring(g, c, 4).ok
     # blocks alternate their first letter, which is what makes this work
     for l in range(3):
-        for i in range(g.block_count(l)):
-            assert g.blocks(l, i)[0] == str(i % 2)
+        for i in range(g.system.width(l)):
+            assert g.system.block(l, i)[0] == str(i % 2)
 
 
 def test_three_coloring_beta_rejects_bad_blocks():

@@ -12,7 +12,6 @@ from fractions import Fraction
 import pytest
 
 from clopen.dynamics import (
-    FIB_SUBSTITUTION,
     InvalidPointError,
     QuadraticReal,
     Radix,
@@ -22,21 +21,56 @@ from clopen.dynamics import (
     fibonacci_word,
     format_radix,
     odometer_iter,
-    odometer_pred,
-    odometer_succ,
     parse_quadratic,
     parse_radix,
     period_spectrum,
     periodic_point_period,
     prefix_succ,
     sturmian_code,
-    substitute,
 )
-from clopen.words import BiWord, parse_bi, parse_ult
+from clopen.words import BiWord, UltWord, as_word, parse_bi, parse_ult
 
 
 R3 = parse_radix("(3)^inf")
 R23 = parse_radix("2,(3)^inf")
+
+
+# oracles: the +1-with-carry map and its borrow inverse, digit by digit, and
+# the letter-to-word substitution whose iterates give the Fibonacci words
+
+
+def odometer_succ(d, x):
+    """The +1-with-carry map; wraps the all-maximal word to the zero word."""
+    d.check_point(x)
+    span = len(x.head) + len(d.head) + math.lcm(len(x.cycle), len(d.cycle))
+    for n in range(span):
+        if int(x.letter(n)) < d.digit(n) - 1:
+            head = ("0",) * n + (str(int(x.letter(n)) + 1),)
+            return UltWord(head + x.drop(n + 1).head, x.drop(n + 1).cycle)
+    return d.zero()
+
+
+def odometer_pred(d, x):
+    """Inverse of odometer_succ, by the mirrored borrow rule."""
+    d.check_point(x)
+    span = len(x.head) + len(d.head) + math.lcm(len(x.cycle), len(d.cycle))
+    for n in range(span):
+        if int(x.letter(n)) > 0:
+            head = tuple(str(d.digit(j) - 1) for j in range(n))
+            head += (str(int(x.letter(n)) - 1),)
+            return UltWord(head + x.drop(n + 1).head, x.drop(n + 1).cycle)
+    return d.max_word_from(0)
+
+
+FIB_SUBSTITUTION = {"0": ("1",), "1": ("0", "1")}
+
+
+def substitute(images, w, k):
+    """The k-th iterate of the substitution on the word w."""
+    out = as_word(w)
+    for _ in range(k):
+        out = tuple(b for a in out for b in images[a])
+    return out
 
 
 def test_radix_grammar_round_trip():
@@ -58,16 +92,16 @@ def test_radix_classes():
 
 
 def test_succ_examples():
-    assert odometer_succ(R3, R3.zero()) == parse_ult("1(0)^inf")
-    assert odometer_succ(R3, parse_ult("(2)^inf")) == R3.zero()
-    assert odometer_succ(R23, parse_ult("1(0)^inf")) == parse_ult("01(0)^inf")
+    assert odometer_iter(R3, R3.zero(), 1) == parse_ult("1(0)^inf")
+    assert odometer_iter(R3, parse_ult("(2)^inf"), 1) == R3.zero()
+    assert odometer_iter(R23, parse_ult("1(0)^inf"), 1) == parse_ult("01(0)^inf")
 
 
 def test_succ_rejects_invalid_points():
     with pytest.raises(InvalidPointError):
-        odometer_succ(R3, parse_ult("3(0)^inf"))
+        odometer_iter(R3, parse_ult("3(0)^inf"), 1)
     with pytest.raises(InvalidPointError):
-        odometer_succ(R23, parse_ult("(2)^inf"))
+        odometer_iter(R23, parse_ult("(2)^inf"), 1)
 
 
 def test_iter_small_equals_repeated_succ():
@@ -302,19 +336,6 @@ def test_sturmian_window_factor_count():
     code = sturmian_code(r, 0, 0, 2000)
     factors4 = {code[i : i + 4] for i in range(len(code) - 3)}
     assert len(factors4) == 5
-
-
-def test_prefix_iter_matches_repeated_succ():
-    from clopen.dynamics import prefix_iter
-
-    for d in (R3, R23):
-        t = ("0", "0", "0")
-        for i in range(20):
-            assert prefix_iter(d, ("0", "0", "0"), i) == t
-            t = prefix_succ(d, t)
-        assert prefix_iter(d, ("1", "0", "2"), -1) == prefix_iter(
-            d, ("1", "0", "2"), d.period(3) - 1
-        )
 
 
 def test_half_period_iterates_reach_the_midpoint_words():

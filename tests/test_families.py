@@ -139,8 +139,8 @@ def test_go_plus_degree_at_most_one():
 def test_go_plus_blocks_alternate_first_letter():
     g = go_plus(parse_radix("2,(3)^inf"))
     for l in range(4):
-        for i in range(g.block_count(l)):
-            assert g.blocks(l, i)[0] == str(i % 2)
+        for i in range(g.system.width(l)):
+            assert g.system.block(l, i)[0] == str(i % 2)
 
 
 def test_sturmian_block_graph():
@@ -369,7 +369,7 @@ def test_block_tops_approach_the_half_maximum_point():
     d = parse_radix("2,(3)^inf")
     g = go_plus(d)
     for l in range(4):
-        top = g.blocks(l, g.block_count(l) - 1)
+        top = g.system.block(l, g.system.width(l) - 1)
         assert top == ("1",) + ("1",) * l  # (3-1)/2 = 1 at every later position
 
 
@@ -402,7 +402,8 @@ def test_ka_map_is_injective_on_generated_points():
 
 # each level's pairs in order, every pair with its first representative edge
 # as `family show` prints it, pinned from the uncut block-chain walk; the
-# block families also at levels 5-6 and with the bound enlarged by 3
+# block families also at levels 5-6 and with the bound enlarged by 3, and
+# rank-subshift:n=2 at levels 0-4
 ENUMERATION = json.loads((Path(__file__).parent / "golden" / "enumeration.json")
                          .read_text(encoding="utf-8"))
 ENUMERATION_CASES = {
@@ -414,6 +415,10 @@ ENUMERATION_CASES = {
         (spec, n, extra)
         for spec in ("go-plus:d=2,(3)^inf", "gp:d=2,(3)^inf,p=0", "gp:d=2,(3)^inf,p=1")
         for n in (5, 6) for extra in (0, 3)
+    ] + [
+        # alpha_2 and beta_2 are both lazily generated BlockWords
+        (spec, n, 0) for spec in ("rank-subshift:n=2", "rank-subshift:n=2:oriented")
+        for n in range(5)
     ]
 }
 
