@@ -55,13 +55,16 @@ def _finite_graph(spec: str):
     if spec.startswith("file:"):
         with open(spec[len("file:") :], encoding="utf-8") as fh:
             return homs.finite_graph_from_text(fh.read())
+    bad = UsageError(
+        "finite graph spec must be odd-cycle:p=N, file:PATH or FAMILY@LEVEL: %r" % spec)
     if "@" in spec:
         fspec, level = spec.rsplit("@", 1)
-        return quo.quotient(_family(fspec), int(level)).undirected()
-    raise UsageError(
-        "finite graph spec must be odd-cycle:p=N, file:PATH or FAMILY@LEVEL: %r"
-        % spec
-    )
+        try:
+            level = int(level)
+        except ValueError:
+            raise bad from None
+        return quo.quotient(_family(fspec), level).undirected()
+    raise bad
 
 
 def _print_json(payload, no_timing: bool):
@@ -356,7 +359,9 @@ def cmd_subshift_powerfree(args):
 
 def cmd_cb_rank(args):
     _at_least(args, "resolution", 1)
-    g = _family(args.family) if args.family and not args.forest else None
+    if args.family and args.forest:
+        raise UsageError("give --forest FILE or --family, not both")
+    g = _family(args.family) if args.family else None
     if args.forest:
         with open(args.forest, encoding="utf-8") as fh:
             forest = sub.forest_from_text(fh.read())

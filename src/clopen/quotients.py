@@ -357,6 +357,7 @@ def scan(g: SymbolicGraph, n_max: int, budget_ms: float | None = None) -> dict:
             break
         entry["witness"] = result.witness.as_json(q)
         entry["oddGirth"] = result.witness.length
+        del result, q  # free this level's quotient before the next is built
     reached = levels[-1]["level"] if levels else 0
     if headline is None:
         if partial:

@@ -4,7 +4,7 @@ of symbolically presented countable compacta."""
 
 from __future__ import annotations
 
-from operator import eq
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .dynamics import (
@@ -84,13 +84,14 @@ class ForbiddenSubshift:
     def __init__(self, letters: Sequence[str], F: ForbiddenSet):
         self.letters = tuple(letters)
         self.F = F
+        self._lengths = sorted({len(f) for f in F.words})
         self._pruned: Optional[set] = None
 
-    def _avoids(self, w: Word) -> bool:
-        for m in {len(f) for f in self.F.words}:
-            if any(w[i : i + m] in self.F.words for i in range(len(w) - m + 1)):
-                return False
-        return True
+    def _avoids(self, ext: Word) -> bool:
+        """Whether ext avoids F, given that ext[:-1] does: only a suffix of
+        ext can be a new factor.  (A length m > |ext| tests ext itself,
+        which the length |ext| already tests.)"""
+        return not any(ext[-m:] in self.F.words for m in self._lengths)
 
     def _vertices(self) -> set:
         """F-avoiding words of length max(M-1, 1) that extend to biinfinite
@@ -138,8 +139,9 @@ class ForbiddenSubshift:
             nxt = set()
             for w in words:
                 for a in self.letters:
-                    if self._avoids(w + (a,)) and (w + (a,))[-L:] in verts:
-                        nxt.add(w + (a,))
+                    ext = w + (a,)
+                    if self._avoids(ext) and ext[-L:] in verts:
+                        nxt.add(ext)
             words = nxt
         return words
 
@@ -197,16 +199,30 @@ def power_free_check(w, k: int):
     (v, position) of the leftmost shortest violation: the least |v|, then
     the least position.
 
-    For each period l ascending, one pass marks the positions j with
-    w[j] == w[j+l]; v^k with |v| = l starts at i exactly when the marks at
-    i .. i+(k-1)*l-1 are all set, so the first such run of marks gives the
-    least i for the least l."""
+    Each letter is coded once as a fixed-width byte string whose value is
+    at least 1, and the codes of w are read as one integer X, letter 0 most
+    significant.  For each period l ascending, letter slot j of
+    X ^ (X >> 8*width*l) is zero exactly when j >= l and w[j] == w[j-l]: a
+    slot j < l xors a nonzero code with 0.  v^k with |v| = l starts at i
+    exactly when the (k-1)*l slots from i+l on are all zero, so the first
+    width-aligned run of that many zero slots gives the least i for the
+    least l."""
     if k < 2:
         raise SubshiftError("power must be >= 2")
     w = as_word(w)
+    letters = dict.fromkeys(w)
+    width = (len(letters).bit_length() + 7) // 8
+    code = {a: c.to_bytes(width, "big") for c, a in enumerate(letters, 1)}
+    data = b"".join(map(code.__getitem__, w))
+    x = int.from_bytes(data, "big")
     for ln in range(1, len(w) // k + 1):
-        i = bytes(map(eq, w, w[ln:])).find(b"\x01" * ((k - 1) * ln))
-        if i >= 0:
+        diff = (x ^ (x >> 8 * width * ln)).to_bytes(len(data), "big")
+        zeros = bytes(width * (k - 1) * ln)
+        pos = diff.find(zeros)
+        while pos > 0 and pos % width:  # a run that starts inside a slot
+            pos = diff.find(zeros, pos - pos % width + width)
+        if pos >= 0:
+            i = pos // width - ln
             return (w[i : i + ln], i)
     return None
 
@@ -248,12 +264,22 @@ class ForestNode:
         """The least shift period of a shift-periodic base, else None."""
         return periodic_point_period(self.base) if isinstance(self.base, BiWord) else None
 
+    def _shifts(self, span: int) -> range:
+        p = self.period()
+        return range(p) if p is not None else range(-span, span + 1)
+
     def orbit(self, span: int) -> list:
         """The whole finite orbit, shift(k) for k < period, when the base is
         shift-periodic; else shift(k) for -span <= k <= span."""
-        p = self.period()
-        return [self.base.shift(k)
-                for k in (range(p) if p is not None else range(-span, span + 1))]
+        return [self.base.shift(k) for k in self._shifts(span)]
+
+    def windows(self, span: int, D: int):
+        """The [-D, D) windows of the points of orbit(span), in its order and
+        one at a time, as slices of one window of the base:
+        shift(k).window(-D, D) is base.window(k - D, k + D)."""
+        ks = self._shifts(span)
+        buf = self.base.window(ks.start - D, ks.stop - 1 + D)
+        return (buf[i : i + 2 * D] for i in range(len(ks)))
 
 
 class LimitForest:
@@ -352,52 +378,41 @@ def cb_rank(forest: LimitForest, resolution: int = 40) -> CBReport:
                 "finite families cannot accumulate on anything",
             )
             continue
-        parent_windows = {x.window(-D, D) for x in parent.orbit(4 * D + 8)}
-        probe_span = _probe_span(node, D)
-        hits_pos = sum(
-            1
-            for k in range(D + 1, probe_span)
-            if node.base.shift(k).window(-D, D) in parent_windows
-        )
-        hits_neg = sum(
-            1
-            for k in range(D + 1, probe_span)
-            if node.base.shift(-k).window(-D, D) in parent_windows
-        )
+        parent_windows = set(parent.windows(4 * D + 8, D))
+        # the shifts -span..span, of which |k| <= D are skipped
+        span = _probe_span(node, D) - 1
+        wins = node.windows(span, D)
+        hits_neg = sum(w in parent_windows for w in islice(wins, span - D))
+        hits_pos = sum(w in parent_windows for w in islice(wins, 2 * D + 1, None))
         ok = hits_pos + hits_neg >= 3 and max(hits_pos, hits_neg) > 0
         edge_checks[(node.id, node.parent)] = (
             ok,
             "%d matching windows beyond the resolution (+%d/-%d)"
             % (hits_pos + hits_neg, hits_pos, hits_neg),
         )
+    # isolation, one factor length m at a time for every open node, so that
+    # each family's length-m factor set is built once per probe span
+    others = {}
     for node in forest.nodes.values():
-        others = [
-            forest.nodes[i]
-            for i in forest.nodes
-            if i != node.id and i not in forest.descendants(node.id)
-        ]
-        if not others:
+        desc = forest.descendants(node.id)
+        others[node] = [o for o in forest.nodes.values()
+                        if o.id != node.id and o.id not in desc]
+        if not others[node]:
             node_checks[node.id] = (True, "no non-descendant families")
-            continue
-        span = _probe_span(node, D)
-        found = None
-        for m in range(1, D + 1):
-            mine = _family_factors(node, m, span)
-            for other in others:
-                mine -= _family_factors(other, m, span)
+    open_nodes = {node: _probe_span(node, D) for node in others if others[node]}
+    for m in range(1, D + 1):
+        factors = {}  # (node, span) -> its length-m factors
+        for node, span in list(open_nodes.items()):
+            for x in [node] + others[node]:
+                if (x, span) not in factors:
+                    factors[x, span] = _family_factors(x, m, span)
+            mine = factors[node, span].difference(
+                *(factors[o, span] for o in others[node]))
             if mine:
-                found = sorted(mine)[0]
-                break
-        if found is None:
-            node_checks[node.id] = (
-                False,
-                "no separating factor of length <= %d" % D,
-            )
-        else:
-            node_checks[node.id] = (
-                True,
-                "separating factor %s" % format_word(found),
-            )
+                node_checks[node.id] = (True, "separating factor %s" % format_word(min(mine)))
+                del open_nodes[node]
+    for node in open_nodes:
+        node_checks[node.id] = (False, "no separating factor of length <= %d" % D)
     verified = all(ok for ok, _ in edge_checks.values()) and all(
         ok for ok, _ in node_checks.values()
     )

@@ -48,6 +48,13 @@ def _rot_right(w: Word, k: int = 1) -> Word:
     return _rot_left(w, len(w) - (k % len(w)))
 
 
+def _cyclic(cycle: Word, offset: int, n: int) -> Word:
+    """n letters of cycle·cycle·..., the first being cycle[offset % |cycle|];
+    empty when n <= 0."""
+    o = offset % len(cycle)
+    return (cycle * ((o + n - 1) // len(cycle) + 1))[o : o + max(n, 0)]
+
+
 class Alphabet:
     """Ordered finite list of letter tokens; the order is used for sorting,
     walk tie-breaking and DOT labels."""
@@ -242,8 +249,12 @@ class BiWord:
         return self.right[(p - self.end) % len(self.right)]
 
     def window(self, a: int, b: int) -> Word:
-        """Letters at coordinates a <= p < b."""
-        return tuple(self.letter(p) for p in range(a, b))
+        """Letters at coordinates a <= p < b: the left-cycle part, the core
+        slice and the right-cycle part."""
+        s, e = self.start, self.end
+        return (_cyclic(self.left, a - s, min(b, s) - a)
+                + self.core[max(a - s, 0) : max(min(b, e) - s, 0)]
+                + _cyclic(self.right, max(a, e) - e, b - max(a, e)))
 
     def shift(self, k: int) -> "BiWord":
         """The word w with w(i) = self(i+k)."""
@@ -302,12 +313,12 @@ class BlockWord:
         return self._buf[i]
 
     def window(self, a: int, b: int) -> Word:
-        """Letters at positions a..b-1: the periodic left part letter by
-        letter, the rest sliced from the materialised tail."""
+        """Letters at positions a..b-1: the periodic left part cut from the
+        repeated cycle, the rest sliced from the materialised tail."""
+        left = _cyclic(self.left, a - self.start, min(b, self.start) - a)
         if b <= self.start:
-            return tuple(self.letter(p) for p in range(a, b))
+            return left
         self.letter(b - 1)  # materialise the tail up to b - 1
-        left = tuple(self.letter(p) for p in range(a, self.start))
         return left + tuple(self._buf[max(a - self.start, 0) : b - self.start])
 
     def shift(self, k: int) -> "BlockWord":

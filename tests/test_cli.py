@@ -261,7 +261,23 @@ STURMIAN = "(3 - 1 sqrt 5)/2"
      "subshift-powerfree-fib-2000-3.txt"),
     (("cb", "rank", "--family", "rank-subshift:n=3", "--resolution", "40"),
      "cb-rank-subshift-3.txt"),
-], ids=["complexity-30", "lang-40", "powerfree-4", "powerfree-3", "cb-rank-3"])
+    (("cb", "rank", "--family", "rank-subshift:n=0", "--resolution", "40"),
+     "cb-rank-subshift-0.txt"),
+    (("cb", "rank", "--family", "rank-subshift:n=1", "--resolution", "40"),
+     "cb-rank-subshift-1.txt"),
+    (("cb", "rank", "--family", "rank-subshift:n=2", "--resolution", "40"),
+     "cb-rank-subshift-2.txt"),
+    (("cb", "rank", "--family", "rank-subshift:n=4", "--resolution", "40"),
+     "cb-rank-subshift-4.txt"),
+    (("cb", "rank", "--family", "rank-subshift:n=3", "--resolution", "10"),
+     "cb-rank-subshift-3-r10.txt"),
+    (("cb", "rank", "--family", "rank-subshift:n=3", "--resolution", "80"),
+     "cb-rank-subshift-3-r80.txt"),
+    (("subshift", "complexity", "--forbidden", "11,000", "--nmax", "16"),
+     "subshift-complexity-forbidden-16.txt"),
+], ids=["complexity-30", "lang-40", "powerfree-4", "powerfree-3", "cb-rank-3", "cb-rank-0",
+        "cb-rank-1", "cb-rank-2", "cb-rank-4", "cb-rank-3-r10", "cb-rank-3-r80",
+        "complexity-forbidden-16"])
 def test_subshift_text_matches_golden(capsys, argv, name):
     # pins the coded languages, the power witness and the CB window probes
     code, out, _ = run(capsys, *argv)
@@ -315,13 +331,23 @@ RETURN_PARITY = ("color", "build", "--family", "graph-o:d=(3)^inf", "--kind", "r
      "usage error: need --forest FILE or --family k0|rank-subshift:n=N\n"),
     (("cb", "rank", "--family", "gm"),
      "usage error: need --forest FILE or --family k0|rank-subshift:n=N\n"),
+    # both sources of a forest, whatever the family; the file is never read
+    (("cb", "rank", "--family", "gm", "--forest", "/nonexistent"),
+     "usage error: give --forest FILE or --family, not both\n"),
+    (("cb", "rank", "--family", "k0", "--forest", "/nonexistent"),
+     "usage error: give --forest FILE or --family, not both\n"),
+    # a FAMILY@LEVEL spec whose level is no integer
+    (("hom", "--source", "odd-cycle:p=1", "--target", "k0@x"),
+     "usage error: finite graph spec must be odd-cycle:p=N, file:PATH or FAMILY@LEVEL: "
+     "'k0@x'\n"),
 ], ids=["fib-budget", "color-budget", "hom-budget", "missing-file", "fib-negative",
         "fib-2", "fib-120", "fib-100000", "odd-cycle-key", "parity-no-radix", "verify-no-coloring",
         "cylinder-letter", "cylinder-digit", "quotient-negative-bound", "show-negative-bound",
         "lang-negative-n", "complexity-negative-nmax", "verify-negative-bound",
         "cb-zero-resolution", "spectrum-negative-max-len", "show-negative-sample",
         "scan-negative-budget", "powerfree-negative-prefix", "powerfree-power-0",
-        "quotient-negative-level", "cb-oriented-family", "cb-family-without-forest"])
+        "quotient-negative-level", "cb-oriented-family", "cb-family-without-forest",
+        "cb-family-and-forest", "cb-k0-and-forest", "hom-level-not-integer"])
 def test_budget_and_file_errors_exit_2(capsys, argv, prefix):
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -1,16 +1,26 @@
 """Exact differential oracles for the subshift layer: the closed-form floor,
-the identity-based Sturmian coding, its growing code buffers, the run-scan
-power check and sliced BlockWord windows, each against the definition it
-replaced."""
+the identity-based Sturmian coding, its growing code buffers, the
+bit-parallel power check, sliced BiWord and BlockWord windows, the sliding
+windows of the cb_rank edge probe and the suffix-only forbidden-factor
+test, each against the definition it replaced."""
 
 import math
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clopen.dynamics import QuadraticReal, SturmianCoding, sturmian_code
-from clopen.subshift_lang import SturmianSubshift, power_free_check
-from clopen.words import BlockWord
+from clopen.subshift_lang import (
+    ForbiddenSet,
+    ForbiddenSubshift,
+    SturmianSubshift,
+    _probe_span,
+    cb_rank,
+    power_free_check,
+    rank_forest,
+)
+from clopen.words import BiWord, BlockWord
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -113,13 +123,108 @@ def test_subshift_window_any_length_order(data):
             assert s.window(ln) == sturmian_code(r, x, 0, ln - 1)
 
 
+WIDE = tuple(str(i) for i in range(300))
+
+
+@st.composite
+def power_words(draw):
+    """A word over 2 or 3 letters; or one with all 300 letters of WIDE, so
+    that each letter code takes two bytes, split by a part over a few of
+    them, where powers occur.  Codes are given in order of first occurrence,
+    so those of "0", "1", "256" and "257" can differ in one byte only, and a
+    run of zero bytes can start inside a letter slot."""
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(st.sampled_from("012"[:draw(st.integers(2, 3))]),
+                                   max_size=40)))
+    pool = draw(st.lists(st.sampled_from(("0", "1", "256", "257") + WIDE), min_size=1,
+                         max_size=3))
+    body = draw(st.lists(st.sampled_from(pool), max_size=40))
+    cut = draw(st.integers(0, len(body)))
+    return tuple(body[:cut]) + WIDE + tuple(body[cut:])
+
+
 @SETTINGS
-@given(st.integers(2, 3).flatmap(
-           lambda m: st.lists(st.sampled_from("012"[:m]), max_size=40)),
-       st.integers(2, 4))
-def test_power_free_check_matches_slice_search(letters, k):
-    w = tuple(letters)
+@given(power_words(), st.integers(2, 4))
+# codes 0x0001 ("0") and 0x0101 ("256") differ in their high byte alone: the
+# first run of two zero bytes starts inside the slot of the first "256"
+@example(WIDE + ("0", "256", "256"), 2)
+def test_power_free_check_matches_slice_search(w, k):
     assert power_free_check(w, k) == power_by_slices(w, k)
+
+
+def test_power_free_check_three_byte_codes():
+    # 70,000 distinct letters take three bytes each; the 10,000th power of
+    # ("b", "c") starts right after them
+    w = tuple(map(str, range(70_000))) + ("b", "c") * 10_000
+    assert power_free_check(w, 10_000) == (("b", "c"), 70_000)
+    assert power_free_check(w[:-1], 10_000) is None
+
+
+@SETTINGS
+@given(st.lists(st.sampled_from("01"), min_size=1, max_size=4),
+       st.lists(st.sampled_from("01"), max_size=5),
+       st.lists(st.sampled_from("01"), min_size=1, max_size=4),
+       st.integers(-10, 10), st.integers(-30, 30), st.integers(-5, 40))
+def test_bi_word_window_matches_letters(left, core, right, start, a, width):
+    # any (a, b), empty and reversed windows and windows inside one tail included
+    b = BiWord(left, core, right, start)
+    assert b.window(a, a + width) == tuple(b.letter(p) for p in range(a, a + width))
+
+
+def window_by_letters(x, a, b):
+    """The former windows: one letter per coordinate."""
+    return tuple(x.letter(p) for p in range(a, b))
+
+
+def edge_details_by_shifts(forest, D):
+    """The former cb_rank edge probe: one shifted point per parameter k."""
+    out = {}
+    for node in forest.nodes.values():
+        if node.parent is None or node.period() is not None:
+            continue
+        parent = forest.nodes[node.parent]
+        parent_windows = {window_by_letters(x, -D, D) for x in parent.orbit(4 * D + 8)}
+        span = _probe_span(node, D)
+        pos = sum(window_by_letters(node.base.shift(k), -D, D) in parent_windows
+                  for k in range(D + 1, span))
+        neg = sum(window_by_letters(node.base.shift(-k), -D, D) in parent_windows
+                  for k in range(D + 1, span))
+        out[node.id, node.parent] = (pos + neg >= 3 and max(pos, neg) > 0,
+                                     "%d matching windows beyond the resolution (+%d/-%d)"
+                                     % (pos + neg, pos, neg))
+    return out
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("D", [5, 12, 40])
+def test_cb_rank_edge_hits_match_shifted_points(n, D):
+    forest = rank_forest(n)
+    assert cb_rank(forest, D).edge_checks == edge_details_by_shifts(forest, D)
+    for node in forest.nodes.values():
+        assert list(node.windows(D + 3, D)) == [
+            window_by_letters(x, -D, D) for x in node.orbit(D + 3)]
+
+
+class RescanSubshift(ForbiddenSubshift):
+    """The former ForbiddenSubshift: _avoids rescans every window of w."""
+
+    def _avoids(self, w):
+        for m in {len(f) for f in self.F.words}:
+            if any(w[i : i + m] in self.F.words for i in range(len(w) - m + 1)):
+                return False
+        return True
+
+
+@SETTINGS
+@given(st.integers(2, 3).flatmap(lambda m: st.tuples(
+           st.just("012"[:m]),
+           st.lists(st.text("012"[:m], min_size=1, max_size=5), max_size=5))))
+def test_forbidden_language_matches_full_rescan(case):
+    letters, words = case
+    F = ForbiddenSet(words)
+    new, old = ForbiddenSubshift(letters, F), RescanSubshift(letters, F)
+    for n in range(8):
+        assert new.language(n) == old.language(n), (words, n)
 
 
 @SETTINGS
