@@ -38,7 +38,6 @@ from .quotients import decide_level, odd_closed_walk, quotient, scan
 from .colorings import (
     ClopenColoring,
     PredicateColoring,
-    charsub_check,
     parity_coloring,
     return_parity_coloring,
     return_time,
@@ -55,6 +54,5 @@ from .subshift_lang import (
     member,
     power_free_check,
     rank_forest,
-    uniform_recurrence_bound,
 )
 from .homs import cycle_spectrum, hom_exists, quotient_hom_obstruction

@@ -49,7 +49,7 @@ def _finite_graph(spec: str):
     quotient, which the searches read as a finite graph)."""
     if spec.startswith("odd-cycle:"):
         p = spec[len("odd-cycle:"):]
-        if not (p.startswith("p=") and p[2:].isdigit()):
+        if not (p.startswith("p=") and p[2:].isdecimal()):
             raise UsageError("odd cycle spec must be odd-cycle:p=N with N >= 0: %r" % spec)
         return fam.odd_cycle(int(p[2:]))
     if spec.startswith("file:"):
@@ -395,6 +395,8 @@ def cmd_hom(args):
 
 def cmd_spectrum(args):
     max_len = _at_least(args, "max-len", 0)
+    if bool(args.graph) == bool(args.family):
+        raise UsageError("give --graph SPEC or --family, not both")
     if args.graph:
         G = _finite_graph(args.graph)
     else:

@@ -1,13 +1,12 @@
 """Construction and verification of explicit continuous colorings, finite
-coloring search on quotients, return-time colorings, and the subgraph
-criterion for the delta-indexed families."""
+coloring search on quotients, and return-time colorings."""
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
 from .dynamics import Radix, prefix_succ, prefix_value
-from .families import FiniteGraph, OrbitIndexSet, SymbolicGraph
+from .families import FiniteGraph, SymbolicGraph
 from .homs import hom_exists
 from .quotients import QuotientGraph, quotient
 from .words import Alphabet, BudgetError, Word, format_word, parse_prefix
@@ -270,125 +269,6 @@ def return_parity_coloring(d: Radix, C: Word) -> ClopenColoring:
 
 
 # ---------------------------------------------------------------------------
-# the delta-family subgraph criterion
-
-
-class DeltaSubgraphSpec:
-    """Finite description of a subgraph (V, E) of a delta-family: the marker
-    limit flag, the set of k whose central points all lie in V, and the
-    j-index sets of the three edge clauses (defaults plus finitely many
-    overrides)."""
-
-    def __init__(
-        self,
-        has_center: bool = True,
-        center_levels: OrbitIndexSet | None = None,
-        entry_sets: OrbitIndexSet | None = None,
-        step_sets: OrbitIndexSet | None = None,
-        exit_sets: OrbitIndexSet | None = None,
-        entry_overrides: dict | None = None,
-        step_overrides: dict | None = None,
-        exit_overrides: dict | None = None,
-    ):
-        every = OrbitIndexSet(progressions=[(0, 1)])
-        if center_levels is not None and center_levels.scheme_levels is not None:
-            # charsub_check needs the level set eventually periodic
-            raise ColoringError("center levels cannot use an interval scheme")
-        self.has_center = has_center
-        self.center_levels = center_levels or every
-        self.entry_sets = entry_sets or every
-        self.step_sets = step_sets or every
-        self.exit_sets = exit_sets or every
-        self.entry_overrides = dict(entry_overrides or {})  # k -> OrbitIndexSet
-        self.step_overrides = dict(step_overrides or {})  # (k, i) -> OrbitIndexSet
-        self.exit_overrides = dict(exit_overrides or {})  # k -> OrbitIndexSet
-
-    def entry(self, k: int) -> OrbitIndexSet:
-        return self.entry_overrides.get(k, self.entry_sets)
-
-    def step(self, k: int, i: int) -> OrbitIndexSet:
-        return self.step_overrides.get((k, i), self.step_sets)
-
-    def exit(self, k: int) -> OrbitIndexSet:
-        return self.exit_overrides.get(k, self.exit_sets)
-
-    def max_override(self) -> int:
-        ks = [0]
-        ks += list(self.entry_overrides) + list(self.exit_overrides)
-        ks += [k for (k, _) in self.step_overrides]
-        return max(ks)
-
-
-class CharsubVerdict:
-    def __init__(self, big: bool, failing_clause: str | None, threshold: int | None):
-        self.big = big  # True: no continuous 2-coloring; False: one exists
-        self.failing_clause = failing_clause
-        self.threshold = threshold
-
-    def __repr__(self):
-        if self.big:
-            return "CCN >= 3"
-        return "CCN <= 2 (clause %s fails from k = %s)" % (
-            self.failing_clause,
-            self.threshold,
-        )
-
-
-def charsub_check(delta, spec: DeltaSubgraphSpec) -> CharsubVerdict:
-    """Decide whether the described subgraph of the delta-family still avoids
-    continuous 2-colorings: it does iff the marker limit stays in V and
-    infinitely many present levels k keep all central points and infinitely
-    many j in every clause set."""
-    if not spec.has_center:
-        return CharsubVerdict(False, "center point dropped from V", 0)
-
-    def level_good(k: int) -> bool:
-        if delta.letter(k) != "1":
-            return False
-        if k not in spec.center_levels:
-            return False
-        if not spec.entry(k).infinite:
-            return False
-        if any(not spec.step(k, i).infinite for i in range(2 * k + 1)):
-            return False
-        if not spec.exit(k).infinite:
-            return False
-        return True
-
-    # beyond the overrides, the finite parts and both heads, level_good is
-    # periodic in k with the joint period of delta and the level set
-    import math
-
-    period = len(delta.cycle)
-    for (_, step) in spec.center_levels.progressions:
-        period = math.lcm(period, step)
-    start = max(
-        spec.max_override() + 1,
-        len(delta.head),
-        max(spec.center_levels.finite, default=-1) + 1,
-    )
-    horizon = start + 2 * period + 2
-    good = [k for k in range(horizon) if level_good(k)]
-    if any(k >= start + period for k in good):
-        return CharsubVerdict(True, None, None)
-    # find the first failing clause at the first bad present level
-    for k in range(horizon):
-        if delta.letter(k) != "1":
-            continue
-        if k in good:
-            continue
-        if k not in spec.center_levels:
-            return CharsubVerdict(False, "central points missing", k)
-        if not spec.entry(k).infinite:
-            return CharsubVerdict(False, "entry edges finite", k)
-        if any(not spec.step(k, i).infinite for i in range(2 * k + 1)):
-            return CharsubVerdict(False, "step edges finite", k)
-        if not spec.exit(k).infinite:
-            return CharsubVerdict(False, "exit edges finite", k)
-    return CharsubVerdict(False, "no present level", 0)
-
-
-# ---------------------------------------------------------------------------
 # coloring files
 
 
@@ -405,7 +285,13 @@ def coloring_to_text(c: ClopenColoring, family: str) -> str:
 
 def coloring_from_text(text: str, alphabet: Alphabet | None = None):
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = dict(tok.split("=", 1) for tok in lines[0].split())
+    if not lines:
+        raise ColoringError("empty coloring file")
+    pairs = [tok.split("=", 1) for tok in lines[0].split()]
+    header = dict(p for p in pairs if len(p) == 2)
+    if len(header) < len(pairs) or not {"level", "colors"} <= header.keys():
+        raise ColoringError("coloring header must be level=L colors=K [family=F]"
+                            " [kind=window]: %r" % lines[0])
     level = int(header["level"])
     colors = int(header["colors"])
     mapping = {}

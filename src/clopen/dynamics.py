@@ -345,6 +345,8 @@ def parse_quadratic(s: str) -> QuadraticReal:
         denom = int(denom_part[1:])
     toks = inner.split()
     # forms: "p + q sqrt D" | "p - q sqrt D" | "p" | "q sqrt D"
+    if not toks or "sqrt" in (toks[0], toks[-1]):
+        raise ValueError("expected '(p +- q sqrt D)/s': %r" % s)
     if "sqrt" in toks:
         i = toks.index("sqrt")
         disc = int(toks[i + 1])

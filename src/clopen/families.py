@@ -564,11 +564,6 @@ class OrbitIndexSet:
     def interval_base(l: int) -> int:
         return 3 ** (l + 2)
 
-    @property
-    def infinite(self) -> bool:
-        return bool(self.progressions) or (
-            self.scheme_levels is not None and self.scheme_levels.infinite)
-
     def __contains__(self, i: int) -> bool:
         if i in self.finite:
             return True

@@ -1,6 +1,6 @@
 """Forbidden-factor subshifts, factor languages and complexity, power
-freeness, uniform recurrence, and resolution-bounded Cantor-Bendixson ranks
-of symbolically presented countable compacta."""
+freeness, and resolution-bounded Cantor-Bendixson ranks of symbolically
+presented countable compacta."""
 
 from __future__ import annotations
 
@@ -191,7 +191,7 @@ def complexity(s: Subshift, n_max: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# power freeness and uniform recurrence
+# power freeness
 
 
 def power_free_check(w, k: int):
@@ -225,26 +225,6 @@ def power_free_check(w, k: int):
             i = pos // width - ln
             return (w[i : i + ln], i)
     return None
-
-
-def uniform_recurrence_bound(s: Subshift, w, l_max: int):
-    """Least l <= l_max such that w is a factor of every length-l word of the
-    language, or (None, escaping word) when no such l exists below the cap."""
-    w = as_word(w)
-    if w not in s.language(len(w)):
-        raise SubshiftError("%s does not occur in the subshift" % (format_word(w),))
-    escape = None
-    for l in range(len(w), l_max + 1):
-        words = s.language(l)
-        bad = [v for v in words if not _occurs(w, v)]
-        if not bad:
-            return l, None
-        escape = sorted(bad)[0]
-    return None, escape
-
-
-def _occurs(w: Word, v: Word) -> bool:
-    return any(v[i : i + len(w)] == w for i in range(len(v) - len(w) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,15 @@ def test_subshift_text_matches_golden(capsys, argv, name):
 
 MEMBER = ("subshift", "member", "--word", "(01)^inf.(01)^inf", "--fib-p")
 RETURN_PARITY = ("color", "build", "--family", "graph-o:d=(3)^inf", "--kind", "return-parity")
+VERIFY_FILE = ("color", "verify", "--family", "gm", "--coloring")
+# malformed coloring files, written into the working directory of each case
+COLORING_FILES = {
+    "empty.txt": "",
+    "no-level.txt": "colors=2 family=gm\n0 0\n",
+    "bare-token.txt": "level=1 colors=2 gm\n0 0\n",
+}
+SPECTRUM_FLAGS = "usage error: give --graph SPEC or --family, not both\n"
+QUADRATIC = "error: expected '(p +- q sqrt D)/s': "
 
 
 @pytest.mark.parametrize("argv,prefix", [
@@ -340,6 +349,19 @@ RETURN_PARITY = ("color", "build", "--family", "graph-o:d=(3)^inf", "--kind", "r
     (("hom", "--source", "odd-cycle:p=1", "--target", "k0@x"),
      "usage error: finite graph spec must be odd-cycle:p=N, file:PATH or FAMILY@LEVEL: "
      "'k0@x'\n"),
+    # a digit that int() does not read
+    (("hom", "--source", "odd-cycle:p=\u00b3", "--target", "odd-cycle:p=0"),
+     "usage error: odd cycle spec must be odd-cycle:p=N with N >= 0: 'odd-cycle:p=\u00b3'\n"),
+    (("spectrum",), SPECTRUM_FLAGS),
+    (("spectrum", "--graph", "odd-cycle:p=0", "--family", "ka:A=0"), SPECTRUM_FLAGS),
+    (VERIFY_FILE + ("empty.txt",), "error: empty coloring file\n"),
+    (VERIFY_FILE + ("no-level.txt",), "error: coloring header must be level=L colors=K "
+     "[family=F] [kind=window]: 'colors=2 family=gm'\n"),
+    (VERIFY_FILE + ("bare-token.txt",), "error: coloring header must be level=L colors=K "
+     "[family=F] [kind=window]: 'level=1 colors=2 gm'\n"),
+    (("subshift", "lang", "--sturmian", "()", "--n", "2"), QUADRATIC + "'()'\n"),
+    (("subshift", "lang", "--sturmian", "(5 sqrt)", "--n", "2"), QUADRATIC + "'(5 sqrt)'\n"),
+    (("subshift", "lang", "--sturmian", "(sqrt 5)", "--n", "2"), QUADRATIC + "'(sqrt 5)'\n"),
 ], ids=["fib-budget", "color-budget", "hom-budget", "missing-file", "fib-negative",
         "fib-2", "fib-120", "fib-100000", "odd-cycle-key", "parity-no-radix", "verify-no-coloring",
         "cylinder-letter", "cylinder-digit", "quotient-negative-bound", "show-negative-bound",
@@ -347,8 +369,14 @@ RETURN_PARITY = ("color", "build", "--family", "graph-o:d=(3)^inf", "--kind", "r
         "cb-zero-resolution", "spectrum-negative-max-len", "show-negative-sample",
         "scan-negative-budget", "powerfree-negative-prefix", "powerfree-power-0",
         "quotient-negative-level", "cb-oriented-family", "cb-family-without-forest",
-        "cb-family-and-forest", "cb-k0-and-forest", "hom-level-not-integer"])
-def test_budget_and_file_errors_exit_2(capsys, argv, prefix):
+        "cb-family-and-forest", "cb-k0-and-forest", "hom-level-not-integer",
+        "odd-cycle-superscript", "spectrum-no-source", "spectrum-two-sources",
+        "coloring-empty", "coloring-no-level", "coloring-bare-token", "sturmian-empty",
+        "sturmian-no-discriminant", "sturmian-no-coefficient"])
+def test_budget_and_file_errors_exit_2(tmp_path, monkeypatch, capsys, argv, prefix):
+    monkeypatch.chdir(tmp_path)
+    for name, text in COLORING_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith(prefix) and err.count("\n") == 1
@@ -358,6 +386,7 @@ def test_budget_and_file_errors_exit_2(capsys, argv, prefix):
     ("rank-subshift:", "('n')"),
     ("rank-subshift:n=-1", "(rank parameter must be between 0 and 4)"),
     ("rank-subshift:n=5", "(rank parameter must be between 0 and 4)"),
+    ("sturmian:r=()", "(expected '(p +- q sqrt D)/s': '()')"),
 ])
 def test_cb_rank_bad_family_exits_2(capsys, spec, reason):
     # the family parser's usage error: its reason, then the spec grammar

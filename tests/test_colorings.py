@@ -1,5 +1,5 @@
-"""Coloring construction, complete verification, exhaustive search, return
-times and the delta-family subgraph criterion."""
+"""Coloring construction, complete verification, exhaustive search and
+return times."""
 
 import random
 
@@ -8,9 +8,7 @@ import pytest
 from clopen.colorings import (
     ClopenColoring,
     ColoringError,
-    DeltaSubgraphSpec,
     UndeterminedPrefixError,
-    charsub_check,
     coloring_from_text,
     coloring_to_text,
     parity_coloring,
@@ -22,9 +20,8 @@ from clopen.colorings import (
     verify_coloring,
 )
 from clopen.dynamics import parse_radix, prefix_succ
-from clopen.families import edges_at_level, go_graph, go_plus, parse_family, parse_index_set
-from clopen.quotients import odd_closed_walk, quotient, scan
-from clopen.words import parse_ult
+from clopen.families import edges_at_level, go_graph, go_plus, parse_family
+from clopen.quotients import odd_closed_walk, quotient
 
 R3 = parse_radix("(3)^inf")
 R23 = parse_radix("2,(3)^inf")
@@ -196,35 +193,6 @@ def test_return_parity_proper_off_the_cylinder():
         checked += 1
         assert c.color_of_prefix(s[:2]) != c.color_of_prefix(t[:2])
     assert checked > 0
-
-
-def test_charsub_full_family_and_failures():
-    delta = parse_ult("(1)^inf")
-    assert charsub_check(delta, DeltaSubgraphSpec()).big
-    v = charsub_check(delta, DeltaSubgraphSpec(has_center=False))
-    assert not v.big and "center" in v.failing_clause
-    # restricting a clause to the evens keeps the sets infinite
-    assert charsub_check(
-        delta, DeltaSubgraphSpec(entry_sets=parse_index_set("0+2k"))
-    ).big
-    # cutting one clause to a finite set kills the criterion
-    v2 = charsub_check(delta, DeltaSubgraphSpec(exit_sets=parse_index_set("{1,2}")))
-    assert not v2.big and "exit" in v2.failing_clause
-    # dropping central points from cofinally many levels kills it too
-    v3 = charsub_check(
-        delta, DeltaSubgraphSpec(center_levels=parse_index_set("{0,1,2}"))
-    )
-    assert not v3.big
-
-
-def test_charsub_agrees_with_scan_on_cofinite_instances():
-    cases = ["(1)^inf", "0(1)^inf", "(10)^inf", "(0)^inf", "00(1)^inf"]
-    for s in cases:
-        delta = parse_ult(s)
-        verdict = charsub_check(delta, DeltaSubgraphSpec())
-        rep = scan(parse_family("gdelta:delta=%s" % s), 3)
-        walks_through_3 = [e["verdict"] for e in rep["levels"]] == ["odd-walk"] * 3
-        assert verdict.big == walks_through_3, s
 
 
 def test_coloring_file_round_trip():

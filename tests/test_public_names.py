@@ -16,14 +16,6 @@ SRC = ROOT / "src" / "clopen"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 CALLERS = MODULES + [ROOT / "tests" / "test_acceptance.py"]
 
-# named in PAPER.md and reached only from tests; each is to be wired to the
-# CLI or deleted (ROADMAP, carry-over "Names without a real caller")
-EXCEPTIONS = {
-    "colorings.charsub_check",
-    "subshift_lang.uniform_recurrence_bound",
-}
-
-
 def public_definitions(path):
     """(name, first line, last line) of each public top-level definition."""
     out = []
@@ -64,7 +56,4 @@ def uncalled_names():
 
 
 def test_every_public_name_has_a_caller():
-    uncalled = uncalled_names()
-    assert sorted(uncalled - EXCEPTIONS) == []
-    # an exception that gains a caller leaves the list
-    assert EXCEPTIONS <= uncalled
+    assert sorted(uncalled_names()) == []

@@ -164,6 +164,22 @@ def test_scan_halts_on_bipartite():
     assert "chi_c <= 2" in rep["headline"]
 
 
+@pytest.mark.parametrize("delta,girths", [
+    ("(1)^inf", [1, 5, 7]),
+    ("0(1)^inf", [1, 5, 7]),
+    ("(10)^inf", [1, 7, 7]),
+    ("00(1)^inf", [1, 7, 7]),
+    ("(0)^inf", [None]),
+])
+def test_scan_gdelta_odd_girths(delta, girths):
+    """Odd girth per level of gdelta through level 3; delta = (0)^inf has no
+    edge, so its scan stops at level 1, bipartite."""
+    rep = scan(parse_family("gdelta:delta=%s" % delta), 3)
+    verdicts = ["bipartite"] if girths == [None] else ["odd-walk"] * 3
+    assert [e["verdict"] for e in rep["levels"]] == verdicts
+    assert [e["oddGirth"] for e in rep["levels"]] == girths
+
+
 def test_scan_noncompact_caveat():
     rep = scan(parse_family("t"), 4)
     assert [e["verdict"] for e in rep["levels"]] == ["odd-walk"] * 4

@@ -1,4 +1,4 @@
-"""Subshift languages, forbidden factors, power freeness, recurrence, and
+"""Subshift languages, forbidden factors, power freeness and
 Cantor-Bendixson rank verification."""
 
 import pytest
@@ -24,7 +24,6 @@ from clopen.subshift_lang import (
     member,
     power_free_check,
     rank_forest,
-    uniform_recurrence_bound,
 )
 from clopen.words import BiWord, BudgetError, parse_bi
 
@@ -102,23 +101,6 @@ def test_power_free():
     w = fibonacci_limit_prefix(200)
     assert power_free_check(w, 4) is None
     assert power_free_check(w, 5) is None and power_free_check(w, 6) is None
-
-
-def test_uniform_recurrence():
-    st = SturmianSubshift(R_GOLDEN)
-    l, escape = uniform_recurrence_bound(st, "0", 6)
-    assert l == 3 and escape is None
-    k0pts = FinitePointSet(
-        [parse_bi("(01)^inf.(01)^inf"), parse_bi("(01)^inf.1(01)^inf")]
-    )
-    l, escape = uniform_recurrence_bound(k0pts, "11", 8)
-    assert l is None and escape is not None and ("1", "1") not in [
-        escape[i : i + 2] for i in range(len(escape) - 1)
-    ]
-    l, _ = uniform_recurrence_bound(FinitePointSet([parse_bi("(01)^inf.(01)^inf")]), "01", 5)
-    assert l == 3
-    with pytest.raises(SubshiftError):
-        uniform_recurrence_bound(st, "111", 6)
 
 
 def test_cb_rank_k0():
