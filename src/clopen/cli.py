@@ -119,8 +119,9 @@ def cmd_family_show(args):
         for k, v in info.items():
             print("%s: %s" % (k, v))
         shown = q.edges[:sample]
+        first = fam.first_edges(g, args.level, shown, bound=args.bound)
         for (s, t) in shown:
-            x, y = q.reps.get((s, t), (None, None))
+            x, y = first[s, t]
             print(
                 "  %s -- %s    e.g. (%s, %s)"
                 % (q.label(s), q.label(t), _point_str(x), _point_str(y))

@@ -289,16 +289,21 @@ def coloring_from_text(text: str, alphabet: Alphabet | None = None):
         raise ColoringError("empty coloring file")
     pairs = [tok.split("=", 1) for tok in lines[0].split()]
     header = dict(p for p in pairs if len(p) == 2)
-    if len(header) < len(pairs) or not {"level", "colors"} <= header.keys():
+    try:
+        level, colors = int(header["level"]), int(header["colors"])
+    except (KeyError, ValueError):
+        level = None
+    if len(header) < len(pairs) or level is None:
         raise ColoringError("coloring header must be level=L colors=K [family=F]"
                             " [kind=window]: %r" % lines[0])
-    level = int(header["level"])
-    colors = int(header["colors"])
     mapping = {}
     for ln in lines[1:]:
-        pref, col = ln.rsplit(None, 1)
-        key = () if pref == "<empty>" else parse_prefix(pref, alphabet)
-        mapping[key] = int(col)
+        try:
+            pref, col = ln.rsplit(None, 1)
+            col = int(col)
+        except ValueError:
+            raise ColoringError("coloring line must be PREFIX COLOR: %r" % ln) from None
+        mapping[() if pref == "<empty>" else parse_prefix(pref, alphabet)] = col
     c = ClopenColoring(level=level, colors=colors, mapping=mapping,
                        alphabet=alphabet,
                        two_sided=header.get("kind") == "window")

@@ -1,14 +1,15 @@
 """Constructors for the concrete symbolic graph families, each exposing exact
 level-n edge enumeration.
 
-A SymbolicGraph is an edge generator: `generate(bound, n)` returns a finite
-list of primitive directed edges whose clause parameters are at most `bound`,
-as pairs of exactly represented points, complete for the level-n projections
-(block graphs skip the edges that only repeat a projection, see
+A SymbolicGraph is an edge generator: `generate(bound, n)` streams the
+finitely many primitive directed edges whose clause parameters are at most
+`bound`, as pairs of exactly represented points, complete for the level-n
+projections (block graphs skip the edges that only repeat a projection, see
 `graph_from_system`).  `edges_at_level(g, n)` projects those
 edges to length-n prefixes (symmetric windows for two-sided families) using
-the family's saturation bound B(n); stability under enlarging the bound is a
-runtime-checkable property.
+the family's saturation bound B(n), holding only the distinct pairs;
+`first_edges` walks the stream again for the edges behind chosen pairs.
+Stability under enlarging the bound is a runtime-checkable property.
 
 Families over an infinite numeral alphabet are capped at the letters reachable
 below B(n); the cap is part of the alphabet reported for that level.
@@ -17,7 +18,7 @@ below B(n); the cap is part of the alphabet reported for that level.
 from __future__ import annotations
 
 import copy
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .dynamics import (
     Radix,
@@ -87,11 +88,26 @@ def odd_cycle(p: int) -> FiniteGraph:
 # ---------------------------------------------------------------------------
 
 
+class EdgeStream:
+    """The edges of one `generate(bound, level)` call.  Each pass runs the
+    family's generator afresh, so no pass holds more than its current edge;
+    the length is one counting pass."""
+
+    def __init__(self, run: Callable[[], Iterator]):
+        self._run = run
+
+    def __iter__(self) -> Iterator:
+        return self._run()
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
 class SymbolicGraph:
     """A graph family on a zero-dimensional space, presented by a saturating
     edge generator.
 
-    generate(bound, level) yields primitive directed edges (clause order,
+    generate(bound, level) streams primitive directed edges (clause order,
     parameters up to `bound`, complete for projections at the given level);
     the graph itself is the symmetrization unless `directed` is set.  Points
     are UltWords (one-sided spaces), or BiWords/BlockWords (two-sided
@@ -106,7 +122,7 @@ class SymbolicGraph:
         self,
         spec: str,
         alphabet_for: Callable[[int], Alphabet],
-        generate: Callable[[int, int], list],
+        generate: Callable[[int, int], Iterator],
         saturation: Callable[[int], int],
         directed: bool = False,
         forest=None,
@@ -117,7 +133,7 @@ class SymbolicGraph:
     ):
         self.spec = spec
         self.alphabet_for = alphabet_for
-        self.generate = generate
+        self._generate = generate
         self.saturation = saturation
         self.directed = directed
         self.forest = forest
@@ -125,6 +141,9 @@ class SymbolicGraph:
         self.point_set = point_set
         self.system = system
         self.finite_core = finite_core
+
+    def generate(self, bound: int, level: int = 0) -> EdgeStream:
+        return EdgeStream(lambda: self._generate(bound, level))
 
     @property
     def two_sided(self) -> bool:
@@ -146,11 +165,12 @@ def with_direction(g: SymbolicGraph, directed: bool) -> SymbolicGraph:
 
 
 class LevelEdges:
-    """Deduplicated level-n prefix pairs with one representative edge each."""
+    """The distinct level-n prefix pairs and the words they join, each list
+    in alphabet order; a pair's words are the entries of `vertices`."""
 
-    def __init__(self, pairs: list, reps: dict, alphabet: Alphabet, level: int):
+    def __init__(self, pairs: list, vertices: list, alphabet: Alphabet, level: int):
         self.pairs = pairs
-        self.reps = reps
+        self.vertices = vertices
         self.alphabet = alphabet
         self.level = level
 
@@ -163,37 +183,50 @@ class LevelEdges:
 
 def edges_at_level(g: SymbolicGraph, n: int, bound: int | None = None) -> LevelEdges:
     """Exactly { (x|n, y|n) : (x, y) edge of g } below the saturation bound,
-    with the letter cap fixed by B(n) even when the bound is enlarged."""
+    with the letter cap fixed by B(n) even when the bound is enlarged.
+
+    The words are sorted once by the alphabet key and the pairs by the
+    ranks of their words, the same order since the key is injective."""
     if n < 0:
         raise FamilyError("level must be >= 0")
-    base_bound = g.saturation(n)
-    if bound is None:
-        bound = base_bound
     alphabet = g.alphabet_for(n)
-    allowed = set(alphabet.letters)
-    pairs: list = []
-    reps: dict = {}
-    seen = set()
+    seen = {(s, t) for (s, t, _, _) in _projected(g, n, bound)}
+    vertices = sorted({w for pair in seen for w in pair}, key=alphabet.key)
+    rank = {v: i for i, v in enumerate(vertices)}
+    ranked = sorted((rank[s], rank[t]) for (s, t) in seen)
+    return LevelEdges([(vertices[i], vertices[j]) for (i, j) in ranked], vertices,
+                      alphabet, n)
 
-    def add(s, t, x, y):
-        key = (s, t)
-        if key not in seen:
-            seen.add(key)
-            pairs.append(key)
-            reps[key] = (x, y)
 
-    for (x, y) in g.generate(bound, n):
+def first_edges(g: SymbolicGraph, n: int, pairs: Iterable, bound: int | None = None) -> dict:
+    """pair -> the first edge of `edges_at_level`'s stream that projects
+    onto it, for each of the given level-n pairs, a swapped edge (y, x)
+    included when g is undirected: one more pass of the stream, ended once
+    every pair is found."""
+    want, found = set(pairs), {}
+    for (s, t, x, y) in _projected(g, n, bound):
+        if len(found) == len(want):
+            break
+        if (s, t) in want and (s, t) not in found:
+            found[s, t] = (x, y)
+    return found
+
+
+def _projected(g: SymbolicGraph, n: int, bound: int | None):
+    """(s, t, x, y) for each generated edge (x, y) inside the letter cap,
+    with s, t the level-n projections of x, y, each followed by the swapped
+    (t, s, y, x) when g is undirected."""
+    allowed = set(g.alphabet_for(n).letters)
+    for (x, y) in g.generate(g.saturation(n) if bound is None else bound, n):
         if not _letters_ok(g, x, n, allowed) or not _letters_ok(g, y, n, allowed):
             continue
         if g.two_sided:
             s, t = x.window(-n, n), y.window(-n, n)
         else:
             s, t = x.prefix(n), y.prefix(n)
-        add(s, t, x, y)
+        yield s, t, x, y
         if not g.directed:
-            add(t, s, y, x)
-    pairs.sort(key=lambda st: (alphabet.key(st[0]), alphabet.key(st[1])))
-    return LevelEdges(pairs, reps, alphabet, n)
+            yield t, s, y, x
 
 
 def _letters_ok(g: SymbolicGraph, x, n: int, allowed: set) -> bool:
@@ -234,31 +267,23 @@ def gm() -> SymbolicGraph:
     earlier edge already gave; the level-n pairs and each pair's first edge
     are unchanged."""
 
-    def generate(bound: int, level: int = 0) -> list:
-        edges = []
+    def generate(bound: int, level: int = 0) -> Iterator:
         for k in range(bound + 1):
             K = str(k)
             for j in range(min(bound, max(level - 2, 0)) + 1):
-                edges.append(
-                    (
-                        UltWord(_c(k + 1) + ("a",) * (j + 1), ("abar",)),
-                        UltWord((K,) + ("0",) * (j + 1), ("abar",)),
-                    )
+                yield (
+                    UltWord(_c(k + 1) + ("a",) * (j + 1), ("abar",)),
+                    UltWord((K,) + ("0",) * (j + 1), ("abar",)),
                 )
                 for i in range(2 * k + 1):
-                    edges.append(
-                        (
-                            UltWord((K,) + (str(i),) * (j + 1), ("a",)),
-                            UltWord((K,) + (str(i + 1),) * (j + 1), ("abar",)),
-                        )
+                    yield (
+                        UltWord((K,) + (str(i),) * (j + 1), ("a",)),
+                        UltWord((K,) + (str(i + 1),) * (j + 1), ("abar",)),
                     )
-                edges.append(
-                    (
-                        UltWord((K,) + (str(2 * k + 1),) * (j + 1), ("a",)),
-                        UltWord(_c(k + 1) + ("abar",) * (j + 1), ("a",)),
-                    )
+                yield (
+                    UltWord((K,) + (str(2 * k + 1),) * (j + 1), ("a",)),
+                    UltWord(_c(k + 1) + ("abar",) * (j + 1), ("a",)),
                 )
-        return edges
 
     return SymbolicGraph(
         spec="gm",
@@ -279,33 +304,25 @@ def gdelta(delta: UltWord) -> SymbolicGraph:
 
     delta_str = format_ult(delta)
 
-    def generate(bound: int, level: int = 0) -> list:
-        edges = []
+    def generate(bound: int, level: int = 0) -> Iterator:
         for k in range(bound + 1):
             if delta.letter(k) != "1":
                 continue
             K = str(k)
             for j in range(bound + 1):
-                edges.append(
-                    (
-                        UltWord(_c(k + 1) + ("0", str(j)), ("a",)),
-                        UltWord((K,) + ("0",) * (j + 2), ("abar",)),
-                    )
+                yield (
+                    UltWord(_c(k + 1) + ("0", str(j)), ("a",)),
+                    UltWord((K,) + ("0",) * (j + 2), ("abar",)),
                 )
                 for i in range(2 * k + 1):
-                    edges.append(
-                        (
-                            UltWord((K, str(i)) + ("0",) * (j + 1), ("a",)),
-                            UltWord((K, str(i + 1)) + ("0",) * (j + 1), ("abar",)),
-                        )
+                    yield (
+                        UltWord((K, str(i)) + ("0",) * (j + 1), ("a",)),
+                        UltWord((K, str(i + 1)) + ("0",) * (j + 1), ("abar",)),
                     )
-                edges.append(
-                    (
-                        UltWord((K, str(2 * k + 1)) + ("0",) * (j + 1), ("a",)),
-                        UltWord(_c(k + 1) + ("1", str(j)), ("abar",)),
-                    )
+                yield (
+                    UltWord((K, str(2 * k + 1)) + ("0",) * (j + 1), ("a",)),
+                    UltWord(_c(k + 1) + ("1", str(j)), ("abar",)),
                 )
-        return edges
 
     return SymbolicGraph(
         spec="gdelta:delta=%s" % delta_str,
@@ -329,30 +346,22 @@ def t_graph() -> SymbolicGraph:
     def saturation(n: int) -> int:
         return 2 * (n + 2) + 2
 
-    def generate(bound: int, level: int = 0) -> list:
-        edges = []
+    def generate(bound: int, level: int = 0) -> Iterator:
         for k in range(bound + 1):
             two_k2 = str(2 * k + 2)
-            edges.append(
-                (
-                    UltWord(("0",) * (2 * k + 1), ("1",)),
-                    UltWord((two_k2,), ("0",)),
-                )
+            yield (
+                UltWord(("0",) * (2 * k + 1), ("1",)),
+                UltWord((two_k2,), ("0",)),
             )
             for i in range(2 * k + 1):
-                edges.append(
-                    (
-                        UltWord((two_k2, str(i)) + ("0",) * k, ("1",)),
-                        UltWord((two_k2, str(i + 1)), ("0",)),
-                    )
+                yield (
+                    UltWord((two_k2, str(i)) + ("0",) * k, ("1",)),
+                    UltWord((two_k2, str(i + 1)), ("0",)),
                 )
-            edges.append(
-                (
-                    UltWord((two_k2, str(2 * k + 1)) + ("0",) * k, ("1",)),
-                    UltWord(("0",) * (2 * k + 2), ("1",)),
-                )
+            yield (
+                UltWord((two_k2, str(2 * k + 1)) + ("0",) * k, ("1",)),
+                UltWord(("0",) * (2 * k + 2), ("1",)),
             )
-        return edges
 
     return SymbolicGraph(
         spec="t",
@@ -452,9 +461,8 @@ def graph_from_system(system: BlockSystem, spec: str,
     first = chain or 0
     alphabet = Alphabet(system.alphabet_base + ["c", "a", "abar"] + (["d"] if marked else []))
 
-    def generate(bound: int, level: int = 0) -> list:
+    def generate(bound: int, level: int = 0) -> Iterator:
         markers = [("d",) * (j + 1) for j in range(bound + 1)] if marked else [()]
-        edges = []
         for l in range(first, first + bound + 1):
             lam = system.width(l)
             middle = range(lam - 1 if system.period is None
@@ -463,26 +471,19 @@ def graph_from_system(system: BlockSystem, spec: str,
             s = [system.block(l, i) for i in range(len(middle) + 1)]
             last = s[-1] if len(s) == lam else system.block(l, lam - 1)
             for D in markers[: max(level - l - 1, 1)]:
-                edges.append(
-                    (
-                        UltWord(_c(l + 1) + D + ("a",), ("abar",)),
-                        UltWord(s[0] + D + ("abar",), ("a",)),
-                    )
+                yield (
+                    UltWord(_c(l + 1) + D + ("a",), ("abar",)),
+                    UltWord(s[0] + D + ("abar",), ("a",)),
                 )
                 for i in middle:
-                    edges.append(
-                        (
-                            UltWord(s[i] + D + ("a",) * (i + 1), ("abar",)),
-                            UltWord(s[i + 1] + D + ("abar",) * (i + 2), ("a",)),
-                        )
+                    yield (
+                        UltWord(s[i] + D + ("a",) * (i + 1), ("abar",)),
+                        UltWord(s[i + 1] + D + ("abar",) * (i + 2), ("a",)),
                     )
-                edges.append(
-                    (
-                        UltWord(last + D + ("a",) * lam, ("abar",)),
-                        UltWord(_c(l + 1) + D + ("abar",), ("a",)),
-                    )
+                yield (
+                    UltWord(last + D + ("a",) * lam, ("abar",)),
+                    UltWord(_c(l + 1) + D + ("abar",), ("a",)),
                 )
-        return edges
 
     return SymbolicGraph(
         spec=spec,
@@ -525,14 +526,12 @@ def go_graph(d: Radix) -> SymbolicGraph:
     def saturation(n: int) -> int:
         return max(n, 1)
 
-    def generate(bound: int, level: int = 0) -> list:
-        edges = []
+    def generate(bound: int, level: int = 0) -> Iterator:
         x = d.zero()
         for _ in range(d.period(bound)):
             y = odometer_iter(d, x, 1)
-            edges.append((x, y))
+            yield x, y
             x = y
-        return edges
 
     return SymbolicGraph(
         spec="graph-o:d=%s" % format_radix(d),
@@ -655,15 +654,13 @@ def restricted_orbit_graph(d: Radix, S: OrbitIndexSet) -> SymbolicGraph:
     def saturation(n: int) -> int:
         return index_bound(n)
 
-    def generate(bound: int, level: int = 0) -> list:
-        edges = []
+    def generate(bound: int, level: int = 0) -> Iterator:
         x = d.zero()
         for i in range(bound + 1):
             y = odometer_iter(d, x, 1)
             if i in S:
-                edges.append((x, y))
+                yield x, y
             x = y
-        return edges
 
     return SymbolicGraph(
         spec="orbit:d=%s,S=%s" % (format_radix(d), S.describe()),
@@ -723,8 +720,10 @@ def _shift_graph(spec: str, forest, saturation: Callable[[int], int],
     aperiodic base by -bound..bound) to its shift by one, in forest order."""
     alphabet = Alphabet(["0", "1"])
 
-    def generate(bound: int, level: int = 0) -> list:
-        return [(x, x.shift(1)) for node in forest.nodes.values() for x in node.orbit(bound)]
+    def generate(bound: int, level: int = 0) -> Iterator:
+        for node in forest.nodes.values():
+            for x in node.orbit(bound):
+                yield x, x.shift(1)
 
     return SymbolicGraph(
         spec=spec,
@@ -834,9 +833,8 @@ def ka_graph(A: Sequence[int]) -> SymbolicGraph:
     alphabet = Alphabet(numerals(5))
     spec = "ka:A=%s" % ",".join(str(a) for a in A)
 
-    def generate(bound: int, level: int = 0) -> list:
-        pts = _ka_points_and_map(A, chain_depth=bound)
-        return [(x, y) for (x, y) in pts.items()]
+    def generate(bound: int, level: int = 0) -> Iterator:
+        yield from _ka_points_and_map(A, chain_depth=bound).items()
 
     def finite_core() -> FiniteGraph:
         # the finite orbits are the 4-cycle of constant words and the even

@@ -15,32 +15,48 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from .families import SymbolicGraph, adjacency, edges_at_level
+from .families import SymbolicGraph, edges_at_level
 from .words import Alphabet, Word, format_word
 
 
 class QuotientGraph:
-    """Relation on length-n prefixes; self-loops are kept."""
+    """Relation on length-n prefixes; self-loops are kept.  The vertices are
+    in alphabet order and the edges distinct, sorted by the positions of
+    their ends, in every quotient this module builds."""
 
-    def __init__(self, level, vertices, edges, directed, alphabet, reps=None,
+    def __init__(self, level, vertices, edges, directed, alphabet,
                  source=None, two_sided=False):
         self.level = level
         self.vertices = list(vertices)
         self.edges = list(edges)
         self.directed = directed
         self.alphabet = alphabet
-        self.reps = reps or {}
         self.source = source
         self.two_sided = two_sided
+        self._adj = None
 
     def undirected(self) -> "QuotientGraph":
         if not self.directed:
             return self
-        sym = set(self.edges) | {(v, u) for (u, v) in self.edges}
+        ids = {v: i for i, v in enumerate(self.vertices)}
+        sym = {(ids[u], ids[v]) for (u, v) in self.edges}
+        sym |= {(j, i) for (i, j) in sym}
         return QuotientGraph(
-            self.level, self.vertices, sorted(sym, key=lambda e: (self.alphabet.key(e[0]), self.alphabet.key(e[1]))),
+            self.level, self.vertices,
+            [(self.vertices[i], self.vertices[j]) for (i, j) in sorted(sym)],
             False, self.alphabet, source=self.source, two_sided=self.two_sided,
         )
+
+    def index(self) -> list:
+        """The integer index of the edges, built once: vertex i is
+        ``vertices[i]`` and ``adj[i]`` lists the ids of its out-neighbours,
+        ascending since the edges are sorted."""
+        if self._adj is None:
+            ids = {v: i for i, v in enumerate(self.vertices)}
+            self._adj = [[] for _ in self.vertices]
+            for (u, v) in self.edges:
+                self._adj[ids[u]].append(ids[v])
+        return self._adj
 
     def edge_count(self) -> int:
         if self.directed:
@@ -87,17 +103,12 @@ def from_finite_graph(G) -> QuotientGraph:
 def quotient(g: SymbolicGraph, n: int, bound: int | None = None) -> QuotientGraph:
     """The level-n quotient of the family, from its saturating enumeration."""
     lev = edges_at_level(g, n, bound=bound)
-    vertices = sorted(
-        {s for (s, _) in lev.pairs} | {t for (_, t) in lev.pairs},
-        key=lev.alphabet.key,
-    )
     return QuotientGraph(
         level=n,
-        vertices=vertices,
-        edges=list(lev.pairs),
+        vertices=lev.vertices,
+        edges=lev.pairs,
         directed=g.directed,
         alphabet=lev.alphabet,
-        reps=lev.reps,
         source=g.spec,
         two_sided=g.two_sided,
     )
@@ -280,7 +291,7 @@ def odd_closed_walk(q: QuotientGraph) -> Optional[WalkWitness]:
     the only double-cover search, which gives the same path the search from
     every root found."""
     q = q.undirected()
-    adj = adjacency(q.vertices, q.edges)  # the edges are symmetric
+    adj = q.index()
     found = odd_girth_root(adj)
     if found is None:
         return None
@@ -319,7 +330,7 @@ def decide_level(g: SymbolicGraph, n: int):
     walk = odd_closed_walk(q)
     if walk is not None:
         return OddWalk(walk, q)
-    colors, _ = _bfs_two_color(adjacency(q.vertices, q.edges))  # symmetric edges
+    colors, _ = _bfs_two_color(q.index())
     mapping = dict(zip(q.vertices, colors))
     return Bipartite(ClopenColoring(level=n, colors=2, mapping=mapping,
                                     alphabet=q.alphabet, two_sided=q.two_sided), q)

@@ -293,6 +293,9 @@ COLORING_FILES = {
     "empty.txt": "",
     "no-level.txt": "colors=2 family=gm\n0 0\n",
     "bare-token.txt": "level=1 colors=2 gm\n0 0\n",
+    "one-token.txt": "level=1 colors=2\nfoo\n",
+    "level-x.txt": "level=x colors=2\n",
+    "color-x.txt": "level=1 colors=2\n0 x\n",
 }
 SPECTRUM_FLAGS = "usage error: give --graph SPEC or --family, not both\n"
 QUADRATIC = "error: expected '(p +- q sqrt D)/s': "
@@ -359,6 +362,10 @@ QUADRATIC = "error: expected '(p +- q sqrt D)/s': "
      "[family=F] [kind=window]: 'colors=2 family=gm'\n"),
     (VERIFY_FILE + ("bare-token.txt",), "error: coloring header must be level=L colors=K "
      "[family=F] [kind=window]: 'level=1 colors=2 gm'\n"),
+    (VERIFY_FILE + ("one-token.txt",), "error: coloring line must be PREFIX COLOR: 'foo'\n"),
+    (VERIFY_FILE + ("level-x.txt",), "error: coloring header must be level=L colors=K "
+     "[family=F] [kind=window]: 'level=x colors=2'\n"),
+    (VERIFY_FILE + ("color-x.txt",), "error: coloring line must be PREFIX COLOR: '0 x'\n"),
     (("subshift", "lang", "--sturmian", "()", "--n", "2"), QUADRATIC + "'()'\n"),
     (("subshift", "lang", "--sturmian", "(5 sqrt)", "--n", "2"), QUADRATIC + "'(5 sqrt)'\n"),
     (("subshift", "lang", "--sturmian", "(sqrt 5)", "--n", "2"), QUADRATIC + "'(sqrt 5)'\n"),
@@ -371,7 +378,8 @@ QUADRATIC = "error: expected '(p +- q sqrt D)/s': "
         "quotient-negative-level", "cb-oriented-family", "cb-family-without-forest",
         "cb-family-and-forest", "cb-k0-and-forest", "hom-level-not-integer",
         "odd-cycle-superscript", "spectrum-no-source", "spectrum-two-sources",
-        "coloring-empty", "coloring-no-level", "coloring-bare-token", "sturmian-empty",
+        "coloring-empty", "coloring-no-level", "coloring-bare-token", "coloring-one-token",
+        "coloring-level-not-integer", "coloring-color-not-integer", "sturmian-empty",
         "sturmian-no-discriminant", "sturmian-no-coefficient"])
 def test_budget_and_file_errors_exit_2(tmp_path, monkeypatch, capsys, argv, prefix):
     monkeypatch.chdir(tmp_path)

@@ -3,6 +3,7 @@ projection coherence, degree bounds and swap closure."""
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from clopen.dynamics import parse_radix
 from clopen.families import (
     FamilyError,
     edges_at_level,
+    first_edges,
     gdelta,
     gm,
     go_graph,
@@ -69,7 +71,7 @@ def test_gm_clause_instances():
     lev = edges_at_level(g, 1)
     ps = set(lev.pairs)
     assert (("c",), ("0",)) in ps
-    rep = lev.reps[(("c",), ("0",))]
+    rep = first_edges(g, 1, lev.pairs)[("c",), ("0",)]
     assert format_ult(rep[0]) == "c,a,(abar)^inf"
     assert format_ult(rep[1]) == "0,0,(abar)^inf"
     # second-clause instances live inside a level: first letters agree
@@ -321,8 +323,9 @@ def test_projection_coherence(spec):
                 cut = {(s[m - n : m + n], t[m - n : m + n]) for (s, t) in big}
             else:
                 cut = set()
+                first = first_edges(g, m, big.pairs)
                 for (s, t) in big:
-                    x, y = big.reps[(s, t)]
+                    x, y = first[s, t]
                     if set(x.letters_used()) <= allowed and set(y.letters_used()) <= allowed:
                         cut.add((s[:n], t[:n]))
             assert cut == small, (spec, n, m)
@@ -399,6 +402,17 @@ def test_ka_map_is_injective_on_generated_points():
         assert len(set(targets)) == len(targets)
 
 
+@pytest.mark.parametrize("spec", ALL_FAMILY_SPECS)
+def test_generate_streams_the_same_edges_on_every_pass(spec):
+    # BlockWords compare by identity, so the passes are compared as printed
+    g = parse_family(spec)
+    for n in range(4):
+        stream = g.generate(g.saturation(n), n)
+        edges = [(_point_str(x), _point_str(y)) for (x, y) in stream]
+        assert len(stream) == len(edges), (spec, n)
+        assert [(_point_str(x), _point_str(y)) for (x, y) in stream] == edges, (spec, n)
+
+
 
 # each level's pairs in order, every pair with its first representative edge
 # as `family show` prints it, pinned from the uncut block-chain walk; the
@@ -419,6 +433,10 @@ ENUMERATION_CASES = {
         # alpha_2 and beta_2 are both lazily generated BlockWords
         (spec, n, 0) for spec in ("rank-subshift:n=2", "rank-subshift:n=2:oriented")
         for n in range(5)
+    ] + [
+        # the odometer block graphs at the level where their enumeration is
+        # large enough for its memory to matter
+        (spec, 7, 0) for spec in ("go-plus:d=2,(3)^inf", "gp:d=2,(3)^inf,p=1")
     ]
 }
 
@@ -428,9 +446,24 @@ def test_enumeration_matches_golden(key):
     spec, n, extra = ENUMERATION_CASES[key]
     g = parse_family(spec)
     q = quotient(g, n, bound=g.saturation(n) + extra)
+    first = first_edges(g, n, q.edges, bound=g.saturation(n) + extra)
     digest = hashlib.sha256()
     for (s, t) in q.edges:
-        x, y = q.reps[(s, t)]
+        x, y = first[s, t]
         digest.update(("%s -- %s    e.g. (%s, %s)\n" % (
             q.label(s), q.label(t), _point_str(x), _point_str(y))).encode())
     assert ENUMERATION[key] == {"pairs": len(q.edges), "sha256": digest.hexdigest()}
+
+
+def test_level_enumeration_holds_only_the_pairs():
+    # the 4054 pairs take about 2 MB; holding every generated edge, or a
+    # representative edge per pair, takes over 40 MB
+    g = parse_family("gp:d=2,(3)^inf,p=1")
+    tracemalloc.start()
+    try:
+        lev = edges_at_level(g, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lev.pairs) == 4054
+    assert peak < 8_000_000
