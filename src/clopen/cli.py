@@ -9,7 +9,6 @@ given), 1 on a mismatch, 2 on usage, input, budget and file errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import colorings as col
@@ -68,6 +67,7 @@ def _finite_graph(spec: str):
 
 
 def _print_json(payload, no_timing: bool):
+    import json  # only --format json reads it
     if no_timing and isinstance(payload, dict):
         payload = json.loads(json.dumps(payload))
         for entry in payload.get("levels", []):
@@ -426,7 +426,9 @@ def cmd_obstruct(args):
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand is listed; when `command` names one, only it gets its
+    arguments, as argparse builds a help formatter for each argument added."""
     ap = argparse.ArgumentParser(
         prog="clopen",
         description="level-by-level clopen colorability of symbolic graphs",
@@ -442,127 +444,142 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bound", type=int, default=None,
                        help="override the enumeration bound")
 
-    p = sp.add_parser("family", help="inspect a family")
-    fsp = p.add_subparsers(dest="sub", required=True)
-    ps = fsp.add_parser("show")
-    ps.add_argument("--family", required=True)
-    ps.add_argument("--level", type=int, default=1)
-    ps.add_argument("--sample", type=int, default=12)
-    common(ps)
-    bound(ps)
-    ps.set_defaults(fn=cmd_family_show)
+    parsers = {name: sp.add_parser(name, help=text) for name, text in (
+        ("family", "inspect a family"),
+        ("quotient", "level-n quotient graph"),
+        ("decide", "bipartite or odd-closed-walk at a level"),
+        ("scan", "decide all levels up to a budget"),
+        ("color", "build, verify or search colorings"),
+        ("subshift", "membership, languages, powers"),
+        ("cb", "Cantor-Bendixson ranks"),
+        ("hom", "finite homomorphism search"),
+        ("spectrum", "simple cycle lengths of a finite core"),
+        ("obstruct", "level-n reduction obstructions"),
+    )}
+    built = parsers if command not in parsers else {command: parsers[command]}
 
-    p = sp.add_parser("quotient", help="level-n quotient graph")
-    p.add_argument("--family", required=True)
-    p.add_argument("--level", type=int, required=True)
-    common(p, fmt=("text", "json", "dot"))
-    bound(p)
-    p.set_defaults(fn=cmd_quotient)
+    if p := built.get("family"):
+        fsp = p.add_subparsers(dest="sub", required=True)
+        ps = fsp.add_parser("show")
+        ps.add_argument("--family", required=True)
+        ps.add_argument("--level", type=int, default=1)
+        ps.add_argument("--sample", type=int, default=12)
+        common(ps)
+        bound(ps)
+        ps.set_defaults(fn=cmd_family_show)
 
-    p = sp.add_parser("decide", help="bipartite or odd-closed-walk at a level")
-    p.add_argument("--family", required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--expect", choices=("bipartite", "odd-walk"))
-    p.add_argument("--color-out")
-    common(p)
-    p.set_defaults(fn=cmd_decide)
+    if p := built.get("quotient"):
+        p.add_argument("--family", required=True)
+        p.add_argument("--level", type=int, required=True)
+        common(p, fmt=("text", "json", "dot"))
+        bound(p)
+        p.set_defaults(fn=cmd_quotient)
 
-    p = sp.add_parser("scan", help="decide all levels up to a budget")
-    p.add_argument("--family", required=True)
-    p.add_argument("--levels", type=int, required=True)
-    p.add_argument("--expect", choices=("bipartite", "odd-walk"))
-    p.add_argument("--budget-ms", type=float, default=None)
-    common(p)
-    p.set_defaults(fn=cmd_scan)
+    if p := built.get("decide"):
+        p.add_argument("--family", required=True)
+        p.add_argument("--level", type=int, required=True)
+        p.add_argument("--expect", choices=("bipartite", "odd-walk"))
+        p.add_argument("--color-out")
+        common(p)
+        p.set_defaults(fn=cmd_decide)
 
-    p = sp.add_parser("color", help="build, verify or search colorings")
-    csp = p.add_subparsers(dest="sub", required=True)
-    pb = csp.add_parser("build")
-    pb.add_argument("--family", required=True)
-    pb.add_argument("--kind", required=True,
-                    choices=("parity", "three-beta", "return-parity"))
-    pb.add_argument("--cylinder")
-    pb.add_argument("--out")
-    pb.set_defaults(fn=cmd_color_build)
-    pv = csp.add_parser("verify")
-    pv.add_argument("--family", required=True)
-    pv.add_argument("--coloring")
-    pv.add_argument("--predicate")
-    pv.add_argument("--bound", type=int, default=4)
-    pv.add_argument("--expect", choices=("ok", "violation"))
-    pv.set_defaults(fn=cmd_color_verify)
-    pc = csp.add_parser("search")
-    pc.add_argument("--family", required=True)
-    pc.add_argument("--level", type=int, required=True)
-    pc.add_argument("--colors", type=int, required=True)
-    pc.add_argument("--out")
-    pc.add_argument("--expect", choices=("found", "absent"))
-    pc.set_defaults(fn=cmd_color_search)
+    if p := built.get("scan"):
+        p.add_argument("--family", required=True)
+        p.add_argument("--levels", type=int, required=True)
+        p.add_argument("--expect", choices=("bipartite", "odd-walk"))
+        p.add_argument("--budget-ms", type=float, default=None)
+        common(p)
+        p.set_defaults(fn=cmd_scan)
 
-    p = sp.add_parser("subshift", help="membership, languages, powers")
-    ssp = p.add_subparsers(dest="sub", required=True)
-    pm = ssp.add_parser("member")
-    pm.add_argument("--word", required=True)
-    pm.add_argument("--forbidden")
-    pm.add_argument("--fib-p", type=int)
-    pm.add_argument("--expect", choices=("member", "non-member"))
-    pm.set_defaults(fn=cmd_subshift_member)
-    pl = ssp.add_parser("lang")
-    pl.add_argument("--sturmian")
-    pl.add_argument("--points")
-    pl.add_argument("--forbidden")
-    pl.add_argument("--fib-p", type=int)
-    pl.add_argument("--n", type=int, required=True)
-    pl.set_defaults(fn=cmd_subshift_lang)
-    px = ssp.add_parser("complexity")
-    px.add_argument("--sturmian")
-    px.add_argument("--points")
-    px.add_argument("--forbidden")
-    px.add_argument("--fib-p", type=int)
-    px.add_argument("--nmax", type=int, required=True)
-    px.set_defaults(fn=cmd_subshift_complexity)
-    pp = ssp.add_parser("powerfree")
-    pp.add_argument("--word")
-    pp.add_argument("--fib-prefix", type=int)
-    pp.add_argument("--power", type=int, required=True)
-    pp.add_argument("--expect", choices=("ok", "violation"))
-    pp.set_defaults(fn=cmd_subshift_powerfree)
+    if p := built.get("color"):
+        csp = p.add_subparsers(dest="sub", required=True)
+        pb = csp.add_parser("build")
+        pb.add_argument("--family", required=True)
+        pb.add_argument("--kind", required=True,
+                        choices=("parity", "three-beta", "return-parity"))
+        pb.add_argument("--cylinder")
+        pb.add_argument("--out")
+        pb.set_defaults(fn=cmd_color_build)
+        pv = csp.add_parser("verify")
+        pv.add_argument("--family", required=True)
+        pv.add_argument("--coloring")
+        pv.add_argument("--predicate")
+        pv.add_argument("--bound", type=int, default=4)
+        pv.add_argument("--expect", choices=("ok", "violation"))
+        pv.set_defaults(fn=cmd_color_verify)
+        pc = csp.add_parser("search")
+        pc.add_argument("--family", required=True)
+        pc.add_argument("--level", type=int, required=True)
+        pc.add_argument("--colors", type=int, required=True)
+        pc.add_argument("--out")
+        pc.add_argument("--expect", choices=("found", "absent"))
+        pc.set_defaults(fn=cmd_color_search)
 
-    p = sp.add_parser("cb", help="Cantor-Bendixson ranks")
-    bsp = p.add_subparsers(dest="sub", required=True)
-    pr = bsp.add_parser("rank")
-    pr.add_argument("--forest")
-    pr.add_argument("--family")
-    pr.add_argument("--resolution", type=int, default=40)
-    pr.add_argument("--expect-rank", type=int)
-    pr.set_defaults(fn=cmd_cb_rank)
+    if p := built.get("subshift"):
+        ssp = p.add_subparsers(dest="sub", required=True)
+        pm = ssp.add_parser("member")
+        pm.add_argument("--word", required=True)
+        pm.add_argument("--forbidden")
+        pm.add_argument("--fib-p", type=int)
+        pm.add_argument("--expect", choices=("member", "non-member"))
+        pm.set_defaults(fn=cmd_subshift_member)
+        pl = ssp.add_parser("lang")
+        pl.add_argument("--sturmian")
+        pl.add_argument("--points")
+        pl.add_argument("--forbidden")
+        pl.add_argument("--fib-p", type=int)
+        pl.add_argument("--n", type=int, required=True)
+        pl.set_defaults(fn=cmd_subshift_lang)
+        px = ssp.add_parser("complexity")
+        px.add_argument("--sturmian")
+        px.add_argument("--points")
+        px.add_argument("--forbidden")
+        px.add_argument("--fib-p", type=int)
+        px.add_argument("--nmax", type=int, required=True)
+        px.set_defaults(fn=cmd_subshift_complexity)
+        pp = ssp.add_parser("powerfree")
+        pp.add_argument("--word")
+        pp.add_argument("--fib-prefix", type=int)
+        pp.add_argument("--power", type=int, required=True)
+        pp.add_argument("--expect", choices=("ok", "violation"))
+        pp.set_defaults(fn=cmd_subshift_powerfree)
 
-    p = sp.add_parser("hom", help="finite homomorphism search")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--injective", action="store_true")
-    p.add_argument("--expect", choices=("found", "absent"))
-    p.set_defaults(fn=cmd_hom)
+    if p := built.get("cb"):
+        bsp = p.add_subparsers(dest="sub", required=True)
+        pr = bsp.add_parser("rank")
+        pr.add_argument("--forest")
+        pr.add_argument("--family")
+        pr.add_argument("--resolution", type=int, default=40)
+        pr.add_argument("--expect-rank", type=int)
+        pr.set_defaults(fn=cmd_cb_rank)
 
-    p = sp.add_parser("spectrum", help="simple cycle lengths of a finite core")
-    p.add_argument("--family")
-    p.add_argument("--graph")
-    p.add_argument("--max-len", type=int, default=40)
-    p.set_defaults(fn=cmd_spectrum)
+    if p := built.get("hom"):
+        p.add_argument("--source", required=True)
+        p.add_argument("--target", required=True)
+        p.add_argument("--injective", action="store_true")
+        p.add_argument("--expect", choices=("found", "absent"))
+        p.set_defaults(fn=cmd_hom)
 
-    p = sp.add_parser("obstruct", help="level-n reduction obstructions")
-    p.add_argument("--g1", required=True)
-    p.add_argument("--g2", required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--expect", choices=("obstructed", "clear"))
-    common(p)
-    p.set_defaults(fn=cmd_obstruct)
+    if p := built.get("spectrum"):
+        p.add_argument("--family")
+        p.add_argument("--graph")
+        p.add_argument("--max-len", type=int, default=40)
+        p.set_defaults(fn=cmd_spectrum)
+
+    if p := built.get("obstruct"):
+        p.add_argument("--g1", required=True)
+        p.add_argument("--g2", required=True)
+        p.add_argument("--level", type=int, required=True)
+        p.add_argument("--expect", choices=("obstructed", "clear"))
+        common(p)
+        p.set_defaults(fn=cmd_obstruct)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    ap = build_parser(argv[0] if argv else None)
     args = ap.parse_args(argv)
     try:
         return args.fn(args)

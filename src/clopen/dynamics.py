@@ -5,7 +5,6 @@ two-sided words."""
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -266,7 +265,8 @@ class QuadraticReal:
         self.a, self.b, self.c, self.disc = a // g, b // g, c // g, disc
 
     @classmethod
-    def from_fraction(cls, q: Fraction, disc: int) -> "QuadraticReal":
+    def from_fraction(cls, q, disc: int) -> "QuadraticReal":
+        """q is an int or a Fraction; a float has no numerator and never enters."""
         return cls(q.numerator, 0, q.denominator, disc)
 
     @property
@@ -280,7 +280,7 @@ class QuadraticReal:
             if other.disc != self.disc and other.b != 0 and self.b != 0:
                 raise ValueError("mixed discriminants are not comparable here")
             return other, (other.disc if self.b == 0 and other.b != 0 else self.disc)
-        return QuadraticReal.from_fraction(Fraction(other), self.disc), self.disc
+        return QuadraticReal.from_fraction(other, self.disc), self.disc
 
     def __add__(self, other) -> "QuadraticReal":
         o, disc = self._coerce(other)
@@ -310,8 +310,8 @@ class QuadraticReal:
         return (self - other).sign()
 
     def __eq__(self, other):
-        if not isinstance(other, (QuadraticReal, int, Fraction)):
-            return NotImplemented
+        if not isinstance(other, QuadraticReal) and not hasattr(other, "denominator"):
+            return NotImplemented  # a float: never exactly equal
         return self.cmp(other) == 0
 
     def __hash__(self):
@@ -372,8 +372,7 @@ class SturmianParameterError(ValueError):
 def check_rotation_number(r: QuadraticReal):
     if r.is_rational:
         raise SturmianParameterError("rotation number must be irrational")
-    half = Fraction(1, 2)
-    if not (r.cmp(0) > 0 and r.cmp(half) < 0):
+    if not (r.cmp(0) > 0 and r.scale(2).cmp(1) < 0):
         raise SturmianParameterError("rotation number must lie in (0, 1/2)")
 
 

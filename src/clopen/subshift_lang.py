@@ -453,4 +453,6 @@ def forest_from_text(text: str) -> LimitForest:
             raise SubshiftError("bad forest line %r" % ln)
         parent = toks[3][len("parent=") :]
         nodes.append(ForestNode(node_id, base, None if parent == "root" else parent))
+    if not nodes:
+        raise SubshiftError("forest has no node lines (node <id> orbit=<biword> parent=<id|root>)")
     return LimitForest(nodes)

@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from clopen.cli import FAMILY_GRAMMAR, main
+from clopen.cli import FAMILY_GRAMMAR, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -167,6 +170,74 @@ def test_bad_family_exits_2(capsys):
     assert code == 2 or "bogus" in err
 
 
+# every leaf of the command tree
+SUBCOMMAND_PATHS = [
+    ("family", "show"), ("quotient",), ("decide",), ("scan",),
+    ("color", "build"), ("color", "verify"), ("color", "search"),
+    ("subshift", "member"), ("subshift", "lang"), ("subshift", "complexity"),
+    ("subshift", "powerfree"), ("cb", "rank"), ("hom",), ("spectrum",), ("obstruct",),
+]
+USAGE_ERRORS = [
+    (),  # no command
+    ("bogus",),
+    ("sca",),  # a prefix of a command is no command
+    ("-x", "scan"),
+    ("color",),  # no nested command
+    ("color", "bogus"),
+    ("scan", "--levels", "2"),  # missing --family
+    ("quotient", "--family", "gm", "--level", "x"),
+    ("scan", "--family", "gm", "--levels", "2", "--bogus"),
+]
+
+
+def exit_and_output(capsys, parse, argv):
+    with pytest.raises(SystemExit) as ei:
+        parse(list(argv))
+    out = capsys.readouterr()
+    return ei.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("family", "--help"), ("color", "--help"),
+                                  ("subshift", "--help"), ("cb", "--help")]
+                         + [path + ("--help",) for path in SUBCOMMAND_PATHS], ids=" ".join)
+def test_help_equals_the_full_parser(capsys, argv):
+    # main builds the arguments of the named command only
+    full = exit_and_output(capsys, build_parser().parse_args, argv)
+    assert full[0] == 0 and full[1].startswith("usage: clopen")
+    assert exit_and_output(capsys, main, argv) == full
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "empty")
+def test_usage_errors_equal_the_full_parser(capsys, argv):
+    full = exit_and_output(capsys, build_parser().parse_args, argv)
+    assert full[:2] == (2, "") and full[2].startswith("usage: clopen")
+    assert exit_and_output(capsys, main, argv) == full
+
+
+def test_one_command_parser_has_no_other_arguments(capsys):
+    code, _, err = exit_and_output(capsys, build_parser("scan").parse_args,
+                                   ("hom", "--source", "odd-cycle:p=1", "--target", "k0@1"))
+    assert code == 2 and "unrecognized arguments: --source" in err
+
+
+# the modules perfbench/tracer.py wraps right after `import clopen.cli`
+TRACED_MODULES = ("cli", "words", "dynamics", "families", "quotients", "colorings", "homs",
+                  "subshift_lang")
+
+
+def test_cli_import_loads_the_library_but_not_json_or_fractions():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    # -S: no site hooks, so only what the import itself loads is counted
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import clopen.cli, sys; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert {"clopen." + m for m in TRACED_MODULES} <= loaded
+    assert not loaded & {"json", "fractions", "decimal"}
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as ei:
         main(["scan", "--levels", "2"])  # missing --family
@@ -288,15 +359,18 @@ def test_subshift_text_matches_golden(capsys, argv, name):
 MEMBER = ("subshift", "member", "--word", "(01)^inf.(01)^inf", "--fib-p")
 RETURN_PARITY = ("color", "build", "--family", "graph-o:d=(3)^inf", "--kind", "return-parity")
 VERIFY_FILE = ("color", "verify", "--family", "gm", "--coloring")
-# malformed coloring files, written into the working directory of each case
-COLORING_FILES = {
+# malformed coloring and forest files, written into the working directory of each case
+INPUT_FILES = {
     "empty.txt": "",
     "no-level.txt": "colors=2 family=gm\n0 0\n",
     "bare-token.txt": "level=1 colors=2 gm\n0 0\n",
     "one-token.txt": "level=1 colors=2\nfoo\n",
     "level-x.txt": "level=x colors=2\n",
     "color-x.txt": "level=1 colors=2\n0 x\n",
+    "forest-empty.txt": "",
+    "forest-blank.txt": "\n  \n\n",
 }
+FOREST_FORMAT = "error: forest has no node lines (node <id> orbit=<biword> parent=<id|root>)\n"
 SPECTRUM_FLAGS = "usage error: give --graph SPEC or --family, not both\n"
 QUADRATIC = "error: expected '(p +- q sqrt D)/s': "
 
@@ -369,6 +443,8 @@ QUADRATIC = "error: expected '(p +- q sqrt D)/s': "
     (("subshift", "lang", "--sturmian", "()", "--n", "2"), QUADRATIC + "'()'\n"),
     (("subshift", "lang", "--sturmian", "(5 sqrt)", "--n", "2"), QUADRATIC + "'(5 sqrt)'\n"),
     (("subshift", "lang", "--sturmian", "(sqrt 5)", "--n", "2"), QUADRATIC + "'(sqrt 5)'\n"),
+    (("cb", "rank", "--forest", "forest-empty.txt"), FOREST_FORMAT),
+    (("cb", "rank", "--forest", "forest-blank.txt"), FOREST_FORMAT),
 ], ids=["fib-budget", "color-budget", "hom-budget", "missing-file", "fib-negative",
         "fib-2", "fib-120", "fib-100000", "odd-cycle-key", "parity-no-radix", "verify-no-coloring",
         "cylinder-letter", "cylinder-digit", "quotient-negative-bound", "show-negative-bound",
@@ -380,10 +456,11 @@ QUADRATIC = "error: expected '(p +- q sqrt D)/s': "
         "odd-cycle-superscript", "spectrum-no-source", "spectrum-two-sources",
         "coloring-empty", "coloring-no-level", "coloring-bare-token", "coloring-one-token",
         "coloring-level-not-integer", "coloring-color-not-integer", "sturmian-empty",
-        "sturmian-no-discriminant", "sturmian-no-coefficient"])
+        "sturmian-no-discriminant", "sturmian-no-coefficient", "forest-empty",
+        "forest-blank"])
 def test_budget_and_file_errors_exit_2(tmp_path, monkeypatch, capsys, argv, prefix):
     monkeypatch.chdir(tmp_path)
-    for name, text in COLORING_FILES.items():
+    for name, text in INPUT_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     code, out, err = run(capsys, *argv)
     assert code == 2

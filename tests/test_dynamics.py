@@ -7,6 +7,7 @@ interval endpoints.
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -251,6 +252,62 @@ def test_quadratic_mixed_discriminants():
         assert repr(v) == want
     with pytest.raises(ValueError):
         root2 + QuadraticReal(0, 1, 1, 3)
+
+
+GOLDEN_RATIO_PART = "(3 - 1 sqrt 5)/2"  # ~0.382
+HALF = "(1 + 0 sqrt 5)/2"
+
+
+# value, rational operand, then cmp, ==, + and - as the Fraction-based
+# coercion gave them; int and Fraction operands both coerce through their
+# numerator and denominator
+@pytest.mark.parametrize("value,other,cmp,eq,plus,minus", [
+    (GOLDEN_RATIO_PART, 0, 1, False, "(3 - 1 sqrt 5)/2", "(3 - 1 sqrt 5)/2"),
+    (GOLDEN_RATIO_PART, 1, -1, False, "(5 - 1 sqrt 5)/2", "(1 - 1 sqrt 5)/2"),
+    (GOLDEN_RATIO_PART, -2, 1, False, "(-1 - 1 sqrt 5)/2", "(7 - 1 sqrt 5)/2"),
+    (GOLDEN_RATIO_PART, Fraction(1, 2), -1, False, "(4 - 1 sqrt 5)/2", "(2 - 1 sqrt 5)/2"),
+    (GOLDEN_RATIO_PART, Fraction(38, 100), 1, False,
+     "(94 - 25 sqrt 5)/50", "(56 - 25 sqrt 5)/50"),
+    (GOLDEN_RATIO_PART, Fraction(39, 100), -1, False,
+     "(189 - 50 sqrt 5)/100", "(111 - 50 sqrt 5)/100"),
+    (GOLDEN_RATIO_PART, Fraction(-7, 3), 1, False, "(-5 - 3 sqrt 5)/6", "(23 - 3 sqrt 5)/6"),
+    (HALF, 0, 1, False, "(1 + 0 sqrt 5)/2", "(1 + 0 sqrt 5)/2"),
+    (HALF, 1, -1, False, "(3 + 0 sqrt 5)/2", "(-1 + 0 sqrt 5)/2"),
+    (HALF, Fraction(1, 2), 0, True, "(1 + 0 sqrt 5)/1", "(0 + 0 sqrt 5)/1"),
+    (HALF, Fraction(39, 100), 1, False, "(89 + 0 sqrt 5)/100", "(11 + 0 sqrt 5)/100"),
+    (HALF, Fraction(-7, 3), 1, False, "(-11 + 0 sqrt 5)/6", "(17 + 0 sqrt 5)/6"),
+    ("(-4)/2", -2, 0, True, "(-4 + 0 sqrt 5)/1", "(0 + 0 sqrt 5)/1"),
+    ("(-4)/2", Fraction(-2), 0, True, "(-4 + 0 sqrt 5)/1", "(0 + 0 sqrt 5)/1"),
+])
+def test_quadratic_rational_operands(value, other, cmp, eq, plus, minus):
+    v = parse_quadratic(value)
+    assert v.cmp(other) == cmp
+    assert (v == other) is eq and (other == v) is eq
+    assert repr(v + other) == plus and repr(v - other) == minus
+
+
+def test_quadratic_never_equals_a_float():
+    for v in (parse_quadratic(HALF), parse_quadratic(GOLDEN_RATIO_PART), QuadraticReal(0, 0, 1, 5)):
+        assert v != 0.5 and 0.5 != v and v != 0.0 and 0.0 != v
+    # nor does a float enter a comparison or a sum
+    with pytest.raises(AttributeError):
+        parse_quadratic(HALF).cmp(0.5)
+    with pytest.raises(AttributeError):
+        parse_quadratic(GOLDEN_RATIO_PART) + 0.5
+
+
+def test_rotation_number_bounds_are_exact():
+    # r = 0 and r = 1/2 exactly are rational; an irrational r within 10^-9
+    # of either end falls on the side it lies on
+    tiny = QuadraticReal(-2, 1, 10**9, 5)  # (sqrt 5 - 2)/10^9 > 0
+    for r, reason in ((QuadraticReal(0, 0, 1, 5), "irrational"),
+                      (QuadraticReal(1, 0, 2, 5), "irrational"),
+                      (QuadraticReal(0, 0, 1, 5) - tiny, "(0, 1/2)"),
+                      (QuadraticReal(1, 0, 2, 5) + tiny, "(0, 1/2)")):
+        with pytest.raises(SturmianParameterError, match=re.escape(reason)):
+            sturmian_code(r, 0, 0, 1)
+    for r in (tiny, QuadraticReal(1, 0, 2, 5) - tiny):
+        assert len(sturmian_code(r, 0, 0, 3)) == 4
 
 
 def approx(v: QuadraticReal) -> float:
