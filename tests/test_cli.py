@@ -485,6 +485,13 @@ FOREST = (
     "node alpha0 orbit=(01)^inf.(01)^inf parent=root\n"
     "node beta0 orbit=(01)^inf.1(01)^inf parent=alpha0\n"
 )
+# finite graph files: string vertex names, a directed graph, an isolated vertex
+GRAPH_FILES = {
+    "c5.txt": "directed=0\n0 1\n1 2\n2 3\n3 4\n4 0\n",
+    "tri.txt": "directed=0\nred green\ngreen blue\nblue red\n",
+    "week.txt": "directed=1\nsun mon\nmon tue\ntue sun\ntue wed\nwed thu\n",
+    "rgb.txt": "directed=1\nred green\ngreen blue\nblue red\ngrey\n",
+}
 JSON = ("--format", "json", "--no-timing")
 GO34 = "graph-o:d=3,4,(3)^inf"
 GP1 = "gp:d=2,(3)^inf,p=1"
@@ -537,6 +544,19 @@ CORPUS = [
      "hom-go7-c3.txt"),
     (("hom", "--source", "graph-o:d=(3)^inf@3", "--target", "odd-cycle:p=2",
       "--injective"), "hom-go3-c7-injective.txt"),
+    # finite graphs from files, a level quotient as a finite graph, and an
+    # oriented family's quotient and decision
+    (("hom", "--source", "file:c5.txt", "--target", "file:tri.txt"), "hom-file-c5-tri.txt"),
+    (("hom", "--source", "file:week.txt", "--target", "file:rgb.txt"), "hom-file-week-rgb.txt"),
+    (("hom", "--source", "file:c5.txt", "--target", "file:rgb.txt"), "hom-file-c5-rgb.txt"),
+    (("spectrum", "--graph", "file:week.txt"), "spectrum-file-week.txt"),
+    (("spectrum", "--graph", "graph-o:d=(3)^inf@2"), "spectrum-go3-2.txt"),
+    (("quotient", "--family", "go-plus:d=2,(3)^inf:oriented", "--level", "2") + JSON,
+     "quotient-go-plus-oriented-2.json"),
+    (("decide", "--family", "go-plus:d=2,(3)^inf:oriented", "--level", "2") + JSON,
+     "decide-go-plus-oriented-2.json"),
+    (("decide", "--family", "go-plus:d=2,(3)^inf:oriented", "--level", "2"),
+     "decide-go-plus-oriented-2.txt"),
 ]
 
 
@@ -545,6 +565,8 @@ def test_cli_matches_golden(tmp_path, monkeypatch, capsys, argv, name):
     # the coloring file is the one the README's decide example writes
     monkeypatch.chdir(tmp_path)
     (tmp_path / "forest.txt").write_text(FOREST, encoding="utf-8")
+    for fname, text in GRAPH_FILES.items():
+        (tmp_path / fname).write_text(text, encoding="utf-8")
     colf = tmp_path / "c.txt"
     golden_colf = (GOLDEN / "readme-decide-c.txt").read_text(encoding="utf-8")
     if "--color-out" not in argv:
