@@ -17,7 +17,6 @@ from .dynamics import (
     sturmian_code,
 )
 from .families import (
-    FiniteGraph,
     SymbolicGraph,
     edges_at_level,
     gdelta,

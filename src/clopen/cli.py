@@ -20,11 +20,12 @@ from .dynamics import parse_quadratic, parse_radix
 from .words import BudgetError, WordError, format_word, parse_bi, parse_prefix
 
 FAMILY_GRAMMAR = (
-    "family spec strings: odd-cycle:p=2 | gm | gdelta:delta=(1)^inf | "
+    "family spec strings: gm | gdelta:delta=(1)^inf | "
     "go-plus:d=2,(3)^inf | graph-o:d=(3)^inf | t | k0 | rank-subshift:n=2 | "
     "gp:d=2,(3)^inf,p=1 | orbit:d=(3)^inf,S=sa{0} | ka:A=0,2 | "
     "sturmian:r=(3 - 1 sqrt 5)/2 "
-    "(suffix :oriented for the one-directional variants)"
+    "(suffix :oriented for the one-directional variants)\n"
+    "finite graph specs (hom, spectrum --graph): odd-cycle:p=N | file:PATH | FAMILY@LEVEL"
 )
 
 
@@ -45,7 +46,7 @@ def _family(spec: str) -> fam.SymbolicGraph:
 
 def _finite_graph(spec: str):
     """odd-cycle:p=N | file:PATH | FAMILY@LEVEL (the undirected level-n
-    quotient, which the searches read as a finite graph)."""
+    quotient), each a QuotientGraph."""
     if spec.startswith("odd-cycle:"):
         p = spec[len("odd-cycle:"):]
         if not (p.startswith("p=") and p[2:].isdecimal()):

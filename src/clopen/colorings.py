@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .dynamics import Radix, prefix_succ, prefix_value
-from .families import FiniteGraph, SymbolicGraph
+from .families import SymbolicGraph, finite_graph
 from .homs import hom_exists
 from .quotients import QuotientGraph, quotient
 from .words import Alphabet, BudgetError, Word, format_word, parse_prefix
@@ -222,7 +222,7 @@ def search_coloring(q: QuotientGraph, k: int) -> Optional[ClopenColoring]:
     if len(q.vertices) > 10**5:
         raise BudgetError("quotient too large for exhaustive search")
     q = q.undirected()
-    w = hom_exists(q, FiniteGraph(range(k), [(i, j) for i in range(k) for j in range(i)]))
+    w = hom_exists(q, finite_graph(range(k), [(i, j) for i in range(k) for j in range(i)]))
     if w is None:
         return None
     return ClopenColoring(level=q.level, colors=k, mapping=w.mapping,

@@ -13,6 +13,9 @@ Stability under enlarging the bound is a runtime-checkable property.
 
 Families over an infinite numeral alphabet are capped at the letters reachable
 below B(n); the cap is part of the alphabet reported for that level.
+
+`QuotientGraph` is the one finite graph type: a level quotient, an odd
+cycle, a finite core, a complete graph or a graph read from a file.
 """
 
 from __future__ import annotations
@@ -29,60 +32,107 @@ from .dynamics import (
     parse_quadratic,
     parse_radix,
 )
-from .words import Alphabet, BiWord, BlockWord, UltWord, Word, numerals
+from .words import Alphabet, BiWord, BlockWord, UltWord, Word, format_word, numerals
 
 
 class FamilyError(ValueError):
     pass
 
 
-class FiniteGraph:
-    """Plain finite graph; undirected edges are stored symmetrically."""
+class QuotientGraph:
+    """A finite graph: a level-n quotient of a family, whose vertices are its
+    length-n prefixes in alphabet order, or an odd cycle, a finite core, a
+    complete graph or a graph read from a file, whose vertices keep their
+    first-seen order.  Vertex i is ``vertices[i]``.  The edges are distinct
+    and sorted by the ids of their ends, an undirected edge stored both ways
+    and a self-loop once.  `finite_graph` builds every graph but a quotient,
+    whose pairs `edges_at_level` already gives in that form."""
 
-    def __init__(self, vertices: Iterable, edges: Iterable, directed: bool = False):
-        self.vertices = list(dict.fromkeys(vertices))
-        vset = set(self.vertices)
+    def __init__(self, level, vertices, edges, directed, alphabet=None,
+                 source=None, two_sided=False):
+        self.level = level
+        self.vertices = vertices
+        self.edges = edges
         self.directed = directed
-        es = []
-        for (u, v) in edges:
-            if u not in vset or v not in vset:
-                raise FamilyError("edge (%r, %r) references unknown vertex" % (u, v))
-            es.append((u, v))
-            if not directed:
-                es.append((v, u))
-        self.edges = set(es)
+        self.alphabet = alphabet
+        self.source = source
+        self.two_sided = two_sided
+        self._adj = None
+
+    def undirected(self) -> QuotientGraph:
+        """The underlying undirected graph, on the same vertex ids."""
+        if not self.directed:
+            return self
+        return finite_graph(self.vertices, self.edges, False, self.level, self.alphabet,
+                            self.source, self.two_sided)
+
+    def index(self) -> list:
+        """The integer index of the edges, built once: ``adj[i]`` lists the
+        ids of i's out-neighbours, ascending since the edges are sorted."""
+        if self._adj is None:
+            ids = {v: i for i, v in enumerate(self.vertices)}
+            self._adj = [[] for _ in self.vertices]
+            for (u, v) in self.edges:
+                self._adj[ids[u]].append(ids[v])
+        return self._adj
+
+    def edge_count(self) -> int:
+        if self.directed:
+            return len(self.edges)
+        loops = len([1 for (u, v) in self.edges if u == v])
+        return (len(self.edges) - loops) // 2 + loops
 
     def label(self, v) -> str:
-        return str(v)
+        """A prefix in its alphabet's letters, a two-sided window split at
+        its centre; a vertex of a graph without an alphabet as ``str(v)``."""
+        if self.alphabet is None:
+            return str(v)
+        s = format_word(v, self.alphabet)
+        if self.two_sided and self.level:
+            mid = len(v) // 2
+            joint = "," if "," in s else ""
+            s = (format_word(v[:mid], self.alphabet) + joint + "." + joint
+                 + format_word(v[mid:], self.alphabet))
+        return s if s else "<empty>"
 
-    def undirected_edge_count(self) -> int:
-        return len({frozenset(e) for e in self.edges if e[0] != e[1]}) + len(
-            [1 for (u, v) in self.edges if u == v]
-        )
+    def distinct_edges(self) -> list:
+        """The edges, an undirected one once, in the direction listed first."""
+        if self.directed:
+            return self.edges
+        seen, out = set(), []
+        for (u, v) in self.edges:
+            if (v, u) not in seen:
+                seen.add((u, v))
+                out.append((u, v))
+        return out
 
-    def __repr__(self):
-        return "FiniteGraph(%d vertices, %d edges)" % (
-            len(self.vertices),
-            self.undirected_edge_count(),
-        )
 
-
-def adjacency(vertices: Sequence, edges: Iterable) -> list:
-    """The integer index of a finite graph: vertex i is ``vertices[i]`` and
-    ``adj[i]`` lists the ids of i's out-neighbours in ascending order."""
-    ids = {v: i for i, v in enumerate(vertices)}
-    nbrs = [set() for _ in ids]
+def finite_graph(vertices: Iterable, edges: Iterable, directed: bool = False,
+                 level=None, alphabet=None, source=None, two_sided=False) -> QuotientGraph:
+    """The graph on `vertices`, in first-seen order, with `edges`, each
+    undirected one stored both ways, distinct and sorted by the ids of their
+    ends; an edge on an unknown vertex is an error."""
+    ids: dict = {}
+    for v in vertices:
+        ids.setdefault(v, len(ids))
+    pairs = set()
     for (u, v) in edges:
-        nbrs[ids[u]].add(ids[v])
-    return [sorted(s) for s in nbrs]
+        if u not in ids or v not in ids:
+            raise FamilyError("edge (%r, %r) references unknown vertex" % (u, v))
+        pairs.add((ids[u], ids[v]))
+    if not directed:
+        pairs |= {(j, i) for (i, j) in pairs}
+    order = list(ids)
+    return QuotientGraph(level, order, [(order[i], order[j]) for (i, j) in sorted(pairs)],
+                         directed, alphabet, source, two_sided)
 
 
-def odd_cycle(p: int) -> FiniteGraph:
+def odd_cycle(p: int) -> QuotientGraph:
     """The symmetric cycle on 2p+3 vertices."""
     if p < 0:
         raise FamilyError("p must be >= 0")
     n = 2 * p + 3
-    return FiniteGraph(range(n), [(i, (i + 1) % n) for i in range(n)])
+    return finite_graph(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +179,7 @@ class SymbolicGraph:
         compact: bool = True,
         point_set: str = "",
         system: BlockSystem | None = None,
-        finite_core: Callable[[], FiniteGraph] | None = None,
+        finite_core: Callable[[], QuotientGraph] | None = None,
     ):
         self.spec = spec
         self.alphabet_for = alphabet_for
@@ -836,7 +886,7 @@ def ka_graph(A: Sequence[int]) -> SymbolicGraph:
     def generate(bound: int, level: int = 0) -> Iterator:
         yield from _ka_points_and_map(A, chain_depth=bound).items()
 
-    def finite_core() -> FiniteGraph:
+    def finite_core() -> QuotientGraph:
         # the finite orbits are the 4-cycle of constant words and the even
         # cycles indexed by A; the spine orbit contributes no finite cycles
         pts = _ka_points_and_map(A, chain_depth=max(A, default=0) + 2)
@@ -851,7 +901,7 @@ def ka_graph(A: Sequence[int]) -> SymbolicGraph:
 
         edges = [(format_ult(x), format_ult(y)) for (x, y) in keep.items()]
         verts = sorted({v for e in edges for v in e})
-        return FiniteGraph(verts, edges)
+        return finite_graph(verts, edges)
 
     return SymbolicGraph(
         spec=spec,
@@ -869,9 +919,9 @@ def ka_graph(A: Sequence[int]) -> SymbolicGraph:
 
 
 def parse_family(spec: str) -> SymbolicGraph:
-    """`odd-cycle:p=2` is a FiniteGraph and handled by the CLI separately;
-    everything else builds a SymbolicGraph.  A trailing `:oriented` selects
-    the primitive orientation."""
+    """A SymbolicGraph from its spec string; a trailing `:oriented` selects
+    the primitive orientation.  Finite graph specs (`odd-cycle:p=N`,
+    `file:PATH`, `FAMILY@LEVEL`) are the CLI's."""
     spec = spec.strip()
     oriented = spec.endswith(":oriented")
     if oriented:

@@ -1,11 +1,13 @@
 """Finite-graph homomorphism search, cycle spectra, and quotient-level
-obstruction reports for comparability questions."""
+obstruction reports for comparability questions.  Every finite graph, a
+level quotient or not, is a `families.QuotientGraph`, and the searches read
+its integer index."""
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .families import FiniteGraph, SymbolicGraph, adjacency
+from .families import QuotientGraph, SymbolicGraph, finite_graph
 from .quotients import odd_closed_walk, odd_girth_root, quotient
 from .words import BudgetError
 
@@ -17,17 +19,16 @@ class HomWitness:
         self.mapping = dict(mapping)
         self.injective = injective
 
-    def check(self, G: FiniteGraph, H: FiniteGraph) -> bool:
+    def check(self, G: QuotientGraph, H: QuotientGraph) -> bool:
         if set(self.mapping) != set(G.vertices):
             return False
         if self.injective and len(set(self.mapping.values())) != len(self.mapping):
             return False
-        return all(
-            (self.mapping[u], self.mapping[v]) in H.edges for (u, v) in G.edges
-        )
+        edges = set(H.edges)
+        return all((self.mapping[u], self.mapping[v]) in edges for (u, v) in G.edges)
 
 
-def hom_exists(G: FiniteGraph, H: FiniteGraph, injective: bool = False
+def hom_exists(G: QuotientGraph, H: QuotientGraph, injective: bool = False
                ) -> Optional[HomWitness]:
     """Backtracking search with forward checking over the integer indexes of
     G and H; returns a witness or None as an absence certificate.
@@ -53,8 +54,7 @@ def hom_exists(G: FiniteGraph, H: FiniteGraph, injective: bool = False
     without a solution, so the first solution is the one plain backtracking
     in the same order finds.  The search keeps an explicit stack, one level
     per source vertex."""
-    g_adj = adjacency(G.vertices, G.edges)
-    h_adj = adjacency(H.vertices, H.edges)
+    g_adj, h_adj = G.index(), H.index()
     if not (G.directed or H.directed):
         h_girth = odd_girth_root(h_adj)
         if h_girth is None or h_girth[0] > 3:
@@ -71,8 +71,7 @@ def hom_exists(G: FiniteGraph, H: FiniteGraph, injective: bool = False
         return None
     if len(G.vertices) * len(H.vertices) > 10**6:
         raise BudgetError("source x target size exceeds the search budget")
-    und = g_adj if not G.directed else adjacency(
-        G.vertices, [e for (u, v) in G.edges for e in ((u, v), (v, u))])
+    und = G.undirected().index() if G.directed else g_adj
     order = []
     placed = [False] * len(g_adj)
     for seed in sorted(range(len(g_adj)), key=lambda v: (-len(g_adj[v]), v)):
@@ -133,13 +132,14 @@ def hom_exists(G: FiniteGraph, H: FiniteGraph, injective: bool = False
     return HomWitness(dict(zip(G.vertices, (H.vertices[w] for w in assign))), injective)
 
 
-def cycle_spectrum(G: FiniteGraph, max_len: int = 64) -> set:
+def cycle_spectrum(G: QuotientGraph, max_len: int = 64) -> set:
     """Lengths of simple cycles of the underlying undirected graph, up to
-    max_len, by DFS rooted at each minimal vertex."""
+    max_len, by DFS rooted at each minimal vertex.  A self-loop closes no
+    cycle: the DFS never steps onto a vertex of its path but the root, and
+    back to the root only after two steps."""
     if max_len > 64:
         raise BudgetError("cycle length cap exceeds the search budget")
-    adj = adjacency(G.vertices, [e for (u, v) in G.edges if u != v
-                                 for e in ((u, v), (v, u))])
+    adj = (G.undirected() if G.directed else G).index()
     lengths: set = set()
 
     def dfs(root, current, path_set, length):
@@ -237,20 +237,20 @@ def quotient_hom_obstruction(g1: SymbolicGraph, g2: SymbolicGraph, n: int) -> Ob
 # finite graph exchange format
 
 
-def finite_graph_from_text(text: str) -> FiniteGraph:
+def finite_graph_from_text(text: str) -> QuotientGraph:
+    """A graph file: the header ``directed=0`` or ``directed=1``, then one
+    vertex ``V`` or edge ``U V`` per line; the vertices keep their
+    first-seen order."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("directed="):
-        raise ValueError("missing directed= header")
-    directed = lines[0] == "directed=1"
-    vertices = []
-    edges = []
+    if not lines or lines[0] not in ("directed=0", "directed=1"):
+        raise ValueError("graph file must start with the header directed=0 or directed=1: %r"
+                         % (lines[0] if lines else ""))
+    vertices, edges = [], []
     for ln in lines[1:]:
         toks = ln.split()
-        if len(toks) == 1:
-            vertices.append(toks[0])
-        elif len(toks) == 2:
-            vertices.extend(toks)
-            edges.append((toks[0], toks[1]))
-        else:
-            raise ValueError("bad edge line %r" % ln)
-    return FiniteGraph(vertices, edges, directed=directed)
+        if len(toks) > 2:
+            raise ValueError("graph line must be V or U V: %r" % ln)
+        vertices += toks
+        if len(toks) == 2:
+            edges.append(tuple(toks))
+    return finite_graph(vertices, edges, directed=lines[0] == "directed=1")

@@ -8,6 +8,9 @@ level; a bipartite quotient yields a clopen 2-coloring of the whole graph.
 For compact point sets, odd walks at every level certify that no continuous
 2-coloring exists at all; without compactness only the level-by-level
 statement survives, and reports say so.
+
+A quotient is a `families.QuotientGraph`, the one finite graph type, and the
+walk machinery reads only its integer index, so it serves any finite graph.
 """
 
 from __future__ import annotations
@@ -15,103 +18,17 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from .families import SymbolicGraph, edges_at_level
-from .words import Alphabet, Word, format_word
-
-
-class QuotientGraph:
-    """Relation on length-n prefixes; self-loops are kept.  The vertices are
-    in alphabet order and the edges distinct, sorted by the positions of
-    their ends, in every quotient this module builds."""
-
-    def __init__(self, level, vertices, edges, directed, alphabet,
-                 source=None, two_sided=False):
-        self.level = level
-        self.vertices = list(vertices)
-        self.edges = list(edges)
-        self.directed = directed
-        self.alphabet = alphabet
-        self.source = source
-        self.two_sided = two_sided
-        self._adj = None
-
-    def undirected(self) -> "QuotientGraph":
-        if not self.directed:
-            return self
-        ids = {v: i for i, v in enumerate(self.vertices)}
-        sym = {(ids[u], ids[v]) for (u, v) in self.edges}
-        sym |= {(j, i) for (i, j) in sym}
-        return QuotientGraph(
-            self.level, self.vertices,
-            [(self.vertices[i], self.vertices[j]) for (i, j) in sorted(sym)],
-            False, self.alphabet, source=self.source, two_sided=self.two_sided,
-        )
-
-    def index(self) -> list:
-        """The integer index of the edges, built once: vertex i is
-        ``vertices[i]`` and ``adj[i]`` lists the ids of its out-neighbours,
-        ascending since the edges are sorted."""
-        if self._adj is None:
-            ids = {v: i for i, v in enumerate(self.vertices)}
-            self._adj = [[] for _ in self.vertices]
-            for (u, v) in self.edges:
-                self._adj[ids[u]].append(ids[v])
-        return self._adj
-
-    def edge_count(self) -> int:
-        if self.directed:
-            return len(self.edges)
-        loops = len([1 for (u, v) in self.edges if u == v])
-        return (len(self.edges) - loops) // 2 + loops
-
-    def label(self, v: Word) -> str:
-        s = format_word(v, self.alphabet)
-        if self.two_sided and self.level:
-            mid = len(v) // 2
-            joint = "," if "," in s else ""
-            s = (format_word(v[:mid], self.alphabet) + joint + "." + joint
-                 + format_word(v[mid:], self.alphabet))
-        return s if s else "<empty>"
-
-    def distinct_edges(self) -> list:
-        """The edges, an undirected one once, in the direction listed first."""
-        if self.directed:
-            return self.edges
-        seen, out = set(), []
-        for (u, v) in self.edges:
-            if (v, u) not in seen:
-                seen.add((u, v))
-                out.append((u, v))
-        return out
-
-
-def from_finite_graph(G) -> QuotientGraph:
-    """Wrap a finite graph as a level-1 quotient so the coloring search and
-    walk machinery apply to it."""
-    labels = {v: (str(v),) for v in G.vertices}
-    alphabet = Alphabet([str(v) for v in G.vertices])
-    edges = sorted(
-        {(labels[u], labels[v]) for (u, v) in G.edges},
-        key=lambda e: (alphabet.key(e[0]), alphabet.key(e[1])),
-    )
-    return QuotientGraph(
-        1, sorted(labels.values(), key=alphabet.key), edges, G.directed, alphabet,
-        source="finite",
-    )
+from .families import QuotientGraph, SymbolicGraph, edges_at_level
 
 
 def quotient(g: SymbolicGraph, n: int, bound: int | None = None) -> QuotientGraph:
-    """The level-n quotient of the family, from its saturating enumeration."""
+    """The level-n quotient of the family, from its saturating enumeration:
+    `edges_at_level`'s words and pairs, already distinct and sorted, taken
+    as they are.  Self-loops are kept."""
     lev = edges_at_level(g, n, bound=bound)
-    return QuotientGraph(
-        level=n,
-        vertices=lev.vertices,
-        edges=lev.pairs,
-        directed=g.directed,
-        alphabet=lev.alphabet,
-        source=g.spec,
-        two_sided=g.two_sided,
-    )
+    return QuotientGraph(level=n, vertices=lev.vertices, edges=lev.pairs,
+                         directed=g.directed, alphabet=lev.alphabet, source=g.spec,
+                         two_sided=g.two_sided)
 
 
 class WalkWitness:

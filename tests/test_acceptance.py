@@ -22,7 +22,7 @@ from clopen.dynamics import (
 )
 from clopen.families import gp_chain, ka_graph, odd_cycle, parse_family
 from clopen.homs import cycle_spectrum, hom_exists, quotient_hom_obstruction
-from clopen.quotients import Bipartite, decide_level, from_finite_graph, quotient, scan
+from clopen.quotients import Bipartite, decide_level, quotient, scan
 from clopen.subshift_lang import (
     SturmianSubshift,
     cb_rank,
@@ -43,7 +43,7 @@ def test_c01_odd_cycle_basis():
             found = hom_exists(odd_cycle(q), odd_cycle(p)) is not None
             assert found == (q >= p), (p, q)
     for p in range(5):
-        q = from_finite_graph(odd_cycle(p))
+        q = odd_cycle(p)
         assert search_coloring(q, 2) is None
         assert search_coloring(q, 3) is not None
 

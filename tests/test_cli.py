@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from clopen.cli import FAMILY_GRAMMAR, build_parser, main
+from clopen.families import parse_family
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -168,6 +169,18 @@ def test_quotient_dot_and_family_show(capsys):
 def test_bad_family_exits_2(capsys):
     code, _, err = run(capsys, "scan", "--family", "bogus", "--levels", "2")
     assert code == 2 or "bogus" in err
+
+
+def test_family_grammar_lists_only_family_specs():
+    # the first line lists family specs, each of which parses, with and
+    # without the :oriented suffix; finite graph specs have a line of their own
+    families, graphs = FAMILY_GRAMMAR.split("\n")
+    specs = families.split(": ", 1)[1].rsplit(" (suffix", 1)[0].split(" | ")
+    assert len(specs) == 11 and "gm" in specs
+    for spec in specs:
+        parse_family(spec)
+        assert parse_family(spec + ":oriented").directed
+    assert graphs.endswith(": odd-cycle:p=N | file:PATH | FAMILY@LEVEL")
 
 
 # every leaf of the command tree
@@ -369,10 +382,16 @@ INPUT_FILES = {
     "color-x.txt": "level=1 colors=2\n0 x\n",
     "forest-empty.txt": "",
     "forest-blank.txt": "\n  \n\n",
+    "graph-empty.txt": "",
+    "graph-header-2.txt": "directed=2\n0 1\n",
+    "graph-header-extra.txt": "directed=0 extra\n0 1\n",
+    "graph-three-tokens.txt": "directed=0\na b c\n",
 }
 FOREST_FORMAT = "error: forest has no node lines (node <id> orbit=<biword> parent=<id|root>)\n"
 SPECTRUM_FLAGS = "usage error: give --graph SPEC or --family, not both\n"
 QUADRATIC = "error: expected '(p +- q sqrt D)/s': "
+HOM_FILE = ("hom", "--target", "odd-cycle:p=0", "--source")
+GRAPH_HEADER = "error: graph file must start with the header directed=0 or directed=1: "
 
 
 @pytest.mark.parametrize("argv,prefix", [
@@ -445,6 +464,10 @@ QUADRATIC = "error: expected '(p +- q sqrt D)/s': "
     (("subshift", "lang", "--sturmian", "(sqrt 5)", "--n", "2"), QUADRATIC + "'(sqrt 5)'\n"),
     (("cb", "rank", "--forest", "forest-empty.txt"), FOREST_FORMAT),
     (("cb", "rank", "--forest", "forest-blank.txt"), FOREST_FORMAT),
+    (HOM_FILE + ("file:graph-empty.txt",), GRAPH_HEADER + "''\n"),
+    (HOM_FILE + ("file:graph-header-2.txt",), GRAPH_HEADER + "'directed=2'\n"),
+    (HOM_FILE + ("file:graph-header-extra.txt",), GRAPH_HEADER + "'directed=0 extra'\n"),
+    (HOM_FILE + ("file:graph-three-tokens.txt",), "error: graph line must be V or U V: 'a b c'\n"),
 ], ids=["fib-budget", "color-budget", "hom-budget", "missing-file", "fib-negative",
         "fib-2", "fib-120", "fib-100000", "odd-cycle-key", "parity-no-radix", "verify-no-coloring",
         "cylinder-letter", "cylinder-digit", "quotient-negative-bound", "show-negative-bound",
@@ -457,7 +480,8 @@ QUADRATIC = "error: expected '(p +- q sqrt D)/s': "
         "coloring-empty", "coloring-no-level", "coloring-bare-token", "coloring-one-token",
         "coloring-level-not-integer", "coloring-color-not-integer", "sturmian-empty",
         "sturmian-no-discriminant", "sturmian-no-coefficient", "forest-empty",
-        "forest-blank"])
+        "forest-blank", "graph-empty", "graph-header-2", "graph-header-extra",
+        "graph-three-tokens"])
 def test_budget_and_file_errors_exit_2(tmp_path, monkeypatch, capsys, argv, prefix):
     monkeypatch.chdir(tmp_path)
     for name, text in INPUT_FILES.items():
@@ -556,7 +580,7 @@ CORPUS = [
     (("decide", "--family", "go-plus:d=2,(3)^inf:oriented", "--level", "2") + JSON,
      "decide-go-plus-oriented-2.json"),
     (("decide", "--family", "go-plus:d=2,(3)^inf:oriented", "--level", "2"),
-     "decide-go-plus-oriented-2.txt"),
+     "decide-go-plus-oriented-2-text.txt"),
 ]
 
 

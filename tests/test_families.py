@@ -13,6 +13,7 @@ from clopen.dynamics import parse_radix
 from clopen.families import (
     FamilyError,
     edges_at_level,
+    finite_graph,
     first_edges,
     gdelta,
     gm,
@@ -59,11 +60,28 @@ def pairs(g, n, bound=None):
 
 def test_odd_cycle():
     tri = odd_cycle(0)
-    assert len(tri.vertices) == 3 and tri.undirected_edge_count() == 3
+    assert len(tri.vertices) == 3 and tri.edge_count() == 3
     c5 = odd_cycle(1)
-    assert len(c5.vertices) == 5 and c5.undirected_edge_count() == 5
+    assert len(c5.vertices) == 5 and c5.edge_count() == 5
     with pytest.raises(FamilyError):
         odd_cycle(-1)
+
+
+def test_finite_graph_normalises():
+    # first-seen vertex order; distinct edges sorted by vertex id, an
+    # undirected one stored both ways and a loop once
+    G = finite_graph(["b", "a", "b", "c"], [("a", "b"), ("c", "c"), ("b", "a"), ("a", "c")])
+    assert G.vertices == ["b", "a", "c"] and not G.directed
+    assert G.edges == [("b", "a"), ("a", "b"), ("a", "c"), ("c", "a"), ("c", "c")]
+    assert G.index() == [[1], [0, 2], [1, 2]] and G.edge_count() == 3
+    assert [G.label(v) for v in G.vertices] == ["b", "a", "c"]
+    D = finite_graph(["b", "a", "c"], [("a", "c"), ("c", "c"), ("a", "b"), ("a", "c")],
+                     directed=True)
+    assert D.edges == [("a", "b"), ("a", "c"), ("c", "c")] and D.edge_count() == 3
+    U = D.undirected()
+    assert (U.vertices, U.edges, U.directed) == (G.vertices, G.edges, False)
+    with pytest.raises(FamilyError):
+        finite_graph(["a"], [("a", "b")])
 
 
 def test_gm_clause_instances():

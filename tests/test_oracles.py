@@ -14,16 +14,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clopen.colorings import search_coloring
-from clopen.families import FiniteGraph, adjacency, ka_graph, odd_cycle, parse_family
+from clopen.families import finite_graph, ka_graph, odd_cycle, parse_family
 from clopen.homs import cycle_spectrum, hom_exists
 from clopen.quotients import (
     _bfs_two_color,
     _odd_walk_from,
-    from_finite_graph,
     odd_closed_walk,
     quotient,
 )
 from test_families import ALL_FAMILY_SPECS
+
+
+def adjacency(vertices, edges):
+    """Oracle: the integer index of a finite graph, built apart from
+    ``QuotientGraph.index``: ``adj[i]`` lists the ids of the out-neighbours
+    of ``vertices[i]``, ascending and without repeats."""
+    ids = {v: i for i, v in enumerate(vertices)}
+    nbrs = [set() for _ in ids]
+    for (u, v) in edges:
+        nbrs[ids[u]].add(ids[v])
+    return [sorted(s) for s in nbrs]
 
 
 def nx_graph(q):
@@ -90,13 +100,13 @@ def small_graphs(draw, max_n=10):
     n = draw(st.integers(min_value=1, max_value=max_n))
     edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=3 * n))
-    return FiniteGraph(list(range(n)), edges, directed=draw(st.booleans()))
+    return finite_graph(list(range(n)), edges, directed=draw(st.booleans()))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(small_graphs())
 def test_random_graphs_against_networkx(G):
-    check_against_oracles(from_finite_graph(G))
+    check_against_oracles(G)
 
 
 @pytest.mark.parametrize("spec", ALL_FAMILY_SPECS)
@@ -128,13 +138,13 @@ def odd_cycle_graphs(draw):
         v = draw(st.integers(0, n - 1))
         edges.append((v, v))
     perm = draw(st.permutations(range(n)))
-    return FiniteGraph(range(n), [(perm[u], perm[v]) for (u, v) in edges])
+    return finite_graph(range(n), [(perm[u], perm[v]) for (u, v) in edges])
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(odd_cycle_graphs())
 def test_odd_cycle_graphs_against_oracles(G):
-    check_against_oracles(from_finite_graph(G))
+    check_against_oracles(G)
 
 
 def first_two_coloring(q):
@@ -164,11 +174,10 @@ def first_two_coloring(q):
 @given(small_graphs(max_n=10), st.booleans())
 def test_two_coloring_search_against_bfs_coloring(G, bipartite):
     if bipartite:  # keep only the edges across a fixed cut: most graphs then 2-color
-        G = FiniteGraph(G.vertices, [(u, v) for (u, v) in G.edges if (u + v) % 2],
-                        directed=G.directed)
-    q = from_finite_graph(G)
-    c = search_coloring(q, 2)
-    assert (None if c is None else c.mapping) == first_two_coloring(q.undirected())
+        G = finite_graph(G.vertices, [(u, v) for (u, v) in G.edges if (u + v) % 2],
+                         directed=G.directed)
+    c = search_coloring(G, 2)
+    assert (None if c is None else c.mapping) == first_two_coloring(G.undirected())
 
 
 def dfs_order(G):
@@ -201,11 +210,12 @@ def brute_force_hom(G, H, injective):
     with the source vertices in ``dfs_order`` and the images compared in
     target list order; None when there is none."""
     order = dfs_order(G)
+    h_edges = set(H.edges)
     for images in itertools.product(H.vertices, repeat=len(order)):
         if injective and len(set(images)) < len(images):
             continue
         m = dict(zip(order, images))
-        if all((m[u], m[v]) in H.edges for (u, v) in G.edges):
+        if all((m[u], m[v]) in h_edges for (u, v) in G.edges):
             return m
     return None
 
@@ -310,7 +320,7 @@ def check_hom_against_degree_order(G, H, injective=False, budget=None):
         if og is not None and (oh is None or oh > og):
             assert w is None
             if old == "undecided":
-                cycle = FiniteGraph(range(og), [(i, (i + 1) % og) for i in range(og)])
+                cycle = finite_graph(range(og), [(i, (i + 1) % og) for i in range(og)])
                 assert degree_order_hom(cycle, H, injective) is None
             else:
                 assert old is None
