@@ -581,6 +581,26 @@ CORPUS = [
      "decide-go-plus-oriented-2.json"),
     (("decide", "--family", "go-plus:d=2,(3)^inf:oriented", "--level", "2"),
      "decide-go-plus-oriented-2-text.txt"),
+    # obstruction reasons: girth and spectrum, spectrum only, none
+    (("obstruct", "--g1", "ka:A=0,1,2", "--g2", "ka:A=1", "--level", "3"),
+     "obstruct-ka012-ka1-3.txt"),
+    (("obstruct", "--g1", "ka:A=0,1,2", "--g2", "ka:A=1", "--level", "3") + JSON,
+     "obstruct-ka012-ka1-3.json"),
+    (("obstruct", "--g1", "ka:A=0,1", "--g2", "ka:A=0", "--level", "2"),
+     "obstruct-ka01-ka0-2.txt"),
+    (("obstruct", "--g1", "ka:A=0,1", "--g2", "ka:A=0", "--level", "2") + JSON,
+     "obstruct-ka01-ka0-2.json"),
+    (("obstruct", "--g1", "ka:A=1", "--g2", "ka:A=0,1,2", "--level", "2"),
+     "obstruct-ka1-ka012-2.txt"),
+    (("obstruct", "--g1", "ka:A=1", "--g2", "ka:A=0,1,2", "--level", "2") + JSON,
+     "obstruct-ka1-ka012-2.json"),
+    # parity colorings, and a return-parity coloring at a longer cylinder
+    (("color", "build", "--family", GO34, "--kind", "parity"), "color-parity-go34.txt"),
+    (("color", "build", "--family", "go-plus:d=2,(3)^inf", "--kind", "parity"),
+     "color-parity-go-plus.txt"),
+    (("color", "build", "--family", "graph-o:d=3,3,4,(3)^inf", "--kind", "parity"),
+     "color-parity-go334.txt"),
+    (RETURN_PARITY + ("--cylinder", "01"), "color-return-parity-go3-01.txt"),
 ]
 
 

@@ -132,6 +132,21 @@ def test_ka_obstruction_via_spectrum():
     assert not back.obstructed
 
 
+def test_obstruction_reason_without_odd_girth():
+    # a bipartite target prints "none" in the girth branch; a bipartite
+    # source prints Python's "None" in the clear branch
+    go, go34 = parse_family("graph-o:d=(3)^inf"), parse_family("graph-o:d=3,4,(3)^inf")
+    rep = quotient_hom_obstruction(go, go34, 2)
+    assert rep.obstructed and rep.odd_girths == (9, None)
+    assert rep.reason == ("no continuous reduction compatible with level-2 data: "
+                          "odd girths 9 vs none")
+    back = quotient_hom_obstruction(go34, go, 2)
+    assert not back.obstructed
+    assert back.reason == "no obstruction found at level 2 (odd girths None vs 9)"
+    same = quotient_hom_obstruction(go34, go34, 2)
+    assert same.reason == "no obstruction found at level 2 (odd girths None vs None)"
+
+
 def test_quotient_to_quotient_search():
     d3 = parse_radix("(3)^inf")
     q1 = quotient(parse_family("graph-o:d=(3)^inf"), 1)
