@@ -175,8 +175,8 @@ def cmd_decide(args):
             with open(args.color_out, "w", encoding="utf-8") as fh:
                 fh.write(col.coloring_to_text(result.coloring, g.spec))
     else:
-        payload["witness"] = result.witness.as_json(result.quotient)
-        payload["oddGirth"] = result.witness.length
+        payload["witness"] = result.as_json()
+        payload["oddGirth"] = result.length
     if not g.compact:
         payload["caveat"] = (
             "point set is not compact: odd walks at all levels would not "

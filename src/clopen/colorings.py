@@ -131,27 +131,20 @@ def _mid(s: Word, c: ClopenColoring) -> Word:
 
 def parity_coloring(d: Radix) -> ClopenColoring:
     """2-coloring by the parity of the odometer index below the first even
-    digit bound; proper for the odometer graph because the period there is
-    even.  Rejected when every bound is odd (no such coloring exists)."""
+    digit bound d_j0; proper for the odometer graph because the period
+    P = d_0 ... d_j0 there is even.  Rejected when every bound is odd (no
+    such coloring exists).
+
+    It is the return parity to the zero cylinder of length j0 + 1: the
+    return time (-val(t)) mod P has the parity of val(t), since P is even."""
     span = len(d.head) + len(d.cycle)
-    j0 = None
-    for j in range(span):
-        if d.digit(j) % 2 == 0:
-            j0 = j
-            break
+    j0 = next((j for j in range(span) if d.digit(j) % 2 == 0), None)
     if j0 is None:
         raise ColoringError(
             "all digit bounds are odd: the odometer graph has no clopen "
             "2-coloring"
         )
-    level = j0 + 1
-    mapping = {}
-    t = ("0",) * level
-    for i in range(d.period(level)):
-        mapping[t] = i % 2
-        t = prefix_succ(d, t)
-    return ClopenColoring(level=level, colors=2, mapping=mapping,
-                          alphabet=d.alphabet())
+    return return_parity_coloring(d, ("0",) * (j0 + 1))
 
 
 def three_coloring_beta(g: SymbolicGraph) -> ClopenColoring:

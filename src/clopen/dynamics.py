@@ -217,25 +217,6 @@ def fibonacci_limit_prefix(n: int) -> Word:
 # exact quadratic arithmetic
 
 
-def _sign_a_plus_b_sqrt(a: int, b: int, disc: int) -> int:
-    """Sign of a + b*sqrt(disc), by integer arithmetic."""
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return (b > 0) - (b < 0)
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    # opposite signs: compare a^2 with b^2 * disc
-    lhs, rhs = a * a, b * b * disc
-    if lhs == rhs:
-        return 0
-    if a > 0:  # b < 0
-        return 1 if lhs > rhs else -1
-    return -1 if lhs > rhs else 1
-
-
 def _floor_quadratic(a: int, b: int, c: int, disc: int) -> int:
     """floor((a + b*sqrt(disc)) / c) for c > 0 and non-square disc.
 
@@ -304,7 +285,11 @@ class QuadraticReal:
         return QuadraticReal(self.a * n, self.b * n, self.c, self.disc)
 
     def sign(self) -> int:
-        return _sign_a_plus_b_sqrt(self.a, self.b, self.disc)
+        """A rational value has the sign of a; an irrational one is never 0,
+        and is positive iff its floor is >= 0."""
+        if self.b == 0:
+            return (self.a > 0) - (self.a < 0)
+        return 1 if _floor_quadratic(self.a, self.b, self.c, self.disc) >= 0 else -1
 
     def cmp(self, other) -> int:
         return (self - other).sign()

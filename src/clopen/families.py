@@ -565,6 +565,17 @@ def gp_chain(d: Radix, p: int) -> SymbolicGraph:
 # ---------------------------------------------------------------------------
 
 
+def _orbit_edges(d: Radix, steps: int, keep=None) -> Iterator:
+    """The edges (x_i, x_{i+1}) of the odometer orbit of the zero word for
+    i < steps, only those with i in `keep` when it is given."""
+    x = d.zero()
+    for i in range(steps):
+        y = odometer_iter(d, x, 1)
+        if keep is None or i in keep:
+            yield x, y
+        x = y
+
+
 def go_graph(d: Radix) -> SymbolicGraph:
     """Graph induced by the odometer itself on the digit space: edges join
     each point to its successor."""
@@ -577,11 +588,7 @@ def go_graph(d: Radix) -> SymbolicGraph:
         return max(n, 1)
 
     def generate(bound: int, level: int = 0) -> Iterator:
-        x = d.zero()
-        for _ in range(d.period(bound)):
-            y = odometer_iter(d, x, 1)
-            yield x, y
-            x = y
+        return _orbit_edges(d, d.period(bound))
 
     return SymbolicGraph(
         spec="graph-o:d=%s" % format_radix(d),
@@ -705,12 +712,7 @@ def restricted_orbit_graph(d: Radix, S: OrbitIndexSet) -> SymbolicGraph:
         return index_bound(n)
 
     def generate(bound: int, level: int = 0) -> Iterator:
-        x = d.zero()
-        for i in range(bound + 1):
-            y = odometer_iter(d, x, 1)
-            if i in S:
-                yield x, y
-            x = y
+        return _orbit_edges(d, bound + 1, S)
 
     return SymbolicGraph(
         spec="orbit:d=%s,S=%s" % (format_radix(d), S.describe()),

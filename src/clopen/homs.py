@@ -8,7 +8,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .families import QuotientGraph, SymbolicGraph, finite_graph
-from .quotients import odd_closed_walk, odd_girth_root, quotient
+from .quotients import odd_girth_root, quotient
 from .words import BudgetError
 
 
@@ -188,49 +188,32 @@ class ObstructionReport:
 
 def quotient_hom_obstruction(g1: SymbolicGraph, g2: SymbolicGraph, n: int) -> ObstructionReport:
     """Compare the level-n quotients: odd closed walks must map to odd closed
-    walks of at most equal length, so a larger target odd girth obstructs
-    every reduction compatible with the level-n data.  When both families
-    expose finite cores, simple cycles obstruct injective reductions via the
-    cycle spectrum, of lengths up to 40."""
-    w1, w2 = (odd_closed_walk(quotient(g, n)) for g in (g1, g2))
-    o1, o2 = (None if w is None else w.length for w in (w1, w2))
+    walks of at most equal length, so a larger target odd girth, from
+    ``odd_girth_root``, obstructs every reduction compatible with the
+    level-n data.  When both families expose finite cores, simple cycles
+    obstruct injective reductions via the cycle spectrum, of lengths up to
+    40."""
+    o1, o2 = (None if f is None else f[0]
+              for f in (odd_girth_root(quotient(g, n).undirected().index()) for g in (g1, g2)))
     girth_obstructed = o1 is not None and (o2 is None or o2 > o1)
-    spectra = None
-    spectrum_reason = ""
-    spectrum_obstructed = False
+    spectra, spectrum_reason = None, ""
     if g1.finite_core is not None and g2.finite_core is not None:
-        s1 = cycle_spectrum(g1.finite_core(), 40)
-        s2 = cycle_spectrum(g2.finite_core(), 40)
-        spectra = (s1, s2)
-        missing = sorted(s1 - s2)
-        if missing:
-            spectrum_obstructed = True
-            spectrum_reason = (
-                "; cycle length %d of the source core is missing from the "
-                "target core, obstructing injective reductions" % missing[0]
-            )
-    if girth_obstructed:
-        reason = (
-            "no continuous reduction compatible with level-%d data: odd "
-            "girths %s vs %s" % (n, o1, "none" if o2 is None else o2)
-        )
-    elif spectrum_obstructed:
-        reason = "odd girths %s vs %s" % (o1, o2) + spectrum_reason
+        spectra = (cycle_spectrum(g1.finite_core(), 40), cycle_spectrum(g2.finite_core(), 40))
+        missing = min(spectra[0] - spectra[1], default=None)
+        if missing is not None:
+            spectrum_reason = ("; cycle length %d of the source core is missing from the "
+                               "target core, obstructing injective reductions" % missing)
+    girths = "odd girths %s vs %s" % (o1, o2)
+    if girth_obstructed:  # the one head that prints a missing girth as "none"
+        head = ("no continuous reduction compatible with level-%d data: odd girths %s vs %s"
+                % (n, o1, "none" if o2 is None else o2))
+    elif spectrum_reason:
+        head = girths
     else:
-        reason = "no obstruction found at level %d (odd girths %s vs %s)" % (
-            n,
-            o1,
-            o2,
-        )
-    return ObstructionReport(
-        g1.spec,
-        g2.spec,
-        n,
-        (o1, o2),
-        girth_obstructed or spectrum_obstructed,
-        reason + (spectrum_reason if girth_obstructed else ""),
-        spectra,
-    )
+        head = "no obstruction found at level %d (%s)" % (n, girths)
+    return ObstructionReport(g1.spec, g2.spec, n, (o1, o2),
+                             girth_obstructed or bool(spectrum_reason),
+                             head + spectrum_reason, spectra)
 
 
 # ---------------------------------------------------------------------------

@@ -31,23 +31,6 @@ def quotient(g: SymbolicGraph, n: int, bound: int | None = None) -> QuotientGrap
                          two_sided=g.two_sided)
 
 
-class WalkWitness:
-    """A closed odd walk in a quotient."""
-
-    def __init__(self, vertices):
-        self.vertices = list(vertices)  # v_0, ..., v_k with v_0 == v_k
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-    def as_json(self, q: QuotientGraph) -> dict:
-        return {
-            "length": self.length,
-            "vertices": [q.label(v) for v in self.vertices],
-        }
-
-
 def _bfs_two_color(adj):
     """One BFS 2-coloring pass over the integer index `adj` of an undirected
     graph, neighbour lists ascending.  Returns ``(colors, odd)``:
@@ -195,7 +178,7 @@ def odd_girth_root(adj):
     return None if root is None else (best, root)
 
 
-def odd_closed_walk(q: QuotientGraph) -> Optional[WalkWitness]:
+def odd_closed_walk(q: QuotientGraph) -> Optional[OddWalk]:
     """A shortest odd closed walk if one exists (a self-loop has length one),
     else None.
 
@@ -213,7 +196,7 @@ def odd_closed_walk(q: QuotientGraph) -> Optional[WalkWitness]:
     if found is None:
         return None
     length, root = found
-    return WalkWitness([q.vertices[i] for i in _odd_walk_from(adj, root, length + 1)])
+    return OddWalk([q.vertices[i] for i in _odd_walk_from(adj, root, length + 1)], q)
 
 
 class Bipartite:
@@ -228,25 +211,33 @@ class Bipartite:
 
 
 class OddWalk:
-    """Verdict: the quotient has an odd closed walk, so no clopen 2-coloring
-    exists at this level; carries the undirected quotient that labels the
-    witness."""
+    """Verdict: an odd closed walk v_0, ..., v_k with v_0 == v_k, so no clopen
+    2-coloring exists at this level; carries the undirected quotient that
+    labels it."""
 
-    def __init__(self, witness: WalkWitness, quotient: QuotientGraph):
-        self.witness = witness
+    def __init__(self, vertices, quotient: QuotientGraph):
+        self.vertices = list(vertices)
         self.quotient = quotient
 
     verdict = "odd-walk"
 
+    @property
+    def length(self) -> int:
+        return len(self.vertices) - 1
+
+    def as_json(self) -> dict:
+        return {"length": self.length,
+                "vertices": [self.quotient.label(v) for v in self.vertices]}
+
 
 def decide_level(g: SymbolicGraph, n: int):
-    """Bipartite(level-n clopen 2-coloring) or OddWalk(shortest witness)."""
+    """Bipartite(level-n clopen 2-coloring) or a shortest OddWalk."""
     from .colorings import ClopenColoring
 
     q = quotient(g, n).undirected()
     walk = odd_closed_walk(q)
     if walk is not None:
-        return OddWalk(walk, q)
+        return walk
     colors, _ = _bfs_two_color(q.index())
     mapping = dict(zip(q.vertices, colors))
     return Bipartite(ClopenColoring(level=n, colors=2, mapping=mapping,
@@ -283,8 +274,8 @@ def scan(g: SymbolicGraph, n_max: int, budget_ms: float | None = None) -> dict:
             entry["oddGirth"] = None
             headline = "chi_c <= 2 (certified by the level-%d coloring)" % n
             break
-        entry["witness"] = result.witness.as_json(q)
-        entry["oddGirth"] = result.witness.length
+        entry["witness"] = result.as_json()
+        entry["oddGirth"] = result.length
         del result, q  # free this level's quotient before the next is built
     reached = levels[-1]["level"] if levels else 0
     if headline is None:
