@@ -136,13 +136,19 @@ def cycle_spectrum(G: QuotientGraph, max_len: int = 64) -> set:
     """Lengths of simple cycles of the underlying undirected graph, up to
     max_len, by DFS rooted at each minimal vertex.  A self-loop closes no
     cycle: the DFS never steps onto a vertex of its path but the root, and
-    back to the root only after two steps."""
+    back to the root only after two steps.  Refused once the DFS has
+    scanned more than 10^7 neighbours: K_9 takes 1.0 M, K_10 10.0 M."""
     if max_len > 64:
         raise BudgetError("cycle length cap exceeds the search budget")
     adj = (G.undirected() if G.directed else G).index()
     lengths: set = set()
+    scans = 0
 
     def dfs(root, current, path_set, length):
+        nonlocal scans
+        scans += len(adj[current])
+        if scans > 10**7:
+            raise BudgetError("cycle search exceeds the budget of 10^7 neighbour scans")
         # paths grow to at most max_len - 1 edges, so cycles to max_len
         for nxt in adj[current]:
             if nxt == root and length >= 2:

@@ -4,14 +4,16 @@ presented countable compacta."""
 
 from __future__ import annotations
 
+from functools import cmp_to_key
 from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .dynamics import (
     QuadraticReal,
-    SturmianCoding,
+    check_rotation_number,
     fibonacci_len,
     periodic_point_period,
+    sturmian_code,
 )
 from .words import BiWord, BudgetError, Word, as_word, format_word
 
@@ -147,24 +149,32 @@ class ForbiddenSubshift:
 
 
 class SturmianSubshift:
-    """Factors of the rotation coding; computed from a coded window of length
-    4*(n+2)^2, a certified subset that equals the true language whenever the
-    window passes the recurrence bound (the complexity cross-check n+1 detects
-    under-windowing)."""
+    """Factors of the rotation coding by an irrational r, exact from arcs.
 
-    def __init__(self, r: QuadraticReal, x=0):
-        self._code = SturmianCoding(r, x)
+    Letter k of the coding at y is 0 exactly when frac(y + k*r) lies in
+    [0, r), that is when y lies in the half-open arc [frac(-k*r),
+    frac(-(k-1)*r)) of the circle.  So the n letters at y change only at
+    the cut points frac(-j*r), j = -1 .. n-1, which are n + 1 distinct
+    points since r is irrational, and each half-open arc between two
+    consecutive cuts has one word: the code at its exact midpoint.  Every
+    arc has an interior and every orbit of an irrational rotation is dense,
+    so every arc's word occurs in every coding, and the factor at any
+    position is the word of the arc that holds its point.  The arc words
+    are thus the language, exactly, at every n."""
 
-    def window(self, length: int) -> Word:
-        """The first `length` letters; languages of growing n extend one
-        coded prefix instead of coding each window afresh."""
-        return self._code.window(0, length - 1)
+    def __init__(self, r: QuadraticReal):
+        check_rotation_number(r)
+        self.r = r
 
     def language(self, n: int) -> set:
         if n == 0:
             return {()}
-        buf = self.window(4 * (n + 2) * (n + 2))
-        return {buf[i : i + n] for i in range(len(buf) - n + 1)}
+        fracs = [v - v.floor() for v in (self.r.scale(-j) for j in range(-1, n))]
+        cuts = sorted(fracs, key=cmp_to_key(QuadraticReal.cmp))
+        # twice each arc's midpoint; the last arc closes at the first cut + 1
+        sums = [a + b for a, b in zip(cuts, cuts[1:] + [cuts[0] + 1])]
+        return {sturmian_code(self.r, QuadraticReal(s.a, s.b, 2 * s.c, s.disc), 0, n - 1)
+                for s in sums}
 
 
 class FinitePointSet:

@@ -131,7 +131,7 @@ def test_c06_descending_chain():
 
 def test_c07_sturmian_complexity():
     """factor counts are n+1 for n <= 12 at two exactly represented rotation
-    numbers, from windows of length 4(n+2)^2."""
+    numbers, from the exact language of the n+1 arcs between cut points."""
     for spec in ("(3 - 1 sqrt 5)/2", "(7 - 3 sqrt 5)/2"):
         s = SturmianSubshift(parse_quadratic(spec))
         assert complexity(s, 12) == [n + 1 for n in range(1, 13)]

@@ -359,9 +359,11 @@ STURMIAN = "(3 - 1 sqrt 5)/2"
      "cb-rank-subshift-3-r80.txt"),
     (("subshift", "complexity", "--forbidden", "11,000", "--nmax", "16"),
      "subshift-complexity-forbidden-16.txt"),
+    (("subshift", "complexity", "--sturmian", "(1999 - 1 sqrt 5)/1997998", "--nmax", "12"),
+     "subshift-complexity-sturmian-near-zero-12.txt"),
 ], ids=["complexity-30", "lang-40", "powerfree-4", "powerfree-3", "cb-rank-3", "cb-rank-0",
         "cb-rank-1", "cb-rank-2", "cb-rank-4", "cb-rank-3-r10", "cb-rank-3-r80",
-        "complexity-forbidden-16"])
+        "complexity-forbidden-16", "complexity-near-zero-12"])
 def test_subshift_text_matches_golden(capsys, argv, name):
     # pins the coded languages, the power witness and the CB window probes
     code, out, _ = run(capsys, *argv)
@@ -386,6 +388,7 @@ INPUT_FILES = {
     "graph-header-2.txt": "directed=2\n0 1\n",
     "graph-header-extra.txt": "directed=0 extra\n0 1\n",
     "graph-three-tokens.txt": "directed=0\na b c\n",
+    "k12.txt": "directed=0\n" + "".join("%d %d\n" % (i, j) for i in range(12) for j in range(i)),
 }
 FOREST_FORMAT = "error: forest has no node lines (node <id> orbit=<biword> parent=<id|root>)\n"
 SPECTRUM_FLAGS = "usage error: give --graph SPEC or --family, not both\n"
@@ -468,6 +471,9 @@ GRAPH_HEADER = "error: graph file must start with the header directed=0 or direc
     (HOM_FILE + ("file:graph-header-2.txt",), GRAPH_HEADER + "'directed=2'\n"),
     (HOM_FILE + ("file:graph-header-extra.txt",), GRAPH_HEADER + "'directed=0 extra'\n"),
     (HOM_FILE + ("file:graph-three-tokens.txt",), "error: graph line must be V or U V: 'a b c'\n"),
+    # a cycle spectrum past its neighbour-scan budget: refused, not left running
+    (("spectrum", "--graph", "file:k12.txt"),
+     "error: cycle search exceeds the budget of 10^7 neighbour scans\n"),
 ], ids=["fib-budget", "color-budget", "hom-budget", "missing-file", "fib-negative",
         "fib-2", "fib-120", "fib-100000", "odd-cycle-key", "parity-no-radix", "verify-no-coloring",
         "cylinder-letter", "cylinder-digit", "quotient-negative-bound", "show-negative-bound",
@@ -481,7 +487,7 @@ GRAPH_HEADER = "error: graph file must start with the header directed=0 or direc
         "coloring-level-not-integer", "coloring-color-not-integer", "sturmian-empty",
         "sturmian-no-discriminant", "sturmian-no-coefficient", "forest-empty",
         "forest-blank", "graph-empty", "graph-header-2", "graph-header-extra",
-        "graph-three-tokens"])
+        "graph-three-tokens", "spectrum-budget-k12"])
 def test_budget_and_file_errors_exit_2(tmp_path, monkeypatch, capsys, argv, prefix):
     monkeypatch.chdir(tmp_path)
     for name, text in INPUT_FILES.items():

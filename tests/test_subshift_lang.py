@@ -92,6 +92,13 @@ def test_sturmian_complexity_is_n_plus_one():
         assert complexity(SturmianSubshift(r), 12) == list(range(2, 14))
 
 
+def test_sturmian_complexity_near_zero_rotation():
+    # r near 1/1000: a prefix window of length 4(n+2)^2 held only 1^n and
+    # 0 1^(n-1), and printed 2 at every n
+    r = parse_quadratic("(1999 - 1 sqrt 5)/1997998")
+    assert complexity(SturmianSubshift(r), 12) == list(range(2, 14))
+
+
 def test_power_free():
     assert power_free_check(fibonacci_limit_prefix(500), 4) is None
     v, pos = power_free_check("0101", 2)

@@ -1,8 +1,9 @@
 """Exact differential oracles for the subshift layer: the closed-form floor,
-the identity-based Sturmian coding, its growing code buffers, the
-bit-parallel power check, sliced BiWord and BlockWord windows, the sliding
-windows of the cb_rank edge probe and the suffix-only forbidden-factor
-test, each against the definition it replaced."""
+the floor-based sign, the identity-based Sturmian coding, its growing code
+buffers, the arc-based Sturmian language, the bit-parallel power check,
+sliced BiWord and BlockWord windows, the sliding windows of the cb_rank
+edge probe and the suffix-only forbidden-factor test, each against the
+definition it replaced."""
 
 import math
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clopen.dynamics import QuadraticReal, SturmianCoding, sturmian_code
+from clopen.dynamics import QuadraticReal, SturmianCoding, parse_quadratic, sturmian_code
 from clopen.subshift_lang import (
     ForbiddenSet,
     ForbiddenSubshift,
@@ -111,16 +112,68 @@ def test_coding_buffer_grows_both_ways(data):
         assert code.window(a, b) == sturmian_code(r, x, a, b)
 
 
+def window_language(r, n, length):
+    """The former SturmianSubshift.language: the length-n factors of the
+    first `length` letters of the coding at 0, a subset of the language
+    that equals it once the window is long enough for the rotation."""
+    buf = sturmian_code(r, 0, 0, length - 1)
+    return {buf[i : i + n] for i in range(length - n + 1)}
+
+
+def test_arc_language_matches_the_window_language():
+    # the former window length 4(n+2)^2 was long enough for these two
+    # rotations; for R, near 1/1000, it was not, and a longer window shows
+    # the n + 1 factors the arcs give
+    for spec, n_max, length in (("(3 - 1 sqrt 5)/2", 40, None),
+                                ("(7 - 3 sqrt 5)/2", 20, None),
+                                ("(1999 - 1 sqrt 5)/1997998", 12, 20000)):
+        r = parse_quadratic(spec)
+        s = SturmianSubshift(r)
+        for n in range(1, n_max + 1):
+            lang = s.language(n)
+            assert lang == window_language(r, n, length or 4 * (n + 2) ** 2), (spec, n)
+            assert len(lang) == n + 1
+
+
 @SETTINGS
 @given(st.data())
-def test_subshift_window_any_length_order(data):
+def test_arc_language_is_n_plus_one_factors_of_the_coding(data):
+    # every word a window shows is in the language, which has n + 1 words
     r = data.draw(rotations())
-    x = data.draw(starts(r))
-    lengths = data.draw(st.lists(st.integers(1, 150), min_size=1, max_size=6))
-    for order in (sorted(lengths), sorted(lengths, reverse=True), lengths + lengths):
-        s = SturmianSubshift(r, x)
-        for ln in order:
-            assert s.window(ln) == sturmian_code(r, x, 0, ln - 1)
+    n = data.draw(st.integers(1, 12))
+    lang = SturmianSubshift(r).language(n)
+    assert len(lang) == n + 1
+    assert window_language(r, n, 200) <= lang
+
+
+def sign_by_squares(v: QuadraticReal) -> int:
+    """The former QuadraticReal.sign: the signs of a and b, and a^2 against
+    b^2 * disc when they differ."""
+    a, b = v.a, v.b
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return (b > 0) - (b < 0)
+    if (a > 0) == (b > 0):
+        return 1 if a > 0 else -1
+    lhs, rhs = a * a, b * b * v.disc
+    if lhs == rhs:
+        return 0
+    if a > 0:
+        return 1 if lhs > rhs else -1
+    return -1 if lhs > rhs else 1
+
+
+@SETTINGS
+@given(ints, ints, st.one_of(st.integers(1, 60), st.integers(1, 10**300)), discs)
+def test_sign_matches_the_squares_definition(a, b, c, disc):
+    v = QuadraticReal(a, b, c, disc)
+    assert v.sign() == sign_by_squares(v)
+    # values next to zero: a = round(b * sqrt(disc)) on either side
+    m = math.isqrt(b * b * disc)
+    for a0 in (m, m + 1, -m, -m - 1):
+        for w in (QuadraticReal(a0, -b, c, disc), QuadraticReal(a0, b, c, disc)):
+            assert w.sign() == sign_by_squares(w)
 
 
 WIDE = tuple(str(i) for i in range(300))
