@@ -93,8 +93,8 @@ def test_sturmian_complexity_is_n_plus_one():
 
 
 def test_sturmian_complexity_near_zero_rotation():
-    # r near 1/1000: a prefix window of length 4(n+2)^2 held only 1^n and
-    # 0 1^(n-1), and printed 2 at every n
+    # r near 1/1000: a prefix window of 4(n+2)^2 letters shows only 1^n and
+    # 0 1^(n-1), so a language read from it would count 2 at every n
     r = parse_quadratic("(1999 - 1 sqrt 5)/1997998")
     assert complexity(SturmianSubshift(r), 12) == list(range(2, 14))
 

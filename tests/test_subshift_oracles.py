@@ -121,9 +121,8 @@ def window_language(r, n, length):
 
 
 def test_arc_language_matches_the_window_language():
-    # the former window length 4(n+2)^2 was long enough for these two
-    # rotations; for R, near 1/1000, it was not, and a longer window shows
-    # the n + 1 factors the arcs give
+    # a window of 4(n+2)^2 letters is long enough for the first two
+    # rotations; the third, near 1/1000, needs a longer one
     for spec, n_max, length in (("(3 - 1 sqrt 5)/2", 40, None),
                                 ("(7 - 3 sqrt 5)/2", 20, None),
                                 ("(1999 - 1 sqrt 5)/1997998", 12, 20000)):
