@@ -138,7 +138,11 @@ def parity_coloring(d: Radix) -> ClopenColoring:
     It is the return parity to the zero cylinder of length j0 + 1: the
     return time (-val(t)) mod P has the parity of val(t), since P is even."""
     span = len(d.head) + len(d.cycle)
-    j0 = next((j for j in range(span) if d.digit(j) % 2 == 0), None)
+    j0 = None
+    for j in range(span):
+        if d.digit(j) % 2 == 0:
+            j0 = j
+            break
     if j0 is None:
         raise ColoringError(
             "all digit bounds are odd: the odometer graph has no clopen "

@@ -199,8 +199,8 @@ def quotient_hom_obstruction(g1: SymbolicGraph, g2: SymbolicGraph, n: int) -> Ob
     level-n data.  When both families expose finite cores, simple cycles
     obstruct injective reductions via the cycle spectrum, of lengths up to
     40."""
-    o1, o2 = (None if f is None else f[0]
-              for f in (odd_girth_root(quotient(g, n).undirected().index()) for g in (g1, g2)))
+    found = [odd_girth_root(quotient(g, n).undirected().index()) for g in (g1, g2)]
+    o1, o2 = (None if f is None else f[0] for f in found)
     girth_obstructed = o1 is not None and (o2 is None or o2 > o1)
     spectra, spectrum_reason = None, ""
     if g1.finite_core is not None and g2.finite_core is not None:
