@@ -474,6 +474,9 @@ GRAPH_HEADER = "error: graph file must start with the header directed=0 or direc
     # a cycle spectrum past its neighbour-scan budget: refused, not left running
     (("spectrum", "--graph", "file:k12.txt"),
      "error: cycle search exceeds the budget of 10^7 neighbour scans\n"),
+    # a Sturmian block family fails the three-coloring's block hypothesis
+    (("color", "build", "--family", "sturmian:r=" + STURMIAN, "--kind", "three-beta"),
+     "error: block hypothesis fails at level 1 index 2: first letter '1', expected '0'\n"),
 ], ids=["fib-budget", "color-budget", "hom-budget", "missing-file", "fib-negative",
         "fib-2", "fib-120", "fib-100000", "odd-cycle-key", "parity-no-radix", "verify-no-coloring",
         "cylinder-letter", "cylinder-digit", "quotient-negative-bound", "show-negative-bound",
@@ -487,7 +490,7 @@ GRAPH_HEADER = "error: graph file must start with the header directed=0 or direc
         "coloring-level-not-integer", "coloring-color-not-integer", "sturmian-empty",
         "sturmian-no-discriminant", "sturmian-no-coefficient", "forest-empty",
         "forest-blank", "graph-empty", "graph-header-2", "graph-header-extra",
-        "graph-three-tokens", "spectrum-budget-k12"])
+        "graph-three-tokens", "spectrum-budget-k12", "three-beta-sturmian"])
 def test_budget_and_file_errors_exit_2(tmp_path, monkeypatch, capsys, argv, prefix):
     monkeypatch.chdir(tmp_path)
     for name, text in INPUT_FILES.items():
@@ -607,6 +610,15 @@ CORPUS = [
     (("color", "build", "--family", "graph-o:d=3,3,4,(3)^inf", "--kind", "parity"),
      "color-parity-go334.txt"),
     (RETURN_PARITY + ("--cylinder", "01"), "color-return-parity-go3-01.txt"),
+    # three-colorings read from the odometer blocks of levels 0-5, and return
+    # parities at cylinders of two and three digits
+    (("color", "build", "--family", "go-plus:d=2,(3)^inf", "--kind", "three-beta"),
+     "color-three-beta-go-plus.txt"),
+    (("color", "build", "--family", GP1, "--kind", "three-beta"), "color-three-beta-gp1.txt"),
+    (("color", "build", "--family", GO34, "--kind", "return-parity", "--cylinder", "13"),
+     "color-return-parity-go34-13.txt"),
+    (("color", "build", "--family", "graph-o:d=2,5,(4)^inf", "--kind", "return-parity",
+      "--cylinder", "041"), "color-return-parity-go254-041.txt"),
 ]
 
 

@@ -455,6 +455,12 @@ ENUMERATION_CASES = {
         # the odometer block graphs at the level where their enumeration is
         # large enough for its memory to matter
         (spec, 7, 0) for spec in ("go-plus:d=2,(3)^inf", "gp:d=2,(3)^inf,p=1")
+    ] + [
+        # the Sturmian block graphs past the sweep's levels, and a second
+        # rotation number, whose blocks are slices of a longer coding
+        ("sturmian:r=(3 - 1 sqrt 5)/2", 4, 0),
+        ("sturmian:r=(3 - 1 sqrt 5)/2", 5, 0),
+        ("sturmian:r=(7 - 3 sqrt 5)/2", 4, 0),
     ]
 }
 
