@@ -78,9 +78,10 @@ def _print_json(payload, no_timing: bool):
 
 
 def _at_least(args, option: str, low: int):
-    """The value of ``--option``, a usage error when it is given below `low`."""
+    """The value of ``--option``, a usage error when it is given below `low`
+    or is not a number (nan)."""
     value = getattr(args, option.replace("-", "_"))
-    if value is not None and value < low:
+    if value is not None and not value >= low:
         raise UsageError("--%s must be >= %d" % (option, low))
     return value
 

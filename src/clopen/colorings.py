@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .dynamics import Radix, prefix_succ, prefix_value
+from .dynamics import Radix, prefix_of_value, prefix_value
 from .families import SymbolicGraph, finite_graph
 from .homs import hom_exists
 from .quotients import QuotientGraph, quotient
@@ -177,9 +177,13 @@ def t_coloring() -> PredicateColoring:
     points starting with 0 and the cylinders (2k+2)(j+1)0^{k+1}."""
 
     def fn(x) -> int:
-        if x.letter(0) == "0":
+        a = x.letter(0)
+        if a == "0":
             return 1
-        first = int(x.letter(0))
+        if not a.isdecimal():
+            raise ColoringError("t-coloring is defined on omega^omega: first "
+                                "letter %r is not a numeral" % a)
+        first = int(a)
         if first >= 2 and first % 2 == 0:
             k = (first - 2) // 2
             second = x.letter(1)
@@ -256,11 +260,8 @@ def return_parity_coloring(d: Radix, C: Word) -> ClopenColoring:
     """The coloring prefix -> parity of its return time to C, at level |C|."""
     C = tuple(C)
     level = len(C)
-    mapping = {}
-    t = ("0",) * level
-    for _ in range(d.period(level)):
-        mapping[t] = return_time(d, C, t) % 2
-        t = prefix_succ(d, t)
+    prefixes = (prefix_of_value(d, v, level) for v in range(d.period(level)))
+    mapping = {t: return_time(d, C, t) % 2 for t in prefixes}
     return ClopenColoring(level=level, colors=2, mapping=mapping,
                           alphabet=d.alphabet())
 

@@ -146,18 +146,6 @@ def odometer_iter(d: Radix, x: UltWord, i: int) -> UltWord:
     return UltWord(tuple(head) + rest.head, rest.cycle)
 
 
-def prefix_succ(d: Radix, t: Word) -> Word:
-    """Cyclic successor on length-|t| digit strings (odometer on finite
-    sequences)."""
-    out = [int(a) for a in t]
-    for j in range(len(out)):
-        if out[j] < d.digit(j) - 1:
-            out[j] += 1
-            break
-        out[j] = 0
-    return tuple(str(v) for v in out)
-
-
 def prefix_value(d: Radix, t: Word) -> int:
     """Mixed-radix value of a digit string: the sum of t_j * d_0 ... d_{j-1},
     its position in the cycle of length-|t| strings that starts at 0...0."""
@@ -167,14 +155,19 @@ def prefix_value(d: Radix, t: Word) -> int:
     return value
 
 
+def prefix_of_value(d: Radix, v: int, n: int) -> Word:
+    """The n digits of v mod d_0 ... d_{n-1} in the radix d, least
+    significant first: the inverse of prefix_value on length-n strings."""
+    out = []
+    for j in range(n):
+        v, digit = divmod(v, d.digit(j))
+        out.append(str(digit))
+    return tuple(out)
+
+
 def period_spectrum(d: Radix, l_max: int) -> list[int]:
     """[d_0 * ... * d_{l-1} for l = 1 .. l_max]."""
     return [d.period(l) for l in range(1, l_max + 1)]
-
-
-def orbit_point(d: Radix, i: int) -> UltWord:
-    """The i-th iterate of the zero word."""
-    return odometer_iter(d, d.zero(), i)
 
 
 # ---------------------------------------------------------------------------
@@ -316,34 +309,37 @@ class QuadraticReal:
 
 
 def parse_quadratic(s: str) -> QuadraticReal:
-    """`(p + q sqrt D)/s`, e.g. `(3 - 1 sqrt 5)/2`."""
+    """`(p + q sqrt D)/s`, e.g. `(3 - 1 sqrt 5)/2`; p, q, D and s are
+    integers."""
     s = s.strip()
+    grammar = ValueError("expected '(p +- q sqrt D)/s': %r" % s)
     if not s.startswith("("):
-        raise ValueError("expected '(p +- q sqrt D)/s': %r" % s)
+        raise grammar
     close = s.rfind(")")
     inner = s[1:close]
     denom_part = s[close + 1 :].strip()
-    denom = 1
-    if denom_part:
-        if not denom_part.startswith("/"):
-            raise ValueError("bad denominator in %r" % s)
-        denom = int(denom_part[1:])
+    if denom_part and not denom_part.startswith("/"):
+        raise ValueError("bad denominator in %r" % s)
     toks = inner.split()
     # forms: "p + q sqrt D" | "p - q sqrt D" | "p" | "q sqrt D"
     if not toks or "sqrt" in (toks[0], toks[-1]):
-        raise ValueError("expected '(p +- q sqrt D)/s': %r" % s)
-    if "sqrt" in toks:
-        i = toks.index("sqrt")
-        disc = int(toks[i + 1])
-        q = int(toks[i - 1])
-        rest = toks[: i - 1]
-        if rest and rest[-1] in ("+", "-"):
-            if rest[-1] == "-":
-                q = -q
-            rest = rest[:-1]
-        p = int(rest[0]) if rest else 0
-        return QuadraticReal(p, q, denom, disc)
-    return QuadraticReal(int(toks[0]), 0, denom, 5)
+        raise grammar
+    try:
+        denom = int(denom_part[1:]) if denom_part else 1
+        if "sqrt" not in toks:
+            p, q, disc = int(toks[0]), 0, 5
+        else:
+            i = toks.index("sqrt")
+            disc, q = int(toks[i + 1]), int(toks[i - 1])
+            rest = toks[: i - 1]
+            if rest and rest[-1] in ("+", "-"):
+                if rest[-1] == "-":
+                    q = -q
+                rest = rest[:-1]
+            p = int(rest[0]) if rest else 0
+    except ValueError:
+        raise grammar from None
+    return QuadraticReal(p, q, denom, disc)
 
 
 # ---------------------------------------------------------------------------
@@ -387,33 +383,6 @@ def sturmian_code(r: QuadraticReal, x, a: int, b: int) -> Word:
         out.append("0" if cur > prev else "1")
         prev = cur
     return tuple(out)
-
-
-class SturmianCoding:
-    """The rotation coding of (r, x) as one buffer that grows on demand in
-    both directions; windows are slices of it, so each position is coded
-    once."""
-
-    def __init__(self, r: QuadraticReal, x=0):
-        check_rotation_number(r)
-        self.r = r
-        self.x = x
-        self._lo = 0  # position of _buf[0]
-        self._buf: list = []
-
-    def window(self, a: int, b: int) -> Word:
-        """Letters at positions a..b (inclusive), as sturmian_code."""
-        if a > b:
-            raise ValueError("window must satisfy a <= b")
-        if not self._buf:
-            self._lo = a
-        elif a < self._lo:
-            self._buf[:0] = sturmian_code(self.r, self.x, a, self._lo - 1)
-            self._lo = a
-        hi = self._lo + len(self._buf)
-        if b >= hi:
-            self._buf.extend(sturmian_code(self.r, self.x, hi, b))
-        return tuple(self._buf[a - self._lo : b - self._lo + 1])
 
 
 # ---------------------------------------------------------------------------

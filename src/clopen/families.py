@@ -25,12 +25,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .dynamics import (
     Radix,
-    SturmianCoding,
+    check_rotation_number,
     format_radix,
     odometer_iter,
-    orbit_point,
     parse_quadratic,
     parse_radix,
+    prefix_of_value,
+    sturmian_code,
 )
 from .words import Alphabet, BiWord, BlockWord, UltWord, Word, format_word, numerals
 
@@ -454,7 +455,9 @@ def odometer_block_system(d: Radix) -> BlockSystem:
         raise FamilyError("odometer blocks need first bound 2 and odd later bounds")
 
     def block(l: int, i: int) -> Word:
-        return orbit_point(d, i).prefix(l + 1)
+        # the i-th iterate of 0^inf is i written with carries in the radix d,
+        # followed by 0^inf, so its first l + 1 digits are those of i
+        return prefix_of_value(d, i, l + 1)
 
     return BlockSystem(
         block=block,
@@ -467,10 +470,14 @@ def odometer_block_system(d: Radix) -> BlockSystem:
 
 
 def sturmian_block_system(r_spec: str) -> BlockSystem:
-    code = SturmianCoding(parse_quadratic(r_spec))
+    r = parse_quadratic(r_spec)
+    check_rotation_number(r)
+    code: list = []  # the coding at 0 from position 0, extended on demand
 
     def block(l: int, i: int) -> Word:
-        return code.window(i, i + l)
+        if i + l >= len(code):
+            code.extend(sturmian_code(r, 0, len(code), i + l))
+        return tuple(code[i : i + l + 1])
 
     return BlockSystem(
         block=block,

@@ -428,6 +428,8 @@ GRAPH_HEADER = "error: graph file must start with the header directed=0 or direc
     (("family", "show", "--family", "gm", "--sample", "-1"), "usage error: --sample must be >= 0"),
     (("scan", "--family", "gm", "--levels", "2", "--budget-ms", "-1"),
      "usage error: --budget-ms must be >= 0"),
+    (("scan", "--family", "gm", "--levels", "2", "--budget-ms", "nan"),
+     "usage error: --budget-ms must be >= 0\n"),
     (("subshift", "powerfree", "--fib-prefix", "-5", "--power", "3"),
      "usage error: --fib-prefix must be >= 0"),
     # errors of no family spec: one line, without the spec grammar
@@ -465,6 +467,17 @@ GRAPH_HEADER = "error: graph file must start with the header directed=0 or direc
     (("subshift", "lang", "--sturmian", "()", "--n", "2"), QUADRATIC + "'()'\n"),
     (("subshift", "lang", "--sturmian", "(5 sqrt)", "--n", "2"), QUADRATIC + "'(5 sqrt)'\n"),
     (("subshift", "lang", "--sturmian", "(sqrt 5)", "--n", "2"), QUADRATIC + "'(sqrt 5)'\n"),
+    # numbers that are not integers: the grammar, not Python's message
+    (("subshift", "lang", "--sturmian", "(1 + 1 sqrt 5)/x", "--n", "2"),
+     QUADRATIC + "'(1 + 1 sqrt 5)/x'\n"),
+    (("subshift", "lang", "--sturmian", "(1 + sqrt 5)/3", "--n", "2"),
+     QUADRATIC + "'(1 + sqrt 5)/3'\n"),
+    (("subshift", "lang", "--sturmian", "(x)", "--n", "2"), QUADRATIC + "'(x)'\n"),
+    (("subshift", "lang", "--sturmian", "(1 + 1 sqrt y)/2", "--n", "2"),
+     QUADRATIC + "'(1 + 1 sqrt y)/2'\n"),
+    # a point outside omega^omega, the domain of the t-coloring
+    (("color", "verify", "--family", "gm", "--predicate", "t-coloring", "--bound", "2"),
+     "error: t-coloring is defined on omega^omega: first letter 'c' is not a numeral\n"),
     (("cb", "rank", "--forest", "forest-empty.txt"), FOREST_FORMAT),
     (("cb", "rank", "--forest", "forest-blank.txt"), FOREST_FORMAT),
     (HOM_FILE + ("file:graph-empty.txt",), GRAPH_HEADER + "''\n"),
@@ -482,13 +495,15 @@ GRAPH_HEADER = "error: graph file must start with the header directed=0 or direc
         "cylinder-letter", "cylinder-digit", "quotient-negative-bound", "show-negative-bound",
         "lang-negative-n", "complexity-negative-nmax", "verify-negative-bound",
         "cb-zero-resolution", "spectrum-negative-max-len", "show-negative-sample",
-        "scan-negative-budget", "powerfree-negative-prefix", "powerfree-power-0",
+        "scan-negative-budget", "scan-nan-budget", "powerfree-negative-prefix", "powerfree-power-0",
         "quotient-negative-level", "cb-oriented-family", "cb-family-without-forest",
         "cb-family-and-forest", "cb-k0-and-forest", "hom-level-not-integer",
         "odd-cycle-superscript", "spectrum-no-source", "spectrum-two-sources",
         "coloring-empty", "coloring-no-level", "coloring-bare-token", "coloring-one-token",
         "coloring-level-not-integer", "coloring-color-not-integer", "sturmian-empty",
-        "sturmian-no-discriminant", "sturmian-no-coefficient", "forest-empty",
+        "sturmian-no-discriminant", "sturmian-no-coefficient", "sturmian-denominator-letter",
+        "sturmian-no-coefficient-before-sqrt", "sturmian-letter", "sturmian-discriminant-letter",
+        "t-coloring-letter", "forest-empty",
         "forest-blank", "graph-empty", "graph-header-2", "graph-header-extra",
         "graph-three-tokens", "spectrum-budget-k12", "three-beta-sturmian"])
 def test_budget_and_file_errors_exit_2(tmp_path, monkeypatch, capsys, argv, prefix):
@@ -505,6 +520,7 @@ def test_budget_and_file_errors_exit_2(tmp_path, monkeypatch, capsys, argv, pref
     ("rank-subshift:n=-1", "(rank parameter must be between 0 and 4)"),
     ("rank-subshift:n=5", "(rank parameter must be between 0 and 4)"),
     ("sturmian:r=()", "(expected '(p +- q sqrt D)/s': '()')"),
+    ("sturmian:r=(1 + sqrt 5)/3", "(expected '(p +- q sqrt D)/s': '(1 + sqrt 5)/3')"),
 ])
 def test_cb_rank_bad_family_exits_2(capsys, spec, reason):
     # the family parser's usage error: its reason, then the spec grammar

@@ -19,9 +19,10 @@ from clopen.colorings import (
     three_coloring_beta,
     verify_coloring,
 )
-from clopen.dynamics import parse_radix, prefix_succ
+from clopen.dynamics import parse_radix
 from clopen.families import edges_at_level, go_graph, go_plus, parse_family
 from clopen.quotients import odd_closed_walk, quotient
+from test_dynamics import prefix_succ
 
 R3 = parse_radix("(3)^inf")
 R23 = parse_radix("2,(3)^inf")

@@ -26,7 +26,8 @@ from clopen.dynamics import (
     parse_radix,
     period_spectrum,
     periodic_point_period,
-    prefix_succ,
+    prefix_of_value,
+    prefix_value,
     sturmian_code,
 )
 from clopen.words import BiWord, UltWord, as_word, parse_bi, parse_ult
@@ -36,8 +37,9 @@ R3 = parse_radix("(3)^inf")
 R23 = parse_radix("2,(3)^inf")
 
 
-# oracles: the +1-with-carry map and its borrow inverse, digit by digit, and
-# the letter-to-word substitution whose iterates give the Fibonacci words
+# oracles: the +1-with-carry map and its borrow inverse, digit by digit, the
+# same map on length-n prefixes, and the letter-to-word substitution whose
+# iterates give the Fibonacci words
 
 
 def odometer_succ(d, x):
@@ -61,6 +63,18 @@ def odometer_pred(d, x):
             head += (str(int(x.letter(n)) - 1),)
             return UltWord(head + x.drop(n + 1).head, x.drop(n + 1).cycle)
     return d.max_word_from(0)
+
+
+def prefix_succ(d, t):
+    """Cyclic successor on length-|t| digit strings, the odometer on finite
+    sequences, stepped digit by digit."""
+    out = [int(a) for a in t]
+    for j in range(len(out)):
+        if out[j] < d.digit(j) - 1:
+            out[j] += 1
+            break
+        out[j] = 0
+    return tuple(str(v) for v in out)
 
 
 FIB_SUBSTITUTION = {"0": ("1",), "1": ("0", "1")}
@@ -169,6 +183,27 @@ def test_succ_on_prefixes_is_a_single_cycle():
                 seen.add(t)
             assert prefix_succ(d, t) == ("0",) * l
             assert len(seen) == d.period(l)
+
+
+RADICES = [R3, R23, parse_radix("2,5,(4)^inf"), parse_radix("3,4,(3)^inf")]
+
+
+@pytest.mark.parametrize("d", RADICES, ids=format_radix)
+def test_prefix_of_value_inverts_prefix_value(d):
+    # the n digits of v, least significant first, for every v < P_n
+    for n in range(5):
+        words = [prefix_of_value(d, v, n) for v in range(d.period(n))]
+        assert [prefix_value(d, t) for t in words] == list(range(d.period(n)))
+        assert all(len(t) == n for t in words)
+
+
+@pytest.mark.parametrize("d", RADICES, ids=format_radix)
+def test_prefix_of_value_is_the_orbit_of_zero_cut(d):
+    # the odometer block s_l(i): the i-th iterate of 0^inf cut to l + 1
+    # digits, through more than one period of the prefix
+    for l in range(3):
+        for i in range(3 * d.period(l + 1)):
+            assert prefix_of_value(d, i, l + 1) == odometer_iter(d, d.zero(), i).prefix(l + 1)
 
 
 def test_full_period_returns_to_zero_cylinder():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from clopen.cli import _point_str
-from clopen.dynamics import parse_radix
+from clopen.dynamics import odometer_iter, parse_radix
 from clopen.families import (
     FamilyError,
     edges_at_level,
@@ -265,9 +265,7 @@ def test_orbit_graph_examples():
     ps2 = pairs(g2, 2)
     # contains the edge from the 9th to the 10th iterate: prefixes 00 and 10
     assert (("0", "0"), ("1", "0")) in ps2
-    from clopen.dynamics import orbit_point
-
-    assert format_ult(orbit_point(d, 9)) == "001(0)^inf"
+    assert format_ult(odometer_iter(d, d.zero(), 9)) == "001(0)^inf"
 
 
 def test_orbit_density_proxy():

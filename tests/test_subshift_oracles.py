@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clopen.dynamics import QuadraticReal, SturmianCoding, parse_quadratic, sturmian_code
+from clopen.dynamics import QuadraticReal, parse_quadratic, sturmian_code
 from clopen.subshift_lang import (
     ForbiddenSet,
     ForbiddenSubshift,
@@ -98,18 +98,6 @@ def test_sturmian_code_matches_frac_definition(data):
     a = data.draw(st.integers(-80, 80))
     b = a + data.draw(st.integers(0, 60))
     assert sturmian_code(r, x, a, b) == code_by_frac(r, x, a, b)
-
-
-@SETTINGS
-@given(st.data())
-def test_coding_buffer_grows_both_ways(data):
-    r = data.draw(rotations())
-    x = data.draw(starts(r))
-    code = SturmianCoding(r, x)
-    for _ in range(data.draw(st.integers(1, 6))):
-        a = data.draw(st.integers(-60, 60))
-        b = a + data.draw(st.integers(0, 40))
-        assert code.window(a, b) == sturmian_code(r, x, a, b)
 
 
 def window_language(r, n, length):
