@@ -635,6 +635,12 @@ CORPUS = [
      "color-return-parity-go34-13.txt"),
     (("color", "build", "--family", "graph-o:d=2,5,(4)^inf", "--kind", "return-parity",
       "--cylinder", "041"), "color-return-parity-go254-041.txt"),
+    # orbit points of 0^inf as representatives: a radix with two head digits,
+    # and an index set with a progression and a finite part
+    (("family", "show", "--family", "graph-o:d=2,5,(4)^inf", "--level", "3"),
+     "family-show-go254-3.txt"),
+    (("family", "show", "--family", "orbit:d=2,(3)^inf,S=1+2k|{0,9}", "--level", "3"),
+     "family-show-orbit23-3.txt"),
 ]
 
 

@@ -38,6 +38,7 @@ R23 = parse_radix("2,(3)^inf")
 
 
 # oracles: the +1-with-carry map and its borrow inverse, digit by digit, the
+# general carry/borrow map on whole words for iterates of either sign, the
 # same map on length-n prefixes, and the letter-to-word substitution whose
 # iterates give the Fibonacci words
 
@@ -63,6 +64,42 @@ def odometer_pred(d, x):
             head += (str(int(x.letter(n)) - 1),)
             return UltWord(head + x.drop(n + 1).head, x.drop(n + 1).cycle)
     return d.max_word_from(0)
+
+
+def drop(x, n):
+    """The word x with its first n letters removed."""
+    m = max(n, len(x.head))
+    return UltWord(x.prefix(m)[n:], tuple(x.letter(m + k) for k in range(len(x.cycle))))
+
+
+def max_word_from(d, j):
+    """The word (d_j - 1)(d_{j+1} - 1)... as letters."""
+    m = max(j, len(d.head))
+    return UltWord(tuple(str(d.digit(k) - 1) for k in range(j, m)),
+                   tuple(str(d.digit(m + k) - 1) for k in range(len(d.cycle))))
+
+
+def odometer_carry(d, x, i):
+    """The i-th iterate of x, i of either sign, by digitwise add with
+    carries; a carry of +1 into an all-maximal tail leaves 0^inf, and a
+    borrow from an all-zero tail leaves the maximal word."""
+    def tail_is(j, value_of):
+        span = j + len(x.head) + len(d.head) + math.lcm(len(x.cycle), len(d.cycle))
+        return all(value_of(int(x.letter(k)), d.digit(k)) for k in range(j, span))
+
+    carry, head, j = i, (), 0
+    while carry != 0:
+        if carry == 1 and tail_is(j, lambda v, b: v == b - 1):
+            return UltWord(head, ("0",))
+        if carry == -1 and tail_is(j, lambda v, b: v == 0):
+            top = max_word_from(d, j)
+            return UltWord(head + top.head, top.cycle)
+        t = int(x.letter(j)) + carry
+        head += (str(t % d.digit(j)),)
+        carry = t // d.digit(j)
+        j += 1
+    rest = drop(x, j)
+    return UltWord(head + rest.head, rest.cycle)
 
 
 def prefix_succ(d, t):
@@ -204,6 +241,13 @@ def test_prefix_of_value_is_the_orbit_of_zero_cut(d):
     for l in range(3):
         for i in range(3 * d.period(l + 1)):
             assert prefix_of_value(d, i, l + 1) == odometer_iter(d, d.zero(), i).prefix(l + 1)
+
+
+@pytest.mark.parametrize("d", RADICES, ids=format_radix)
+def test_iter_from_zero_matches_the_carry_oracle(d):
+    # through three periods of the length-4 prefixes
+    for i in range(3 * d.period(4)):
+        assert odometer_iter(d, d.zero(), i) == odometer_carry(d, d.zero(), i)
 
 
 def test_full_period_returns_to_zero_cylinder():

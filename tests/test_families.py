@@ -459,6 +459,12 @@ ENUMERATION_CASES = {
         ("sturmian:r=(3 - 1 sqrt 5)/2", 4, 0),
         ("sturmian:r=(3 - 1 sqrt 5)/2", 5, 0),
         ("sturmian:r=(7 - 3 sqrt 5)/2", 4, 0),
+    ] + [
+        # orbit walks of 0^inf on a radix with two head digits, and on index
+        # sets with a progression, a finite part and a scheme of intervals
+        (spec, n, 0) for spec in ("graph-o:d=2,5,(4)^inf", "orbit:d=2,(3)^inf,S=1+2k|{0,9}",
+                                  "orbit:d=(3)^inf,S=sa{{0,2}}|{5}")
+        for n in range(5)
     ]
 }
 
