@@ -52,29 +52,8 @@ class Radix:
     def alphabet(self) -> Alphabet:
         return Alphabet([str(i) for i in range(self.max_digit())])
 
-    def check_point(self, x: UltWord):
-        """Every letter must be a numeral below its digit bound."""
-        span = len(x.head) + len(self.head)
-        span += math.lcm(len(x.cycle), len(self.cycle))
-        for j in range(span):
-            a = x.letter(j)
-            if not a.isdigit() or int(a) >= self.digit(j):
-                raise InvalidPointError(
-                    "letter %r at position %d exceeds digit bound %d"
-                    % (a, j, self.digit(j))
-                )
-
     def zero(self) -> UltWord:
         return UltWord((), ("0",))
-
-    def max_word_from(self, j: int) -> UltWord:
-        """The word (d_j - 1)(d_{j+1} - 1)... as letters."""
-        head = tuple(str(self.digit(i) - 1) for i in range(j, len(self.head)))
-        cyc = tuple(str(d - 1) for d in self.cycle)
-        if j >= len(self.head):
-            k = (j - len(self.head)) % len(self.cycle)
-            return UltWord((), cyc[k:] + cyc[:k])
-        return UltWord(head, cyc)
 
     def __eq__(self, other):
         return (
@@ -117,33 +96,23 @@ def parse_radix(s: str) -> Radix:
 # odometer
 
 
-def _suffix_is_constant(d: Radix, x: UltWord, j0: int, value_of) -> bool:
-    """True iff value_of(letter, digit bound) holds at every position >= j0."""
-    span = j0 + len(x.head) + len(d.head) + math.lcm(len(x.cycle), len(d.cycle))
-    return all(value_of(int(x.letter(j)), d.digit(j)) for j in range(j0, span))
-
-
 def odometer_iter(d: Radix, x: UltWord, i: int) -> UltWord:
-    """i-th iterate (i may be negative) via digitwise add with carries."""
-    d.check_point(x)
-    if i == 0:
-        return x
-    carry = i
-    head: list[str] = []
-    j = 0
-    # long carries only survive through constant max/zero tails
-    while carry != 0:
-        if carry == 1 and _suffix_is_constant(d, x, j, lambda v, b: v == b - 1):
-            return UltWord(tuple(head), ("0",))
-        if carry == -1 and _suffix_is_constant(d, x, j, lambda v, b: v == 0):
-            tail = d.max_word_from(j)
-            return UltWord(tuple(head) + tail.head, tail.cycle)
-        t = int(x.letter(j)) + carry
-        head.append(str(t % d.digit(j)))
-        carry = t // d.digit(j)
-        j += 1
-    rest = x.drop(j)
-    return UltWord(tuple(head) + rest.head, rest.cycle)
+    """The i-th iterate, i >= 0, of a point x on the forward orbit of 0^inf.
+
+    Such a point is a value v written in the radix d followed by 0^inf, and
+    the odometer acts on it as +1, so the iterate is v + i written the same
+    way."""
+    if i < 0 or x.cycle != ("0",) or any(
+        not a.isdigit() or int(a) >= d.digit(j) for j, a in enumerate(x.head)
+    ):
+        raise InvalidPointError("not the %d-th iterate of a point on the orbit of "
+                                "0^inf: %r" % (i, x))
+    v = prefix_value(d, x.head) + i
+    digits = []  # up to the last nonzero one, where 0^inf takes over
+    while v:
+        v, digit = divmod(v, d.digit(len(digits)))
+        digits.append(str(digit))
+    return UltWord(digits, ("0",))
 
 
 def prefix_value(d: Radix, t: Word) -> int:
@@ -321,22 +290,18 @@ def parse_quadratic(s: str) -> QuadraticReal:
     if denom_part and not denom_part.startswith("/"):
         raise ValueError("bad denominator in %r" % s)
     toks = inner.split()
-    # forms: "p + q sqrt D" | "p - q sqrt D" | "p" | "q sqrt D"
-    if not toks or "sqrt" in (toks[0], toks[-1]):
-        raise grammar
+    # exactly the forms "p" | "q sqrt D" | "p + q sqrt D" | "p - q sqrt D"
     try:
         denom = int(denom_part[1:]) if denom_part else 1
-        if "sqrt" not in toks:
+        if len(toks) == 1:
             p, q, disc = int(toks[0]), 0, 5
+        elif len(toks) == 3 and toks[1] == "sqrt":
+            p, q, disc = 0, int(toks[0]), int(toks[2])
+        elif len(toks) == 5 and toks[1] in ("+", "-") and toks[3] == "sqrt":
+            p, q, disc = int(toks[0]), int(toks[2]), int(toks[4])
+            q = -q if toks[1] == "-" else q
         else:
-            i = toks.index("sqrt")
-            disc, q = int(toks[i + 1]), int(toks[i - 1])
-            rest = toks[: i - 1]
-            if rest and rest[-1] in ("+", "-"):
-                if rest[-1] == "-":
-                    q = -q
-                rest = rest[:-1]
-            p = int(rest[0]) if rest else 0
+            raise grammar
     except ValueError:
         raise grammar from None
     return QuadraticReal(p, q, denom, disc)

@@ -660,8 +660,8 @@ class OrbitIndexSet:
 
 
 def parse_index_set(s: str) -> OrbitIndexSet:
-    """`{0,9}` | `1+2k` | `sa{0,2}` | unions joined with `|`; inside sa{...}
-    the same grammar describes the level set."""
+    """`{0,9}` | `1+2k` | `sa{{0,2}}` | `5` | unions joined with `|`; inside
+    sa{...} the same grammar describes the level set."""
     s = s.strip()
     finite: set[int] = set()
     progressions = []
@@ -685,15 +685,20 @@ def parse_index_set(s: str) -> OrbitIndexSet:
             continue
         if part.startswith("sa{") and part.endswith("}"):
             scheme = parse_index_set(part[3:-1])
-        elif part.startswith("{") and part.endswith("}"):
-            inner = part[1:-1].strip()
-            if inner:
-                finite |= {int(t) for t in inner.split(",")}
-        elif "+" in part and part.endswith("k"):
-            a, b = part[:-1].split("+")
-            progressions.append((int(a), int(b)))
-        else:
-            finite.add(int(part))
+            continue
+        try:
+            if part.startswith("{") and part.endswith("}"):
+                inner = part[1:-1].strip()
+                if inner:
+                    finite |= {int(t) for t in inner.split(",")}
+            elif "+" in part and part.endswith("k"):
+                a, b = part[:-1].split("+")
+                progressions.append((int(a), int(b)))
+            else:
+                finite.add(int(part))
+        except ValueError:
+            raise FamilyError("index set parts are N, {a,b}, a+bk or sa{...}, "
+                              "joined by '|': %r" % part) from None
     return OrbitIndexSet(finite, progressions, scheme)
 
 

@@ -113,11 +113,13 @@ def _odd_length_from(adj, core, root: int, limit: int):
     return None
 
 
-def odd_girth_root(adj):
+def odd_girth_root(adj, colors=None):
     """``(length, root)`` of a shortest odd closed walk of the undirected
     graph with integer index `adj` (neighbour lists ascending; a self-loop
     has length one), root the least id attaining that length, or None when
-    the graph is bipartite.
+    the graph is bipartite.  A list passed as `colors` receives the coloring
+    pass's BFS colors, the 2-coloring of a bipartite graph; a self-loop
+    leaves it empty.
 
     A self-loop at the least looped id comes first, before any coloring
     pass.  Otherwise ``_bfs_two_color`` marks the non-bipartite components,
@@ -142,7 +144,9 @@ def odd_girth_root(adj):
     for v, nbrs in enumerate(adj):
         if v in nbrs:
             return 1, v
-    _, odd = _bfs_two_color(adj)
+    bfs_colors, odd = _bfs_two_color(adj)
+    if colors is not None:
+        colors[:] = bfs_colors
     deg = [len(a) if o else 0 for a, o in zip(adj, odd)]
     leaves = [v for v, d in enumerate(deg) if d == 1]
     for v in leaves:  # appended to while walked
@@ -178,9 +182,9 @@ def odd_girth_root(adj):
     return None if root is None else (best, root)
 
 
-def odd_closed_walk(q: QuotientGraph) -> Optional[OddWalk]:
+def odd_closed_walk(q: QuotientGraph, colors=None) -> Optional[OddWalk]:
     """A shortest odd closed walk if one exists (a self-loop has length one),
-    else None.
+    else None; `colors` is passed on to ``odd_girth_root``.
 
     Ties are broken by the alphabet order: the root and the length are
     ``odd_girth_root``'s, the first vertex in alphabet order whose shortest
@@ -192,7 +196,7 @@ def odd_closed_walk(q: QuotientGraph) -> Optional[OddWalk]:
     every root found."""
     q = q.undirected()
     adj = q.index()
-    found = odd_girth_root(adj)
+    found = odd_girth_root(adj, colors)
     if found is None:
         return None
     length, root = found
@@ -235,10 +239,10 @@ def decide_level(g: SymbolicGraph, n: int):
     from .colorings import ClopenColoring
 
     q = quotient(g, n).undirected()
-    walk = odd_closed_walk(q)
+    colors = []  # the walk search's coloring pass, reused when bipartite
+    walk = odd_closed_walk(q, colors)
     if walk is not None:
         return walk
-    colors, _ = _bfs_two_color(q.index())
     mapping = dict(zip(q.vertices, colors))
     return Bipartite(ClopenColoring(level=n, colors=2, mapping=mapping,
                                     alphabet=q.alphabet, two_sided=q.two_sided), q)

@@ -146,12 +146,6 @@ class UltWord:
         reps = (n - len(h)) // len(c) + 1
         return (h + c * reps)[:n]
 
-    def drop(self, n: int) -> "UltWord":
-        """The word with the first n letters removed."""
-        if n <= len(self.head):
-            return UltWord(self.head[n:], self.cycle)
-        return UltWord((), _rot_left(self.cycle, n - len(self.head)))
-
     def factors(self, m: int) -> set:
         """Exactly the set of length-m factors; a window of |head|+|cycle|+m
         letters suffices by periodicity."""

@@ -169,6 +169,14 @@ def test_quotient_dot_and_family_show(capsys):
 def test_bad_family_exits_2(capsys):
     code, _, err = run(capsys, "scan", "--family", "bogus", "--levels", "2")
     assert code == 2 or "bogus" in err
+    # orbit index sets outside their grammar name it, not Python's int()
+    for S, part in (("sa{0,2}", "0,2"), ("x", "x"), ("{1,,2}", "{1,,2}")):
+        spec = "orbit:d=(3)^inf,S=" + S
+        code, out, err = run(capsys, "family", "show", "--family", spec, "--level", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: unknown or malformed family %r (index set parts "
+                              "are N, {a,b}, a+bk or sa{...}, joined by '|': %r)\n"
+                              % (spec, part))
 
 
 def test_family_grammar_lists_only_family_specs():
@@ -475,6 +483,15 @@ GRAPH_HEADER = "error: graph file must start with the header directed=0 or direc
     (("subshift", "lang", "--sturmian", "(x)", "--n", "2"), QUADRATIC + "'(x)'\n"),
     (("subshift", "lang", "--sturmian", "(1 + 1 sqrt y)/2", "--n", "2"),
      QUADRATIC + "'(1 + 1 sqrt y)/2'\n"),
+    # tokens outside the forms p, q sqrt D and p +- q sqrt D
+    (("subshift", "lang", "--sturmian", "(1 + 2 + 1 sqrt 5)/8", "--n", "2"),
+     QUADRATIC + "'(1 + 2 + 1 sqrt 5)/8'\n"),
+    (("subshift", "lang", "--sturmian", "(1 7 sqrt 5)/8", "--n", "2"),
+     QUADRATIC + "'(1 7 sqrt 5)/8'\n"),
+    (("subshift", "lang", "--sturmian", "(9 9 9 1 sqrt 5)/8", "--n", "2"),
+     QUADRATIC + "'(9 9 9 1 sqrt 5)/8'\n"),
+    (("subshift", "lang", "--sturmian", "(1 + 1 sqrt 5 7)/2", "--n", "2"),
+     QUADRATIC + "'(1 + 1 sqrt 5 7)/2'\n"),
     # a point outside omega^omega, the domain of the t-coloring
     (("color", "verify", "--family", "gm", "--predicate", "t-coloring", "--bound", "2"),
      "error: t-coloring is defined on omega^omega: first letter 'c' is not a numeral\n"),
@@ -503,6 +520,8 @@ GRAPH_HEADER = "error: graph file must start with the header directed=0 or direc
         "coloring-level-not-integer", "coloring-color-not-integer", "sturmian-empty",
         "sturmian-no-discriminant", "sturmian-no-coefficient", "sturmian-denominator-letter",
         "sturmian-no-coefficient-before-sqrt", "sturmian-letter", "sturmian-discriminant-letter",
+        "sturmian-two-sums", "sturmian-no-operator", "sturmian-four-terms",
+        "sturmian-trailing-token",
         "t-coloring-letter", "forest-empty",
         "forest-blank", "graph-empty", "graph-header-2", "graph-header-extra",
         "graph-three-tokens", "spectrum-budget-k12", "three-beta-sturmian"])

@@ -43,29 +43,6 @@ R23 = parse_radix("2,(3)^inf")
 # iterates give the Fibonacci words
 
 
-def odometer_succ(d, x):
-    """The +1-with-carry map; wraps the all-maximal word to the zero word."""
-    d.check_point(x)
-    span = len(x.head) + len(d.head) + math.lcm(len(x.cycle), len(d.cycle))
-    for n in range(span):
-        if int(x.letter(n)) < d.digit(n) - 1:
-            head = ("0",) * n + (str(int(x.letter(n)) + 1),)
-            return UltWord(head + x.drop(n + 1).head, x.drop(n + 1).cycle)
-    return d.zero()
-
-
-def odometer_pred(d, x):
-    """Inverse of odometer_succ, by the mirrored borrow rule."""
-    d.check_point(x)
-    span = len(x.head) + len(d.head) + math.lcm(len(x.cycle), len(d.cycle))
-    for n in range(span):
-        if int(x.letter(n)) > 0:
-            head = tuple(str(d.digit(j) - 1) for j in range(n))
-            head += (str(int(x.letter(n)) - 1),)
-            return UltWord(head + x.drop(n + 1).head, x.drop(n + 1).cycle)
-    return d.max_word_from(0)
-
-
 def drop(x, n):
     """The word x with its first n letters removed."""
     m = max(n, len(x.head))
@@ -77,6 +54,29 @@ def max_word_from(d, j):
     m = max(j, len(d.head))
     return UltWord(tuple(str(d.digit(k) - 1) for k in range(j, m)),
                    tuple(str(d.digit(m + k) - 1) for k in range(len(d.cycle))))
+
+
+def odometer_succ(d, x):
+    """The +1-with-carry map; wraps the all-maximal word to the zero word."""
+    span = len(x.head) + len(d.head) + math.lcm(len(x.cycle), len(d.cycle))
+    for n in range(span):
+        if int(x.letter(n)) < d.digit(n) - 1:
+            head = ("0",) * n + (str(int(x.letter(n)) + 1),)
+            rest = drop(x, n + 1)
+            return UltWord(head + rest.head, rest.cycle)
+    return d.zero()
+
+
+def odometer_pred(d, x):
+    """Inverse of odometer_succ, by the mirrored borrow rule."""
+    span = len(x.head) + len(d.head) + math.lcm(len(x.cycle), len(d.cycle))
+    for n in range(span):
+        if int(x.letter(n)) > 0:
+            head = tuple(str(d.digit(j) - 1) for j in range(n))
+            head += (str(int(x.letter(n)) - 1),)
+            rest = drop(x, n + 1)
+            return UltWord(head + rest.head, rest.cycle)
+    return max_word_from(d, 0)
 
 
 def odometer_carry(d, x, i):
@@ -145,8 +145,10 @@ def test_radix_classes():
 
 def test_succ_examples():
     assert odometer_iter(R3, R3.zero(), 1) == parse_ult("1(0)^inf")
-    assert odometer_iter(R3, parse_ult("(2)^inf"), 1) == R3.zero()
     assert odometer_iter(R23, parse_ult("1(0)^inf"), 1) == parse_ult("01(0)^inf")
+    # the all-maximal word, off the orbit of 0^inf, wraps to 0^inf
+    top = parse_ult("(2)^inf")
+    assert odometer_succ(R3, top) == odometer_carry(R3, top, 1) == R3.zero()
 
 
 def test_succ_rejects_invalid_points():
@@ -154,6 +156,11 @@ def test_succ_rejects_invalid_points():
         odometer_iter(R3, parse_ult("3(0)^inf"), 1)
     with pytest.raises(InvalidPointError):
         odometer_iter(R23, parse_ult("(2)^inf"), 1)
+    # valid digits, but off the forward orbit of 0^inf
+    with pytest.raises(InvalidPointError):
+        odometer_iter(R3, parse_ult("(2)^inf"), 1)
+    with pytest.raises(InvalidPointError):
+        odometer_iter(R3, R3.zero(), -1)
 
 
 def test_iter_small_equals_repeated_succ():
@@ -167,22 +174,24 @@ def test_iter_small_equals_repeated_succ():
         for _ in range(59):
             z = odometer_pred(d, z)
         assert z == x
-        assert odometer_iter(d, y, -59) == x
+        assert odometer_carry(d, y, -59) == x
 
 
 def test_iter_examples():
     assert odometer_iter(R3, R3.zero(), 3) == parse_ult("01(0)^inf")
     x = parse_ult("12(0)^inf")
-    assert odometer_iter(R3, odometer_iter(R3, x, 1), -1) == x
+    assert odometer_iter(R3, x, 1) == parse_ult("22(0)^inf")
+    assert odometer_carry(R3, odometer_iter(R3, x, 1), -1) == x
     # full period at level l returns into the level-l cylinder of zero
     assert odometer_iter(R3, R3.zero(), 9).prefix(2) == ("0", "0")
 
 
 def test_iter_negative_from_zero():
-    assert odometer_iter(R3, R3.zero(), -1) == parse_ult("(2)^inf")
-    assert odometer_iter(R23, R23.zero(), -1) == parse_ult("1(2)^inf")
-    assert odometer_iter(R23, R23.zero(), -7) == odometer_pred(
-        R23, odometer_iter(R23, R23.zero(), -6)
+    # backward iterates leave the forward orbit of 0^inf: the oracles' only
+    assert odometer_carry(R3, R3.zero(), -1) == parse_ult("(2)^inf")
+    assert odometer_carry(R23, R23.zero(), -1) == parse_ult("1(2)^inf")
+    assert odometer_carry(R23, R23.zero(), -7) == odometer_pred(
+        R23, odometer_carry(R23, R23.zero(), -6)
     )
 
 

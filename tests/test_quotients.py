@@ -140,6 +140,21 @@ def test_bipartite_pullback_verifies(spec):
                 assert check.ok, (spec, n, check.describe())
 
 
+@pytest.mark.parametrize("spec,n,verdict", [
+    ("graph-o:d=3,4,(3)^inf", 2, "bipartite"),
+    ("graph-o:d=(3)^inf", 3, "odd-walk"),
+])
+def test_decide_level_makes_one_coloring_pass(monkeypatch, spec, n, verdict):
+    # a bipartite level's 2-coloring is the walk search's own coloring pass
+    import clopen.quotients as quotients
+
+    calls = []
+    bfs = quotients._bfs_two_color
+    monkeypatch.setattr(quotients, "_bfs_two_color", lambda adj: calls.append(adj) or bfs(adj))
+    assert decide_level(parse_family(spec), n).verdict == verdict
+    assert len(calls) == 1
+
+
 def test_symmetrization_commutes_with_quotient():
     from clopen.families import with_direction
 
