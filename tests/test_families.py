@@ -276,6 +276,35 @@ def test_orbit_density_proxy():
     assert len(firsts) == 9  # every length-2 prefix occurs
 
 
+def orbit_index_member(S, i: int) -> bool:
+    """Oracle: i in S, read off the description part by part; a scheme set
+    holds 0 and the interval [3^(l+2), 3^(l+2) + 3^l) for each l it lists."""
+    if i in S.finite:
+        return True
+    if any(i >= a and (i - a) % b == 0 for (a, b) in S.progressions):
+        return True
+    if S.scheme_levels is not None:
+        if i == 0:
+            return True
+        l = 0
+        while 3 ** (l + 2) <= i:
+            if i < 3 ** (l + 2) + 3**l and orbit_index_member(S.scheme_levels, l):
+                return True
+            l += 1
+    return False
+
+
+# every index set the tests and the benchmark read
+INDEX_SETS = ["{0}", "sa{0}", "sa{0+1k}", "sa{{0}}", "1+2k|{0,9}", "{0,9}|1+2k",
+              "sa{{0,2}}|{5}", "sa{{0,6}}", "sa{1+1k}"]
+
+
+@pytest.mark.parametrize("text", INDEX_SETS)
+def test_orbit_index_oracle_is_membership(text):
+    S = parse_index_set(text)
+    assert [orbit_index_member(S, i) for i in range(3**8)] == [i in S for i in range(3**8)]
+
+
 def test_ka_map_examples():
     g = ka_graph([0])
     gen = dict((x, y) for (x, y) in g.generate(3))
@@ -456,9 +485,9 @@ ENUMERATION_CASES = {
     ] + [
         # the Sturmian block graphs past the sweep's levels, and a second
         # rotation number, whose blocks are slices of a longer coding
-        ("sturmian:r=(3 - 1 sqrt 5)/2", 4, 0),
-        ("sturmian:r=(3 - 1 sqrt 5)/2", 5, 0),
-        ("sturmian:r=(7 - 3 sqrt 5)/2", 4, 0),
+        ("sturmian:r=(3 - 1 sqrt 5)/2", n, 0) for n in (4, 5, 6, 7)
+    ] + [
+        ("sturmian:r=(7 - 3 sqrt 5)/2", n, 0) for n in (4, 5, 6)
     ] + [
         # orbit walks of 0^inf on a radix with two head digits, and on index
         # sets with a progression, a finite part and a scheme of intervals
