@@ -17,7 +17,7 @@ from . import homs
 from . import quotients as quo
 from . import subshift_lang as sub
 from .dynamics import parse_quadratic, parse_radix
-from .words import BudgetError, WordError, format_word, parse_bi, parse_prefix
+from .words import BudgetError, format_word, parse_bi, parse_prefix
 
 FAMILY_GRAMMAR = (
     "family spec strings: gm | gdelta:delta=(1)^inf | "
@@ -40,7 +40,7 @@ class UsageError(Exception):
 def _family(spec: str) -> fam.SymbolicGraph:
     try:
         return fam.parse_family(spec)
-    except (fam.FamilyError, WordError, ValueError, KeyError) as e:
+    except ValueError as e:  # FamilyError and WordError among them
         raise UsageError("unknown or malformed family %r (%s)\n%s" % (spec, e, FAMILY_GRAMMAR))
 
 

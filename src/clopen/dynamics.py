@@ -83,9 +83,12 @@ def parse_radix(s: str) -> Radix:
             open_idx = s.rfind("(")
             if open_idx < 0 or not s[: -len(suffix)].endswith(")"):
                 raise ValueError("bad radix %r" % s)
-            cycle = [int(t) for t in s[open_idx + 1 : -len(suffix) - 1].split(",")]
             head_str = s[:open_idx].rstrip(",")
-            head = [int(t) for t in head_str.split(",")] if head_str else []
+            try:
+                cycle = [int(t) for t in s[open_idx + 1 : -len(suffix) - 1].split(",")]
+                head = [int(t) for t in head_str.split(",")] if head_str else []
+            except ValueError:
+                raise ValueError("radix digit bounds must be integers: %r" % s) from None
             return Radix(head, cycle)
     # a bare comma list denotes head digits repeated... reject instead: the
     # grammar always carries a parenthesized repeating tail

@@ -33,7 +33,8 @@ from .dynamics import (
     prefix_of_value,
     sturmian_code,
 )
-from .words import Alphabet, BiWord, BlockWord, UltWord, Word, format_word, numerals
+from .words import (Alphabet, BiWord, BlockWord, UltWord, Word, format_ult, format_word,
+                    numerals, parse_ult)
 
 
 class FamilyError(ValueError):
@@ -266,25 +267,20 @@ def first_edges(g: SymbolicGraph, n: int, pairs: Iterable, bound: int | None = N
 def _projected(g: SymbolicGraph, n: int, bound: int | None):
     """(s, t, x, y) for each generated edge (x, y) inside the letter cap,
     with s, t the level-n projections of x, y, each followed by the swapped
-    (t, s, y, x) when g is undirected."""
+    (t, s, y, x) when g is undirected.  A point that lists its letters is
+    capped whole; a lazily generated one by its window, read once."""
     allowed = set(g.alphabet_for(n).letters)
     for (x, y) in g.generate(g.saturation(n) if bound is None else bound, n):
-        if not _letters_ok(g, x, n, allowed) or not _letters_ok(g, y, n, allowed):
-            continue
         if g.two_sided:
             s, t = x.window(-n, n), y.window(-n, n)
         else:
             s, t = x.prefix(n), y.prefix(n)
+        if not (set(x.letters_used() if hasattr(x, "letters_used") else s) <= allowed
+                and set(y.letters_used() if hasattr(y, "letters_used") else t) <= allowed):
+            continue
         yield s, t, x, y
         if not g.directed:
             yield t, s, y, x
-
-
-def _letters_ok(g: SymbolicGraph, x, n: int, allowed: set) -> bool:
-    if hasattr(x, "letters_used"):
-        return set(x.letters_used()) <= allowed
-    # lazily generated points: check the visible window only
-    return set(x.window(-n, n)) <= allowed
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +347,6 @@ def gdelta(delta: UltWord) -> SymbolicGraph:
     when delta(k) = 1; lives on a countable closed subspace."""
     if not delta.letters_used() <= {"0", "1"}:
         raise FamilyError("delta must be a 0/1 word")
-    from .words import format_ult
-
     delta_str = format_ult(delta)
 
     def generate(bound: int, level: int = 0) -> Iterator:
@@ -430,24 +424,45 @@ def t_graph() -> SymbolicGraph:
 
 class BlockSystem:
     """Supplies the words s_l(i) used as block labels, the half-lengths n_l,
-    how many blocks saturate a level, and for a periodic system `period(n)`:
-    a period in i of every s_l(i) cut to n letters (None: aperiodic)."""
+    and for a periodic system `period(n)`: a period in i of every s_l(i) cut
+    to n letters.  Each block is a prefix of the block at i one level up.
+    A system without a period is Sturmian: s_l(i) is the factor of length
+    l + 1 at i of the coding of the orbit of 0 by an irrational rotation r,
+    and n_l = l."""
 
-    def __init__(self, block, half_lengths, alphabet_base, period=None,
-                 saturation=None):
+    def __init__(self, block, half_lengths, alphabet_base, period=None):
         self.block = block  # (l, i) -> Word of length l+1
         self.half_lengths = half_lengths  # l -> n_l
         self.alphabet_base = alphabet_base  # list of digit letters
         self.period = period
-        self._saturation = saturation
 
     def width(self, l: int) -> int:
         return 2 * self.half_lengths(l) + 2
 
     def saturation(self, n: int) -> int:
-        if self._saturation is not None:
-            return self._saturation(n)
-        return max(n, 1)
+        """The block levels whose chains give every level-n pair: max(n, 1)
+        for a periodic system, and for a Sturmian one the first L >= n - 1
+        by which chains n - 1..L have read every factor, as follows.
+
+        From block level l >= n - 1 on, a level-n prefix of an endpoint lies
+        inside its block or reads c^n, so chain l gives (c^n, s_(n-1)(0)),
+        the pair of each factor s_n(i), i <= 2l, read as its first and last
+        n letters, and (s_(n-1)(2l+1), c^n).  A later chain thus adds a pair
+        only with a factor of length n + 1 or an n-factor at an odd position
+        not read before.  The coding has exactly m + 1 factors of length m
+        (Morse-Hedlund), and each occurs at positions of both parities,
+        since the points jr and (2k+1)r are dense in the circle and each
+        factor codes an arc.  So all n + 2 and n + 1 of them are read by some
+        L, and no chain past L gives a new pair."""
+        if self.period is not None:
+            return max(n, 1)
+        factors, ends, l, start = set(), set(), max(n - 1, 0), 0
+        while True:
+            factors.update(self.block(n, i) for i in range(start, self.width(l) - 1))
+            ends.add(self.block(n - 1, self.width(l) - 1))
+            if len(factors) == n + 2 and len(ends) == n + 1:
+                return l
+            start, l = self.width(l) - 1, l + 1
 
 
 def odometer_block_system(d: Radix) -> BlockSystem:
@@ -470,6 +485,8 @@ def odometer_block_system(d: Radix) -> BlockSystem:
 
 
 def sturmian_block_system(r_spec: str) -> BlockSystem:
+    """The blocks of the rotation by r: s_l(i) is the factor of length l + 1
+    at position i of the coding of the orbit of 0."""
     r = parse_quadratic(r_spec)
     check_rotation_number(r)
     code: list = []  # the coding at 0 from position 0, extended on demand
@@ -483,8 +500,6 @@ def sturmian_block_system(r_spec: str) -> BlockSystem:
         block=block,
         half_lengths=lambda l: l,
         alphabet_base=["0", "1"],
-        # aperiodic coding: saturation waits for factor recurrence instead
-        saturation=lambda n: 4 * (n + 2) * (n + 2),
     )
 
 
@@ -499,10 +514,9 @@ def graph_from_system(system: BlockSystem, spec: str,
     every block, so that the closure carries a cycle of length 2 n_p + 3.
 
     `generate(bound, level)` walks each chain only as far as an n-letter
-    prefix (n = level) can see.  Both cuts are exact: every edge they skip
-    projects onto a pair that an edge emitted earlier in the same block
-    level already gave, so the level-n pairs and each pair's first edge are
-    those of the full walk.
+    prefix (n = level) can see.  The cuts are exact: every edge they skip
+    projects onto a pair that an edge emitted earlier gave, so the level-n
+    pairs and each pair's first edge are those of the full walk.
 
     - Middle of a chain: edge i joins s_l(i) D a^(i+1) abar^inf to
       s_l(i+1) D abar^(i+2) a^inf.  For i > n the runs fill the rest of both
@@ -510,6 +524,12 @@ def graph_from_system(system: BlockSystem, spec: str,
       letters, which repeat with period(n).  Index i >= period(n) + n + 1
       thus repeats index i - period(n) > n of the same chain, and the walk
       stops at min(lam - 1, period(n) + n + 1).
+    - Start of a Sturmian chain: for l >= n and l > p, edge i < lam_(l-1) - 1
+      of chain l projects onto (s_l(i), s_l(i+1)) cut to n letters, and so
+      does edge i of chain l - 1, since l - 1 >= n - 1 and each block is a
+      prefix of the one above it.  Chain l walks its middle from index
+      lam_(l-1) - 1 on.  An odometer chain starts at 0, as the periodic
+      cut already bounds it.
     - Markers: every endpoint is an (l+1)-letter word followed by D, so a
       prefix reads at most n - l - 1 marker letters, and every marker longer
       than d^max(n - l - 1, 1) projects its chain exactly as that marker
@@ -522,11 +542,13 @@ def graph_from_system(system: BlockSystem, spec: str,
         markers = [("d",) * (j + 1) for j in range(bound + 1)] if marked else [()]
         for l in range(first, first + bound + 1):
             lam = system.width(l)
-            middle = range(lam - 1 if system.period is None
-                           else min(lam - 1, system.period(level) + level + 1))
+            if system.period is not None:
+                middle = range(min(lam - 1, system.period(level) + level + 1))
+            else:
+                middle = range(system.width(l - 1) - 1 if first < l and level <= l else 0,
+                               lam - 1)
             # each block once per level, shared by every marker
-            s = [system.block(l, i) for i in range(len(middle) + 1)]
-            last = s[-1] if len(s) == lam else system.block(l, lam - 1)
+            s = {i: system.block(l, i) for i in {0, *middle, middle.stop, lam - 1}}
             for D in markers[: max(level - l - 1, 1)]:
                 yield (
                     UltWord(_c(l + 1) + D + ("a",), ("abar",)),
@@ -538,7 +560,7 @@ def graph_from_system(system: BlockSystem, spec: str,
                         UltWord(s[i + 1] + D + ("abar",) * (i + 2), ("a",)),
                     )
                 yield (
-                    UltWord(last + D + ("a",) * lam, ("abar",)),
+                    UltWord(s[lam - 1] + D + ("a",) * lam, ("abar",)),
                     UltWord(_c(l + 1) + D + ("abar",), ("a",)),
                 )
 
@@ -572,15 +594,17 @@ def gp_chain(d: Radix, p: int) -> SymbolicGraph:
 # ---------------------------------------------------------------------------
 
 
-def _orbit_edges(d: Radix, steps: int, keep=None) -> Iterator:
+def _orbit_edges(d: Radix, indices: Iterable[int]) -> Iterator:
     """The edges (x_i, x_{i+1}) of the odometer orbit of the zero word for
-    i < steps, only those with i in `keep` when it is given."""
-    x = d.zero()
-    for i in range(steps):
+    the increasing indices i given: one `odometer_iter` step per index, and
+    one jump over each gap between them."""
+    x, at = d.zero(), 0
+    for i in indices:
+        if i > at:
+            x = odometer_iter(d, x, i - at)
         y = odometer_iter(d, x, 1)
-        if keep is None or i in keep:
-            yield x, y
-        x = y
+        yield x, y
+        x, at = y, i + 1
 
 
 def go_graph(d: Radix) -> SymbolicGraph:
@@ -588,20 +612,14 @@ def go_graph(d: Radix) -> SymbolicGraph:
     each point to its successor."""
     alphabet = d.alphabet()
 
-    def alphabet_for(n: int) -> Alphabet:
-        return alphabet
-
-    def saturation(n: int) -> int:
-        return max(n, 1)
-
     def generate(bound: int, level: int = 0) -> Iterator:
-        return _orbit_edges(d, d.period(bound))
+        return _orbit_edges(d, range(d.period(bound)))
 
     return SymbolicGraph(
         spec="graph-o:d=%s" % format_radix(d),
-        alphabet_for=alphabet_for,
+        alphabet_for=lambda n: alphabet,
         generate=generate,
-        saturation=saturation,
+        saturation=lambda n: max(n, 1),
         compact=True,
         point_set="full digit space",
     )
@@ -613,8 +631,8 @@ def go_graph(d: Radix) -> SymbolicGraph:
 
 class OrbitIndexSet:
     """Decidable subset of omega with a finite description: a finite part,
-    arithmetic progressions, and interval schemes {base(l) + i : i < 3^l}
-    for l drawn from a described set."""
+    arithmetic progressions, and interval schemes: 0 and the intervals
+    [3^(l+2), 3^(l+2) + 3^l) for l drawn from a described set."""
 
     def __init__(self, finite=(), progressions=(), scheme_levels=None):
         self.finite = frozenset(int(i) for i in finite)
@@ -623,30 +641,19 @@ class OrbitIndexSet:
             raise FamilyError("progression step must be positive")
         self.scheme_levels = scheme_levels  # OrbitIndexSet or None
 
-    @staticmethod
-    def interval_base(l: int) -> int:
-        return 3 ** (l + 2)
-
-    def __contains__(self, i: int) -> bool:
-        if i in self.finite:
-            return True
-        for (a, b) in self.progressions:
-            if i >= a and (i - a) % b == 0:
-                return True
+    def least_from(self, i: int) -> int | None:
+        """The least element >= i, None when there is none."""
+        out = [f for f in self.finite if f >= i]
+        # a + ceil((i - a) / b) * b past a
+        out += [a if i <= a else a - (a - i) // b * b for (a, b) in self.progressions]
         if self.scheme_levels is not None:
-            if i == 0:
-                return True
-            l = 0
-            while self.interval_base(l) <= i:
-                if i < self.interval_base(l) + 3**l and l in self.scheme_levels:
-                    return True
+            l = 0  # the first interval that ends past i, [9 * 3^l, 10 * 3^l)
+            while 10 * 3**l <= i:
                 l += 1
-        return False
-
-    def scheme_level_list(self, upto: int) -> list[int]:
-        if self.scheme_levels is None:
-            return []
-        return [l for l in range(upto + 1) if l in self.scheme_levels]
+            l = self.scheme_levels.least_from(l)
+            if i <= 0 or l is not None:  # 0 is in every scheme set
+                out.append(0 if i <= 0 else max(i, 3 ** (l + 2)))
+        return min(out, default=None)
 
     def describe(self) -> str:
         parts = []
@@ -703,32 +710,39 @@ def parse_index_set(s: str) -> OrbitIndexSet:
 
 
 def restricted_orbit_graph(d: Radix, S: OrbitIndexSet) -> SymbolicGraph:
-    """Edges join the i-th and (i+1)-st iterates of the zero word, for i in S."""
+    """Edges join the i-th and (i+1)-st iterates of the zero word, for i in S.
+
+    The bound is an index: `generate(bound, level)` walks the i <= bound in
+    S.  The level-n pair of edge i is that of i mod P_n = d_0 ... d_(n-1),
+    the value of the n-prefix of x_i, so B(n) need only pass an index of
+    every residue S reaches: its finite part, P_n terms of each progression,
+    and the scheme intervals up to the first one of 3^l >= P_n indices,
+    which holds every residue; with no such level, up to the last one."""
     alphabet = d.alphabet()
 
-    def alphabet_for(n: int) -> Alphabet:
-        return alphabet
-
-    def index_bound(n: int) -> int:
+    def saturation(n: int) -> int:
         out = max(S.finite, default=0)
         for (a, b) in S.progressions:
             out = max(out, a + b * d.period(n))
-        if S.scheme_levels is not None:
-            levels = S.scheme_level_list(n + 4)
-            at_least_n = [l for l in levels if l >= n]
-            use = at_least_n[0] if at_least_n else (levels[-1] if levels else 0)
-            out = max(out, OrbitIndexSet.interval_base(use) + 3**use)
+        levels = S.scheme_levels
+        l = levels.least_from(0) if levels is not None else None
+        while l is not None:
+            out = max(out, 3 ** (l + 2) + 3**l)
+            l = levels.least_from(l + 1) if 3**l < d.period(n) else None
         return out
 
-    def saturation(n: int) -> int:
-        return index_bound(n)
+    def indices(bound: int) -> Iterator[int]:
+        i = S.least_from(0)
+        while i is not None and i <= bound:
+            yield i
+            i = S.least_from(i + 1)
 
     def generate(bound: int, level: int = 0) -> Iterator:
-        return _orbit_edges(d, bound + 1, S)
+        return _orbit_edges(d, indices(bound))
 
     return SymbolicGraph(
         spec="orbit:d=%s,S=%s" % (format_radix(d), S.describe()),
-        alphabet_for=alphabet_for,
+        alphabet_for=lambda n: alphabet,
         generate=generate,
         saturation=saturation,
         compact=True,
@@ -911,8 +925,6 @@ def ka_graph(A: Sequence[int]) -> SymbolicGraph:
             if (x.head == () and x.cycle in constants)
             or (x.head != () and x.cycle == ("2",))
         }
-        from .words import format_ult
-
         edges = [(format_ult(x), format_ult(y)) for (x, y) in keep.items()]
         verts = sorted({v for e in edges for v in e})
         return finite_graph(verts, edges)
@@ -932,42 +944,58 @@ def ka_graph(A: Sequence[int]) -> SymbolicGraph:
 # family spec strings
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("integer expected: %r" % text) from None
+
+
+# each family's arguments, as its usage error names them, and its constructor
+_FAMILIES = {
+    "gm": ({}, gm), "gdelta": ({"delta": "WORD"}, gdelta), "go-plus": ({"d": "RADIX"}, go_plus),
+    "graph-o": ({"d": "RADIX"}, go_graph), "t": ({}, t_graph), "k0": ({}, k0_graph),
+    "rank-subshift": ({"n": "N"}, rank_subshift), "gp": ({"d": "RADIX", "p": "N"}, gp_chain),
+    "orbit": ({"d": "RADIX", "S": "INDEXSET"}, restricted_orbit_graph),
+    "ka": ({"A": "N,..."}, ka_graph),
+    "sturmian": ({"r": "QUADRATIC"}, lambda r: graph_from_system(sturmian_block_system(r),
+                                                                "sturmian:r=" + r)),
+}
+# how an argument of each kind is read
+_READERS = {
+    "WORD": parse_ult, "RADIX": parse_radix, "N": _integer, "INDEXSET": parse_index_set,
+    "N,...": lambda text: [_integer(t) for t in text.split(",")] if text else [],
+    "QUADRATIC": str,
+}
+
+
 def parse_family(spec: str) -> SymbolicGraph:
     """A SymbolicGraph from its spec string; a trailing `:oriented` selects
     the primitive orientation.  Finite graph specs (`odd-cycle:p=N`,
-    `file:PATH`, `FAMILY@LEVEL`) are the CLI's."""
+    `file:PATH`, `FAMILY@LEVEL`) are the CLI's.  A missing, unknown or
+    unreadable argument is an error that names the family's arguments; an
+    index set keeps its own grammar error."""
     spec = spec.strip()
     oriented = spec.endswith(":oriented")
-    if oriented:
-        spec = spec[: -len(":oriented")]
-    name, _, argstr = spec.partition(":")
-    args = _parse_args(argstr)
-    if name == "gm":
-        g = gm()
-    elif name == "gdelta":
-        from .words import parse_ult
-
-        g = gdelta(parse_ult(args["delta"]))
-    elif name == "go-plus":
-        g = go_plus(parse_radix(args["d"]))
-    elif name == "graph-o":
-        g = go_graph(parse_radix(args["d"]))
-    elif name == "t":
-        g = t_graph()
-    elif name == "k0":
-        g = k0_graph()
-    elif name == "rank-subshift":
-        g = rank_subshift(int(args["n"]))
-    elif name == "gp":
-        g = gp_chain(parse_radix(args["d"]), int(args["p"]))
-    elif name == "orbit":
-        g = restricted_orbit_graph(parse_radix(args["d"]), parse_index_set(args["S"]))
-    elif name == "ka":
-        g = ka_graph([int(t) for t in args["A"].split(",")] if args["A"] else [])
-    elif name == "sturmian":
-        g = graph_from_system(sturmian_block_system(args["r"]), spec="sturmian:r=%s" % args["r"])
-    else:
+    name, _, argstr = spec.removesuffix(":oriented").partition(":")
+    if name not in _FAMILIES:
         raise FamilyError("unknown family %r" % name)
+    takes, build = _FAMILIES[name]
+    usage = "%s takes %s; " % (name, ",".join(map("=".join, takes.items())) or "no arguments")
+    args = _parse_args(argstr)
+    wrong = ["unknown argument " + k for k in args if k not in takes]
+    wrong += ["missing " + k for k in takes if k not in args]
+    if wrong:
+        raise FamilyError(usage + wrong[0])
+    values = []
+    for key, kind in takes.items():
+        try:
+            values.append(_READERS[kind](args[key]))
+        except FamilyError:
+            raise
+        except ValueError as e:
+            raise FamilyError(usage + str(e)) from None
+    g = build(*values)
     return with_direction(g, True) if oriented else g
 
 

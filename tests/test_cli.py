@@ -177,6 +177,24 @@ def test_bad_family_exits_2(capsys):
         assert err.startswith("usage error: unknown or malformed family %r (index set parts "
                               "are N, {a,b}, a+bk or sa{...}, joined by '|': %r)\n"
                               % (spec, part))
+    # a missing, unknown or non-integer argument names the family's arguments
+    for spec, reason in [
+        ("graph-o:d=2,x,(3)^inf",
+         "graph-o takes d=RADIX; radix digit bounds must be integers: '2,x,(3)^inf'"),
+        ("graph-o:d=(3,)^inf", "graph-o takes d=RADIX; radix digit bounds must be integers: "
+                               "'(3,)^inf'"),
+        ("gp:d=2,(3)^inf,p=x", "gp takes d=RADIX,p=N; integer expected: 'x'"),
+        ("rank-subshift:n=x", "rank-subshift takes n=N; integer expected: 'x'"),
+        ("ka:A=0,x", "ka takes A=N,...; integer expected: 'x'"),
+        ("gp:d=2,(3)^inf", "gp takes d=RADIX,p=N; missing p"),
+        ("orbit:S=sa{0}", "orbit takes d=RADIX,S=INDEXSET; missing d"),
+        ("graph-o:d=(3)^inf,q=1", "graph-o takes d=RADIX; unknown argument q"),
+        ("gm:x=1", "gm takes no arguments; unknown argument x"),
+    ]:
+        code, out, err = run(capsys, "family", "show", "--family", spec, "--level", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: unknown or malformed family %r (%s)\n"
+                              % (spec, reason))
 
 
 def test_family_grammar_lists_only_family_specs():
@@ -535,7 +553,7 @@ def test_budget_and_file_errors_exit_2(tmp_path, monkeypatch, capsys, argv, pref
 
 
 @pytest.mark.parametrize("spec,reason", [
-    ("rank-subshift:", "('n')"),
+    ("rank-subshift:", "(rank-subshift takes n=N; missing n)"),
     ("rank-subshift:n=-1", "(rank parameter must be between 0 and 4)"),
     ("rank-subshift:n=5", "(rank parameter must be between 0 and 4)"),
     ("sturmian:r=()", "(expected '(p +- q sqrt D)/s': '()')"),
@@ -660,6 +678,15 @@ CORPUS = [
      "family-show-go254-3.txt"),
     (("family", "show", "--family", "orbit:d=2,(3)^inf,S=1+2k|{0,9}", "--level", "3"),
      "family-show-orbit23-3.txt"),
+    # the saturation bounds: the Sturmian blocks through level 8, and at a
+    # rotation number near 1/1000 with the quotient pinned from --bound 1100;
+    # index 3^8 + 3^6 and beyond reach every residue mod 3
+    (("scan", "--family", "sturmian:r=" + STURMIAN, "--levels", "8") + JSON,
+     "scan-sturmian-8.json"),
+    (("quotient", "--family", "sturmian:r=(1999 - 1 sqrt 5)/1997998", "--level", "2",
+      "--format", "json"), "quotient-sturmian-near-zero-2.json"),
+    (("decide", "--family", "orbit:d=(3)^inf,S=sa{{0,6}}", "--level", "1"),
+     "decide-orbit-sa06-1.txt"),
 ]
 
 

@@ -276,6 +276,22 @@ def test_orbit_density_proxy():
     assert len(firsts) == 9  # every length-2 prefix occurs
 
 
+def test_lazy_points_read_one_window_each(monkeypatch):
+    # a BlockWord lists no letters: its level-n window is both its projection
+    # and what the letter cap reads, so it is read once per point
+    from clopen.words import BlockWord
+
+    g = parse_family("rank-subshift:n=2")
+    lazy = sum(isinstance(p, BlockWord) for edge in g.generate(g.saturation(3), 3)
+               for p in edge)
+    calls = []
+    window = BlockWord.window
+    monkeypatch.setattr(BlockWord, "window",
+                        lambda self, a, b: calls.append((a, b)) or window(self, a, b))
+    edges_at_level(g, 3)
+    assert lazy > 0 and calls == [(-3, 3)] * lazy
+
+
 def orbit_index_member(S, i: int) -> bool:
     """Oracle: i in S, read off the description part by part; a scheme set
     holds 0 and the interval [3^(l+2), 3^(l+2) + 3^l) for each l it lists."""
@@ -300,9 +316,49 @@ INDEX_SETS = ["{0}", "sa{0}", "sa{0+1k}", "sa{{0}}", "1+2k|{0,9}", "{0,9}|1+2k",
 
 
 @pytest.mark.parametrize("text", INDEX_SETS)
-def test_orbit_index_oracle_is_membership(text):
+def test_least_from_matches_the_membership_oracle(text):
+    # each of these sets has its next element after any i < 3^8 below 3^9,
+    # or none at all
     S = parse_index_set(text)
-    assert [orbit_index_member(S, i) for i in range(3**8)] == [i in S for i in range(3**8)]
+    following = [None] * (3**9 + 1)
+    for i in reversed(range(3**9)):
+        following[i] = i if orbit_index_member(S, i) else following[i + 1]
+    assert [S.least_from(i) for i in range(3**8)] == following[: 3**8]
+
+
+def test_orbit_bound_reaches_every_residue():
+    # sa{{0,6}} holds 0, 9 and [3^8, 3^8 + 3^6), which meets every residue
+    # mod 3: the level-1 quotient is a triangle, not the edge of 0 and 9
+    g = parse_family("orbit:d=(3)^inf,S=sa{{0,6}}")
+    assert g.saturation(1) == 3**8 + 3**6
+    assert {(s, t) for (s, t) in pairs(g, 1)} == {
+        ((a,), (b,)) for (i, j) in ((0, 1), (1, 2), (2, 0)) for (a, b) in
+        ((str(i), str(j)), (str(j), str(i)))}
+    # levels 1, 2, 3, ...: the first interval of 3^l >= 25 indices is l = 3
+    q = quotient(parse_family("orbit:d=(5)^inf,S=sa{1+1k}"), 2)
+    assert (len(q.vertices), q.edge_count()) == (25, 25)
+    assert pairs(parse_family("orbit:d=(5)^inf,S=sa{1+1k}"), 2, bound=300) == set(q.edges)
+
+
+def test_orbit_walk_jumps_between_indices(monkeypatch):
+    # sa{0} is {0, 9}: one step from 0, one jump to 9 and one step from it
+    import clopen.families as families
+
+    calls = []
+
+    def counted(d, x, i):
+        calls.append(i)
+        return odometer_iter(d, x, i)
+
+    monkeypatch.setattr(families, "odometer_iter", counted)
+    g = parse_family("orbit:d=(3)^inf,S=sa{0}")
+    # one pass of each stream (list() would take a counting pass first)
+    assert [format_ult(x) for (x, _) in g.generate(g.saturation(1), 1)] == [
+        "(0)^inf", "001(0)^inf"]
+    assert calls == [1, 8, 1]
+    calls.clear()
+    assert len([e for e in parse_family("graph-o:d=(3)^inf").generate(2, 2)]) == 9
+    assert calls == [1] * 9
 
 
 def test_ka_map_examples():
