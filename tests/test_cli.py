@@ -334,6 +334,7 @@ def test_multicharacter_numeral_coloring_roundtrip(tmp_path, capsys):
 @pytest.mark.parametrize("family,levels,name", [
     ("graph-o:d=(3)^inf", "5", "scan-graph-o-5.json"),
     ("gm", "6", "scan-gm-6.json"),
+    ("gm", "8", "scan-gm-8.json"),
 ])
 def test_scan_json_matches_golden(capsys, family, levels, name):
     # pins every witness: a change to the odd-walk tie-break fails here

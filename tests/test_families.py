@@ -550,6 +550,19 @@ ENUMERATION_CASES = {
         (spec, n, 0) for spec in ("graph-o:d=2,5,(4)^inf", "orbit:d=2,(3)^inf,S=1+2k|{0,9}",
                                   "orbit:d=(3)^inf,S=sa{{0,2}}|{5}")
         for n in range(5)
+    ] + [
+        # gm where its level-8 scan sets the benchmark's peak memory; the
+        # letter cap of gdelta and t with the bound enlarged past it
+        ("gm", n, 0) for n in (5, 6, 7, 8)
+    ] + [
+        (spec, 5, 3) for spec in ("gdelta:delta=(1)^inf", "t")
+    ] + [
+        # odometer orbits past the sweep's levels, and the block graphs at
+        # level 8, where a whole point per middle edge made enumeration slow
+        (spec, n, 0) for spec in ("graph-o:d=(3)^inf", "orbit:d=(3)^inf,S=sa{0}")
+        for n in (5, 6)
+    ] + [
+        (spec, 8, 0) for spec in ("go-plus:d=2,(3)^inf", "gp:d=2,(3)^inf,p=1")
     ]
 }
 
