@@ -9,6 +9,7 @@ given), 1 on a mismatch, 2 on usage, input, budget and file errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import colorings as col
@@ -584,7 +585,13 @@ def main(argv=None) -> int:
     ap = build_parser(argv[0] if argv else None)
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return rc
+    except BrokenPipeError:
+        # the reader left: what is still buffered goes nowhere, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a process it killed
     except Mismatch as e:
         print("MISMATCH: %s" % e, file=sys.stderr)
         return 1

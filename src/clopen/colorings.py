@@ -111,7 +111,8 @@ def verify_coloring(g: SymbolicGraph, c, bound: int) -> VerifyResult:
                                     True, checked, n)
         return VerifyResult(True, None, True, checked, n)
     count = 0
-    for (x, y) in g.generate(bound):
+    for (_, _, points) in g.generate(bound):
+        x, y = points()
         cx, cy = c.color_of_point(x), c.color_of_point(y)
         count += 1
         if cx == cy:

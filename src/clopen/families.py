@@ -3,16 +3,19 @@ level-n edge enumeration.
 
 A SymbolicGraph is an edge generator: `generate(bound, n)` streams the
 finitely many primitive directed edges whose clause parameters are at most
-`bound`, as pairs of exactly represented points, complete for the level-n
-projections (block graphs skip the edges that only repeat a projection, see
-`graph_from_system`).  `edges_at_level(g, n)` projects those
-edges to length-n prefixes (symmetric windows for two-sided families) using
-the family's saturation bound B(n), holding only the distinct pairs;
-`first_edges` walks the stream again for the edges behind chosen pairs.
-Stability under enlarging the bound is a runtime-checkable property.
+`bound`, complete for the level-n projections (block graphs skip the edges
+that only repeat a projection, see `graph_from_system`), as (s, t, points).
+s and t are the level-n projections, length-n prefixes or symmetric windows
+for two-sided families, read off the family's own arithmetic; `points()`
+builds the two exact points.  `edges_at_level(g, n)` interns the
+projections below the saturation bound B(n), holding only the distinct
+pairs; `first_edges` walks the stream again for the points behind chosen
+pairs.  Stability under enlarging the bound is a runtime-checkable property.
 
-Families over an infinite numeral alphabet are capped at the letters reachable
-below B(n); the cap is part of the alphabet reported for that level.
+Families over an infinite numeral alphabet (`gm`, `gdelta`, `t`) are capped
+at the letters reachable below B(n): their generators compare an edge's
+numerals with the cap, fixed by B(n) whatever the bound, and give an edge
+past it no projections (None).  The cap is part of the level's alphabet.
 
 `QuotientGraph` is the one finite graph type: a level quotient, an odd
 cycle, a finite core, a complete graph or a graph read from a file.
@@ -160,10 +163,11 @@ class SymbolicGraph:
     edge generator.
 
     generate(bound, level) streams primitive directed edges (clause order,
-    parameters up to `bound`, complete for projections at the given level);
-    the graph itself is the symmetrization unless `directed` is set.  Points
-    are UltWords (one-sided spaces), or BiWords/BlockWords (two-sided
-    subshifts), in which case level n reads the symmetric window [-n, n).
+    parameters up to `bound`, complete for projections at the given level)
+    as (s, t, points), see the module docstring; the graph itself is the
+    symmetrization unless `directed` is set.  Points are UltWords (one-sided
+    spaces), or BiWords/BlockWords (two-sided subshifts), in which case level
+    n reads the symmetric window [-n, n).
 
     A two-sided family carries its `forest`, the LimitForest whose orbits
     it walks and whose Cantor-Bendixson rank `cb rank` verifies; a block
@@ -237,16 +241,25 @@ def edges_at_level(g: SymbolicGraph, n: int, bound: int | None = None) -> LevelE
     """Exactly { (x|n, y|n) : (x, y) edge of g } below the saturation bound,
     with the letter cap fixed by B(n) even when the bound is enlarged.
 
-    The words are sorted once by the alphabet key and the pairs by the
-    ranks of their words, the same order since the key is injective."""
+    Each word is interned as an id when first seen, and the distinct pairs
+    are held as ids.  The words are sorted once by the alphabet key, and the
+    pairs by the ranks of their words, the same order since the key is
+    injective; every pair is built from the shared words."""
     if n < 0:
         raise FamilyError("level must be >= 0")
     alphabet = g.alphabet_for(n)
-    seen = {(s, t) for (s, t, _, _) in _projected(g, n, bound)}
-    vertices = sorted({w for pair in seen for w in pair}, key=alphabet.key)
-    rank = {v: i for i, v in enumerate(vertices)}
-    ranked = sorted((rank[s], rank[t]) for (s, t) in seen)
-    return LevelEdges([(vertices[i], vertices[j]) for (i, j) in ranked], vertices,
+    ids: dict = {}
+    seen = {(ids.setdefault(s, len(ids)), ids.setdefault(t, len(ids)))
+            for (s, t, _) in _projected(g, n, bound)}
+    vertices = sorted(ids, key=alphabet.key)
+    rank = [0] * len(vertices)
+    for r, w in enumerate(vertices):
+        rank[ids[w]] = r
+    m = len(vertices)
+    del ids  # each table goes before the next one is built
+    ranked = sorted(rank[i] * m + rank[j] for (i, j) in seen)
+    del seen
+    return LevelEdges([(vertices[c // m], vertices[c % m]) for c in ranked], vertices,
                       alphabet, n)
 
 
@@ -254,33 +267,37 @@ def first_edges(g: SymbolicGraph, n: int, pairs: Iterable, bound: int | None = N
     """pair -> the first edge of `edges_at_level`'s stream that projects
     onto it, for each of the given level-n pairs, a swapped edge (y, x)
     included when g is undirected: one more pass of the stream, ended once
-    every pair is found."""
+    every pair is found, that builds the points of those edges only."""
     want, found = set(pairs), {}
-    for (s, t, x, y) in _projected(g, n, bound):
+    for (s, t, points) in _projected(g, n, bound):
         if len(found) == len(want):
             break
         if (s, t) in want and (s, t) not in found:
-            found[s, t] = (x, y)
+            found[s, t] = points()
     return found
 
 
 def _projected(g: SymbolicGraph, n: int, bound: int | None):
-    """(s, t, x, y) for each generated edge (x, y) inside the letter cap,
-    with s, t the level-n projections of x, y, each followed by the swapped
-    (t, s, y, x) when g is undirected.  A point that lists its letters is
-    capped whole; a lazily generated one by its window, read once."""
-    allowed = set(g.alphabet_for(n).letters)
-    for (x, y) in g.generate(g.saturation(n) if bound is None else bound, n):
-        if g.two_sided:
-            s, t = x.window(-n, n), y.window(-n, n)
-        else:
-            s, t = x.prefix(n), y.prefix(n)
-        if not (set(x.letters_used() if hasattr(x, "letters_used") else s) <= allowed
-                and set(y.letters_used() if hasattr(y, "letters_used") else t) <= allowed):
+    """The generated edges inside the letter cap, each followed by the
+    swapped edge (t, s, points of (y, x)) when g is undirected."""
+    for (s, t, points) in g.generate(g.saturation(n) if bound is None else bound, n):
+        if s is None:
             continue
-        yield s, t, x, y
+        yield s, t, points
         if not g.directed:
-            yield t, s, y, x
+            yield t, s, lambda points=points: points()[::-1]
+
+
+def _edge(n: int, x: tuple, y: tuple, capped: bool = False) -> tuple:
+    """(s, t, points) of an edge of one-sided points, each point given as
+    (head, run, times, tail), the word head run^times tail^inf: its n-prefix
+    is read without writing out the run, and `points()` builds both words.
+    A capped edge has no projections."""
+    points = lambda: tuple(UltWord(h + (a,) * k, (c,)) for (h, a, k, c) in (x, y))
+    if capped:
+        return None, None, points
+    s, t = ((h[:n] + (a,) * min(k, n - len(h)) + (c,) * n)[:n] for (h, a, k, c) in (x, y))
+    return s, t, points
 
 
 # ---------------------------------------------------------------------------
@@ -315,22 +332,17 @@ def gm() -> SymbolicGraph:
     are unchanged."""
 
     def generate(bound: int, level: int = 0) -> Iterator:
+        top = _gm_saturation(level)  # the largest numeral of the level's cap
         for k in range(bound + 1):
             K = str(k)
             for j in range(min(bound, max(level - 2, 0)) + 1):
-                yield (
-                    UltWord(_c(k + 1) + ("a",) * (j + 1), ("abar",)),
-                    UltWord((K,) + ("0",) * (j + 1), ("abar",)),
-                )
+                yield _edge(level, (_c(k + 1), "a", j + 1, "abar"), ((K,), "0", j + 1, "abar"),
+                            k > top)
                 for i in range(2 * k + 1):
-                    yield (
-                        UltWord((K,) + (str(i),) * (j + 1), ("a",)),
-                        UltWord((K,) + (str(i + 1),) * (j + 1), ("abar",)),
-                    )
-                yield (
-                    UltWord((K,) + (str(2 * k + 1),) * (j + 1), ("a",)),
-                    UltWord(_c(k + 1) + ("abar",) * (j + 1), ("a",)),
-                )
+                    yield _edge(level, ((K,), str(i), j + 1, "a"),
+                                ((K,), str(i + 1), j + 1, "abar"), max(k, i + 1) > top)
+                yield _edge(level, ((K,), str(2 * k + 1), j + 1, "a"),
+                            (_c(k + 1), "abar", j + 1, "a"), 2 * k + 1 > top)
 
     return SymbolicGraph(
         spec="gm",
@@ -350,24 +362,19 @@ def gdelta(delta: UltWord) -> SymbolicGraph:
     delta_str = format_ult(delta)
 
     def generate(bound: int, level: int = 0) -> Iterator:
+        top = _gm_saturation(level)  # the largest numeral of the level's cap
         for k in range(bound + 1):
             if delta.letter(k) != "1":
                 continue
             K = str(k)
             for j in range(bound + 1):
-                yield (
-                    UltWord(_c(k + 1) + ("0", str(j)), ("a",)),
-                    UltWord((K,) + ("0",) * (j + 2), ("abar",)),
-                )
+                yield _edge(level, (_c(k + 1) + ("0", str(j)), "a", 0, "a"),
+                            ((K,), "0", j + 2, "abar"), max(k, j) > top)
                 for i in range(2 * k + 1):
-                    yield (
-                        UltWord((K, str(i)) + ("0",) * (j + 1), ("a",)),
-                        UltWord((K, str(i + 1)) + ("0",) * (j + 1), ("abar",)),
-                    )
-                yield (
-                    UltWord((K, str(2 * k + 1)) + ("0",) * (j + 1), ("a",)),
-                    UltWord(_c(k + 1) + ("1", str(j)), ("abar",)),
-                )
+                    yield _edge(level, ((K, str(i)), "0", j + 1, "a"),
+                                ((K, str(i + 1)), "0", j + 1, "abar"), max(k, i + 1) > top)
+                yield _edge(level, ((K, str(2 * k + 1)), "0", j + 1, "a"),
+                            (_c(k + 1) + ("1", str(j)), "a", 0, "abar"), max(2 * k + 1, j) > top)
 
     return SymbolicGraph(
         spec="gdelta:delta=%s" % delta_str,
@@ -393,20 +400,14 @@ def t_graph() -> SymbolicGraph:
 
     def generate(bound: int, level: int = 0) -> Iterator:
         for k in range(bound + 1):
-            two_k2 = str(2 * k + 2)
-            yield (
-                UltWord(("0",) * (2 * k + 1), ("1",)),
-                UltWord((two_k2,), ("0",)),
-            )
+            # every numeral of the clause k edges is at most 2k + 2
+            capped, two_k2 = 2 * k + 2 > saturation(level), str(2 * k + 2)
+            yield _edge(level, ((), "0", 2 * k + 1, "1"), ((two_k2,), "0", 0, "0"), capped)
             for i in range(2 * k + 1):
-                yield (
-                    UltWord((two_k2, str(i)) + ("0",) * k, ("1",)),
-                    UltWord((two_k2, str(i + 1)), ("0",)),
-                )
-            yield (
-                UltWord((two_k2, str(2 * k + 1)) + ("0",) * k, ("1",)),
-                UltWord(("0",) * (2 * k + 2), ("1",)),
-            )
+                yield _edge(level, ((two_k2, str(i)), "0", k, "1"),
+                            ((two_k2, str(i + 1)), "0", 0, "0"), capped)
+            yield _edge(level, ((two_k2, str(2 * k + 1)), "0", k, "1"),
+                        ((), "0", 2 * k + 2, "1"), capped)
 
     return SymbolicGraph(
         spec="t",
@@ -550,19 +551,12 @@ def graph_from_system(system: BlockSystem, spec: str,
             # each block once per level, shared by every marker
             s = {i: system.block(l, i) for i in {0, *middle, middle.stop, lam - 1}}
             for D in markers[: max(level - l - 1, 1)]:
-                yield (
-                    UltWord(_c(l + 1) + D + ("a",), ("abar",)),
-                    UltWord(s[0] + D + ("abar",), ("a",)),
-                )
+                yield _edge(level, (_c(l + 1) + D, "a", 1, "abar"), (s[0] + D, "abar", 1, "a"))
                 for i in middle:
-                    yield (
-                        UltWord(s[i] + D + ("a",) * (i + 1), ("abar",)),
-                        UltWord(s[i + 1] + D + ("abar",) * (i + 2), ("a",)),
-                    )
-                yield (
-                    UltWord(s[lam - 1] + D + ("a",) * lam, ("abar",)),
-                    UltWord(_c(l + 1) + D + ("abar",), ("a",)),
-                )
+                    yield _edge(level, (s[i] + D, "a", i + 1, "abar"),
+                                (s[i + 1] + D, "abar", i + 2, "a"))
+                yield _edge(level, (s[lam - 1] + D, "a", lam, "abar"),
+                            (_c(l + 1) + D, "abar", 1, "a"))
 
     return SymbolicGraph(
         spec=spec,
@@ -594,17 +588,16 @@ def gp_chain(d: Radix, p: int) -> SymbolicGraph:
 # ---------------------------------------------------------------------------
 
 
-def _orbit_edges(d: Radix, indices: Iterable[int]) -> Iterator:
+def _orbit_edges(d: Radix, indices: Iterable[int], n: int) -> Iterator:
     """The edges (x_i, x_{i+1}) of the odometer orbit of the zero word for
-    the increasing indices i given: one `odometer_iter` step per index, and
-    one jump over each gap between them."""
-    x, at = d.zero(), 0
+    the increasing indices i given.  x_i is i written in the radix d, so its
+    n-prefix is `prefix_of_value(d, i, n)`, and the points are iterates of
+    the zero word, built on demand."""
+    at, t = None, None
     for i in indices:
-        if i > at:
-            x = odometer_iter(d, x, i - at)
-        y = odometer_iter(d, x, 1)
-        yield x, y
-        x, at = y, i + 1
+        s = t if i == at else prefix_of_value(d, i, n)
+        at, t = i + 1, prefix_of_value(d, i + 1, n)
+        yield s, t, lambda i=i: (odometer_iter(d, d.zero(), i), odometer_iter(d, d.zero(), i + 1))
 
 
 def go_graph(d: Radix) -> SymbolicGraph:
@@ -613,7 +606,7 @@ def go_graph(d: Radix) -> SymbolicGraph:
     alphabet = d.alphabet()
 
     def generate(bound: int, level: int = 0) -> Iterator:
-        return _orbit_edges(d, range(d.period(bound)))
+        return _orbit_edges(d, range(d.period(bound)), level)
 
     return SymbolicGraph(
         spec="graph-o:d=%s" % format_radix(d),
@@ -738,7 +731,7 @@ def restricted_orbit_graph(d: Radix, S: OrbitIndexSet) -> SymbolicGraph:
             i = S.least_from(i + 1)
 
     def generate(bound: int, level: int = 0) -> Iterator:
-        return _orbit_edges(d, indices(bound))
+        return _orbit_edges(d, indices(bound), level)
 
     return SymbolicGraph(
         spec="orbit:d=%s,S=%s" % (format_radix(d), S.describe()),
@@ -801,7 +794,8 @@ def _shift_graph(spec: str, forest, saturation: Callable[[int], int],
     def generate(bound: int, level: int = 0) -> Iterator:
         for node in forest.nodes.values():
             for x in node.orbit(bound):
-                yield x, x.shift(1)
+                y = x.shift(1)
+                yield x.window(-level, level), y.window(-level, level), lambda x=x, y=y: (x, y)
 
     return SymbolicGraph(
         spec=spec,
@@ -912,7 +906,8 @@ def ka_graph(A: Sequence[int]) -> SymbolicGraph:
     spec = "ka:A=%s" % ",".join(str(a) for a in A)
 
     def generate(bound: int, level: int = 0) -> Iterator:
-        yield from _ka_points_and_map(A, chain_depth=bound).items()
+        for (x, y) in _ka_points_and_map(A, chain_depth=bound).items():
+            yield x.prefix(level), y.prefix(level), lambda x=x, y=y: (x, y)
 
     def finite_core() -> QuotientGraph:
         # the finite orbits are the 4-cycle of constant words and the even
@@ -982,7 +977,7 @@ def parse_family(spec: str) -> SymbolicGraph:
         raise FamilyError("unknown family %r" % name)
     takes, build = _FAMILIES[name]
     usage = "%s takes %s; " % (name, ",".join(map("=".join, takes.items())) or "no arguments")
-    args = _parse_args(argstr)
+    args = _parse_args(argstr, usage)
     wrong = ["unknown argument " + k for k in args if k not in takes]
     wrong += ["missing " + k for k in takes if k not in args]
     if wrong:
@@ -999,9 +994,9 @@ def parse_family(spec: str) -> SymbolicGraph:
     return with_direction(g, True) if oriented else g
 
 
-def _parse_args(argstr: str) -> dict:
-    """key=value pairs separated by commas, where values may themselves
-    contain commas (a new key starts only at `name=`)."""
+def _parse_args(argstr: str, usage: str = "") -> dict:
+    """key=value pairs separated by commas, where values may contain commas
+    (a new key starts only at `name=`); text before any key is a `usage` error."""
     args: dict[str, str] = {}
     if not argstr:
         return args
@@ -1013,6 +1008,6 @@ def _parse_args(argstr: str) -> dict:
             args[key] = rest
         else:
             if key is None:
-                raise FamilyError("bad family arguments %r" % argstr)
+                raise FamilyError(usage + "key=value expected: %r" % argstr)
             args[key] += "," + tok
     return args

@@ -266,9 +266,6 @@ class BiWord:
         buf = self.window(a, b)
         return {buf[i : i + m] for i in range(len(buf) - m + 1)}
 
-    def letters_used(self) -> set:
-        return set(self.left) | set(self.core) | set(self.right)
-
     def __repr__(self):
         return "BiWord(%s)" % format_bi(self)
 

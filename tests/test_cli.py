@@ -190,6 +190,7 @@ def test_bad_family_exits_2(capsys):
         ("orbit:S=sa{0}", "orbit takes d=RADIX,S=INDEXSET; missing d"),
         ("graph-o:d=(3)^inf,q=1", "graph-o takes d=RADIX; unknown argument q"),
         ("gm:x=1", "gm takes no arguments; unknown argument x"),
+        ("gp:2,(3)^inf", "gp takes d=RADIX,p=N; key=value expected: '2,(3)^inf'"),
     ]:
         code, out, err = run(capsys, "family", "show", "--family", spec, "--level", "1")
         assert (code, out) == (2, "")
@@ -275,6 +276,22 @@ def test_cli_import_loads_the_library_but_not_json_or_fractions():
     loaded = set(proc.stdout.split())
     assert {"clopen." + m for m in TRACED_MODULES} <= loaded
     assert not loaded & {"json", "fractions", "decimal"}
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_output_pipe_exits_141_quietly(unbuffered):
+    # the reader closes the pipe before the command writes its 229 KB, more
+    # than a pipe holds, so the write fails whether stdout is buffered or not
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "clopen.cli", "family", "show", "--family", "gm", "--level", "6",
+         "--sample", "3000"], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
 
 
 def test_usage_error_exit_code():

@@ -58,6 +58,11 @@ def pairs(g, n, bound=None):
     return set(edges_at_level(g, n, bound=bound).pairs)
 
 
+def edge_points(stream):
+    """The points (x, y) of each edge of a `generate` stream."""
+    return [points() for (_, _, points) in stream]
+
+
 def test_odd_cycle():
     tri = odd_cycle(0)
     assert len(tri.vertices) == 3 and tri.edge_count() == 3
@@ -95,7 +100,7 @@ def test_gm_clause_instances():
     # second-clause instances live inside a level: first letters agree
     assert (("0",), ("0",)) in ps  # the level-0 block self-loop at level 1
     # the second clause keeps the index below the level width
-    edges = g.generate(4)
+    edges = edge_points(g.generate(4))
     for (x, y) in edges:
         if x.letter(0) not in ("c",):
             k = int(x.letter(0))
@@ -149,7 +154,7 @@ def test_go_plus_degree_at_most_one():
         g = parse_family(spec)
         for bound in (3, 5):
             seen = {}
-            for (x, y) in g.generate(bound):
+            for (x, y) in edge_points(g.generate(bound)):
                 for p in (x, y):
                     key = (p.head, p.cycle)
                     seen[key] = seen.get(key, 0) + 1
@@ -200,7 +205,7 @@ def test_graph_o_level_quotients_are_odometer_cycles():
 
 def test_t_graph_clauses():
     g = t_graph()
-    edges = [tuple(e) for e in g.generate(3)]
+    edges = edge_points(g.generate(3))
     assert (UltWord(("0",), ("1",)), UltWord(("2",), ("0",))) in edges
     assert (UltWord(("2", "0"), ("1",)), UltWord(("2", "1"), ("0",))) in edges
     assert not g.compact
@@ -212,7 +217,7 @@ def test_k0_edge_between_the_periodic_points():
 
     a0 = parse_bi("(01)^inf.(01)^inf")
     a1 = parse_bi("(10)^inf.(10)^inf")
-    gen = g.generate(4)
+    gen = edge_points(g.generate(4))
     assert any(x == a0 and y == a1 for (x, y) in gen)
 
 
@@ -245,8 +250,8 @@ def test_rank_subshift_block_words():
 def test_gp_chain_edges_decrease_with_p():
     d = parse_radix("2,(3)^inf")
     g0, g1 = gp_chain(d, 0), gp_chain(d, 1)
-    e0 = {(x.head, x.cycle, y.head, y.cycle) for (x, y) in g0.generate(5)}
-    e1 = {(x.head, x.cycle, y.head, y.cycle) for (x, y) in g1.generate(4)}
+    e0 = {(x.head, x.cycle, y.head, y.cycle) for (x, y) in edge_points(g0.generate(5))}
+    e1 = {(x.head, x.cycle, y.head, y.cycle) for (x, y) in edge_points(g1.generate(4))}
     assert e1 <= e0
 
 
@@ -282,7 +287,7 @@ def test_lazy_points_read_one_window_each(monkeypatch):
     from clopen.words import BlockWord
 
     g = parse_family("rank-subshift:n=2")
-    lazy = sum(isinstance(p, BlockWord) for edge in g.generate(g.saturation(3), 3)
+    lazy = sum(isinstance(p, BlockWord) for edge in edge_points(g.generate(g.saturation(3), 3))
                for p in edge)
     calls = []
     window = BlockWord.window
@@ -341,7 +346,8 @@ def test_orbit_bound_reaches_every_residue():
 
 
 def test_orbit_walk_jumps_between_indices(monkeypatch):
-    # sa{0} is {0, 9}: one step from 0, one jump to 9 and one step from it
+    # sa{0} is {0, 9}: the walk yields indices 0 and 9 only, reads their
+    # pairs off the indices' digits, and reaches a point only when asked
     import clopen.families as families
 
     calls = []
@@ -352,18 +358,45 @@ def test_orbit_walk_jumps_between_indices(monkeypatch):
 
     monkeypatch.setattr(families, "odometer_iter", counted)
     g = parse_family("orbit:d=(3)^inf,S=sa{0}")
-    # one pass of each stream (list() would take a counting pass first)
-    assert [format_ult(x) for (x, _) in g.generate(g.saturation(1), 1)] == [
-        "(0)^inf", "001(0)^inf"]
-    assert calls == [1, 8, 1]
+    edges = [e for e in g.generate(g.saturation(1), 1)]
+    assert [(s, t) for (s, t, _) in edges] == [(("0",), ("1",))] * 2 and calls == []
+    assert [format_ult(x) for (x, _) in edge_points(edges)] == ["(0)^inf", "001(0)^inf"]
+    assert calls == [0, 1, 9, 10]
     calls.clear()
     assert len([e for e in parse_family("graph-o:d=(3)^inf").generate(2, 2)]) == 9
-    assert calls == [1] * 9
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec", ["graph-o:d=(3)^inf", "gp:d=2,(3)^inf,p=1"])
+def test_level_pairs_build_no_point(monkeypatch, spec):
+    # odometer digits and block letters give the pairs: no iterate, no word
+    import clopen.families as families
+
+    calls = []
+    monkeypatch.setattr(families, "odometer_iter", lambda *a: calls.append(a))
+    monkeypatch.setattr(UltWord, "__init__", lambda *a: calls.append(a))
+    lev = edges_at_level(parse_family(spec), 4)
+    assert len(lev.pairs) > 0 and calls == []
+
+
+@pytest.mark.parametrize("spec,words", [("gm", 4), ("gp:d=2,(3)^inf,p=1", 4),
+                                        ("graph-o:d=(3)^inf", 8)])
+def test_first_edges_builds_only_the_asked_points(monkeypatch, spec, words):
+    # the first and last pairs, the last one found late in the stream: two
+    # points each, and an odometer iterate also builds the zero word
+    g = parse_family(spec)
+    lev = edges_at_level(g, 3)
+    built = []
+    init = UltWord.__init__
+    monkeypatch.setattr(UltWord, "__init__",
+                        lambda self, head, cycle: built.append(1) or init(self, head, cycle))
+    first = first_edges(g, 3, [lev.pairs[0], lev.pairs[-1]])
+    assert len(first) == 2 and len(built) == words
 
 
 def test_ka_map_examples():
     g = ka_graph([0])
-    gen = dict((x, y) for (x, y) in g.generate(3))
+    gen = dict(edge_points(g.generate(3)))
     four = UltWord((), ("4",))
     assert gen[four] == UltWord(("0",), ("1",))
     assert gen[UltWord(("3", "2"), ("0",))] == four
@@ -463,7 +496,7 @@ def test_generated_edges_avoid_the_diagonal():
 
     for spec in ALL_FAMILY_SPECS:
         g = parse_family(spec)
-        for (x, y) in g.generate(3, 2):
+        for (x, y) in edge_points(g.generate(3, 2)):
             if isinstance(x, (UltWord, BiWord)) and isinstance(y, (UltWord, BiWord)):
                 assert x != y, spec
 
@@ -486,7 +519,7 @@ def test_gdelta_compactness_tracks_delta():
 def test_gp_degree_at_most_one():
     g = parse_family("gp:d=2,(3)^inf,p=0")
     seen = {}
-    for (x, y) in g.generate(3, 2):
+    for (x, y) in edge_points(g.generate(3, 2)):
         for p in (x, y):
             key = (p.head, p.cycle)
             seen[key] = seen.get(key, 0) + 1
@@ -496,7 +529,7 @@ def test_gp_degree_at_most_one():
 def test_ka_map_is_injective_on_generated_points():
     for A in ([], [0], [0, 1]):
         g = parse_family("ka:A=%s" % ",".join(str(a) for a in A))
-        gen = g.generate(4, 2)
+        gen = edge_points(g.generate(4, 2))
         sources = [x for (x, _) in gen]
         targets = [y for (_, y) in gen]
         assert len(set(sources)) == len(sources)
@@ -509,9 +542,9 @@ def test_generate_streams_the_same_edges_on_every_pass(spec):
     g = parse_family(spec)
     for n in range(4):
         stream = g.generate(g.saturation(n), n)
-        edges = [(_point_str(x), _point_str(y)) for (x, y) in stream]
+        edges = [(_point_str(x), _point_str(y)) for (x, y) in edge_points(stream)]
         assert len(stream) == len(edges), (spec, n)
-        assert [(_point_str(x), _point_str(y)) for (x, y) in stream] == edges, (spec, n)
+        assert [(_point_str(x), _point_str(y)) for (x, y) in edge_points(stream)] == edges, (spec, n)
 
 
 
@@ -593,3 +626,20 @@ def test_level_enumeration_holds_only_the_pairs():
         tracemalloc.stop()
     assert len(lev.pairs) == 4054
     assert peak < 8_000_000
+
+
+def test_level_enumeration_interns_its_words():
+    # gm's level 8 has 5,390 pairs on 4,853 words, each word one tuple
+    # shared by its pairs; with a pair set holding its own copies of both
+    # words beside the key tuples, a rank dict and two more pair lists, the
+    # peak was 2.55-2.83 MB, and it is 2.1-2.4 MB interned
+    g = parse_family("gm")
+    tracemalloc.start()
+    try:
+        lev = edges_at_level(g, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(lev.pairs), len(lev.vertices)) == (5390, 4853)
+    assert len({id(w) for pair in lev.pairs for w in pair}) == len(lev.vertices)
+    assert peak < 2_500_000
