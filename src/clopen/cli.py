@@ -2,8 +2,8 @@
 subshift queries, Cantor-Bendixson ranks, homomorphism search and obstruction
 reports, all deterministic.
 
-Exit status: 0 when the verdict matches the expectation flags (or none were
-given), 1 on a mismatch, 2 on usage, input, budget and file errors.
+Exit status: 0 when the verdict matches the expectation flags (or none), 1 on
+a mismatch, 2 on usage, input, budget and file errors, 141 on a closed pipe.
 """
 
 from __future__ import annotations
