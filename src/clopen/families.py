@@ -13,9 +13,9 @@ pairs; `first_edges` walks the stream again for the points behind chosen
 pairs.  Stability under enlarging the bound is a runtime-checkable property.
 
 Families over an infinite numeral alphabet (`gm`, `gdelta`, `t`) are capped
-at the letters reachable below B(n): their generators compare an edge's
-numerals with the cap, fixed by B(n) whatever the bound, and give an edge
-past it no projections (None).  The cap is part of the level's alphabet.
+at the letters reachable below B(n): their generators hand `_edge` the
+level's alphabet, fixed by B(n) whatever the bound, and an edge with a
+letter outside it has no projections (None).
 
 `QuotientGraph` is the one finite graph type: a level quotient, an odd
 cycle, a finite core, a complete graph or a graph read from a file.
@@ -288,14 +288,15 @@ def _projected(g: SymbolicGraph, n: int, bound: int | None):
             yield t, s, lambda points=points: points()[::-1]
 
 
-def _edge(n: int, x: tuple, y: tuple, capped: bool = False) -> tuple:
+def _edge(n: int, x: tuple, y: tuple, allowed: set | None = None) -> tuple:
     """(s, t, points) of an edge of one-sided points, each point given as
     (head, run, times, tail), the word head run^times tail^inf: its n-prefix
     is read without writing out the run, and `points()` builds both words.
-    A capped edge has no projections."""
+    An edge with a letter outside `allowed` has no projections."""
     points = lambda: tuple(UltWord(h + (a,) * k, (c,)) for (h, a, k, c) in (x, y))
-    if capped:
-        return None, None, points
+    for (h, a, k, c) in (x, y) if allowed is not None else ():
+        if not (allowed.issuperset(h) and c in allowed and (a in allowed or not k)):
+            return None, None, points
     s, t = ((h[:n] + (a,) * min(k, n - len(h)) + (c,) * n)[:n] for (h, a, k, c) in (x, y))
     return s, t, points
 
@@ -309,9 +310,8 @@ def _c(k):
     return ("c",) * k
 
 
-# the numeral alphabet of gm and gdelta is capped at the letters reachable
-# below the saturation bound, and the bound equals the cap so that enlarging
-# it cannot smuggle in new capped letters
+# the numerals of gm's and gdelta's level-n alphabet stop at B(n), so that
+# enlarging the bound cannot smuggle in capped letters
 def _gm_saturation(n: int) -> int:
     return 2 * (n + 2) + 1
 
@@ -332,17 +332,17 @@ def gm() -> SymbolicGraph:
     are unchanged."""
 
     def generate(bound: int, level: int = 0) -> Iterator:
-        top = _gm_saturation(level)  # the largest numeral of the level's cap
+        cap = set(_gm_alphabet(level).letters)
         for k in range(bound + 1):
             K = str(k)
             for j in range(min(bound, max(level - 2, 0)) + 1):
                 yield _edge(level, (_c(k + 1), "a", j + 1, "abar"), ((K,), "0", j + 1, "abar"),
-                            k > top)
+                            cap)
                 for i in range(2 * k + 1):
                     yield _edge(level, ((K,), str(i), j + 1, "a"),
-                                ((K,), str(i + 1), j + 1, "abar"), max(k, i + 1) > top)
+                                ((K,), str(i + 1), j + 1, "abar"), cap)
                 yield _edge(level, ((K,), str(2 * k + 1), j + 1, "a"),
-                            (_c(k + 1), "abar", j + 1, "a"), 2 * k + 1 > top)
+                            (_c(k + 1), "abar", j + 1, "a"), cap)
 
     return SymbolicGraph(
         spec="gm",
@@ -359,25 +359,24 @@ def gdelta(delta: UltWord) -> SymbolicGraph:
     when delta(k) = 1; lives on a countable closed subspace."""
     if not delta.letters_used() <= {"0", "1"}:
         raise FamilyError("delta must be a 0/1 word")
-    delta_str = format_ult(delta)
 
     def generate(bound: int, level: int = 0) -> Iterator:
-        top = _gm_saturation(level)  # the largest numeral of the level's cap
+        cap = set(_gm_alphabet(level).letters)
         for k in range(bound + 1):
             if delta.letter(k) != "1":
                 continue
             K = str(k)
             for j in range(bound + 1):
                 yield _edge(level, (_c(k + 1) + ("0", str(j)), "a", 0, "a"),
-                            ((K,), "0", j + 2, "abar"), max(k, j) > top)
+                            ((K,), "0", j + 2, "abar"), cap)
                 for i in range(2 * k + 1):
                     yield _edge(level, ((K, str(i)), "0", j + 1, "a"),
-                                ((K, str(i + 1)), "0", j + 1, "abar"), max(k, i + 1) > top)
+                                ((K, str(i + 1)), "0", j + 1, "abar"), cap)
                 yield _edge(level, ((K, str(2 * k + 1)), "0", j + 1, "a"),
-                            (_c(k + 1) + ("1", str(j)), "a", 0, "abar"), max(2 * k + 1, j) > top)
+                            (_c(k + 1) + ("1", str(j)), "a", 0, "abar"), cap)
 
     return SymbolicGraph(
-        spec="gdelta:delta=%s" % delta_str,
+        spec="gdelta:delta=%s" % format_ult(delta),
         alphabet_for=_gm_alphabet,
         generate=generate,
         saturation=_gm_saturation,
@@ -399,15 +398,15 @@ def t_graph() -> SymbolicGraph:
         return 2 * (n + 2) + 2
 
     def generate(bound: int, level: int = 0) -> Iterator:
+        cap = set(alphabet_for(level).letters)
         for k in range(bound + 1):
-            # every numeral of the clause k edges is at most 2k + 2
-            capped, two_k2 = 2 * k + 2 > saturation(level), str(2 * k + 2)
-            yield _edge(level, ((), "0", 2 * k + 1, "1"), ((two_k2,), "0", 0, "0"), capped)
+            two_k2 = str(2 * k + 2)
+            yield _edge(level, ((), "0", 2 * k + 1, "1"), ((two_k2,), "0", 0, "0"), cap)
             for i in range(2 * k + 1):
                 yield _edge(level, ((two_k2, str(i)), "0", k, "1"),
-                            ((two_k2, str(i + 1)), "0", 0, "0"), capped)
+                            ((two_k2, str(i + 1)), "0", 0, "0"), cap)
             yield _edge(level, ((two_k2, str(2 * k + 1)), "0", k, "1"),
-                        ((), "0", 2 * k + 2, "1"), capped)
+                        ((), "0", 2 * k + 2, "1"), cap)
 
     return SymbolicGraph(
         spec="t",

@@ -630,10 +630,9 @@ def test_level_enumeration_holds_only_the_pairs():
 
 def test_level_enumeration_interns_its_words():
     # gm's level 8 has 5,390 pairs on 4,853 words, each word one tuple
-    # shared by its pairs; with a pair set holding its own copies of both
-    # words beside the key tuples, a rank dict and two more pair lists, the
-    # peak was 2.55-2.83 MB, and it is 2.1-2.4 MB interned
+    # shared by its pairs
     g = parse_family("gm")
+    edges_at_level(g, 8)  # one-off allocations of a first call stay out of the peak
     tracemalloc.start()
     try:
         lev = edges_at_level(g, 8)
@@ -642,4 +641,8 @@ def test_level_enumeration_interns_its_words():
         tracemalloc.stop()
     assert (len(lev.pairs), len(lev.vertices)) == (5390, 4853)
     assert len({id(w) for pair in lev.pairs for w in pair}) == len(lev.vertices)
-    assert peak < 2_500_000
+    # on CPython 3.11, the version CI runs, the second call peaks at 2.11 MB
+    # interned, and at 2.55 MB with a pair set holding its own copies of both
+    # words beside the key tuples, a rank dict and two more pair lists; the
+    # bound sits 10% above the one and 9% below the other
+    assert peak < 2_330_000
