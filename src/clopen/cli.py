@@ -114,14 +114,15 @@ def cmd_family_show(args):
         "twoSided": g.two_sided,
         "alphabet": list(q.alphabet.letters),
         "level": args.level,
-        "edgeCount": len(q.edges),
+        "edgeCount": q.edge_count(),
     }
     if args.format == "json":
         _print_json(info, args.no_timing)
     else:
         for k, v in info.items():
             print("%s: %s" % (k, v))
-        shown = q.edges[:sample]
+        edges = q.edges
+        shown = edges[:sample]
         first = fam.first_edges(g, args.level, shown, bound=args.bound)
         for (s, t) in shown:
             x, y = first[s, t]
@@ -129,8 +130,8 @@ def cmd_family_show(args):
                 "  %s -- %s    e.g. (%s, %s)"
                 % (q.label(s), q.label(t), _point_str(x), _point_str(y))
             )
-        if len(q.edges) > len(shown):
-            print("  ... %d more" % (len(q.edges) - len(shown)))
+        if len(edges) > len(shown):
+            print("  ... %d more" % (len(edges) - len(shown)))
     return 0
 
 

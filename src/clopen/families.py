@@ -8,17 +8,20 @@ that only repeat a projection, see `graph_from_system`), as (s, t, points).
 s and t are the level-n projections, length-n prefixes or symmetric windows
 for two-sided families, read off the family's own arithmetic; `points()`
 builds the two exact points.  `edges_at_level(g, n)` interns the
-projections below the saturation bound B(n), holding only the distinct
-pairs; `first_edges` walks the stream again for the points behind chosen
-pairs.  Stability under enlarging the bound is a runtime-checkable property.
+projections below the saturation bound B(n), holding each distinct pair as
+one int, and returns the integer index of the level quotient, which
+`quotient()` keeps as it is; `first_edges` walks the stream again for the
+points behind chosen pairs.  Stability under enlarging the bound is a runtime-checkable property.
 
 Families over an infinite numeral alphabet (`gm`, `gdelta`, `t`) are capped
 at the letters reachable below B(n): their generators hand `_edge` the
 level's alphabet, fixed by B(n) whatever the bound, and an edge with a
-letter outside it has no projections (None).
+letter outside it has no projections (None).  Their numeral letters come
+from `numerals`, so every word shares the alphabet's letter objects.
 
 `QuotientGraph` is the one finite graph type: a level quotient, an odd
-cycle, a finite core, a complete graph or a graph read from a file.
+cycle, a finite core, a complete graph or a graph read from a file, held
+as its integer index; its vertex pairs are derived on request.
 """
 
 from __future__ import annotations
@@ -48,44 +51,48 @@ class QuotientGraph:
     """A finite graph: a level-n quotient of a family, whose vertices are its
     length-n prefixes in alphabet order, or an odd cycle, a finite core, a
     complete graph or a graph read from a file, whose vertices keep their
-    first-seen order.  Vertex i is ``vertices[i]``.  The edges are distinct
-    and sorted by the ids of their ends, an undirected edge stored both ways
-    and a self-loop once.  `finite_graph` builds every graph but a quotient,
-    whose pairs `edges_at_level` already gives in that form."""
+    first-seen order.  Vertex i is ``vertices[i]``.  The graph is its integer
+    index: ``index()[i]`` lists the ids of i's out-neighbours, ascending, an
+    undirected edge held at both ends and a self-loop once.  `edges_at_level`
+    builds a quotient's index and `finite_graph` every other one; the vertex
+    pairs of `edges` are derived from it on request."""
 
-    def __init__(self, level, vertices, edges, directed, alphabet=None,
+    def __init__(self, level, vertices, adj, directed, alphabet=None,
                  source=None, two_sided=False):
         self.level = level
         self.vertices = vertices
-        self.edges = edges
+        self._adj = adj
         self.directed = directed
         self.alphabet = alphabet
         self.source = source
         self.two_sided = two_sided
-        self._adj = None
+
+    @property
+    def edges(self) -> list:
+        """The edges as vertex pairs, sorted by the ids of their ends."""
+        vs = self.vertices
+        return [(vs[i], vs[j]) for i, a in enumerate(self._adj) for j in a]
+
+    pairs = edges  # a level quotient's pairs, as `edges_at_level`'s callers name them
 
     def undirected(self) -> QuotientGraph:
         """The underlying undirected graph, on the same vertex ids."""
         if not self.directed:
             return self
-        return finite_graph(self.vertices, self.edges, False, self.level, self.alphabet,
-                            self.source, self.two_sided)
+        return QuotientGraph(self.level, self.vertices, _symmetric(self._adj), False,
+                             self.alphabet, self.source, self.two_sided)
 
     def index(self) -> list:
-        """The integer index of the edges, built once: ``adj[i]`` lists the
-        ids of i's out-neighbours, ascending since the edges are sorted."""
-        if self._adj is None:
-            ids = {v: i for i, v in enumerate(self.vertices)}
-            self._adj = [[] for _ in self.vertices]
-            for (u, v) in self.edges:
-                self._adj[ids[u]].append(ids[v])
+        """The integer index: ``adj[i]`` the ascending ids of i's out-neighbours."""
         return self._adj
 
     def edge_count(self) -> int:
+        """The number of edges, an undirected one counted once."""
+        count = sum(map(len, self._adj))
         if self.directed:
-            return len(self.edges)
-        loops = len([1 for (u, v) in self.edges if u == v])
-        return (len(self.edges) - loops) // 2 + loops
+            return count
+        loops = sum(i in a for i, a in enumerate(self._adj))
+        return (count - loops) // 2 + loops
 
     def label(self, v) -> str:
         """A prefix in its alphabet's letters, a two-sided window split at
@@ -101,35 +108,35 @@ class QuotientGraph:
         return s if s else "<empty>"
 
     def distinct_edges(self) -> list:
-        """The edges, an undirected one once, in the direction listed first."""
-        if self.directed:
-            return self.edges
-        seen, out = set(), []
-        for (u, v) in self.edges:
-            if (v, u) not in seen:
-                seen.add((u, v))
-                out.append((u, v))
-        return out
+        """The edges, an undirected one once, from its lower id."""
+        vs = self.vertices
+        return [(vs[i], vs[j]) for i, a in enumerate(self._adj) for j in a
+                if self.directed or i <= j]
+
+
+def _symmetric(adj) -> list:
+    """The ascending neighbour lists of the undirected closure of `adj`."""
+    out = [set(a) for a in adj]
+    for i, a in enumerate(adj):
+        for j in a:
+            out[j].add(i)
+    return [sorted(a) for a in out]
 
 
 def finite_graph(vertices: Iterable, edges: Iterable, directed: bool = False,
                  level=None, alphabet=None, source=None, two_sided=False) -> QuotientGraph:
-    """The graph on `vertices`, in first-seen order, with `edges`, each
-    undirected one stored both ways, distinct and sorted by the ids of their
-    ends; an edge on an unknown vertex is an error."""
+    """The graph on `vertices`, in first-seen order, with `edges`; an edge on
+    an unknown vertex is an error."""
     ids: dict = {}
     for v in vertices:
         ids.setdefault(v, len(ids))
-    pairs = set()
+    adj = [set() for _ in ids]
     for (u, v) in edges:
         if u not in ids or v not in ids:
             raise FamilyError("edge (%r, %r) references unknown vertex" % (u, v))
-        pairs.add((ids[u], ids[v]))
-    if not directed:
-        pairs |= {(j, i) for (i, j) in pairs}
-    order = list(ids)
-    return QuotientGraph(level, order, [(order[i], order[j]) for (i, j) in sorted(pairs)],
-                         directed, alphabet, source, two_sided)
+        adj[ids[u]].add(ids[v])
+    adj = [sorted(a) for a in adj] if directed else _symmetric(adj)
+    return QuotientGraph(level, list(ids), adj, directed, alphabet, source, two_sided)
 
 
 def odd_cycle(p: int) -> QuotientGraph:
@@ -220,47 +227,33 @@ def with_direction(g: SymbolicGraph, directed: bool) -> SymbolicGraph:
     return out
 
 
-class LevelEdges:
-    """The distinct level-n prefix pairs and the words they join, each list
-    in alphabet order; a pair's words are the entries of `vertices`."""
+def edges_at_level(g: SymbolicGraph, n: int, bound: int | None = None) -> QuotientGraph:
+    """The level-n quotient: exactly { (x|n, y|n) : (x, y) edge of g } below
+    the saturation bound, with the letter cap fixed by B(n) even when the
+    bound is enlarged.
 
-    def __init__(self, pairs: list, vertices: list, alphabet: Alphabet, level: int):
-        self.pairs = pairs
-        self.vertices = vertices
-        self.alphabet = alphabet
-        self.level = level
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __len__(self):
-        return len(self.pairs)
-
-
-def edges_at_level(g: SymbolicGraph, n: int, bound: int | None = None) -> LevelEdges:
-    """Exactly { (x|n, y|n) : (x, y) edge of g } below the saturation bound,
-    with the letter cap fixed by B(n) even when the bound is enlarged.
-
-    Each word is interned as an id when first seen, and the distinct pairs
-    are held as ids.  The words are sorted once by the alphabet key, and the
-    pairs by the ranks of their words, the same order since the key is
-    injective; every pair is built from the shared words."""
+    Each word is interned as an id when first seen, and each distinct pair
+    (s, t) is held as one int, ``i << 32 | j`` for the ids i and j of its
+    words.  The words are sorted once by the alphabet key, and the pairs,
+    re-coded by the ranks of their words and sorted, fill the ascending
+    neighbour lists of the quotient's index."""
     if n < 0:
         raise FamilyError("level must be >= 0")
     alphabet = g.alphabet_for(n)
     ids: dict = {}
-    seen = {(ids.setdefault(s, len(ids)), ids.setdefault(t, len(ids)))
+    seen = {ids.setdefault(s, len(ids)) << 32 | ids.setdefault(t, len(ids))
             for (s, t, _) in _projected(g, n, bound)}
     vertices = sorted(ids, key=alphabet.key)
     rank = [0] * len(vertices)
     for r, w in enumerate(vertices):
         rank[ids[w]] = r
-    m = len(vertices)
     del ids  # each table goes before the next one is built
-    ranked = sorted(rank[i] * m + rank[j] for (i, j) in seen)
-    del seen
-    return LevelEdges([(vertices[c // m], vertices[c % m]) for c in ranked], vertices,
-                      alphabet, n)
+    codes = sorted(rank[c >> 32] << 32 | rank[c & 0xFFFFFFFF] for c in seen)
+    del seen, rank
+    adj = [[] for _ in vertices]
+    for c in codes:
+        adj[c >> 32].append(c & 0xFFFFFFFF)
+    return QuotientGraph(n, vertices, adj, g.directed, alphabet, g.spec, g.two_sided)
 
 
 def first_edges(g: SymbolicGraph, n: int, pairs: Iterable, bound: int | None = None) -> dict:
@@ -333,15 +326,16 @@ def gm() -> SymbolicGraph:
 
     def generate(bound: int, level: int = 0) -> Iterator:
         cap = set(_gm_alphabet(level).letters)
+        num = numerals(2 * bound + 2)
         for k in range(bound + 1):
-            K = str(k)
+            K = num[k]
             for j in range(min(bound, max(level - 2, 0)) + 1):
                 yield _edge(level, (_c(k + 1), "a", j + 1, "abar"), ((K,), "0", j + 1, "abar"),
                             cap)
                 for i in range(2 * k + 1):
-                    yield _edge(level, ((K,), str(i), j + 1, "a"),
-                                ((K,), str(i + 1), j + 1, "abar"), cap)
-                yield _edge(level, ((K,), str(2 * k + 1), j + 1, "a"),
+                    yield _edge(level, ((K,), num[i], j + 1, "a"),
+                                ((K,), num[i + 1], j + 1, "abar"), cap)
+                yield _edge(level, ((K,), num[2 * k + 1], j + 1, "a"),
                             (_c(k + 1), "abar", j + 1, "a"), cap)
 
     return SymbolicGraph(
@@ -362,18 +356,19 @@ def gdelta(delta: UltWord) -> SymbolicGraph:
 
     def generate(bound: int, level: int = 0) -> Iterator:
         cap = set(_gm_alphabet(level).letters)
+        num = numerals(2 * bound + 2)
         for k in range(bound + 1):
             if delta.letter(k) != "1":
                 continue
-            K = str(k)
+            K = num[k]
             for j in range(bound + 1):
-                yield _edge(level, (_c(k + 1) + ("0", str(j)), "a", 0, "a"),
+                yield _edge(level, (_c(k + 1) + ("0", num[j]), "a", 0, "a"),
                             ((K,), "0", j + 2, "abar"), cap)
                 for i in range(2 * k + 1):
-                    yield _edge(level, ((K, str(i)), "0", j + 1, "a"),
-                                ((K, str(i + 1)), "0", j + 1, "abar"), cap)
-                yield _edge(level, ((K, str(2 * k + 1)), "0", j + 1, "a"),
-                            (_c(k + 1) + ("1", str(j)), "a", 0, "abar"), cap)
+                    yield _edge(level, ((K, num[i]), "0", j + 1, "a"),
+                                ((K, num[i + 1]), "0", j + 1, "abar"), cap)
+                yield _edge(level, ((K, num[2 * k + 1]), "0", j + 1, "a"),
+                            (_c(k + 1) + ("1", num[j]), "a", 0, "abar"), cap)
 
     return SymbolicGraph(
         spec="gdelta:delta=%s" % format_ult(delta),
@@ -399,13 +394,14 @@ def t_graph() -> SymbolicGraph:
 
     def generate(bound: int, level: int = 0) -> Iterator:
         cap = set(alphabet_for(level).letters)
+        num = numerals(2 * bound + 3)
         for k in range(bound + 1):
-            two_k2 = str(2 * k + 2)
+            two_k2 = num[2 * k + 2]
             yield _edge(level, ((), "0", 2 * k + 1, "1"), ((two_k2,), "0", 0, "0"), cap)
             for i in range(2 * k + 1):
-                yield _edge(level, ((two_k2, str(i)), "0", k, "1"),
-                            ((two_k2, str(i + 1)), "0", 0, "0"), cap)
-            yield _edge(level, ((two_k2, str(2 * k + 1)), "0", k, "1"),
+                yield _edge(level, ((two_k2, num[i]), "0", k, "1"),
+                            ((two_k2, num[i + 1]), "0", 0, "0"), cap)
+            yield _edge(level, ((two_k2, num[2 * k + 1]), "0", k, "1"),
                         ((), "0", 2 * k + 2, "1"), cap)
 
     return SymbolicGraph(

@@ -22,13 +22,9 @@ from .families import QuotientGraph, SymbolicGraph, edges_at_level
 
 
 def quotient(g: SymbolicGraph, n: int, bound: int | None = None) -> QuotientGraph:
-    """The level-n quotient of the family, from its saturating enumeration:
-    `edges_at_level`'s words and pairs, already distinct and sorted, taken
-    as they are.  Self-loops are kept."""
-    lev = edges_at_level(g, n, bound=bound)
-    return QuotientGraph(level=n, vertices=lev.vertices, edges=lev.pairs,
-                         directed=g.directed, alphabet=lev.alphabet, source=g.spec,
-                         two_sided=g.two_sided)
+    """The level-n quotient of the family, as its saturating enumeration
+    `edges_at_level` builds it.  Self-loops are kept."""
+    return edges_at_level(g, n, bound=bound)
 
 
 def _bfs_two_color(adj):

@@ -11,6 +11,7 @@ All values are immutable and all operations are pure.
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Iterable, Iterator, Sequence
 
 Letter = str
@@ -82,16 +83,20 @@ class Alphabet:
         except KeyError:
             raise WordError("letter %r not in alphabet" % (letter,)) from None
 
-    def key(self, word: Sequence[Letter]) -> tuple[int, ...]:
-        """Sort key for words, by letter order."""
-        return tuple(self.index(a) for a in word)
+    def key(self, word: Sequence[Letter]) -> str:
+        """Sort key for words, by letter order: one character per letter,
+        its index as a code point, so keys compare as the index tuples do."""
+        return "".join(map(chr, map(self.index, word)))
 
     def __repr__(self):
         return "Alphabet(%s)" % (",".join(self.letters))
 
 
 def numerals(n: int) -> list[Letter]:
-    return [str(i) for i in range(n)]
+    """The letters "0", ..., str(n - 1), interned: the same string objects
+    on every call and as the literals "0", "1", ..., so words built from
+    them share their letters."""
+    return [sys.intern(str(i)) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -454,11 +454,11 @@ def test_projection_coherence(spec):
             big = edges_at_level(g, m)
             small = pairs(g, n)
             if g.two_sided:
-                cut = {(s[m - n : m + n], t[m - n : m + n]) for (s, t) in big}
+                cut = {(s[m - n : m + n], t[m - n : m + n]) for (s, t) in big.pairs}
             else:
                 cut = set()
                 first = first_edges(g, m, big.pairs)
-                for (s, t) in big:
+                for (s, t) in big.pairs:
                     x, y = first[s, t]
                     if set(x.letters_used()) <= allowed and set(y.letters_used()) <= allowed:
                         cut.add((s[:n], t[:n]))
@@ -630,7 +630,7 @@ def test_level_enumeration_holds_only_the_pairs():
 
 def test_level_enumeration_interns_its_words():
     # gm's level 8 has 5,390 pairs on 4,853 words, each word one tuple
-    # shared by its pairs
+    # shared by its pairs, and each letter the alphabet's own string
     g = parse_family("gm")
     edges_at_level(g, 8)  # one-off allocations of a first call stay out of the peak
     tracemalloc.start()
@@ -641,8 +641,54 @@ def test_level_enumeration_interns_its_words():
         tracemalloc.stop()
     assert (len(lev.pairs), len(lev.vertices)) == (5390, 4853)
     assert len({id(w) for pair in lev.pairs for w in pair}) == len(lev.vertices)
-    # on CPython 3.11, the version CI runs, the second call peaks at 2.11 MB
-    # interned, and at 2.55 MB with a pair set holding its own copies of both
-    # words beside the key tuples, a rank dict and two more pair lists; the
-    # bound sits 10% above the one and 9% below the other
-    assert peak < 2_330_000
+    letters = lev.alphabet.letters
+    assert all(a is letters[lev.alphabet.index(a)] for w in lev.vertices for a in w)
+    # on CPython 3.11, the version CI runs, the second call peaks at 1.63 MB:
+    # the word table, one int per distinct pair and the pairs re-coded by
+    # rank, sorted into the index.  With a tuple of ints as each word's sort
+    # key, a tuple per pair, a list of word pairs and numerals made by str()
+    # per edge it peaked at 2.11 MB.  The bound sits 10% above 1.63 MB.
+    assert peak < 1_800_000
+
+
+def former_pairs(g, n):
+    """Oracle: the level-n pairs as they used to be built, the distinct
+    projected pairs of the stream (each edge also swapped when g is
+    undirected), sorted by the alphabet positions of their letters."""
+    pos = lambda w: tuple(g.alphabet_for(n).index(a) for a in w)
+    out = set()
+    for (s, t, _) in g.generate(g.saturation(n), n):
+        if s is not None:
+            out.update([(s, t), (t, s)] if not g.directed else [(s, t)])
+    return sorted(out, key=lambda p: (pos(p[0]), pos(p[1])))
+
+
+def former_edge_count(q):
+    """Oracle: the count as it used to be read off the word pairs."""
+    if q.directed:
+        return len(q.edges)
+    loops = len([1 for (u, v) in q.edges if u == v])
+    return (len(q.edges) - loops) // 2 + loops
+
+
+@pytest.mark.parametrize("spec", [s for spec in ALL_FAMILY_SPECS
+                                  for s in (spec, spec + ":oriented")])
+def test_quotient_index_matches_the_word_pairs(spec):
+    # the index built from ranked codes gives back the former word pairs,
+    # counts and undirected closure
+    g = parse_family(spec)
+    for n in range(5):
+        q = quotient(g, n)
+        pairs = former_pairs(g, n)
+        assert q.edges == pairs, (spec, n)
+        ab = g.alphabet_for(n)
+        assert q.vertices == sorted({w for p in pairs for w in p},
+                                    key=lambda w: [ab.index(a) for a in w])
+        assert q.edge_count() == former_edge_count(q)
+        if q.directed:
+            u, f = q.undirected(), finite_graph(q.vertices, q.edges, False)
+            assert (u.vertices, u.edges, u.index(), u.directed) == (
+                f.vertices, f.edges, f.index(), False)
+            ids = {v: i for i, v in enumerate(q.vertices)}
+            closed = set(pairs) | {(t, s) for (s, t) in pairs}
+            assert u.edges == sorted(closed, key=lambda p: (ids[p[0]], ids[p[1]]))

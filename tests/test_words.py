@@ -1,6 +1,7 @@
 """Word representation tests: canonical forms checked against a brute-force
 "materialize a long window" oracle."""
 
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from clopen.words import (
     WordError,
     format_bi,
     format_ult,
+    numerals,
     parse_bi,
     parse_ult,
 )
@@ -208,4 +210,17 @@ def test_alphabet_validation():
     with pytest.raises(WordError):
         Alphabet(["0", "0"])
     ab = Alphabet(["c", "0", "1"])
-    assert ab.key(("0", "c")) == (1, 0)
+    assert ab.key(("0", "c")) == "\x01\x00"
+
+
+def test_alphabet_key_orders_words_as_index_tuples():
+    # multi-character letters ("10", "abar") sort by alphabet position, not
+    # by their characters, and a word sorts before its extensions
+    ab = Alphabet(numerals(11) + ["c", "a", "abar"])
+    assert len(ab) >= 12 and "10" in ab and "abar" in ab
+    words = [w for n in range(4) for w in itertools.product(ab.letters, repeat=n)]
+    by_index = sorted(words, key=lambda w: tuple(ab.index(a) for a in w))
+    assert sorted(words, key=ab.key) == by_index
+    assert len({ab.key(w) for w in words}) == len(words)
+    with pytest.raises(WordError):
+        ab.key(("0", "b"))
