@@ -221,7 +221,7 @@ def search_coloring(q: QuotientGraph, k: int) -> Optional[ClopenColoring]:
     vertex gets color 0 and the rest is forced, with no backtracking."""
     if k < 1 or k > 6:
         raise BudgetError("color count must be between 1 and 6")
-    if len(q.vertices) > 10**5:
+    if len(q.index()) > 10**5:
         raise BudgetError("quotient too large for exhaustive search")
     q = q.undirected()
     w = hom_exists(q, finite_graph(range(k), [(i, j) for i in range(k) for j in range(i)]))

@@ -7,11 +7,12 @@ finitely many primitive directed edges whose clause parameters are at most
 that only repeat a projection, see `graph_from_system`), as (s, t, points).
 s and t are the level-n projections, length-n prefixes or symmetric windows
 for two-sided families, read off the family's own arithmetic; `points()`
-builds the two exact points.  `edges_at_level(g, n)` interns the
-projections below the saturation bound B(n), holding each distinct pair as
-one int, and returns the integer index of the level quotient, which
-`quotient()` keeps as it is; `first_edges` walks the stream again for the
-points behind chosen pairs.  Stability under enlarging the bound is a runtime-checkable property.
+builds the two exact points.  `edges_at_level(g, n)` interns the alphabet
+keys of the projections below the saturation bound B(n), holding each
+distinct pair as one int, and returns the level quotient on the sorted keys
+with its integer index, which `quotient()` keeps as it is; `first_edges`
+walks the stream again for the points behind chosen pairs.  Stability under
+enlarging the bound is a runtime-checkable property.
 
 Families over an infinite numeral alphabet (`gm`, `gdelta`, `t`) are capped
 at the letters reachable below B(n): their generators hand `_edge` the
@@ -21,7 +22,8 @@ from `numerals`, so every word shares the alphabet's letter objects.
 
 `QuotientGraph` is the one finite graph type: a level quotient, an odd
 cycle, a finite core, a complete graph or a graph read from a file, held
-as its integer index; its vertex pairs are derived on request.
+as its integer index; a quotient's letter tuples, decoded from its keys,
+and every graph's vertex pairs are derived on request.
 """
 
 from __future__ import annotations
@@ -51,16 +53,17 @@ class QuotientGraph:
     """A finite graph: a level-n quotient of a family, whose vertices are its
     length-n prefixes in alphabet order, or an odd cycle, a finite core, a
     complete graph or a graph read from a file, whose vertices keep their
-    first-seen order.  Vertex i is ``vertices[i]``.  The graph is its integer
+    first-seen order.  Vertex i is ``vertex(i)``.  The graph is its integer
     index: ``index()[i]`` lists the ids of i's out-neighbours, ascending, an
     undirected edge held at both ends and a self-loop once.  `edges_at_level`
-    builds a quotient's index and `finite_graph` every other one; the vertex
-    pairs of `edges` are derived from it on request."""
+    builds a quotient's index, on its words' sorted `Alphabet.key` strings,
+    and `finite_graph` every other one; the letter tuples of `vertices` and
+    the vertex pairs of `edges` are derived on request."""
 
     def __init__(self, level, vertices, adj, directed, alphabet=None,
-                 source=None, two_sided=False):
+                 source=None, two_sided=False, keys=None):
         self.level = level
-        self.vertices = vertices
+        self._vertices, self._keys = vertices, keys
         self._adj = adj
         self.directed = directed
         self.alphabet = alphabet
@@ -68,10 +71,20 @@ class QuotientGraph:
         self.two_sided = two_sided
 
     @property
+    def vertices(self) -> list:
+        """The vertex words, a quotient's keys decoded on first request."""
+        if self._keys is not None:
+            self._vertices, self._keys = list(map(self.alphabet.word, self._keys)), None
+        return self._vertices
+
+    def vertex(self, i: int):
+        """Vertex i, decoding only its own key while the words are keys."""
+        return self._vertices[i] if self._keys is None else self.alphabet.word(self._keys[i])
+
+    @property
     def edges(self) -> list:
         """The edges as vertex pairs, sorted by the ids of their ends."""
-        vs = self.vertices
-        return [(vs[i], vs[j]) for i, a in enumerate(self._adj) for j in a]
+        return self.distinct_edges(both=True)
 
     pairs = edges  # a level quotient's pairs, as `edges_at_level`'s callers name them
 
@@ -79,8 +92,8 @@ class QuotientGraph:
         """The underlying undirected graph, on the same vertex ids."""
         if not self.directed:
             return self
-        return QuotientGraph(self.level, self.vertices, _symmetric(self._adj), False,
-                             self.alphabet, self.source, self.two_sided)
+        return QuotientGraph(self.level, self._vertices, _symmetric(self._adj), False,
+                             self.alphabet, self.source, self.two_sided, self._keys)
 
     def index(self) -> list:
         """The integer index: ``adj[i]`` the ascending ids of i's out-neighbours."""
@@ -107,11 +120,11 @@ class QuotientGraph:
                  + format_word(v[mid:], self.alphabet))
         return s if s else "<empty>"
 
-    def distinct_edges(self) -> list:
-        """The edges, an undirected one once, from its lower id."""
+    def distinct_edges(self, both: bool = False) -> list:
+        """The edges, an undirected one once from its lower id unless `both`."""
         vs = self.vertices
         return [(vs[i], vs[j]) for i, a in enumerate(self._adj) for j in a
-                if self.directed or i <= j]
+                if both or self.directed or i <= j]
 
 
 def _symmetric(adj) -> list:
@@ -232,28 +245,33 @@ def edges_at_level(g: SymbolicGraph, n: int, bound: int | None = None) -> Quotie
     the saturation bound, with the letter cap fixed by B(n) even when the
     bound is enlarged.
 
-    Each word is interned as an id when first seen, and each distinct pair
-    (s, t) is held as one int, ``i << 32 | j`` for the ids i and j of its
-    words.  The words are sorted once by the alphabet key, and the pairs,
-    re-coded by the ranks of their words and sorted, fill the ascending
-    neighbour lists of the quotient's index."""
+    Each word's alphabet key is interned as an id when first seen, and each
+    distinct pair is held as one int, ``i << 32 | j`` for the ids of its
+    words, an undirected pair once with i <= j.  The keys are sorted once,
+    and the pairs, re-coded by rank and sorted, fill the ascending neighbour
+    lists of the index, an undirected pair at both ends."""
     if n < 0:
         raise FamilyError("level must be >= 0")
     alphabet = g.alphabet_for(n)
-    ids: dict = {}
-    seen = {ids.setdefault(s, len(ids)) << 32 | ids.setdefault(t, len(ids))
-            for (s, t, _) in _projected(g, n, bound)}
-    vertices = sorted(ids, key=alphabet.key)
-    rank = [0] * len(vertices)
-    for r, w in enumerate(vertices):
-        rank[ids[w]] = r
+    key, ids = alphabet.key, {}
+    pack = lambda i, j: i << 32 | j if g.directed or i <= j else j << 32 | i
+    seen = {pack(ids.setdefault(key(s), len(ids)), ids.setdefault(key(t), len(ids)))
+            for (s, t, _) in g.generate(g.saturation(n) if bound is None else bound, n)
+            if s is not None}
+    keys = sorted(ids)
+    rank = [0] * len(keys)
+    for r, k in enumerate(keys):
+        rank[ids[k]] = r
     del ids  # each table goes before the next one is built
-    codes = sorted(rank[c >> 32] << 32 | rank[c & 0xFFFFFFFF] for c in seen)
+    codes = sorted(pack(rank[c >> 32], rank[c & 0xFFFFFFFF]) for c in seen)
     del seen, rank
-    adj = [[] for _ in vertices]
-    for c in codes:
-        adj[c >> 32].append(c & 0xFFFFFFFF)
-    return QuotientGraph(n, vertices, adj, g.directed, alphabet, g.spec, g.two_sided)
+    adj = [[] for _ in keys]
+    for c in codes:  # ascending, so each list is filled in ascending order
+        i, j = c >> 32, c & 0xFFFFFFFF
+        adj[i].append(j)
+        if i != j and not g.directed:
+            adj[j].append(i)
+    return QuotientGraph(n, None, adj, g.directed, alphabet, g.spec, g.two_sided, keys)
 
 
 def first_edges(g: SymbolicGraph, n: int, pairs: Iterable, bound: int | None = None) -> dict:
@@ -262,23 +280,14 @@ def first_edges(g: SymbolicGraph, n: int, pairs: Iterable, bound: int | None = N
     included when g is undirected: one more pass of the stream, ended once
     every pair is found, that builds the points of those edges only."""
     want, found = set(pairs), {}
-    for (s, t, points) in _projected(g, n, bound):
+    for (s, t, points) in g.generate(g.saturation(n) if bound is None else bound, n):
         if len(found) == len(want):
             break
         if (s, t) in want and (s, t) not in found:
             found[s, t] = points()
+        if not g.directed and (t, s) in want and (t, s) not in found:
+            found[t, s] = points()[::-1]
     return found
-
-
-def _projected(g: SymbolicGraph, n: int, bound: int | None):
-    """The generated edges inside the letter cap, each followed by the
-    swapped edge (t, s, points of (y, x)) when g is undirected."""
-    for (s, t, points) in g.generate(g.saturation(n) if bound is None else bound, n):
-        if s is None:
-            continue
-        yield s, t, points
-        if not g.directed:
-            yield t, s, lambda points=points: points()[::-1]
 
 
 def _edge(n: int, x: tuple, y: tuple, allowed: set | None = None) -> tuple:

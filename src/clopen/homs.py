@@ -69,7 +69,7 @@ def hom_exists(G: QuotientGraph, H: QuotientGraph, injective: bool = False
     domains = [looped if v in g_adj[v] else every for v in range(len(g_adj))]
     if not all(domains):
         return None
-    if len(G.vertices) * len(H.vertices) > 10**6:
+    if len(g_adj) * len(h_adj) > 10**6:
         raise BudgetError("source x target size exceeds the search budget")
     und = G.undirected().index() if G.directed else g_adj
     order = []

@@ -196,7 +196,7 @@ def odd_closed_walk(q: QuotientGraph, colors=None) -> Optional[OddWalk]:
     if found is None:
         return None
     length, root = found
-    return OddWalk([q.vertices[i] for i in _odd_walk_from(adj, root, length + 1)], q)
+    return OddWalk([q.vertex(i) for i in _odd_walk_from(adj, root, length + 1)], q)
 
 
 class Bipartite:

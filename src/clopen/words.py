@@ -66,10 +66,7 @@ class Alphabet:
             raise WordError("alphabet must be nonempty")
         if len(set(self.letters)) != len(self.letters):
             raise WordError("alphabet has duplicate letters")
-        self._index = {a: i for i, a in enumerate(self.letters)}
-
-    def __contains__(self, letter: Letter) -> bool:
-        return letter in self._index
+        self._code = {a: chr(i) for i, a in enumerate(self.letters)}
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -78,15 +75,19 @@ class Alphabet:
         return iter(self.letters)
 
     def index(self, letter: Letter) -> int:
-        try:
-            return self._index[letter]
-        except KeyError:
-            raise WordError("letter %r not in alphabet" % (letter,)) from None
+        return ord(self.key((letter,)))
 
     def key(self, word: Sequence[Letter]) -> str:
         """Sort key for words, by letter order: one character per letter,
         its index as a code point, so keys compare as the index tuples do."""
-        return "".join(map(chr, map(self.index, word)))
+        try:
+            return "".join(map(self._code.__getitem__, word))
+        except KeyError as e:
+            raise WordError("letter %r not in alphabet" % e.args) from None
+
+    def word(self, key: str) -> Word:
+        """The word with this `key`, in the alphabet's own letter objects."""
+        return tuple(map(self.letters.__getitem__, map(ord, key)))
 
     def __repr__(self):
         return "Alphabet(%s)" % (",".join(self.letters))

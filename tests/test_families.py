@@ -629,8 +629,9 @@ def test_level_enumeration_holds_only_the_pairs():
 
 
 def test_level_enumeration_interns_its_words():
-    # gm's level 8 has 5,390 pairs on 4,853 words, each word one tuple
-    # shared by its pairs, and each letter the alphabet's own string
+    # gm's level 8 has 5,390 pairs on 4,853 words, each word one key,
+    # decoded into one tuple shared by its pairs, and each letter the
+    # alphabet's own string
     g = parse_family("gm")
     edges_at_level(g, 8)  # one-off allocations of a first call stay out of the peak
     tracemalloc.start()
@@ -643,12 +644,14 @@ def test_level_enumeration_interns_its_words():
     assert len({id(w) for pair in lev.pairs for w in pair}) == len(lev.vertices)
     letters = lev.alphabet.letters
     assert all(a is letters[lev.alphabet.index(a)] for w in lev.vertices for a in w)
-    # on CPython 3.11, the version CI runs, the second call peaks at 1.63 MB:
-    # the word table, one int per distinct pair and the pairs re-coded by
-    # rank, sorted into the index.  With a tuple of ints as each word's sort
-    # key, a tuple per pair, a list of word pairs and numerals made by str()
-    # per edge it peaked at 2.11 MB.  The bound sits 10% above 1.63 MB.
-    assert peak < 1_800_000
+    # on CPython 3.11, the version CI runs, the second call peaks at 1.05 MB:
+    # the key table, one int per distinct undirected pair and the pairs
+    # re-coded by rank, sorted into the index.  With a letter tuple per word
+    # and each undirected pair held in both directions it peaked at 1.63 MB,
+    # and before that, with a tuple of ints as each word's sort key, a tuple
+    # per pair, a list of word pairs and numerals made by str() per edge, at
+    # 2.11 MB.  The bound sits 10% above 1.05 MB.
+    assert peak < 1_160_000
 
 
 def former_pairs(g, n):
@@ -674,21 +677,30 @@ def former_edge_count(q):
 @pytest.mark.parametrize("spec", [s for spec in ALL_FAMILY_SPECS
                                   for s in (spec, spec + ":oriented")])
 def test_quotient_index_matches_the_word_pairs(spec):
-    # the index built from ranked codes gives back the former word pairs,
-    # counts and undirected closure
+    # the index built from ranked keys gives back the former words, index,
+    # word pairs, counts and undirected closure; a word decoded alone from
+    # its key equals the same word decoded with all the others
     g = parse_family(spec)
     for n in range(5):
         q = quotient(g, n)
+        alone = [q.vertex(i) for i in range(len(q.index()))]
         pairs = former_pairs(g, n)
-        assert q.edges == pairs, (spec, n)
         ab = g.alphabet_for(n)
-        assert q.vertices == sorted({w for p in pairs for w in p},
-                                    key=lambda w: [ab.index(a) for a in w])
+        assert q.vertices == alone == sorted({w for p in pairs for w in p},
+                                             key=lambda w: [ab.index(a) for a in w])
+        assert [q.vertex(i) for i in range(len(q.vertices))] == q.vertices
+        ids = {v: i for i, v in enumerate(q.vertices)}
+        index = [[] for _ in ids]
+        for (s, t) in pairs:  # sorted, so each list ascends
+            index[ids[s]].append(ids[t])
+        assert q.index() == index, (spec, n)
+        assert q.edges == pairs, (spec, n)
+        fresh = quotient(g, n).undirected()
+        assert [fresh.vertex(i) for i in range(len(alone))] == fresh.vertices == alone
         assert q.edge_count() == former_edge_count(q)
         if q.directed:
             u, f = q.undirected(), finite_graph(q.vertices, q.edges, False)
             assert (u.vertices, u.edges, u.index(), u.directed) == (
                 f.vertices, f.edges, f.index(), False)
-            ids = {v: i for i, v in enumerate(q.vertices)}
             closed = set(pairs) | {(t, s) for (s, t) in pairs}
             assert u.edges == sorted(closed, key=lambda p: (ids[p[0]], ids[p[1]]))

@@ -13,7 +13,7 @@ from clopen.homs import (
     quotient_hom_obstruction,
 )
 from clopen.quotients import quotient
-from clopen.words import BudgetError
+from clopen.words import Alphabet, BudgetError
 
 
 def test_hom_examples():
@@ -70,6 +70,17 @@ def test_hom_budget():
     big = finite_graph(range(1100), [])
     with pytest.raises(BudgetError):
         hom_exists(big, big)
+
+
+def test_hom_budget_counts_words_without_decoding_them(monkeypatch):
+    # the size budget reads the index, so two level quotients over it are
+    # refused with their words still keys
+    decoded = []
+    monkeypatch.setattr(Alphabet, "word", lambda ab, key: decoded.append(key))
+    g = parse_family("graph-o:d=(3)^inf")
+    with pytest.raises(BudgetError):
+        hom_exists(quotient(g, 7).undirected(), quotient(g, 6).undirected())
+    assert decoded == []
 
 
 def test_hom_refusals_before_the_size_budget():

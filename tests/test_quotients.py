@@ -16,6 +16,7 @@ from clopen.quotients import (
     scan,
     to_dot,
 )
+from clopen.words import Alphabet
 
 FAMILIES = [
     "gm",
@@ -153,6 +154,20 @@ def test_decide_level_makes_one_coloring_pass(monkeypatch, spec, n, verdict):
     monkeypatch.setattr(quotients, "_bfs_two_color", lambda adj: calls.append(adj) or bfs(adj))
     assert decide_level(parse_family(spec), n).verdict == verdict
     assert len(calls) == 1
+
+
+def test_an_odd_walk_level_decodes_only_its_walk(monkeypatch):
+    # gm's level 8 keeps its 4,853 words as keys; its verdict decodes the 17
+    # words of its walk of length 17, the root at both ends, and no other
+    decoded = []
+    word = Alphabet.word
+    monkeypatch.setattr(Alphabet, "word", lambda ab, key: decoded.append(key) or word(ab, key))
+    walk = decide_level(parse_family("gm"), 8)
+    assert walk.verdict == "odd-walk" and len(walk.quotient.index()) == 4853
+    assert walk.length == len(set(decoded)) == 17 and len(decoded) == 18
+    assert decoded == [walk.quotient.alphabet.key(v) for v in walk.vertices]
+    words = walk.quotient.vertices  # every word, decoded on this request
+    assert len(decoded) == 18 + 4853 and set(walk.vertices) <= set(words)
 
 
 def test_symmetrization_commutes_with_quotient():

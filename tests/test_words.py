@@ -222,5 +222,9 @@ def test_alphabet_key_orders_words_as_index_tuples():
     by_index = sorted(words, key=lambda w: tuple(ab.index(a) for a in w))
     assert sorted(words, key=ab.key) == by_index
     assert len({ab.key(w) for w in words}) == len(words)
-    with pytest.raises(WordError):
+    # a key decodes back to its word, in the alphabet's own letter objects
+    for w in words:
+        back = ab.word(ab.key(w))
+        assert back == w and all(a is ab.letters[ab.index(a)] for a in back)
+    with pytest.raises(WordError, match="'b' not in alphabet"):
         ab.key(("0", "b"))
