@@ -17,7 +17,7 @@ from . import families as fam
 from . import homs
 from . import quotients as quo
 from . import subshift_lang as sub
-from .dynamics import parse_quadratic, parse_radix
+from .dynamics import parse_quadratic
 from .words import BudgetError, format_word, parse_bi, parse_prefix
 
 FAMILY_GRAMMAR = (
@@ -231,12 +231,12 @@ def cmd_scan(args):
 def cmd_color_build(args):
     g = _family(args.family)
     if args.kind == "parity":
-        d = parse_radix(_family_arg(args.family, "d"))
+        d = _family_arg(g, "d")
         c = col.parity_coloring(d)
     elif args.kind == "three-beta":
         c = col.three_coloring_beta(g)
     elif args.kind == "return-parity":
-        d = parse_radix(_family_arg(args.family, "d"))
+        d = _family_arg(g, "d")
         C = parse_prefix(args.cylinder or "")
         if not C or not all(a.isdigit() and int(a) < d.digit(j) for j, a in enumerate(C)):
             raise UsageError("return-parity needs --cylinder, digits below the radix bounds")
@@ -252,11 +252,10 @@ def cmd_color_build(args):
     return 0
 
 
-def _family_arg(spec: str, key: str) -> str:
-    args = fam._parse_args(spec.partition(":")[2])
-    if key not in args:
-        raise UsageError("family %r has no %s= argument" % (spec, key))
-    return args[key]
+def _family_arg(g: fam.SymbolicGraph, key: str):
+    if key not in g.args:
+        raise UsageError("family %r has no %s= argument" % (g.spec, key))
+    return g.args[key]
 
 
 def cmd_color_verify(args):

@@ -6,8 +6,10 @@ finitely many primitive directed edges whose clause parameters are at most
 `bound`, complete for the level-n projections (block graphs skip the edges
 that only repeat a projection, see `graph_from_system`), as (s, t, points).
 s and t are the level-n projections, length-n prefixes or symmetric windows
-for two-sided families, read off the family's own arithmetic; `points()`
-builds the two exact points.  `edges_at_level(g, n)` interns the alphabet
+for two-sided families, read off the family's own arithmetic: the shift
+families slice both from one window of each forest node's base
+(`ForestNode.windows`, the reader `cb rank` shares); `points()` builds the
+two exact points.  `edges_at_level(g, n)` interns the alphabet
 keys of the projections below the saturation bound B(n), holding each
 distinct pair as one int, and returns the level quotient on the sorted keys
 with its integer index, which `quotient()` keeps as it is; `first_edges`
@@ -217,6 +219,7 @@ class SymbolicGraph:
         self.point_set = point_set
         self.system = system
         self.finite_core = finite_core
+        self.args: dict = {}  # the spec's arguments as `parse_family` read them
 
     def generate(self, bound: int, level: int = 0) -> EdgeStream:
         return EdgeStream(lambda: self._generate(bound, level))
@@ -791,15 +794,19 @@ def rank_point_beta(m: int) -> BiWord | BlockWord:
 def _shift_graph(spec: str, forest, saturation: Callable[[int], int],
                  point_set: str) -> SymbolicGraph:
     """Graph of the shift on the orbits of a declared forest: an edge joins
-    each point of a node's orbit walk (`ForestNode.orbit`, which shifts an
-    aperiodic base by -bound..bound) to its shift by one, in forest order."""
+    each point base.shift(k) of a node's orbit walk (`ForestNode.shifts`,
+    -bound..bound for an aperiodic base) to its shift by one, in forest
+    order.  The level-n pair of shift k is read off the (2n + 1)-letter
+    window w = [k - n, k + n] as (w[:-1], w[1:]), each node's windows
+    sliced from one window of its base by `ForestNode.windows`; `points()`
+    builds the two shifted points."""
     alphabet = Alphabet(["0", "1"])
 
     def generate(bound: int, level: int = 0) -> Iterator:
         for node in forest.nodes.values():
-            for x in node.orbit(bound):
-                y = x.shift(1)
-                yield x.window(-level, level), y.window(-level, level), lambda x=x, y=y: (x, y)
+            base = node.base
+            for k, w in zip(node.shifts(bound), node.windows(bound, -level, level + 1)):
+                yield w[:-1], w[1:], lambda k=k, base=base: (base.shift(k), base.shift(k + 1))
 
     return SymbolicGraph(
         spec=spec,
@@ -995,6 +1002,7 @@ def parse_family(spec: str) -> SymbolicGraph:
         except ValueError as e:
             raise FamilyError(usage + str(e)) from None
     g = build(*values)
+    g.args = dict(zip(takes, values))
     return with_direction(g, True) if oriented else g
 
 

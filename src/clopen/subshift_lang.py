@@ -254,22 +254,20 @@ class ForestNode:
         """The least shift period of a shift-periodic base, else None."""
         return periodic_point_period(self.base) if isinstance(self.base, BiWord) else None
 
-    def _shifts(self, span: int) -> range:
+    def shifts(self, span: int) -> range:
+        """The shifts k whose points base.shift(k) walk the orbit: the whole
+        finite orbit, k < period, when the base is shift-periodic; else
+        -span <= k <= span."""
         p = self.period()
         return range(p) if p is not None else range(-span, span + 1)
 
-    def orbit(self, span: int) -> list:
-        """The whole finite orbit, shift(k) for k < period, when the base is
-        shift-periodic; else shift(k) for -span <= k <= span."""
-        return [self.base.shift(k) for k in self._shifts(span)]
-
-    def windows(self, span: int, D: int):
-        """The [-D, D) windows of the points of orbit(span), in its order and
-        one at a time, as slices of one window of the base:
-        shift(k).window(-D, D) is base.window(k - D, k + D)."""
-        ks = self._shifts(span)
-        buf = self.base.window(ks.start - D, ks.stop - 1 + D)
-        return (buf[i : i + 2 * D] for i in range(len(ks)))
+    def windows(self, span: int, a: int, b: int):
+        """The [a, b) windows of the orbit's points, in the order of
+        shifts(span) and one at a time, as slices of one window of the base:
+        base.shift(k).window(a, b) is base.window(k + a, k + b)."""
+        ks = self.shifts(span)
+        buf = self.base.window(ks.start + a, ks.stop - 1 + b)
+        return (buf[i : i + b - a] for i in range(len(ks)))
 
 
 class LimitForest:
@@ -368,10 +366,10 @@ def cb_rank(forest: LimitForest, resolution: int = 40) -> CBReport:
                 "finite families cannot accumulate on anything",
             )
             continue
-        parent_windows = set(parent.windows(4 * D + 8, D))
+        parent_windows = set(parent.windows(4 * D + 8, -D, D))
         # the shifts -span..span, of which |k| <= D are skipped
         span = _probe_span(node, D) - 1
-        wins = node.windows(span, D)
+        wins = node.windows(span, -D, D)
         hits_neg = sum(w in parent_windows for w in islice(wins, span - D))
         hits_pos = sum(w in parent_windows for w in islice(wins, 2 * D + 1, None))
         ok = hits_pos + hits_neg >= 3 and max(hits_pos, hits_neg) > 0

@@ -152,17 +152,6 @@ class UltWord:
         reps = (n - len(h)) // len(c) + 1
         return (h + c * reps)[:n]
 
-    def factors(self, m: int) -> set:
-        """Exactly the set of length-m factors; a window of |head|+|cycle|+m
-        letters suffices by periodicity."""
-        if m < 0:
-            raise WordError("factor length must be >= 0")
-        if m == 0:
-            return {()}
-        span = len(self.head) + len(self.cycle)
-        buf = self.prefix(span + m)
-        return {buf[i : i + m] for i in range(span)}
-
     def letters_used(self) -> set:
         return set(self.head) | set(self.cycle)
 

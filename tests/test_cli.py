@@ -68,6 +68,20 @@ def test_color_build_verify_roundtrip(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("kind", [("parity",), ("return-parity", "--cylinder", "13")])
+def test_color_build_reads_the_radix_of_an_oriented_spec(capsys, kind):
+    # the radix comes from the one parse of the spec, which strips :oriented;
+    # only the header's family differs from the plain spec's output
+    build = ("color", "build", "--kind") + kind + ("--family",)
+    code, plain, _ = run(capsys, *build, "graph-o:d=3,4,(3)^inf")
+    assert code == 0
+    code, oriented, _ = run(capsys, *build, "graph-o:d=3,4,(3)^inf:oriented")
+    assert code == 0
+    head, _, mapping = oriented.partition("\n")
+    assert head.endswith(" family=graph-o:d=3,4,(3)^inf:oriented")
+    assert mapping == plain.partition("\n")[2] and mapping
+
+
 def test_color_search(capsys):
     code, out, _ = run(capsys, "color", "search", "--family", "k0",
                        "--level", "4", "--colors", "3", "--expect", "found")
@@ -705,6 +719,12 @@ CORPUS = [
       "--format", "json"), "quotient-sturmian-near-zero-2.json"),
     (("decide", "--family", "orbit:d=(3)^inf,S=sa{{0,6}}", "--level", "1"),
      "decide-orbit-sa06-1.txt"),
+    # the shift families' level pairs, and representatives built by BlockWord
+    # thunks
+    (("quotient", "--family", "rank-subshift:n=3", "--level", "6") + JSON,
+     "quotient-rank-subshift-3-6.json"),
+    (("family", "show", "--family", "rank-subshift:n=2", "--level", "3"),
+     "family-show-rank-subshift-2-3.txt"),
 ]
 
 

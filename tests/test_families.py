@@ -281,20 +281,22 @@ def test_orbit_density_proxy():
     assert len(firsts) == 9  # every length-2 prefix occurs
 
 
-def test_lazy_points_read_one_window_each(monkeypatch):
-    # a BlockWord lists no letters: its level-n window is both its projection
-    # and what the letter cap reads, so it is read once per point
+def test_lazy_nodes_read_one_window_per_pass(monkeypatch):
+    # the level-n pairs of a BlockWord node's 2B + 1 shifts are slices of one
+    # window of its base, [-B - n, B + n + 1), read once per pass and no
+    # point built
     from clopen.words import BlockWord
 
     g = parse_family("rank-subshift:n=2")
-    lazy = sum(isinstance(p, BlockWord) for edge in edge_points(g.generate(g.saturation(3), 3))
-               for p in edge)
+    B = g.saturation(3)
+    lazy = sum(isinstance(node.base, BlockWord) for node in g.forest.nodes.values())
     calls = []
     window = BlockWord.window
     monkeypatch.setattr(BlockWord, "window",
                         lambda self, a, b: calls.append((a, b)) or window(self, a, b))
+    monkeypatch.setattr(BlockWord, "shift", lambda self, k: pytest.fail("a point was built"))
     edges_at_level(g, 3)
-    assert lazy > 0 and calls == [(-3, 3)] * lazy
+    assert lazy == 2 and calls == [(-B - 3, B + 4)] * lazy
 
 
 def orbit_index_member(S, i: int) -> bool:
@@ -596,6 +598,13 @@ ENUMERATION_CASES = {
         for n in (5, 6)
     ] + [
         (spec, 8, 0) for spec in ("go-plus:d=2,(3)^inf", "gp:d=2,(3)^inf,p=1")
+    ] + [
+        # the shift families read from one base window per forest node:
+        # rank-subshift past the sweep's levels, and its smallest and largest
+        # forests, n=0 all BiWords and n=4 the deepest BlockWord blocks
+        ("rank-subshift:n=3", n, 0) for n in (5, 6)
+    ] + [
+        (spec, n, 0) for spec in ("rank-subshift:n=0", "rank-subshift:n=4") for n in range(4)
     ]
 }
 

@@ -2,16 +2,18 @@
 the floor-based sign, the identity-based Sturmian coding, its growing code
 buffers, the arc-based Sturmian language, the bit-parallel power check,
 sliced BiWord and BlockWord windows, the sliding windows of the cb_rank
-edge probe and the suffix-only forbidden-factor test, each against the
-definition it replaced."""
+edge probe, the shift graphs' level pairs and the suffix-only
+forbidden-factor test, each against the definition it replaced."""
 
 import math
+from itertools import zip_longest
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clopen.dynamics import QuadraticReal, parse_quadratic, sturmian_code
+from clopen.families import parse_family
 from clopen.subshift_lang import (
     ForbiddenSet,
     ForbiddenSubshift,
@@ -216,6 +218,13 @@ def window_by_letters(x, a, b):
     return tuple(x.letter(p) for p in range(a, b))
 
 
+def orbit(node, span):
+    """The former ForestNode.orbit: one shifted point per parameter k, the
+    whole finite orbit of a shift-periodic base, else -span <= k <= span."""
+    p = node.period()
+    return [node.base.shift(k) for k in (range(p) if p is not None else range(-span, span + 1))]
+
+
 def edge_details_by_shifts(forest, D):
     """The former cb_rank edge probe: one shifted point per parameter k."""
     out = {}
@@ -223,7 +232,7 @@ def edge_details_by_shifts(forest, D):
         if node.parent is None or node.period() is not None:
             continue
         parent = forest.nodes[node.parent]
-        parent_windows = {window_by_letters(x, -D, D) for x in parent.orbit(4 * D + 8)}
+        parent_windows = {window_by_letters(x, -D, D) for x in orbit(parent, 4 * D + 8)}
         span = _probe_span(node, D)
         pos = sum(window_by_letters(node.base.shift(k), -D, D) in parent_windows
                   for k in range(D + 1, span))
@@ -241,8 +250,32 @@ def test_cb_rank_edge_hits_match_shifted_points(n, D):
     forest = rank_forest(n)
     assert cb_rank(forest, D).edge_checks == edge_details_by_shifts(forest, D)
     for node in forest.nodes.values():
-        assert list(node.windows(D + 3, D)) == [
-            window_by_letters(x, -D, D) for x in node.orbit(D + 3)]
+        assert list(node.windows(D + 3, -D, D)) == [
+            window_by_letters(x, -D, D) for x in orbit(node, D + 3)]
+
+
+def shift_edges_by_points(forest, bound, n):
+    """The former shift-graph stream: per point x of each node's orbit, its
+    shift y by one, and the level-n pair (x.window(-n, n), y.window(-n, n))."""
+    for node in forest.nodes.values():
+        for x in orbit(node, bound):
+            y = x.shift(1)
+            yield x.window(-n, n), y.window(-n, n), (x, y)
+
+
+@pytest.mark.parametrize("spec", ["k0"] + ["rank-subshift:n=%d" % n for n in range(4)])
+@pytest.mark.parametrize("oriented", ["", ":oriented"])
+def test_shift_graph_windows_match_shifted_points(spec, oriented):
+    # pairs in stream order, and each thunk's points compared by a window
+    # wider than the level's on both sides of the origin
+    g = parse_family(spec + oriented)
+    for n in range(6):
+        bound = g.saturation(n)
+        stream = zip_longest(g.generate(bound, n), shift_edges_by_points(g.forest, bound, n))
+        for (s, t, points), (s0, t0, xy) in stream:
+            assert (s, t) == (s0, t0)
+            assert [p.window(-n - 16, n + 16) for p in points()] == [
+                p.window(-n - 16, n + 16) for p in xy]
 
 
 class RescanSubshift(ForbiddenSubshift):

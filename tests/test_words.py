@@ -100,19 +100,6 @@ def test_factors_trivial_cases():
         ("1", "0"),
         ("1", "1"),
     }
-    assert parse_ult("(0)^inf").factors(3) == {("0", "0", "0")}
-
-
-def test_factors_against_window_scan():
-    rng = random.Random(5)
-    for _ in range(100):
-        head = tuple(rng.choice("01") for _ in range(rng.randrange(0, 4)))
-        cycle = tuple(rng.choice("01") for _ in range(rng.randrange(1, 4)))
-        w = UltWord(head, cycle)
-        for m in (1, 2, 3):
-            buf = unroll(head, cycle, len(head) + len(cycle) + m + 8)
-            expected = {buf[i : i + m] for i in range(len(buf) - m + 1)}
-            assert w.factors(m) == expected
 
 
 def test_factors_monotone():
