@@ -6,15 +6,18 @@ finitely many primitive directed edges whose clause parameters are at most
 `bound`, complete for the level-n projections (block graphs skip the edges
 that only repeat a projection, see `graph_from_system`), as (s, t, points).
 s and t are the level-n projections, length-n prefixes or symmetric windows
-for two-sided families, read off the family's own arithmetic: the shift
-families slice both from one window of each forest node's base
-(`ForestNode.windows`, the reader `cb rank` shares); `points()` builds the
-two exact points.  `edges_at_level(g, n)` interns the alphabet
-keys of the projections below the saturation bound B(n), holding each
-distinct pair as one int, and returns the level quotient on the sorted keys
-with its integer index, which `quotient()` keeps as it is; `first_edges`
-walks the stream again for the points behind chosen pairs.  Stability under
-enlarging the bound is a runtime-checkable property.
+for two-sided families, read off the family's own arithmetic: the clause
+families (`gm`, `gdelta`, `t`, the block graphs and `ka`) write each point
+as a head, a run and a repeated tail for `_edge` to cut, the odometer
+families write an orbit index in the radix, and the shift families slice
+both from one window of each forest node's base (`ForestNode.windows`, the
+reader `cb rank` shares); `points()` builds the two exact points.
+`edges_at_level(g, n)` interns the alphabet keys of the projections below
+the saturation bound B(n), holding each distinct pair as one int, and
+returns the level quotient on the sorted keys with its integer index, which
+`quotient()` keeps as it is; `first_edges` walks the stream again for the
+points behind chosen pairs.  Stability under enlarging the bound is a
+runtime-checkable property.
 
 Families over an infinite numeral alphabet (`gm`, `gdelta`, `t`) are capped
 at the letters reachable below B(n): their generators hand `_edge` the
@@ -609,7 +612,8 @@ def _orbit_edges(d: Radix, indices: Iterable[int], n: int) -> Iterator:
 
 def go_graph(d: Radix) -> SymbolicGraph:
     """Graph induced by the odometer itself on the digit space: edges join
-    each point to its successor."""
+    each point to its successor.  B(n) = max(n, 1) is complete: the level-n
+    pair of edge i depends only on i mod P_n, and P_B(n) >= P_n."""
     alphabet = d.alphabet()
 
     def generate(bound: int, level: int = 0) -> Iterator:
@@ -852,94 +856,67 @@ def rank_subshift(n: int) -> SymbolicGraph:
 # the power-set embedding family
 
 
-def _ka_points_and_map(A: Sequence[int], chain_depth: int):
-    """Point list of the family and its homeomorphism, restricted to spine
-    chain depth `chain_depth`; the even cycles for n in A (sorted and checked
-    by ``ka_graph``) are always complete."""
-
-    def up(e):  # epsilon + 1 mod 4
-        return (e + 1) % 4
-
-    def down(e):
-        return (e - 1) % 4
-
-    pts: dict[UltWord, UltWord] = {}
-
-    def w(*parts) -> UltWord:
-        head: tuple = ()
-        for part in parts[:-1]:
-            head += part
-        return UltWord(head, parts[-1])
-
-    # the 4-cycle of constant words
-    for e in range(4):
-        pts[w((), (str(e),))] = w((), (str(up(e)),))
-    # the spine through the constant-4 word
-    pts[w((), ("4",))] = w(("0",), ("1",))
-    pts[w(("3", "2"), ("0",))] = w((), ("4",))
-    for nn in range(chain_depth + 1):
-        for e in range(4):
-            src1 = w((str(e),) * (nn + 1) + (str(up(e)),), ("1",))
-            if e != 3:
-                pts[src1] = w((str(up(e)),) * (nn + 1) + (str(up(up(e))),), ("1",))
-            else:
-                pts[src1] = w(("0",) * (nn + 2), ("1",))
-            src0 = w((str(e),) * (nn + 1) + (str(down(e)),), ("0",))
-            if e != 3:
-                pts[src0] = w((str(up(e)),) * (nn + 1) + (str(e),), ("0",))
-            elif nn >= 1:
-                # 3^{m+2} 2 0^inf -> 0^{m+1} 3 0^inf
-                pts[src0] = w(("0",) * nn + ("3",), ("0",))
-    # the even cycles indexed by A
-    for a in A:
-        strings = [
-            tuple(format(i, "0%db" % (a + 1))) for i in range(2 ** (a + 1))
-        ]
-        for idx, s in enumerate(strings):
-            for e in range(4):
-                src = w((str(e),) * (a + 2) + (str(up(e)),) + s, ("2",))
-                if e != 3:
-                    dst = w((str(up(e)),) * (a + 2) + (str(up(up(e))),) + s, ("2",))
-                else:
-                    nxt = strings[(idx + 1) % len(strings)]
-                    dst = w(("0",) * (a + 2) + ("1",) + nxt, ("2",))
-                pts[src] = dst
-    return pts
-
-
 def ka_graph(A: Sequence[int]) -> SymbolicGraph:
     """Graph of a homeomorphism of a countable compact space whose finite
-    cycles have lengths 4 and 4*2^(a+1) for a in A."""
+    cycles have lengths 4 and 4*2^(a+1) for a in A.
+
+    Each point is (head, letter), the word head letter^inf, and the edges
+    are clauses in this order: the 4-cycle of constant words, the two fixed
+    edges of the spine through 4^inf, the spine at depths m = 0..bound, and
+    the even cycle for each a in A.  `finite_core` reads the same clauses
+    without the spine, whose orbit is infinite.
+
+    B(n) = max(n - 1, 0) is exact.  A spine edge at depth m runs from a word
+    that starts with e^(m+1) to one that starts with (e+1 mod 4)^m, so for
+    m >= n its level-n pair is (e^n, (e+1 mod 4)^n), which the constant
+    4-cycle yields first: no pair and no first representative needs depth n
+    or more.  At depth n - 1 >= 1 the edge 3^n 2 0^inf -> 0^(n-1) 3 0^inf
+    gives the pair (3^n, 0^(n-1) 3), which no other clause gives."""
     A = sorted(set(int(a) for a in A))
     if len(A) > 4 or any(a > 4 or a < 0 for a in A):
-        raise FamilyError("A must be a set of at most 4 levels, each <= 4")
-    alphabet = Alphabet(numerals(5))
-    spec = "ka:A=%s" % ",".join(str(a) for a in A)
+        raise FamilyError("A must be a set of at most 4 levels, each between 0 and 4")
+    num = numerals(5)
+    alphabet, cyc = Alphabet(num), num[:4] * 2  # cyc[e + k] is the letter e + k mod 4
+
+    def clauses(depth: int | None) -> Iterator:
+        """Each edge as its two points (head, letter); no spine if depth is None."""
+        for e in range(4):
+            yield ((), cyc[e]), ((), cyc[e + 1])
+        if depth is not None:
+            yield ((), num[4]), ((num[0],), num[1])
+            yield ((num[3], num[2]), num[0]), ((), num[4])
+            for m in range(depth + 1):
+                for e in range(4):
+                    E, F, G, D = cyc[e:e + 4]  # e, e + 1, e + 2 and e - 1
+                    run, image = (E,) * (m + 1), (F,) * (m + 1)
+                    # 3^(m+1) 0 1^inf goes to 0^(m+2) 1^inf
+                    yield (run + (F,), num[1]), (image + (F if e == 3 else G,), num[1])
+                    if e != 3:
+                        yield (run + (D,), num[0]), (image + (E,), num[0])
+                    elif m >= 1:  # 3^(m+1) 2 0^inf goes to 0^m 3 0^inf
+                        yield (run + (D,), num[0]), (image[1:] + (E,), num[0])
+        for a in A:
+            blocks = [tuple(num[int(b)] for b in format(j, "0%db" % (a + 1)))
+                      for j in range(2 ** (a + 1))]
+            for j, s in enumerate(blocks):
+                for e in range(4):
+                    E, F, G = cyc[e:e + 3]
+                    t = blocks[(j + 1) % len(blocks)] if e == 3 else s  # 3 moves to the next block
+                    yield ((E,) * (a + 2) + (F,) + s, num[2]), ((F,) * (a + 2) + (G,) + t, num[2])
 
     def generate(bound: int, level: int = 0) -> Iterator:
-        for (x, y) in _ka_points_and_map(A, chain_depth=bound).items():
-            yield x.prefix(level), y.prefix(level), lambda x=x, y=y: (x, y)
+        for (h, c), (k, d) in clauses(bound):
+            yield _edge(level, (h, c, 0, c), (k, d, 0, d))
 
     def finite_core() -> QuotientGraph:
-        # the finite orbits are the 4-cycle of constant words and the even
-        # cycles indexed by A; the spine orbit contributes no finite cycles
-        pts = _ka_points_and_map(A, chain_depth=max(A, default=0) + 2)
-        constants = {(str(e),) for e in range(4)}
-        keep = {
-            x: y
-            for (x, y) in pts.items()
-            if (x.head == () and x.cycle in constants)
-            or (x.head != () and x.cycle == ("2",))
-        }
-        edges = [(format_ult(x), format_ult(y)) for (x, y) in keep.items()]
-        verts = sorted({v for e in edges for v in e})
-        return finite_graph(verts, edges)
+        edges = [tuple(format_ult(UltWord(h, (c,))) for (h, c) in e) for e in clauses(None)]
+        return finite_graph(sorted({v for e in edges for v in e}), edges)
 
     return SymbolicGraph(
-        spec=spec,
+        spec="ka:A=%s" % ",".join(str(a) for a in A),
         alphabet_for=lambda n: alphabet,
         generate=generate,
-        saturation=lambda n: n + 2,
+        saturation=lambda n: max(n - 1, 0),
         compact=True,
         point_set="countable compact subset of 5^omega",
         finite_core=finite_core,

@@ -200,6 +200,7 @@ def test_bad_family_exits_2(capsys):
         ("gp:d=2,(3)^inf,p=x", "gp takes d=RADIX,p=N; integer expected: 'x'"),
         ("rank-subshift:n=x", "rank-subshift takes n=N; integer expected: 'x'"),
         ("ka:A=0,x", "ka takes A=N,...; integer expected: 'x'"),
+        ("ka:A=-1", "A must be a set of at most 4 levels, each between 0 and 4"),
         ("gp:d=2,(3)^inf", "gp takes d=RADIX,p=N; missing p"),
         ("orbit:S=sa{0}", "orbit takes d=RADIX,S=INDEXSET; missing d"),
         ("graph-o:d=(3)^inf,q=1", "graph-o takes d=RADIX; unknown argument q"),
@@ -725,6 +726,10 @@ CORPUS = [
      "quotient-rank-subshift-3-6.json"),
     (("family", "show", "--family", "rank-subshift:n=2", "--level", "3"),
      "family-show-rank-subshift-2-3.txt"),
+    # ka's level pairs read off its clauses, with the representatives they
+    # build: two even cycles, and all four low ones at level 5
+    (("family", "show", "--family", "ka:A=0,2", "--level", "3"), "family-show-ka02-3.txt"),
+    (("quotient", "--family", "ka:A=0,1,2,3", "--level", "5") + JSON, "quotient-ka0123-5.json"),
 ]
 
 

@@ -416,6 +416,114 @@ def test_ka_preconditions():
         ka_graph([0, 1, 2, 3, 4])
 
 
+KA_SETS = ([], [0], [1], [0, 1], [0, 2], [1, 2, 3], [0, 1, 2, 3], [4])
+
+
+def ka_points_and_map(A, chain_depth):
+    """Oracle: ka's edges as a dict x -> its image on canonical points,
+    written out clause by clause, spine depths 0..chain_depth; the even
+    cycles for a in A (sorted) are always complete."""
+
+    def up(e):  # epsilon + 1 mod 4
+        return (e + 1) % 4
+
+    def down(e):
+        return (e - 1) % 4
+
+    pts = {}
+
+    def w(*parts):
+        head = ()
+        for part in parts[:-1]:
+            head += part
+        return UltWord(head, parts[-1])
+
+    # the 4-cycle of constant words
+    for e in range(4):
+        pts[w((), (str(e),))] = w((), (str(up(e)),))
+    # the spine through the constant-4 word
+    pts[w((), ("4",))] = w(("0",), ("1",))
+    pts[w(("3", "2"), ("0",))] = w((), ("4",))
+    for nn in range(chain_depth + 1):
+        for e in range(4):
+            src1 = w((str(e),) * (nn + 1) + (str(up(e)),), ("1",))
+            if e != 3:
+                pts[src1] = w((str(up(e)),) * (nn + 1) + (str(up(up(e))),), ("1",))
+            else:
+                pts[src1] = w(("0",) * (nn + 2), ("1",))
+            src0 = w((str(e),) * (nn + 1) + (str(down(e)),), ("0",))
+            if e != 3:
+                pts[src0] = w((str(up(e)),) * (nn + 1) + (str(e),), ("0",))
+            elif nn >= 1:
+                # 3^{m+2} 2 0^inf -> 0^{m+1} 3 0^inf
+                pts[src0] = w(("0",) * nn + ("3",), ("0",))
+    # the even cycles indexed by A
+    for a in A:
+        strings = [tuple(format(i, "0%db" % (a + 1))) for i in range(2 ** (a + 1))]
+        for idx, s in enumerate(strings):
+            for e in range(4):
+                src = w((str(e),) * (a + 2) + (str(up(e)),) + s, ("2",))
+                if e != 3:
+                    dst = w((str(up(e)),) * (a + 2) + (str(up(up(e))),) + s, ("2",))
+                else:
+                    nxt = strings[(idx + 1) % len(strings)]
+                    dst = w(("0",) * (a + 2) + ("1",) + nxt, ("2",))
+                pts[src] = dst
+    return pts
+
+
+def ka_core(A):
+    """Oracle: the finite core, the point dict without the spine: the
+    constant words and the even cycles' words, which end in 2^inf."""
+    pts = ka_points_and_map(A, chain_depth=max(A, default=0) + 2)
+    constants = {(str(e),) for e in range(4)}
+    edges = [(format_ult(x), format_ult(y)) for (x, y) in pts.items()
+             if (x.head == () and x.cycle in constants) or (x.head != () and x.cycle == ("2",))]
+    return finite_graph(sorted({v for e in edges for v in e}), edges)
+
+
+def _ka_spec(A):
+    return "ka:A=" + ",".join(map(str, A))
+
+
+@pytest.mark.parametrize("A", KA_SETS, ids=_ka_spec)
+def test_ka_clauses_match_the_point_oracle(A):
+    # the same edges in the same order, as points and as level pairs
+    for g in (parse_family(_ka_spec(A)), parse_family(_ka_spec(A) + ":oriented")):
+        for depth in range(9):
+            oracle = list(ka_points_and_map(A, depth).items())
+            assert edge_points(g.generate(depth)) == oracle, (g.spec, depth)
+            for n in range(8):
+                assert [(s, t) for (s, t, _) in g.generate(depth, n)] == [
+                    (x.prefix(n), y.prefix(n)) for (x, y) in oracle], (g.spec, depth, n)
+        core, old = g.finite_core(), ka_core(A)
+        assert (core.vertices, core.index()) == (old.vertices, old.index())
+
+
+@pytest.mark.parametrize("A", KA_SETS, ids=_ka_spec)
+def test_ka_bound_is_exact(A):
+    # spine depths past n - 1 only repeat the constant 4-cycle's pairs, so
+    # the bound gives the pairs and representatives of four times n + 2; the
+    # depth below it misses the pair of 3^n 2 0^inf -> 0^(n-1) 3 0^inf
+    for g in (parse_family(_ka_spec(A)), parse_family(_ka_spec(A) + ":oriented")):
+        for n in range(10):
+            assert g.saturation(n) == max(n - 1, 0)
+            q, wide = edges_at_level(g, n), edges_at_level(g, n, bound=4 * (n + 2))
+            assert q.pairs == wide.pairs, (g.spec, n)
+            assert first_edges(g, n, q.pairs) == first_edges(g, n, q.pairs, 4 * (n + 2))
+            if n >= 2:
+                missed = set(q.pairs) - set(edges_at_level(g, n, bound=n - 2).pairs)
+                pair = (("3",) * n, ("0",) * (n - 1) + ("3",))
+                assert missed == ({pair} if g.directed else {pair, pair[::-1]}), (g.spec, n)
+
+
+def test_ka_level_pairs_build_no_point(monkeypatch):
+    g = parse_family("ka:A=0,1,2,3")
+    monkeypatch.setattr(UltWord, "__init__", lambda *a: pytest.fail("a point was built"))
+    for n in range(10):
+        edges_at_level(g, n)
+
+
 def test_symmetrize_and_orient():
     for spec in ("gm", "go-plus:d=2,(3)^inf"):
         g = parse_family(spec)
@@ -605,6 +713,11 @@ ENUMERATION_CASES = {
         ("rank-subshift:n=3", n, 0) for n in (5, 6)
     ] + [
         (spec, n, 0) for spec in ("rank-subshift:n=0", "rank-subshift:n=4") for n in range(4)
+    ] + [
+        # ka's pairs read off its clauses: no even cycle, all four low ones
+        # past the sweep's levels, and the one cycle that is longest
+        (s, n, 0) for (spec, levels) in (("ka:A=", 4), ("ka:A=0,1,2,3", 7), ("ka:A=4", 5))
+        for s in (spec, spec + ":oriented") for n in range(levels)
     ]
 }
 
