@@ -390,6 +390,21 @@ def test_scan_graph_o_9_matches_golden_digests(capsys):
     assert [e["oddGirth"] for e in payload["levels"]] == [3 ** n for n in range(1, 10)]
 
 
+def test_scan_go_plus_8_matches_golden_digests(capsys):
+    # each level is a long odd cycle with two branch vertices; the golden,
+    # recorded with one length search per core vertex, holds a sha256 of each
+    # witness's labels
+    code, out, _ = run(capsys, "scan", "--family", "go-plus:d=2,(3)^inf", "--levels", "8",
+                       "--format", "json", "--no-timing")
+    assert code == 0
+    payload = json.loads(out)
+    for e in payload["levels"]:
+        vertices = e["witness"].pop("vertices")
+        e["witness"]["sha256"] = hashlib.sha256("\n".join(vertices).encode()).hexdigest()
+    assert payload == json.loads((GOLDEN / "scan-go-plus-8-digests.json").read_text(encoding="utf-8"))
+    assert [e["oddGirth"] for e in payload["levels"]] == [3 ** (n - 1) + 2 for n in range(1, 9)]
+
+
 STURMIAN = "(3 - 1 sqrt 5)/2"
 
 
