@@ -54,17 +54,15 @@ def _bfs_two_color(adj):
     return colors, odd
 
 
-def _odd_walk_from(adj, root: int, limit: int):
-    """Vertex ids of the shortest odd closed walk at `root` if it is shorter
-    than `limit`, else None.
-
-    BFS in the bipartite double cover, node ``2 * vertex + side``, from
-    (root, 0) depth by depth; each node keeps the parent that discovered it
-    first, and the search stops on discovering (root, 1) or before depth
+def _double_cover_bfs(adj, root: int, limit: int):
+    """``{node: (depth, parent)}`` of a BFS in the bipartite double cover,
+    node ``2 * vertex + side``, from (root, 0) depth by depth; each node
+    keeps the parent that discovered it first, neighbours in list order,
+    and the search stops on discovering (root, 1) or before depth
     `limit`."""
-    start, target = 2 * root, 2 * root + 1
-    par = {start: None}
-    frontier = [start]
+    target = 2 * root + 1
+    seen = {2 * root: (0, None)}
+    frontier = [2 * root]
     depth = 1
     while frontier and depth < limit:
         nxt = []
@@ -72,41 +70,14 @@ def _odd_walk_from(adj, root: int, limit: int):
             side = (x & 1) ^ 1
             for v in adj[x >> 1]:
                 y = 2 * v + side
-                if y not in par:
-                    par[y] = x
+                if y not in seen:
+                    seen[y] = depth, x
                     if y == target:
-                        path = []
-                        while y is not None:
-                            path.append(y >> 1)
-                            y = par[y]
-                        return path[::-1]
+                        return seen
                     nxt.append(y)
         frontier = nxt
         depth += 1
-    return None
-
-
-def _odd_length_from(adj, core, root: int, limit: int):
-    """Length of the shortest odd closed walk at `root` if it is shorter than
-    `limit`, else None, by an ordinary BFS over the `core` vertices: 2d + 1
-    for the first depth d with an edge between two vertices at depth d."""
-    depth = {root: 0}
-    frontier = [root]
-    d = 0
-    while frontier and 2 * d + 1 < limit:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                dv = depth.get(v)
-                if dv is None:
-                    if core[v]:
-                        depth[v] = d + 1
-                        nxt.append(v)
-                elif dv == d:
-                    return 2 * d + 1
-        frontier = nxt
-        d += 1
-    return None
+    return seen
 
 
 def odd_girth_root(adj, colors=None):
@@ -119,24 +90,34 @@ def odd_girth_root(adj, colors=None):
 
     A self-loop at the least looped id comes first, before any coloring
     pass.  Otherwise ``_bfs_two_color`` marks the non-bipartite components,
-    and the root and the length come from three exact steps, with no search
-    from every root:
+    and the answer is the least ``(length, root)`` among candidates from
+    three exact steps, with no search from every root:
 
     1. Peel vertices of degree <= 1 off the non-bipartite components.  A walk
        of the minimum length g is a simple cycle (a repeated vertex would
-       split it into two shorter closed walks, one of them odd), so every
-       root attaining g lies on a cycle, in this 2-core; a vertex outside it
-       lies on no cycle, so its odd walks are not simple and longer than g.
+       split it into two shorter closed walks, one of them odd), so g <= V
+       and every root attaining g lies on a cycle, in this 2-core; a vertex
+       outside it lies on no cycle, so its odd walks are not simple and
+       longer than g.
     2. A core component whose core degrees are all 2 is one odd cycle: every
        closed walk in its component winds round it, so each of its vertices
        has the cycle's length, and its candidate is its least id.  O(V).
-    3. Every other core root gets its length from an ordinary BFS, cut off
-       at the best length so far (Itai and Rodeh, SIAM J. Comput. 1978): an
-       edge joining two vertices at depth d closes an odd walk of length
-       2d + 1, and an odd closed walk must take a step that keeps the depth,
-       so none is shorter.  A shortest one never enters the peeled trees,
-       since an excursion into a tree returns along itself, so the BFS stays
-       in the core."""
+    3. Every other core vertex is a branch vertex a (core degree >= 3) or an
+       inner vertex of a chain: a maximal path of core-degree-2 vertices,
+       with L edges from a to a branch vertex b (b == a when it returns).
+       The double-cover BFS that builds the witness, run from a, gives
+       d_a(b, p), the least length of a walk from a to b of parity p (an
+       odd closed walk at a when b == a and p == 1); it stops on discovering
+       (a, 1), which offers ``(d_a(a, 1), a)``, and it is cut below the
+       best length so far + 1, so that a tie is still found.  Each chain
+       leaving a offers ``(L + d_a(b, (L + 1) % 2), least inner id)``, an
+       odd closed walk through all its inner vertices.  This is exact: a
+       shortest odd cycle through an inner vertex runs along the whole
+       chain, so an inner vertex attains g iff its chain's candidate is g,
+       all its inner vertices tie and the least one is the chain's root.
+       That cycle also passes through a, so a attains g, and it returns
+       from b in g - L <= g - 2 steps, which the BFS from a has discovered
+       before it stops at depth g and below its cut."""
     for v, nbrs in enumerate(adj):
         if v in nbrs:
             return 1, v
@@ -153,8 +134,7 @@ def odd_girth_root(adj, colors=None):
                 if deg[u] == 1:
                     leaves.append(u)
     core = [d >= 2 for d in deg]
-    best, root = 2 * len(adj), None  # above every odd closed walk
-    roots = []  # core vertices outside the cycle components
+    best = (len(adj) + 1, 0)  # above every shortest odd walk, a simple cycle
     seen = [False] * len(adj)
     for seed in range(len(adj)):
         if not core[seed] or seen[seed]:
@@ -166,16 +146,21 @@ def odd_girth_root(adj, colors=None):
                 if core[v] and not seen[v]:
                     seen[v] = True
                     component.append(v)
-        if any(deg[u] != 2 for u in component):
-            roots += component
-        elif len(component) < best:  # seeds ascend: ties keep the first
-            best, root = len(component), seed
-    for v in sorted(roots):
-        # a later root must be strictly shorter, an earlier one may tie
-        length = _odd_length_from(adj, core, v, best + (root is not None and v < root))
-        if length is not None:
-            best, root = length, v
-    return None if root is None else (best, root)
+        if all(deg[u] == 2 for u in component):
+            best = min(best, (len(component), seed))
+    for a in [v for v, d in enumerate(deg) if d > 2]:
+        dist = _double_cover_bfs(adj, a, best[0] + 1)
+        if 2 * a + 1 in dist:
+            best = min(best, (dist[2 * a + 1][0], a))
+        for u in adj[a]:
+            chain, prev = [], a
+            while deg[u] == 2:
+                chain.append(u)
+                prev, u = u, next(w for w in adj[u] if w != prev and core[w])
+            back = dist.get(2 * u + len(chain) % 2)  # parity (L + 1) % 2
+            if chain and back:
+                best = min(best, (len(chain) + 1 + back[0], min(chain)))
+    return best if best[0] <= len(adj) else None
 
 
 def odd_closed_walk(q: QuotientGraph, colors=None) -> Optional[OddWalk]:
@@ -187,8 +172,8 @@ def odd_closed_walk(q: QuotientGraph, colors=None) -> Optional[OddWalk]:
     odd closed walk has the minimum length (the first looped vertex when
     there is a self-loop).  The path is the chain of first-discovery BFS
     parents from (root, 0) to (root, 1) in the bipartite double cover,
-    neighbours expanded in alphabet order: ``_odd_walk_from`` at that root,
-    the only double-cover search, which gives the same path the search from
+    neighbours expanded in alphabet order: ``_double_cover_bfs`` at that
+    root over the whole graph, which gives the same path the search from
     every root found."""
     q = q.undirected()
     adj = q.index()
@@ -196,7 +181,11 @@ def odd_closed_walk(q: QuotientGraph, colors=None) -> Optional[OddWalk]:
     if found is None:
         return None
     length, root = found
-    return OddWalk([q.vertex(i) for i in _odd_walk_from(adj, root, length + 1)], q)
+    dist = _double_cover_bfs(adj, root, length + 1)
+    path = [2 * root + 1]
+    while path[-1] != 2 * root:
+        path.append(dist[path[-1]][1])
+    return OddWalk([q.vertex(y >> 1) for y in reversed(path)], q)
 
 
 class Bipartite:

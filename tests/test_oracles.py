@@ -1,7 +1,11 @@
 """Differential oracles for the decision layer: the odd girth and the BFS
 2-coloring checked against networkx, and the odd-walk witness against a
 search from every root, on random small graphs, on graphs of odd cycles and
-on every family quotient at levels <= 4; the 2-coloring search against the
+on every family quotient at levels <= 4; the odd girth, its root, the
+coloring pass and the witness against the former search (one BFS per core
+vertex), on those graphs, on graphs of long chains between a few branch
+vertices and on every family quotient at levels <= 5, plain and oriented;
+the 2-coloring search against the
 component-wise BFS coloring, the homomorphism search against brute force
 over all maps and against the former search in (-degree, id) order, and the
 cycle spectrum against networkx's simple cycles."""
@@ -16,12 +20,7 @@ from hypothesis import strategies as st
 from clopen.colorings import search_coloring
 from clopen.families import finite_graph, ka_graph, odd_cycle, parse_family
 from clopen.homs import cycle_spectrum, hom_exists
-from clopen.quotients import (
-    _bfs_two_color,
-    _odd_walk_from,
-    odd_closed_walk,
-    quotient,
-)
+from clopen.quotients import _bfs_two_color, odd_closed_walk, odd_girth_root, quotient
 from test_families import ALL_FAMILY_SPECS
 
 
@@ -54,29 +53,145 @@ def double_cover_odd_girth(G):
     return min(lengths, default=None)
 
 
+def former_odd_walk_from(adj, root, limit):
+    """Oracle: vertex ids of the shortest odd closed walk at `root` if it is
+    shorter than `limit`, else None, by the former double-cover BFS, node
+    ``2 * vertex + side``, from (root, 0) depth by depth; each node keeps the
+    parent that discovered it first, and the search stops on discovering
+    (root, 1) or before depth `limit`."""
+    start, target = 2 * root, 2 * root + 1
+    par = {start: None}
+    frontier = [start]
+    depth = 1
+    while frontier and depth < limit:
+        nxt = []
+        for x in frontier:
+            side = (x & 1) ^ 1
+            for v in adj[x >> 1]:
+                y = 2 * v + side
+                if y not in par:
+                    par[y] = x
+                    if y == target:
+                        path = []
+                        while y is not None:
+                            path.append(y >> 1)
+                            y = par[y]
+                        return path[::-1]
+                    nxt.append(y)
+        frontier = nxt
+        depth += 1
+    return None
+
+
+def former_odd_length_from(adj, core, root, limit):
+    """Oracle: the length of the shortest odd closed walk at `root` if it is
+    shorter than `limit`, else None, by an ordinary BFS over the `core`
+    vertices: 2d + 1 for the first depth d with an edge between two vertices
+    at depth d."""
+    depth = {root: 0}
+    frontier = [root]
+    d = 0
+    while frontier and 2 * d + 1 < limit:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                dv = depth.get(v)
+                if dv is None:
+                    if core[v]:
+                        depth[v] = d + 1
+                        nxt.append(v)
+                elif dv == d:
+                    return 2 * d + 1
+        frontier = nxt
+        d += 1
+    return None
+
+
+def former_odd_girth_root(adj, colors=None):
+    """Oracle: the former ``odd_girth_root``, which after the self-loop
+    check, the coloring pass, the peel to the 2-core and the closed form for
+    cycle components runs ``former_odd_length_from`` from every other core
+    vertex in id order, cut off at the best length so far (Itai and Rodeh)."""
+    for v, nbrs in enumerate(adj):
+        if v in nbrs:
+            return 1, v
+    bfs_colors, odd = _bfs_two_color(adj)
+    if colors is not None:
+        colors[:] = bfs_colors
+    deg = [len(a) if o else 0 for a, o in zip(adj, odd)]
+    leaves = [v for v, d in enumerate(deg) if d == 1]
+    for v in leaves:  # appended to while walked
+        deg[v] = 0
+        for u in adj[v]:
+            if deg[u] > 0:  # not peeled yet
+                deg[u] -= 1
+                if deg[u] == 1:
+                    leaves.append(u)
+    core = [d >= 2 for d in deg]
+    best, root = 2 * len(adj), None  # above every odd closed walk
+    roots = []  # core vertices outside the cycle components
+    seen = [False] * len(adj)
+    for seed in range(len(adj)):
+        if not core[seed] or seen[seed]:
+            continue
+        seen[seed] = True
+        component = [seed]
+        for u in component:  # appended to while walked
+            for v in adj[u]:
+                if core[v] and not seen[v]:
+                    seen[v] = True
+                    component.append(v)
+        if any(deg[u] != 2 for u in component):
+            roots += component
+        elif len(component) < best:  # seeds ascend: ties keep the first
+            best, root = len(component), seed
+    for v in sorted(roots):
+        # a later root must be strictly shorter, an earlier one may tie
+        length = former_odd_length_from(adj, core, v, best + (root is not None and v < root))
+        if length is not None:
+            best, root = length, v
+    return None if root is None else (best, root)
+
+
 def all_roots_odd_walk(q):
-    """Oracle: the odd-walk witness by a double-cover search from every root
-    of every non-bipartite component, each cut off at the best length so
-    far, so that the first root of the minimum length wins; the self-loop at
-    the first looped vertex comes first."""
+    """Oracle: the odd-walk witness by a double-cover search from every root,
+    each cut off at the best length so far, so that the first root of the
+    minimum length wins; the self-loop at the first looped vertex comes
+    first."""
     q = q.undirected()
     edge_set = set(q.edges)
     for v in q.vertices:
         if (v, v) in edge_set:
             return [v, v]
     adj = adjacency(q.vertices, q.edges)
-    _, odd = _bfs_two_color(adj)
     best = None
     limit = 2 * len(adj)
     for root in range(len(adj)):
-        if odd[root]:
-            walk = _odd_walk_from(adj, root, limit)
-            if walk is not None:
-                best, limit = walk, len(walk) - 1
+        walk = former_odd_walk_from(adj, root, limit)
+        if walk is not None:
+            best, limit = walk, len(walk) - 1
     return None if best is None else [q.vertices[i] for i in best]
 
 
+def check_against_former_search(q):
+    """The odd girth, its root, the coloring pass and the witness are the
+    former search's."""
+    q = q.undirected()
+    adj = q.index()
+    colors, former_colors = [], []
+    found = odd_girth_root(adj, colors)
+    assert found == former_odd_girth_root(adj, former_colors)
+    assert colors == former_colors
+    w = odd_closed_walk(q)
+    if found is None:
+        assert w is None
+    else:
+        length, root = found
+        assert w.vertices == [q.vertex(i) for i in former_odd_walk_from(adj, root, length + 1)]
+
+
 def check_against_oracles(q):
+    check_against_former_search(q)
     G = nx_graph(q)
     w = odd_closed_walk(q)
     assert (None if w is None else w.length) == double_cover_odd_girth(G)
@@ -145,6 +260,51 @@ def odd_cycle_graphs(draw):
 @given(odd_cycle_graphs())
 def test_odd_cycle_graphs_against_oracles(G):
     check_against_oracles(G)
+
+
+@st.composite
+def chain_graphs(draw):
+    """Undirected graphs whose 2-cores are long chains between a few branch
+    vertices: cycles glued at one vertex (a chain that returns to its own
+    end), subdivided theta graphs (several chains between two ends) and
+    plain cycles, sometimes the first chain again as a cycle on a new end
+    (for the tie-break), with pendant trees, now and then a self-loop, and
+    the vertex ids permuted so that the alphabet order does not follow the
+    construction."""
+    ends = draw(st.integers(1, 4))
+    chains = [(a, b, draw(st.integers(0 if a != b else 1, 11)))  # no self-loop here
+              for a, b in draw(st.lists(st.tuples(st.integers(0, ends - 1),
+                                                  st.integers(0, ends - 1)),
+                                        min_size=1, max_size=6))]
+    if draw(st.booleans()):
+        chains.append((ends, ends, max(chains[0][2], 1)))
+        ends += 1
+    edges, n = [], ends
+    for a, b, inner in chains:
+        path = [a] + list(range(n, n + inner)) + [b]
+        n += inner
+        edges += zip(path, path[1:])
+    for _ in range(draw(st.integers(0, 4))):  # pendant trees
+        edges.append((n, draw(st.integers(0, n - 1))))
+        n += 1
+    if draw(st.integers(0, 7)) == 7:
+        v = draw(st.integers(0, n - 1))
+        edges.append((v, v))
+    perm = draw(st.permutations(range(n)))
+    return finite_graph(range(n), [(perm[u], perm[v]) for (u, v) in edges])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(chain_graphs())
+def test_chain_graphs_against_oracles(G):
+    check_against_oracles(G)
+
+
+@pytest.mark.parametrize("spec", ALL_FAMILY_SPECS + [s + ":oriented" for s in ALL_FAMILY_SPECS])
+def test_family_quotients_against_former_search(spec):
+    g = parse_family(spec)
+    for n in range(6):
+        check_against_former_search(quotient(g, n))
 
 
 def first_two_coloring(q):

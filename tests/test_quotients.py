@@ -210,6 +210,17 @@ def test_scan_gdelta_odd_girths(delta, girths):
     assert [e["oddGirth"] for e in rep["levels"]] == girths
 
 
+def test_scan_go_plus_odd_girths_through_level_9():
+    """c02's "fails the level test at every level", through level 9: each
+    level quotient has an odd closed walk, of length 3^(n-1) + 2; at level 9
+    the core is chains of thousands of vertices between two branch
+    vertices."""
+    rep = scan(parse_family("go-plus:d=2,(3)^inf"), 9)
+    assert [e["verdict"] for e in rep["levels"]] == ["odd-walk"] * 9
+    assert [e["oddGirth"] for e in rep["levels"]] == [3 ** (n - 1) + 2 for n in range(1, 10)]
+    assert rep["headline"].startswith("chi_c >= 3 evidence through level 9")
+
+
 def test_scan_noncompact_caveat():
     rep = scan(parse_family("t"), 4)
     assert [e["verdict"] for e in rep["levels"]] == ["odd-walk"] * 4
