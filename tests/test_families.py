@@ -718,6 +718,13 @@ ENUMERATION_CASES = {
         # past the sweep's levels, and the one cycle that is longest
         (s, n, 0) for (spec, levels) in (("ka:A=", 4), ("ka:A=0,1,2,3", 7), ("ka:A=4", 5))
         for s in (spec, spec + ":oriented") for n in range(levels)
+    ] + [
+        # orbit index sets whose scheme intervals hold more indices than a
+        # level's period, on three radices, through level 5
+        (s, n, 0) for spec in ("orbit:d=(3)^inf,S=sa{{0,6}}", "orbit:d=2,(3)^inf,S=sa{{1,3}}",
+                               "orbit:d=(4)^inf,S=sa{0+2k}", "orbit:d=(3)^inf,S={0,9}|sa{{0,4}}",
+                               "orbit:d=2,(3)^inf,S=sa{{0,8}}")
+        for s in (spec, spec + ":oriented") for n in range(6)
     ]
 }
 
