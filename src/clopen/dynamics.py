@@ -8,7 +8,7 @@ import math
 from functools import lru_cache
 from typing import Sequence
 
-from .words import Alphabet, BiWord, UltWord, Word
+from .words import Alphabet, BiWord, UltWord, Word, numerals
 
 
 class InvalidPointError(ValueError):
@@ -16,7 +16,9 @@ class InvalidPointError(ValueError):
 
 
 class Radix:
-    """Eventually periodic sequence of digit bounds d_j >= 2 (head + cycle)."""
+    """Eventually periodic sequence of digit bounds d_j >= 2 (head + cycle),
+    with its digit letters: ``letters[k]`` is the numeral of digit k, one
+    string object that every word written in the radix shares."""
 
     def __init__(self, head: Sequence[int], cycle: Sequence[int]):
         self.head = tuple(int(d) for d in head)
@@ -25,6 +27,7 @@ class Radix:
             raise ValueError("radix cycle must be nonempty")
         if any(d < 2 for d in self.head + self.cycle):
             raise ValueError("all digit bounds must be >= 2")
+        self.letters = tuple(numerals(self.max_digit()))
 
     def digit(self, j: int) -> int:
         if j < len(self.head):
@@ -50,7 +53,7 @@ class Radix:
         return max(self.head + self.cycle)
 
     def alphabet(self) -> Alphabet:
-        return Alphabet([str(i) for i in range(self.max_digit())])
+        return Alphabet(self.letters)
 
     def zero(self) -> UltWord:
         return UltWord((), ("0",))
@@ -114,7 +117,7 @@ def odometer_iter(d: Radix, x: UltWord, i: int) -> UltWord:
     digits = []  # up to the last nonzero one, where 0^inf takes over
     while v:
         v, digit = divmod(v, d.digit(len(digits)))
-        digits.append(str(digit))
+        digits.append(d.letters[digit])
     return UltWord(digits, ("0",))
 
 
@@ -129,11 +132,13 @@ def prefix_value(d: Radix, t: Word) -> int:
 
 def prefix_of_value(d: Radix, v: int, n: int) -> Word:
     """The n digits of v mod d_0 ... d_{n-1} in the radix d, least
-    significant first: the inverse of prefix_value on length-n strings."""
-    out = []
+    significant first: the inverse of prefix_value on length-n strings,
+    written in the radix's own letters, so a word holds no string of its
+    own."""
+    letters, out = d.letters, []
     for j in range(n):
         v, digit = divmod(v, d.digit(j))
-        out.append(str(digit))
+        out.append(letters[digit])
     return tuple(out)
 
 

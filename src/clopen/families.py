@@ -14,16 +14,17 @@ both from one window of each forest node's base (`ForestNode.windows`, the
 reader `cb rank` shares); `points()` builds the two exact points.
 `edges_at_level(g, n)` interns the alphabet keys of the projections below
 the saturation bound B(n), holding each distinct pair as one int, and
-returns the level quotient on the sorted keys with its integer index, which
-`quotient()` keeps as it is; `first_edges` walks the stream again for the
-points behind chosen pairs.  Stability under enlarging the bound is a
-runtime-checkable property.
+returns the level quotient on the sorted keys, joined into one string, with
+its integer index, which `quotient()` keeps as it is; `first_edges` walks
+the stream again for the points behind chosen pairs.  Stability under
+enlarging the bound is a runtime-checkable property.
 
 Families over an infinite numeral alphabet (`gm`, `gdelta`, `t`) are capped
 at the letters reachable below B(n): their generators hand `_edge` the
 level's alphabet, fixed by B(n) whatever the bound, and an edge with a
-letter outside it has no projections (None).  Their numeral letters come
-from `numerals`, so every word shares the alphabet's letter objects.
+letter outside it has no projections (None).  Numeral letters come from
+`numerals`, and odometer digits from the radix's `letters`, which are the
+same objects, so every word shares the alphabet's letter objects.
 
 `QuotientGraph` is the one finite graph type: a level quotient, an odd
 cycle, a finite core, a complete graph or a graph read from a file, held
@@ -34,6 +35,7 @@ and every graph's vertex pairs are derived on request.
 from __future__ import annotations
 
 import copy
+from itertools import groupby
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .dynamics import (
@@ -61,14 +63,17 @@ class QuotientGraph:
     first-seen order.  Vertex i is ``vertex(i)``.  The graph is its integer
     index: ``index()[i]`` lists the ids of i's out-neighbours, ascending, an
     undirected edge held at both ends and a self-loop once.  `edges_at_level`
-    builds a quotient's index, on its words' sorted `Alphabet.key` strings,
-    and `finite_graph` every other one; the letter tuples of `vertices` and
-    the vertex pairs of `edges` are derived on request."""
+    builds a quotient's index, its rows tuples, on its words' sorted
+    `Alphabet.key` strings, held joined as one string `keys` of `width`
+    characters per word (every level-n word has n letters, or 2n on a
+    two-sided family), and `finite_graph` every other one; the letter
+    tuples of `vertices` and the vertex pairs of `edges` are derived on
+    request."""
 
     def __init__(self, level, vertices, adj, directed, alphabet=None,
-                 source=None, two_sided=False, keys=None):
+                 source=None, two_sided=False, keys=None, width=0):
         self.level = level
-        self._vertices, self._keys = vertices, keys
+        self._vertices, self._keys, self._width = vertices, keys, width
         self._adj = adj
         self.directed = directed
         self.alphabet = alphabet
@@ -79,12 +84,15 @@ class QuotientGraph:
     def vertices(self) -> list:
         """The vertex words, a quotient's keys decoded on first request."""
         if self._keys is not None:
-            self._vertices, self._keys = list(map(self.alphabet.word, self._keys)), None
+            self._vertices, self._keys = list(map(self.vertex, range(len(self._adj)))), None
         return self._vertices
 
     def vertex(self, i: int):
         """Vertex i, decoding only its own key while the words are keys."""
-        return self._vertices[i] if self._keys is None else self.alphabet.word(self._keys[i])
+        if self._keys is None:
+            return self._vertices[i]
+        w = self._width
+        return self.alphabet.word(self._keys[i * w:(i + 1) * w])
 
     @property
     def edges(self) -> list:
@@ -98,7 +106,8 @@ class QuotientGraph:
         if not self.directed:
             return self
         return QuotientGraph(self.level, self._vertices, _symmetric(self._adj), False,
-                             self.alphabet, self.source, self.two_sided, self._keys)
+                             self.alphabet, self.source, self.two_sided, self._keys,
+                             self._width)
 
     def index(self) -> list:
         """The integer index: ``adj[i]`` the ascending ids of i's out-neighbours."""
@@ -253,9 +262,11 @@ def edges_at_level(g: SymbolicGraph, n: int, bound: int | None = None) -> Quotie
 
     Each word's alphabet key is interned as an id when first seen, and each
     distinct pair is held as one int, ``i << 32 | j`` for the ids of its
-    words, an undirected pair once with i <= j.  The keys are sorted once,
-    and the pairs, re-coded by rank and sorted, fill the ascending neighbour
-    lists of the index, an undirected pair at both ends."""
+    words, an undirected pair once with i <= j.  The keys are sorted and
+    joined into the quotient's one key string, and the pairs, re-coded by
+    rank with an undirected pair also swapped and sorted, are cut into the
+    ascending neighbour tuples of the index.  Each table is freed before the
+    next one is built."""
     if n < 0:
         raise FamilyError("level must be >= 0")
     alphabet = g.alphabet_for(n)
@@ -265,19 +276,22 @@ def edges_at_level(g: SymbolicGraph, n: int, bound: int | None = None) -> Quotie
             for (s, t, _) in g.generate(g.saturation(n) if bound is None else bound, n)
             if s is not None}
     keys = sorted(ids)
-    rank = [0] * len(keys)
-    for r, k in enumerate(keys):
-        rank[ids[k]] = r
-    del ids  # each table goes before the next one is built
-    codes = sorted(pack(rank[c >> 32], rank[c & 0xFFFFFFFF]) for c in seen)
+    old = [ids[k] for k in keys]  # the id of each rank
+    del ids
+    adj, rank = [()] * len(keys), [0] * len(keys)
+    keys = "".join(keys)
+    for r, i in enumerate(old):
+        rank[i] = r
+    del old
+    codes = [rank[c >> 32] << 32 | rank[c & 0xFFFFFFFF] for c in seen]
     del seen, rank
-    adj = [[] for _ in keys]
-    for c in codes:  # ascending, so each list is filled in ascending order
-        i, j = c >> 32, c & 0xFFFFFFFF
-        adj[i].append(j)
-        if i != j and not g.directed:
-            adj[j].append(i)
-    return QuotientGraph(n, None, adj, g.directed, alphabet, g.spec, g.two_sided, keys)
+    if not g.directed:  # an undirected pair at both ends, a self-loop once
+        codes += [(c & 0xFFFFFFFF) << 32 | c >> 32 for c in codes if c >> 32 != c & 0xFFFFFFFF]
+    codes.sort()
+    for i, run in groupby(codes, lambda c: c >> 32):
+        adj[i] = tuple(c & 0xFFFFFFFF for c in run)
+    return QuotientGraph(n, None, adj, g.directed, alphabet, g.spec, g.two_sided, keys,
+                         2 * n if g.two_sided else n)
 
 
 def first_edges(g: SymbolicGraph, n: int, pairs: Iterable, bound: int | None = None) -> dict:
@@ -489,7 +503,7 @@ def odometer_block_system(d: Radix) -> BlockSystem:
         block=block,
         # n_l = (d_1 * ... * d_l - 1) / 2, the bound d_0 = 2 left out
         half_lengths=lambda l: (d.period(l + 1) // 2 - 1) // 2,
-        alphabet_base=numerals(d.max_digit()),
+        alphabet_base=list(d.letters),
         # the i-th iterate cut to n digits repeats with period d_0 * ... * d_(n-1)
         period=d.period,
     )
@@ -651,10 +665,7 @@ class OrbitIndexSet:
         # a + ceil((i - a) / b) * b past a
         out += [a if i <= a else a - (a - i) // b * b for (a, b) in self.progressions]
         if self.scheme_levels is not None:
-            l = 0  # the first interval that ends past i, [9 * 3^l, 10 * 3^l)
-            while 10 * 3**l <= i:
-                l += 1
-            l = self.scheme_levels.least_from(l)
+            l = self.scheme_levels.least_from(_interval_past(i))
             if i <= 0 or l is not None:  # 0 is in every scheme set
                 out.append(0 if i <= 0 else max(i, 3 ** (l + 2)))
         return min(out, default=None)
@@ -668,6 +679,15 @@ class OrbitIndexSet:
         if self.scheme_levels is not None:
             parts.append("sa{%s}" % self.scheme_levels.describe())
         return "|".join(parts) if parts else "{}"
+
+
+def _interval_past(i: int) -> int:
+    """The level l of the first scheme interval [9 * 3^l, 10 * 3^l) that
+    ends past i."""
+    l = 0
+    while 10 * 3**l <= i:
+        l += 1
+    return l
 
 
 def parse_index_set(s: str) -> OrbitIndexSet:
@@ -721,7 +741,14 @@ def restricted_orbit_graph(d: Radix, S: OrbitIndexSet) -> SymbolicGraph:
     the value of the n-prefix of x_i, so B(n) need only pass an index of
     every residue S reaches: its finite part, P_n terms of each progression,
     and the scheme intervals up to the first one of 3^l >= P_n indices,
-    which holds every residue; with no such level, up to the last one."""
+    which holds every residue; with no such level, up to the last one.
+
+    The walk below B(n) leaves a scheme interval after P_n consecutive
+    indices: they hold every residue mod P_n, so every later index of the
+    interval repeats a pair whose first edge came earlier, and the level-n
+    pairs and each pair's first edge are those of the whole walk.  A level-0
+    walk, whose edges `color verify` checks a predicate on, keeps every
+    index."""
     alphabet = d.alphabet()
 
     def saturation(n: int) -> int:
@@ -735,14 +762,21 @@ def restricted_orbit_graph(d: Radix, S: OrbitIndexSet) -> SymbolicGraph:
             l = levels.least_from(l + 1) if 3**l < d.period(n) else None
         return out
 
-    def indices(bound: int) -> Iterator[int]:
-        i = S.least_from(0)
+    def indices(bound: int, period: int | None) -> Iterator[int]:
+        i, run = S.least_from(0), 1  # run: the consecutive indices up to i
         while i is not None and i <= bound:
             yield i
-            i = S.least_from(i + 1)
+            nxt = i + 1
+            if period is not None and run >= period:
+                l = _interval_past(i)
+                if 9 * 3**l <= i:  # leave i's interval
+                    nxt = 10 * 3**l
+            j = S.least_from(nxt)
+            run = run + 1 if j == i + 1 else 1
+            i = j
 
     def generate(bound: int, level: int = 0) -> Iterator:
-        return _orbit_edges(d, indices(bound), level)
+        return _orbit_edges(d, indices(bound, d.period(level) if level else None), level)
 
     return SymbolicGraph(
         spec="orbit:d=%s,S=%s" % (format_radix(d), S.describe()),

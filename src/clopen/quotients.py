@@ -29,13 +29,14 @@ def quotient(g: SymbolicGraph, n: int, bound: int | None = None) -> QuotientGrap
 
 def _bfs_two_color(adj):
     """One BFS 2-coloring pass over the integer index `adj` of an undirected
-    graph, neighbour lists ascending.  Returns ``(colors, odd)``:
-    ``colors[i]`` is i's BFS color (0 at the first vertex of each component)
-    and ``odd[i]`` says whether its component is not bipartite."""
-    colors = [-1] * len(adj)
-    odd = [False] * len(adj)
+    graph, neighbour lists ascending.  Returns ``(colors, odd)``, two
+    bytearrays: ``colors[i]`` is i's BFS color (0 at the first vertex of
+    each component) and ``odd[i]`` is 1 when its component is not
+    bipartite."""
+    colors = bytearray(b"\x02") * len(adj)  # 2: not reached yet
+    odd = bytearray(len(adj))
     for seed in range(len(adj)):
-        if colors[seed] >= 0:
+        if colors[seed] < 2:
             continue
         colors[seed] = 0
         component = [seed]
@@ -43,25 +44,25 @@ def _bfs_two_color(adj):
         for u in component:  # appended to while walked: a FIFO queue
             c = 1 - colors[u]
             for v in adj[u]:
-                if colors[v] < 0:
+                if colors[v] == 2:
                     colors[v] = c
                     component.append(v)
                 elif colors[v] != c:
                     bipartite = False
         if not bipartite:
             for u in component:
-                odd[u] = True
+                odd[u] = 1
     return colors, odd
 
 
 def _double_cover_bfs(adj, root: int, limit: int):
-    """``{node: (depth, parent)}`` of a BFS in the bipartite double cover,
-    node ``2 * vertex + side``, from (root, 0) depth by depth; each node
-    keeps the parent that discovered it first, neighbours in list order,
-    and the search stops on discovering (root, 1) or before depth
-    `limit`."""
+    """``{node: depth << 32 | parent}`` of a BFS in the bipartite double
+    cover, node ``2 * vertex + side``, from (root, 0), which maps to 0,
+    depth by depth; each node keeps the parent that discovered it first,
+    neighbours in list order, and the search stops on discovering (root, 1)
+    or before depth `limit`."""
     target = 2 * root + 1
-    seen = {2 * root: (0, None)}
+    seen = {2 * root: 0}
     frontier = [2 * root]
     depth = 1
     while frontier and depth < limit:
@@ -71,7 +72,7 @@ def _double_cover_bfs(adj, root: int, limit: int):
             for v in adj[x >> 1]:
                 y = 2 * v + side
                 if y not in seen:
-                    seen[y] = depth, x
+                    seen[y] = depth << 32 | x
                     if y == target:
                         return seen
                     nxt.append(y)
@@ -133,33 +134,33 @@ def odd_girth_root(adj, colors=None):
                 deg[u] -= 1
                 if deg[u] == 1:
                     leaves.append(u)
-    core = [d >= 2 for d in deg]
+    core = bytearray(d >= 2 for d in deg)
     best = (len(adj) + 1, 0)  # above every shortest odd walk, a simple cycle
-    seen = [False] * len(adj)
+    seen = bytearray(len(adj))
     for seed in range(len(adj)):
         if not core[seed] or seen[seed]:
             continue
-        seen[seed] = True
+        seen[seed] = 1
         component = [seed]
         for u in component:  # appended to while walked
             for v in adj[u]:
                 if core[v] and not seen[v]:
-                    seen[v] = True
+                    seen[v] = 1
                     component.append(v)
         if all(deg[u] == 2 for u in component):
             best = min(best, (len(component), seed))
     for a in [v for v, d in enumerate(deg) if d > 2]:
         dist = _double_cover_bfs(adj, a, best[0] + 1)
         if 2 * a + 1 in dist:
-            best = min(best, (dist[2 * a + 1][0], a))
+            best = min(best, (dist[2 * a + 1] >> 32, a))
         for u in adj[a]:
             chain, prev = [], a
             while deg[u] == 2:
                 chain.append(u)
                 prev, u = u, next(w for w in adj[u] if w != prev and core[w])
             back = dist.get(2 * u + len(chain) % 2)  # parity (L + 1) % 2
-            if chain and back:
-                best = min(best, (len(chain) + 1 + back[0], min(chain)))
+            if chain and back is not None:
+                best = min(best, (len(chain) + 1 + (back >> 32), min(chain)))
     return best if best[0] <= len(adj) else None
 
 
@@ -184,7 +185,7 @@ def odd_closed_walk(q: QuotientGraph, colors=None) -> Optional[OddWalk]:
     dist = _double_cover_bfs(adj, root, length + 1)
     path = [2 * root + 1]
     while path[-1] != 2 * root:
-        path.append(dist[path[-1]][1])
+        path.append(dist[path[-1]] & 0xFFFFFFFF)
     return OddWalk([q.vertex(y >> 1) for y in reversed(path)], q)
 
 

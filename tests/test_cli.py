@@ -275,6 +275,22 @@ def test_one_command_parser_has_no_other_arguments(capsys):
     assert code == 2 and "unrecognized arguments: --source" in err
 
 
+def test_scan_orbit_with_a_long_scheme_interval_finishes():
+    # sa{{0,14}} holds the interval [3^16, 3^16 + 3^14), which each level's
+    # bound passes; the walk leaves it after P_n indices, so the scan takes
+    # a fraction of a second, where walking all 3^14 did not finish level 1
+    # in 20 s
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "clopen.cli", "scan", "--family", "orbit:d=(3)^inf,S=sa{{0,14}}",
+         "--levels", "4", "--format", "json", "--no-timing"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    levels = json.loads(proc.stdout)["levels"]
+    assert [(e["edgeCount"], e["oddGirth"]) for e in levels] == [(3**n, 3**n) for n in range(1, 5)]
+
+
 # the modules perfbench/tracer.py wraps right after `import clopen.cli`
 TRACED_MODULES = ("cli", "words", "dynamics", "families", "quotients", "colorings", "homs",
                   "subshift_lang")

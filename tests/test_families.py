@@ -369,6 +369,21 @@ def test_orbit_walk_jumps_between_indices(monkeypatch):
     assert calls == []
 
 
+def test_orbit_walk_leaves_a_scheme_interval_after_a_period():
+    # sa{{0,20}} is 0, 9 and [3^22, 3^22 + 3^20).  B(3) passes that interval,
+    # and the walk leaves it after P_3 = 27 consecutive indices, which hold
+    # every residue mod 27: the level-3 pairs are the whole cycle's
+    g = parse_family("orbit:d=(3)^inf,S=sa{{0,20}}")
+    assert g.saturation(3) == 3**22 + 3**20
+    assert len(g.generate(g.saturation(3), 3)) == 2 + 27
+    assert pairs(g, 3) == pairs(parse_family("graph-o:d=(3)^inf"), 3)
+    # sa{{0,2}} up to 100 is 0, 9 and 81..89: level 1 leaves [81, 90) after
+    # P_1 = 3 indices, and a level-0 walk keeps every index
+    g = parse_family("orbit:d=(3)^inf,S=sa{{0,2}}")
+    assert len(g.generate(100, 1)) == 2 + 3
+    assert len(g.generate(100, 0)) == 2 + 9
+
+
 @pytest.mark.parametrize("spec", ["graph-o:d=(3)^inf", "gp:d=2,(3)^inf,p=1"])
 def test_level_pairs_build_no_point(monkeypatch, spec):
     # odometer digits and block letters give the pairs: no iterate, no word
@@ -744,7 +759,7 @@ def test_enumeration_matches_golden(key):
 
 
 def test_level_enumeration_holds_only_the_pairs():
-    # the 4054 pairs take about 2 MB; holding every generated edge, or a
+    # the 4054 pairs on 2,220 words; holding every generated edge, or a
     # representative edge per pair, takes over 40 MB
     g = parse_family("gp:d=2,(3)^inf,p=1")
     tracemalloc.start()
@@ -754,7 +769,11 @@ def test_level_enumeration_holds_only_the_pairs():
     finally:
         tracemalloc.stop()
     assert len(lev.pairs) == 4054
-    assert peak < 8_000_000
+    # on CPython 3.11 this peaks at 1.23 MB, with the blocks' digits the
+    # radix's own letters, the key table dropped before ranking and the keys
+    # joined into one string; it peaked at 2.45 MB with a fresh string per
+    # digit.  The bound sits 10% above 1.23 MB.
+    assert peak < 1_350_000
 
 
 def test_level_enumeration_interns_its_words():
@@ -773,14 +792,44 @@ def test_level_enumeration_interns_its_words():
     assert len({id(w) for pair in lev.pairs for w in pair}) == len(lev.vertices)
     letters = lev.alphabet.letters
     assert all(a is letters[lev.alphabet.index(a)] for w in lev.vertices for a in w)
-    # on CPython 3.11, the version CI runs, the second call peaks at 1.05 MB:
-    # the key table, one int per distinct undirected pair and the pairs
-    # re-coded by rank, sorted into the index.  With a letter tuple per word
-    # and each undirected pair held in both directions it peaked at 1.63 MB,
-    # and before that, with a tuple of ints as each word's sort key, a tuple
-    # per pair, a list of word pairs and numerals made by str() per edge, at
-    # 2.11 MB.  The bound sits 10% above 1.05 MB.
-    assert peak < 1_160_000
+    # on CPython 3.11, the version CI runs, the second call peaks at 0.83 MB,
+    # at the end of the stream: the key table and one int per distinct
+    # undirected pair.  The table goes before the ranks are built, the keys
+    # are joined into one string before the pairs are re-coded, and the
+    # index rows are tuples.  It peaked at 1.05 MB with the keys held one
+    # string each and list rows; with a letter tuple per word and each
+    # undirected pair held in both directions at 1.63 MB; and before that,
+    # with a tuple of ints as each word's sort key, a tuple per pair, a list
+    # of word pairs and numerals made by str() per edge, at 2.11 MB.  The
+    # bound sits 10% above 0.83 MB.
+    assert peak < 910_000
+
+
+@pytest.mark.parametrize("spec", [s for spec in ALL_FAMILY_SPECS
+                                  for s in (spec, spec + ":oriented")])
+def test_every_level_word_has_the_level_width(spec):
+    # a quotient holds its words' keys as one string cut at one width: every
+    # level-n projection has n letters, or 2n on a two-sided family
+    g = parse_family(spec)
+    for n in range(6):
+        width = 2 * n if g.two_sided else n
+        words = {w for (s, t, _) in g.generate(g.saturation(n), n) if s is not None
+                 for w in (s, t)}
+        assert {len(w) for w in words} == {width}, (spec, n)
+        q = quotient(g, n)
+        assert set(q.vertices) == words and len(q.vertices) == len(words), (spec, n)
+
+
+@pytest.mark.parametrize("spec", ["gm", "go-plus:d=2,(3)^inf", "gp:d=2,(3)^inf,p=1",
+                                  "graph-o:d=(3)^inf", "orbit:d=(3)^inf,S=sa{{0,2}}|{5}"])
+def test_level_projections_share_the_alphabet_letters(spec):
+    # every letter of every projection the stream writes is one of the
+    # alphabet's own string objects: odometer digits are the radix's letters
+    g = parse_family(spec)
+    for n in range(6):
+        ids = {id(a) for a in g.alphabet_for(n).letters}
+        assert all(id(a) in ids for (s, t, _) in g.generate(g.saturation(n), n)
+                   if s is not None for w in (s, t) for a in w), (spec, n)
 
 
 def former_pairs(g, n):
@@ -822,7 +871,7 @@ def test_quotient_index_matches_the_word_pairs(spec):
         index = [[] for _ in ids]
         for (s, t) in pairs:  # sorted, so each list ascends
             index[ids[s]].append(ids[t])
-        assert q.index() == index, (spec, n)
+        assert q.index() == list(map(tuple, index)), (spec, n)  # a quotient's rows are tuples
         assert q.edges == pairs, (spec, n)
         fresh = quotient(g, n).undirected()
         assert [fresh.vertex(i) for i in range(len(alone))] == fresh.vertices == alone

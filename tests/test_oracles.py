@@ -197,7 +197,9 @@ def check_against_oracles(q):
     assert (None if w is None else w.length) == double_cover_odd_girth(G)
     assert (None if w is None else w.vertices) == all_roots_odd_walk(q)
     adj = adjacency(q.vertices, q.undirected().edges)
-    assert q.undirected().index() == adj  # appended in edge order, never sorted
+    # appended in edge order, never sorted; the rows compared as tuples, which
+    # a quotient's are (a finite graph's are lists)
+    assert list(map(tuple, q.undirected().index())) == list(map(tuple, adj))
     colors, odd = _bfs_two_color(adj)
     assert any(odd) == (not nx.is_bipartite(G))
     index = {v: i for i, v in enumerate(q.vertices)}
