@@ -793,10 +793,10 @@ def test_level_enumeration_interns_its_words():
     letters = lev.alphabet.letters
     assert all(a is letters[lev.alphabet.index(a)] for w in lev.vertices for a in w)
     # on CPython 3.11, the version CI runs, the second call peaks at 0.83 MB,
-    # at the end of the stream: the key table and one int per distinct
-    # undirected pair.  The table goes before the ranks are built, the keys
-    # are joined into one string before the pairs are re-coded, and the
-    # index rows are tuples.  It peaked at 1.05 MB with the keys held one
+    # right after the stream, while the key table and one int per distinct
+    # undirected pair are held.  The table goes before the ranks are built,
+    # the keys are joined into one string before the pairs are re-coded, and
+    # the index rows are tuples.  It peaked at 1.05 MB with the keys held one
     # string each and list rows; with a letter tuple per word and each
     # undirected pair held in both directions at 1.63 MB; and before that,
     # with a tuple of ints as each word's sort key, a tuple per pair, a list
