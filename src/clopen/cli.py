@@ -17,8 +17,9 @@ from . import families as fam
 from . import homs
 from . import quotients as quo
 from . import subshift_lang as sub
-from .dynamics import parse_quadratic
-from .words import BudgetError, format_word, parse_bi, parse_prefix
+from .dynamics import fibonacci_limit_prefix, parse_quadratic
+from .words import (BiWord, BlockWord, BudgetError, UltWord, format_bi, format_ult, format_word,
+                    parse_bi, parse_prefix)
 
 FAMILY_GRAMMAR = (
     "family spec strings: gm | gdelta:delta=(1)^inf | "
@@ -70,11 +71,9 @@ def _finite_graph(spec: str):
 
 def _print_json(payload, no_timing: bool):
     import json  # only --format json reads it
-    if no_timing and isinstance(payload, dict):
-        payload = json.loads(json.dumps(payload))
+    if no_timing:
         for entry in payload.get("levels", []):
             entry.pop("millis", None)
-        payload.pop("millis", None)
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
@@ -136,8 +135,6 @@ def cmd_family_show(args):
 
 
 def _point_str(x) -> str:
-    from .words import BiWord, BlockWord, UltWord, format_bi, format_ult
-
     if isinstance(x, UltWord):
         return format_ult(x)
     if isinstance(x, BiWord):
@@ -219,12 +216,9 @@ def cmd_scan(args):
                     ", odd girth %d" % girth if girth else "",
                 )
             )
-    if args.expect:
-        verdicts = {e["verdict"] for e in report["levels"]}
-        if args.expect == "bipartite":
-            _expect("bipartite", "bipartite" if "bipartite" in verdicts else "odd-walk")
-        else:
-            _expect("odd-walk", "odd-walk" if verdicts == {"odd-walk"} else "bipartite")
+    verdicts = {e["verdict"] for e in report["levels"]}
+    _expect(args.expect, "bipartite" if "bipartite" in verdicts
+            else "odd-walk" if verdicts else "undecided")
     return 0
 
 
@@ -293,9 +287,9 @@ def cmd_color_search(args):
 
 
 def _subshift_spec(args) -> sub.Subshift:
-    if getattr(args, "sturmian", None):
+    if args.sturmian:
         return sub.SturmianSubshift(parse_quadratic(args.sturmian))
-    if getattr(args, "points", None):
+    if args.points:
         pts = [parse_bi(tok) for tok in args.points.split(";") if tok.strip()]
         return sub.FinitePointSet(pts)
     F = _forbidden(args)
@@ -305,9 +299,9 @@ def _subshift_spec(args) -> sub.Subshift:
 
 
 def _forbidden(args):
-    if getattr(args, "fib_p", None) is not None:
+    if args.fib_p is not None:
         return sub.expand_fib_forbidden(_at_least(args, "fib-p", 0))
-    if getattr(args, "forbidden", None):
+    if args.forbidden:
         return sub.ForbiddenSet(args.forbidden.split(","))
     return None
 
@@ -343,8 +337,6 @@ def cmd_subshift_complexity(args):
 
 def cmd_subshift_powerfree(args):
     if args.fib_prefix is not None:
-        from .dynamics import fibonacci_limit_prefix
-
         w = fibonacci_limit_prefix(_at_least(args, "fib-prefix", 0))
     elif args.word:
         w = tuple(args.word)
@@ -447,6 +439,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--bound", type=int, default=None,
                        help="override the enumeration bound")
 
+    def subshift_source(p):
+        p.add_argument("--sturmian")
+        p.add_argument("--points")
+        p.add_argument("--forbidden")
+        p.add_argument("--fib-p", type=int)
+
     parsers = {name: sp.add_parser(name, help=text) for name, text in (
         ("family", "inspect a family"),
         ("quotient", "level-n quotient graph"),
@@ -527,17 +525,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         pm.add_argument("--expect", choices=("member", "non-member"))
         pm.set_defaults(fn=cmd_subshift_member)
         pl = ssp.add_parser("lang")
-        pl.add_argument("--sturmian")
-        pl.add_argument("--points")
-        pl.add_argument("--forbidden")
-        pl.add_argument("--fib-p", type=int)
+        subshift_source(pl)
         pl.add_argument("--n", type=int, required=True)
         pl.set_defaults(fn=cmd_subshift_lang)
         px = ssp.add_parser("complexity")
-        px.add_argument("--sturmian")
-        px.add_argument("--points")
-        px.add_argument("--forbidden")
-        px.add_argument("--fib-p", type=int)
+        subshift_source(px)
         px.add_argument("--nmax", type=int, required=True)
         px.set_defaults(fn=cmd_subshift_complexity)
         pp = ssp.add_parser("powerfree")

@@ -8,47 +8,8 @@ from typing import Callable, Optional
 from .dynamics import Radix, prefix_of_value, prefix_value
 from .families import SymbolicGraph, finite_graph
 from .homs import hom_exists
-from .quotients import QuotientGraph, quotient
+from .quotients import ClopenColoring, ColoringError, QuotientGraph, TotalityError, quotient
 from .words import Alphabet, BudgetError, Word, format_word, parse_prefix
-
-
-class ColoringError(ValueError):
-    pass
-
-
-class TotalityError(ColoringError):
-    """A prefix outside the declared color map was encountered."""
-
-
-class ClopenColoring:
-    """Color map constant on level-L cylinders: a total map from length-L
-    prefixes (windows for two-sided families) to colors 0..k-1."""
-
-    def __init__(self, level: int, colors: int, mapping: dict,
-                 alphabet: Alphabet | None = None, two_sided: bool = False):
-        if colors < 1:
-            raise ColoringError("need at least one color")
-        self.level = level
-        self.colors = colors
-        self.mapping = dict(mapping)
-        self.alphabet = alphabet
-        self.two_sided = two_sided
-        for v, c in self.mapping.items():
-            if not (0 <= c < colors):
-                raise ColoringError("color %r out of range for %r" % (c, v))
-
-    def color_of_prefix(self, s: Word) -> int:
-        key = tuple(s)
-        if key not in self.mapping:
-            raise TotalityError("prefix %r not in the declared map" % (format_word(key),))
-        return self.mapping[key]
-
-    def as_json(self) -> dict:
-        return {
-            "level": self.level,
-            "colors": self.colors,
-            "map": {format_word(v): c for v, c in sorted(self.mapping.items())},
-        }
 
 
 class PredicateColoring:

@@ -48,8 +48,8 @@ from .dynamics import (
     prefix_of_value,
     sturmian_code,
 )
-from .words import (Alphabet, BiWord, BlockWord, UltWord, Word, format_ult, format_word,
-                    numerals, parse_ult)
+from .subshift_lang import rank_block, rank_forest
+from .words import Alphabet, UltWord, Word, format_ult, format_word, numerals, parse_ult
 
 
 class FamilyError(ValueError):
@@ -150,8 +150,7 @@ def _symmetric(adj) -> list:
     return [sorted(a) for a in out]
 
 
-def finite_graph(vertices: Iterable, edges: Iterable, directed: bool = False,
-                 level=None, alphabet=None, source=None, two_sided=False) -> QuotientGraph:
+def finite_graph(vertices: Iterable, edges: Iterable, directed: bool = False) -> QuotientGraph:
     """The graph on `vertices`, in first-seen order, with `edges`; an edge on
     an unknown vertex is an error."""
     ids: dict = {}
@@ -163,7 +162,7 @@ def finite_graph(vertices: Iterable, edges: Iterable, directed: bool = False,
             raise FamilyError("edge (%r, %r) references unknown vertex" % (u, v))
         adj[ids[u]].add(ids[v])
     adj = [sorted(a) for a in adj] if directed else _symmetric(adj)
-    return QuotientGraph(level, list(ids), adj, directed, alphabet, source, two_sided)
+    return QuotientGraph(None, list(ids), adj, directed)
 
 
 def odd_cycle(p: int) -> QuotientGraph:
@@ -792,43 +791,6 @@ def restricted_orbit_graph(d: Radix, S: OrbitIndexSet) -> SymbolicGraph:
 # two-sided subshift families
 
 
-def _rank_block(m: int, j: int) -> Word:
-    """Level-m block j: level 0 blocks are all 01; at level m+1 block 0 is 11
-    and block j+1 is (01)^(j+1) 11 followed by the level-m blocks 0..j+1."""
-    if m == 0:
-        return ("0", "1")
-    if j == 0:
-        return ("1", "1")
-    out = ("0", "1") * j + ("1", "1")
-    for k in range(j + 1):
-        out += _rank_block(m - 1, k)
-    return out
-
-
-def rank_point_alpha(m: int) -> BiWord | BlockWord:
-    """(01)-periodic to the left; 11 then the level-(m-1) blocks to the right."""
-    if m == 0:
-        return BiWord(("0", "1"), (), ("0", "1"))
-    if m == 1:
-        return BiWord(("0", "1"), ("1", "1"), ("0", "1"))
-    return BlockWord(
-        ("0", "1"),
-        lambda j: ("1", "1") if j == 0 else _rank_block(m - 1, j - 1),
-        start=0,
-    )
-
-
-def rank_point_beta(m: int) -> BiWord | BlockWord:
-    """Like alpha_{m+1} but with a single 1 before the block stream."""
-    if m == 0:
-        return BiWord(("0", "1"), ("1",), ("0", "1"))
-    return BlockWord(
-        ("0", "1"),
-        lambda j: ("1",) if j == 0 else _rank_block(m, j - 1),
-        start=0,
-    )
-
-
 def _shift_graph(spec: str, forest, saturation: Callable[[int], int],
                  point_set: str) -> SymbolicGraph:
     """Graph of the shift on the orbits of a declared forest: an edge joins
@@ -860,8 +822,6 @@ def _shift_graph(spec: str, forest, saturation: Callable[[int], int],
 def k0_graph() -> SymbolicGraph:
     """Graph of the shift on the union of the 2-periodic orbit and the orbit
     of the word with a single doubled letter: the forest rank_forest(0)."""
-    from .subshift_lang import rank_forest
-
     return _shift_graph("k0", rank_forest(0), lambda n: 2 * n + 4,
                         "two shift orbits in {0,1}^Z")
 
@@ -869,8 +829,6 @@ def k0_graph() -> SymbolicGraph:
 def rank_subshift(n: int) -> SymbolicGraph:
     """Countable subshift of rank n+2: orbits of alpha_0..alpha_n and beta_n,
     the forest rank_forest(n)."""
-    from .subshift_lang import rank_forest
-
     if not (0 <= n <= 4):
         raise FamilyError("rank parameter must be between 0 and 4")
 
@@ -879,7 +837,7 @@ def rank_subshift(n: int) -> SymbolicGraph:
         # stream repeats all narrow patterns within the first few blocks
         pos = 2
         for j in range(2 * level + 5):
-            pos += len(_rank_block(max(n, 1), j))
+            pos += len(rank_block(max(n, 1), j))
         return pos + 2 * level
 
     return _shift_graph("rank-subshift:n=%d" % n, rank_forest(n), saturation,

@@ -11,6 +11,9 @@ statement survives, and reports say so.
 
 A quotient is a `families.QuotientGraph`, the one finite graph type, and the
 walk machinery reads only its integer index, so it serves any finite graph.
+`ClopenColoring`, the color map a bipartite level yields, is defined here
+beside the decision that builds it; `colorings` builds, searches and
+verifies the others.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import time
 from typing import Optional
 
 from .families import QuotientGraph, SymbolicGraph, edges_at_level
+from .words import Alphabet, Word, format_word
 
 
 def quotient(g: SymbolicGraph, n: int, bound: int | None = None) -> QuotientGraph:
@@ -189,6 +193,45 @@ def odd_closed_walk(q: QuotientGraph, colors=None) -> Optional[OddWalk]:
     return OddWalk([q.vertex(y >> 1) for y in reversed(path)], q)
 
 
+class ColoringError(ValueError):
+    pass
+
+
+class TotalityError(ColoringError):
+    """A prefix outside the declared color map was encountered."""
+
+
+class ClopenColoring:
+    """Color map constant on level-L cylinders: a total map from length-L
+    prefixes (windows for two-sided families) to colors 0..k-1."""
+
+    def __init__(self, level: int, colors: int, mapping: dict,
+                 alphabet: Alphabet | None = None, two_sided: bool = False):
+        if colors < 1:
+            raise ColoringError("need at least one color")
+        self.level = level
+        self.colors = colors
+        self.mapping = dict(mapping)
+        self.alphabet = alphabet
+        self.two_sided = two_sided
+        for v, c in self.mapping.items():
+            if not (0 <= c < colors):
+                raise ColoringError("color %r out of range for %r" % (c, v))
+
+    def color_of_prefix(self, s: Word) -> int:
+        key = tuple(s)
+        if key not in self.mapping:
+            raise TotalityError("prefix %r not in the declared map" % (format_word(key),))
+        return self.mapping[key]
+
+    def as_json(self) -> dict:
+        return {
+            "level": self.level,
+            "colors": self.colors,
+            "map": {format_word(v): c for v, c in sorted(self.mapping.items())},
+        }
+
+
 class Bipartite:
     """Verdict: the quotient is 2-colorable; carries the pulled-back clopen
     coloring at this level and the undirected quotient it colors."""
@@ -222,8 +265,6 @@ class OddWalk:
 
 def decide_level(g: SymbolicGraph, n: int):
     """Bipartite(level-n clopen 2-coloring) or a shortest OddWalk."""
-    from .colorings import ClopenColoring
-
     q = quotient(g, n).undirected()
     colors = []  # the walk search's coloring pass, reused when bipartite
     walk = odd_closed_walk(q, colors)

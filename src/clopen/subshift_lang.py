@@ -15,7 +15,7 @@ from .dynamics import (
     periodic_point_period,
     sturmian_code,
 )
-from .words import BiWord, BudgetError, Word, as_word, format_word
+from .words import BiWord, BlockWord, BudgetError, Word, as_word, format_word, parse_bi
 
 
 class SubshiftError(ValueError):
@@ -423,10 +423,45 @@ def _probe_span(node: ForestNode, D: int) -> int:
 # built-in forests and the forest file format
 
 
+def rank_block(m: int, j: int) -> Word:
+    """Level-m block j: level 0 blocks are all 01; at level m+1 block 0 is 11
+    and block j+1 is (01)^(j+1) 11 followed by the level-m blocks 0..j+1."""
+    if m == 0:
+        return ("0", "1")
+    if j == 0:
+        return ("1", "1")
+    out = ("0", "1") * j + ("1", "1")
+    for k in range(j + 1):
+        out += rank_block(m - 1, k)
+    return out
+
+
+def rank_point_alpha(m: int) -> BiWord | BlockWord:
+    """(01)-periodic to the left; 11 then the level-(m-1) blocks to the right."""
+    if m == 0:
+        return BiWord(("0", "1"), (), ("0", "1"))
+    if m == 1:
+        return BiWord(("0", "1"), ("1", "1"), ("0", "1"))
+    return BlockWord(
+        ("0", "1"),
+        lambda j: ("1", "1") if j == 0 else rank_block(m - 1, j - 1),
+        start=0,
+    )
+
+
+def rank_point_beta(m: int) -> BiWord | BlockWord:
+    """Like alpha_{m+1} but with a single 1 before the block stream."""
+    if m == 0:
+        return BiWord(("0", "1"), ("1",), ("0", "1"))
+    return BlockWord(
+        ("0", "1"),
+        lambda j: ("1",) if j == 0 else rank_block(m, j - 1),
+        start=0,
+    )
+
+
 def rank_forest(n: int) -> LimitForest:
     """The chain alpha_0 <- alpha_1 <- ... <- alpha_n <- beta_n."""
-    from .families import rank_point_alpha, rank_point_beta
-
     nodes = []
     for m in range(n + 1):
         nodes.append(
@@ -443,8 +478,6 @@ def rank_forest(n: int) -> LimitForest:
 def forest_from_text(text: str) -> LimitForest:
     """Lines `node <id> orbit=<biword> parent=<id|root>`; the orbit of the
     given base point is finite exactly when the point is shift-periodic."""
-    from .words import parse_bi
-
     nodes = []
     for ln in text.splitlines():
         ln = ln.strip()

@@ -350,6 +350,14 @@ def test_scan_budget_flag(capsys):
     assert code == 0 and "partial" in err + out
 
 
+@pytest.mark.parametrize("family, expected", [("gm", "odd-walk"),
+                                              ("graph-o:d=3,4,(3)^inf", "bipartite")])
+def test_scan_expectation_when_no_level_was_decided(capsys, family, expected):
+    code, _, err = run(capsys, "scan", "--family", family, "--levels", "3",
+                       "--budget-ms", "0", "--expect", expected)
+    assert code == 1 and err.endswith("MISMATCH: expected %s, got undecided\n" % expected)
+
+
 def test_two_sided_coloring_file_roundtrip(tmp_path, capsys):
     colf = tmp_path / "k0c.txt"
     code, _, _ = run(capsys, "color", "search", "--family", "k0", "--level",

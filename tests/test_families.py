@@ -222,7 +222,7 @@ def test_k0_edge_between_the_periodic_points():
 
 
 def test_rank_subshift_alpha1_matches_closed_form():
-    from clopen.families import rank_point_alpha, rank_point_beta
+    from clopen.subshift_lang import rank_point_alpha, rank_point_beta
     from clopen.words import parse_bi
 
     a1 = rank_point_alpha(1)
@@ -235,15 +235,15 @@ def test_rank_subshift_alpha1_matches_closed_form():
 
 
 def test_rank_subshift_block_words():
-    from clopen.families import _rank_block
+    from clopen.subshift_lang import rank_block
 
-    assert _rank_block(0, 5) == ("0", "1")
-    assert _rank_block(1, 0) == ("1", "1")
+    assert rank_block(0, 5) == ("0", "1")
+    assert rank_block(1, 0) == ("1", "1")
     # level-1 block 1 = 01 11 01 01
-    assert _rank_block(1, 1) == tuple("01110101")
+    assert rank_block(1, 1) == tuple("01110101")
     # blocks start and end with the alternating pattern of their index
     for j in (2, 3):
-        w = _rank_block(1, j)
+        w = rank_block(1, j)
         assert w[: 2 * j] == ("0", "1") * j
 
 

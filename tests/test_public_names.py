@@ -6,9 +6,12 @@ function, class or constant counts as called when some module of
 `src/clopen` or `tests/test_acceptance.py` loads it (a name or attribute
 load) or imports it by name, outside its own definition.  `__init__.py`
 re-exports names and does not count as a caller.
+
+The modules import each other in one order, at their top level only.
 """
 
 import ast
+import graphlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,3 +60,32 @@ def uncalled_names():
 
 def test_every_public_name_has_a_caller():
     assert sorted(uncalled_names()) == []
+
+
+def clopen_modules(node):
+    """The modules of `clopen` that an import statement names."""
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[1] for a in node.names if a.name.startswith("clopen.")]
+    if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "clopen"):
+        module = (node.module or "").removeprefix("clopen").lstrip(".")
+        return [module.split(".")[0]] if module else [a.name for a in node.names]
+    return []
+
+
+def test_modules_import_each_other_at_top_level_without_a_cycle():
+    """Every import of a `clopen` module sits outside any function, and
+    those imports order the modules: no module imports, through others,
+    a module that imports it."""
+    graph, in_functions = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        nested = {id(node) for f in ast.walk(tree)
+                  if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(f)}
+        imports = [(node, clopen_modules(node)) for node in ast.walk(tree)]
+        in_functions += ["%s:%d" % (path.name, node.lineno) for node, modules in imports
+                         if modules and id(node) in nested]
+        graph[path.stem] = {m for node, modules in imports if id(node) not in nested
+                            for m in modules}
+    assert in_functions == []
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle

@@ -72,16 +72,11 @@ def test_quotient_examples():
 
 def test_walk_on_triangle_and_square():
     from clopen.families import finite_graph
-    from clopen.words import Alphabet
 
-    ab = Alphabet(["0", "1", "2", "3"])
     tri = finite_graph(
         [("0",), ("1",), ("2",)],
         [(("0",), ("1",)), (("1",), ("0",)), (("1",), ("2",)),
          (("2",), ("1",)), (("2",), ("0",)), (("0",), ("2",))],
-        False,
-        1,
-        ab,
     )
     w = odd_closed_walk(tri)
     assert w is not None and w.length == 3 and w.vertices[0] == w.vertices[-1]
@@ -89,7 +84,7 @@ def test_walk_on_triangle_and_square():
     for i in range(4):
         square_edges += [((str(i),), (str((i + 1) % 4),)),
                          ((str((i + 1) % 4),), (str(i),))]
-    sq = finite_graph([(str(i),) for i in range(4)], square_edges, False, 1, ab)
+    sq = finite_graph([(str(i),) for i in range(4)], square_edges)
     assert odd_closed_walk(sq) is None
 
 

@@ -8,7 +8,6 @@ from clopen.dynamics import (
     fibonacci_word,
     parse_quadratic,
 )
-from clopen.families import rank_point_alpha, rank_point_beta
 from clopen.subshift_lang import (
     FinitePointSet,
     ForbiddenSet,
@@ -24,6 +23,8 @@ from clopen.subshift_lang import (
     member,
     power_free_check,
     rank_forest,
+    rank_point_alpha,
+    rank_point_beta,
 )
 from clopen.words import BiWord, BudgetError, parse_bi
 
