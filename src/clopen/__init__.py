@@ -36,7 +36,6 @@ from .families import (
 from .quotients import decide_level, odd_closed_walk, quotient, scan
 from .colorings import (
     ClopenColoring,
-    PredicateColoring,
     parity_coloring,
     return_parity_coloring,
     return_time,

@@ -377,14 +377,14 @@ def cmd_cb_rank(args):
 def cmd_hom(args):
     G = _finite_graph(args.source)
     H = _finite_graph(args.target)
-    w = homs.hom_exists(G, H, injective=args.injective)
-    if w is None:
+    mapping = homs.hom_exists(G, H, injective=args.injective)
+    if mapping is None:
         print("absent: exhaustive search found no homomorphism")
         _expect(args.expect, "absent")
     else:
         print("found:")
         for u in G.vertices:
-            print("  %s -> %s" % (G.label(u), H.label(w.mapping[u])))
+            print("  %s -> %s" % (G.label(u), H.label(mapping[u])))
         _expect(args.expect, "found")
     return 0
 

@@ -9,18 +9,7 @@ from .dynamics import Radix, prefix_of_value, prefix_value
 from .families import SymbolicGraph, finite_graph
 from .homs import hom_exists
 from .quotients import ClopenColoring, ColoringError, QuotientGraph, TotalityError, quotient
-from .words import Alphabet, BudgetError, Word, format_word, parse_prefix
-
-
-class PredicateColoring:
-    """Decision procedure on points; verification against a family is a
-    bounded edge sweep (sound but partial)."""
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-
-    def color_of_point(self, x) -> int:
-        return self.fn(x)
+from .words import Alphabet, BudgetError, UltWord, Word, format_word, parse_prefix
 
 
 class Violation:
@@ -41,9 +30,6 @@ class VerifyResult:
         self.checked = checked
         self.bound = bound
 
-    def __bool__(self):
-        return self.ok
-
     def describe(self) -> str:
         mode = "complete" if self.complete else "bounded sweep"
         if self.ok:
@@ -56,9 +42,9 @@ def verify_coloring(g: SymbolicGraph, c, bound: int) -> VerifyResult:
 
     A ClopenColoring at level L is checked on the level max(L, bound)
     quotient, which is complete: the coloring is proper on the whole graph iff
-    no quotient edge is monochromatic.  A PredicateColoring is checked on the
-    generated edges with parameters up to `bound` only, and the result says
-    so."""
+    no quotient edge is monochromatic.  A predicate coloring, a function from
+    points to colors, is checked on the level-0 stream of edges with
+    parameters up to `bound` only, and the result says so."""
     if isinstance(c, ClopenColoring):
         n = max(c.level, bound)
         q = quotient(g, n).undirected()
@@ -74,7 +60,7 @@ def verify_coloring(g: SymbolicGraph, c, bound: int) -> VerifyResult:
     count = 0
     for (_, _, points) in g.generate(bound):
         x, y = points()
-        cx, cy = c.color_of_point(x), c.color_of_point(y)
+        cx, cy = c(x), c(y)
         count += 1
         if cx == cy:
             return VerifyResult(False, Violation((x, y), (cx, cy)), False, count, bound)
@@ -134,7 +120,7 @@ def three_coloring_beta(g: SymbolicGraph) -> ClopenColoring:
                           alphabet=g.alphabet_for(1))
 
 
-def t_coloring() -> PredicateColoring:
+def t_coloring() -> Callable[[UltWord], int]:
     """The clopen 2-coloring of the Baire-space family: class 1 holds the
     points starting with 0 and the cylinders (2k+2)(j+1)0^{k+1}."""
 
@@ -157,7 +143,7 @@ def t_coloring() -> PredicateColoring:
                     return 1
         return 0
 
-    return PredicateColoring(fn)
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +171,10 @@ def search_coloring(q: QuotientGraph, k: int) -> Optional[ClopenColoring]:
     if len(q.index()) > 10**5:
         raise BudgetError("quotient too large for exhaustive search")
     q = q.undirected()
-    w = hom_exists(q, finite_graph(range(k), [(i, j) for i in range(k) for j in range(i)]))
-    if w is None:
+    mapping = hom_exists(q, finite_graph(range(k), [(i, j) for i in range(k) for j in range(i)]))
+    if mapping is None:
         return None
-    return ClopenColoring(level=q.level, colors=k, mapping=w.mapping,
+    return ClopenColoring(level=q.level, colors=k, mapping=mapping,
                           alphabet=q.alphabet, two_sided=q.two_sided)
 
 

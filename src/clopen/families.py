@@ -64,16 +64,15 @@ class QuotientGraph:
     index: ``index()[i]`` lists the ids of i's out-neighbours, ascending, an
     undirected edge held at both ends and a self-loop once.  `edges_at_level`
     builds a quotient's index, its rows tuples, on its words' sorted
-    `Alphabet.key` strings, held joined as one string `keys` of `width`
-    characters per word (every level-n word has n letters, or 2n on a
-    two-sided family), and `finite_graph` every other one; the letter
-    tuples of `vertices` and the vertex pairs of `edges` are derived on
-    request."""
+    `Alphabet.key` strings, held joined as one string `keys` of n characters
+    per word, 2n on a two-sided family, and `finite_graph` every other one;
+    the letter tuples of `vertices` and the vertex pairs of `edges` are
+    derived on request."""
 
     def __init__(self, level, vertices, adj, directed, alphabet=None,
-                 source=None, two_sided=False, keys=None, width=0):
+                 source=None, two_sided=False, keys=None):
         self.level = level
-        self._vertices, self._keys, self._width = vertices, keys, width
+        self._vertices, self._keys = vertices, keys
         self._adj = adj
         self.directed = directed
         self.alphabet = alphabet
@@ -91,13 +90,14 @@ class QuotientGraph:
         """Vertex i, decoding only its own key while the words are keys."""
         if self._keys is None:
             return self._vertices[i]
-        w = self._width
+        w = 2 * self.level if self.two_sided else self.level
         return self.alphabet.word(self._keys[i * w:(i + 1) * w])
 
     @property
     def edges(self) -> list:
         """The edges as vertex pairs, sorted by the ids of their ends."""
-        return self.distinct_edges(both=True)
+        vs = self.vertices
+        return [(vs[i], vs[j]) for i, a in enumerate(self._adj) for j in a]
 
     pairs = edges  # a level quotient's pairs, as `edges_at_level`'s callers name them
 
@@ -106,8 +106,7 @@ class QuotientGraph:
         if not self.directed:
             return self
         return QuotientGraph(self.level, self._vertices, _symmetric(self._adj), False,
-                             self.alphabet, self.source, self.two_sided, self._keys,
-                             self._width)
+                             self.alphabet, self.source, self.two_sided, self._keys)
 
     def index(self) -> list:
         """The integer index: ``adj[i]`` the ascending ids of i's out-neighbours."""
@@ -134,11 +133,11 @@ class QuotientGraph:
                  + format_word(v[mid:], self.alphabet))
         return s if s else "<empty>"
 
-    def distinct_edges(self, both: bool = False) -> list:
-        """The edges, an undirected one once from its lower id unless `both`."""
+    def distinct_edges(self) -> list:
+        """The edges, an undirected one once from its lower id."""
         vs = self.vertices
         return [(vs[i], vs[j]) for i, a in enumerate(self._adj) for j in a
-                if both or self.directed or i <= j]
+                if self.directed or i <= j]
 
 
 def _symmetric(adj) -> list:
@@ -202,6 +201,12 @@ class SymbolicGraph:
     spaces), or BiWords/BlockWords (two-sided subshifts), in which case level
     n reads the symmetric window [-n, n).
 
+    A family may cut its walk to the edges a level-n projection can tell
+    apart, but only for n >= 1.  At level 0 it yields every edge with
+    parameters up to `bound`, since a predicate sweep (`verify_coloring`)
+    checks each edge's points there; level 0 has the single pair ((), ()),
+    whose first edge is the walk's first either way.
+
     A two-sided family carries its `forest`, the LimitForest whose orbits
     it walks and whose Cantor-Bendixson rank `cb rank` verifies; a block
     family carries its BlockSystem as `system`.
@@ -213,7 +218,6 @@ class SymbolicGraph:
         alphabet_for: Callable[[int], Alphabet],
         generate: Callable[[int, int], Iterator],
         saturation: Callable[[int], int],
-        directed: bool = False,
         forest=None,
         compact: bool = True,
         point_set: str = "",
@@ -224,7 +228,7 @@ class SymbolicGraph:
         self.alphabet_for = alphabet_for
         self._generate = generate
         self.saturation = saturation
-        self.directed = directed
+        self.directed = False  # `with_direction` sets it
         self.forest = forest
         self.compact = compact
         self.point_set = point_set
@@ -289,8 +293,7 @@ def edges_at_level(g: SymbolicGraph, n: int, bound: int | None = None) -> Quotie
     codes.sort()
     for i, run in groupby(codes, lambda c: c >> 32):
         adj[i] = tuple(c & 0xFFFFFFFF for c in run)
-    return QuotientGraph(n, None, adj, g.directed, alphabet, g.spec, g.two_sided, keys,
-                         2 * n if g.two_sided else n)
+    return QuotientGraph(n, None, adj, g.directed, alphabet, g.spec, g.two_sided, keys)
 
 
 def first_edges(g: SymbolicGraph, n: int, pairs: Iterable, bound: int | None = None) -> dict:
@@ -346,18 +349,18 @@ def gm() -> SymbolicGraph:
     the space is not compact (numeral letters are unbounded).
 
     `generate(bound, level)` walks the run length j + 1 only up to
-    max(n - 1, 1), where n = level.  The cut is exact: for j >= n - 2 every point of every clause
+    max(n - 1, 1), where n = level >= 1.  The cut is exact: for j >= n - 2 every point of every clause
     has the same n-prefix as at j = n - 2 with the same k and i, and the j
     loop is outside the i loop, so each skipped edge repeats a pair that an
     earlier edge already gave; the level-n pairs and each pair's first edge
     are unchanged."""
 
-    def generate(bound: int, level: int = 0) -> Iterator:
+    def generate(bound: int, level: int) -> Iterator:
         cap = set(_gm_alphabet(level).letters)
         num = numerals(2 * bound + 2)
         for k in range(bound + 1):
             K = num[k]
-            for j in range(min(bound, max(level - 2, 0)) + 1):
+            for j in range(min(bound, max(level - 2, 0) if level else bound) + 1):
                 yield _edge(level, (_c(k + 1), "a", j + 1, "abar"), ((K,), "0", j + 1, "abar"),
                             cap)
                 for i in range(2 * k + 1):
@@ -382,7 +385,7 @@ def gdelta(delta: UltWord) -> SymbolicGraph:
     if not delta.letters_used() <= {"0", "1"}:
         raise FamilyError("delta must be a 0/1 word")
 
-    def generate(bound: int, level: int = 0) -> Iterator:
+    def generate(bound: int, level: int) -> Iterator:
         cap = set(_gm_alphabet(level).letters)
         num = numerals(2 * bound + 2)
         for k in range(bound + 1):
@@ -420,7 +423,7 @@ def t_graph() -> SymbolicGraph:
     def saturation(n: int) -> int:
         return 2 * (n + 2) + 2
 
-    def generate(bound: int, level: int = 0) -> Iterator:
+    def generate(bound: int, level: int) -> Iterator:
         cap = set(alphabet_for(level).letters)
         num = numerals(2 * bound + 3)
         for k in range(bound + 1):
@@ -538,7 +541,7 @@ def graph_from_system(system: BlockSystem, spec: str,
     every block, so that the closure carries a cycle of length 2 n_p + 3.
 
     `generate(bound, level)` walks each chain only as far as an n-letter
-    prefix (n = level) can see.  The cuts are exact: every edge they skip
+    prefix (n = level >= 1) can see.  The cuts are exact: every edge they skip
     projects onto a pair that an edge emitted earlier gave, so the level-n
     pairs and each pair's first edge are those of the full walk.
 
@@ -562,18 +565,20 @@ def graph_from_system(system: BlockSystem, spec: str,
     first = chain or 0
     alphabet = Alphabet(system.alphabet_base + ["c", "a", "abar"] + (["d"] if marked else []))
 
-    def generate(bound: int, level: int = 0) -> Iterator:
+    def generate(bound: int, level: int) -> Iterator:
         markers = [("d",) * (j + 1) for j in range(bound + 1)] if marked else [()]
         for l in range(first, first + bound + 1):
             lam = system.width(l)
-            if system.period is not None:
+            if not level:
+                middle = range(lam - 1)
+            elif system.period is not None:
                 middle = range(min(lam - 1, system.period(level) + level + 1))
             else:
                 middle = range(system.width(l - 1) - 1 if first < l and level <= l else 0,
                                lam - 1)
             # each block once per level, shared by every marker
             s = {i: system.block(l, i) for i in {0, *middle, middle.stop, lam - 1}}
-            for D in markers[: max(level - l - 1, 1)]:
+            for D in markers[: max(level - l - 1, 1) if level else None]:
                 yield _edge(level, (_c(l + 1) + D, "a", 1, "abar"), (s[0] + D, "abar", 1, "a"))
                 for i in middle:
                     yield _edge(level, (s[i] + D, "a", i + 1, "abar"),
@@ -629,7 +634,7 @@ def go_graph(d: Radix) -> SymbolicGraph:
     pair of edge i depends only on i mod P_n, and P_B(n) >= P_n."""
     alphabet = d.alphabet()
 
-    def generate(bound: int, level: int = 0) -> Iterator:
+    def generate(bound: int, level: int) -> Iterator:
         return _orbit_edges(d, range(d.period(bound)), level)
 
     return SymbolicGraph(
@@ -746,8 +751,7 @@ def restricted_orbit_graph(d: Radix, S: OrbitIndexSet) -> SymbolicGraph:
     indices: they hold every residue mod P_n, so every later index of the
     interval repeats a pair whose first edge came earlier, and the level-n
     pairs and each pair's first edge are those of the whole walk.  A level-0
-    walk, whose edges `color verify` checks a predicate on, keeps every
-    index."""
+    walk keeps every index, see `SymbolicGraph`."""
     alphabet = d.alphabet()
 
     def saturation(n: int) -> int:
@@ -774,7 +778,7 @@ def restricted_orbit_graph(d: Radix, S: OrbitIndexSet) -> SymbolicGraph:
             run = run + 1 if j == i + 1 else 1
             i = j
 
-    def generate(bound: int, level: int = 0) -> Iterator:
+    def generate(bound: int, level: int) -> Iterator:
         return _orbit_edges(d, indices(bound, d.period(level) if level else None), level)
 
     return SymbolicGraph(
@@ -802,7 +806,7 @@ def _shift_graph(spec: str, forest, saturation: Callable[[int], int],
     builds the two shifted points."""
     alphabet = Alphabet(["0", "1"])
 
-    def generate(bound: int, level: int = 0) -> Iterator:
+    def generate(bound: int, level: int) -> Iterator:
         for node in forest.nodes.values():
             base = node.base
             for k, w in zip(node.shifts(bound), node.windows(bound, -level, level + 1)):
@@ -896,7 +900,7 @@ def ka_graph(A: Sequence[int]) -> SymbolicGraph:
                     t = blocks[(j + 1) % len(blocks)] if e == 3 else s  # 3 moves to the next block
                     yield ((E,) * (a + 2) + (F,) + s, num[2]), ((F,) * (a + 2) + (G,) + t, num[2])
 
-    def generate(bound: int, level: int = 0) -> Iterator:
+    def generate(bound: int, level: int) -> Iterator:
         for (h, c), (k, d) in clauses(bound):
             yield _edge(level, (h, c, 0, c), (k, d, 0, d))
 
@@ -975,7 +979,7 @@ def parse_family(spec: str) -> SymbolicGraph:
     return with_direction(g, True) if oriented else g
 
 
-def _parse_args(argstr: str, usage: str = "") -> dict:
+def _parse_args(argstr: str, usage: str) -> dict:
     """key=value pairs separated by commas, where values may contain commas
     (a new key starts only at `name=`); text before any key is a `usage` error."""
     args: dict[str, str] = {}

@@ -12,26 +12,11 @@ from .quotients import odd_girth_root, quotient
 from .words import BudgetError
 
 
-class HomWitness:
-    """Vertex map sending every source edge to a target edge."""
-
-    def __init__(self, mapping: dict, injective: bool):
-        self.mapping = dict(mapping)
-        self.injective = injective
-
-    def check(self, G: QuotientGraph, H: QuotientGraph) -> bool:
-        if set(self.mapping) != set(G.vertices):
-            return False
-        if self.injective and len(set(self.mapping.values())) != len(self.mapping):
-            return False
-        edges = set(H.edges)
-        return all((self.mapping[u], self.mapping[v]) in edges for (u, v) in G.edges)
-
-
 def hom_exists(G: QuotientGraph, H: QuotientGraph, injective: bool = False
-               ) -> Optional[HomWitness]:
+               ) -> Optional[dict]:
     """Backtracking search with forward checking over the integer indexes of
-    G and H; returns a witness or None as an absence certificate.
+    G and H; returns the witness, a map from G's vertices to H's that sends
+    every edge to an edge, or None as an absence certificate.
 
     Two checks decide absence before any search.  When G and H are both
     undirected, a hom maps every odd closed walk of G onto an odd closed
@@ -71,7 +56,7 @@ def hom_exists(G: QuotientGraph, H: QuotientGraph, injective: bool = False
         return None
     if len(g_adj) * len(h_adj) > 10**6:
         raise BudgetError("source x target size exceeds the search budget")
-    und = G.undirected().index() if G.directed else g_adj
+    und = G.undirected().index()
     order = []
     placed = [False] * len(g_adj)
     for seed in sorted(range(len(g_adj)), key=lambda v: (-len(g_adj[v]), v)):
@@ -129,7 +114,7 @@ def hom_exists(G: QuotientGraph, H: QuotientGraph, injective: bool = False
             depth += 1
     if depth < 0:
         return None
-    return HomWitness(dict(zip(G.vertices, (H.vertices[w] for w in assign))), injective)
+    return dict(zip(G.vertices, (H.vertices[w] for w in assign)))
 
 
 def cycle_spectrum(G: QuotientGraph, max_len: int = 64) -> set:
@@ -140,7 +125,7 @@ def cycle_spectrum(G: QuotientGraph, max_len: int = 64) -> set:
     scanned more than 10^7 neighbours: K_9 takes 1.0 M, K_10 10.0 M."""
     if max_len > 64:
         raise BudgetError("cycle length cap exceeds the search budget")
-    adj = (G.undirected() if G.directed else G).index()
+    adj = G.undirected().index()
     lengths: set = set()
     scans = 0
 

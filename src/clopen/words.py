@@ -26,11 +26,6 @@ class BudgetError(RuntimeError):
     """A search or enumeration would exceed its fixed size budget."""
 
 
-def as_word(letters) -> Word:
-    """Coerce a string (one letter per character) or iterable to a word."""
-    return tuple(letters)
-
-
 def primitive_root(w: Word) -> Word:
     """Shortest u with w == u * k."""
     n = len(w)
@@ -40,13 +35,12 @@ def primitive_root(w: Word) -> Word:
     return w
 
 
-def _rot_left(w: Word, k: int = 1) -> Word:
-    k %= len(w)
-    return w[k:] + w[:k]
+def _rot_left(w: Word) -> Word:
+    return w[1:] + w[:1]
 
 
-def _rot_right(w: Word, k: int = 1) -> Word:
-    return _rot_left(w, len(w) - (k % len(w)))
+def _rot_right(w: Word) -> Word:
+    return w[-1:] + w[:-1]
 
 
 def _cyclic(cycle: Word, offset: int, n: int) -> Word:
@@ -68,14 +62,8 @@ class Alphabet:
             raise WordError("alphabet has duplicate letters")
         self._code = {a: chr(i) for i, a in enumerate(self.letters)}
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
     def __iter__(self) -> Iterator[Letter]:
         return iter(self.letters)
-
-    def index(self, letter: Letter) -> int:
-        return ord(self.key((letter,)))
 
     def key(self, word: Sequence[Letter]) -> str:
         """Sort key for words, by letter order: one character per letter,
@@ -115,8 +103,8 @@ class UltWord:
     __slots__ = ("head", "cycle")
 
     def __init__(self, head, cycle):
-        head = list(as_word(head))
-        cycle = primitive_root(as_word(cycle))
+        head = list(head)
+        cycle = primitive_root(tuple(cycle))
         if not cycle:
             raise WordError("cycle must be nonempty")
         while head and head[-1] == cycle[-1]:
@@ -141,16 +129,6 @@ class UltWord:
         if i < len(self.head):
             return self.head[i]
         return self.cycle[(i - len(self.head)) % len(self.cycle)]
-
-    def prefix(self, n: int) -> Word:
-        """The first n letters."""
-        if n < 0:
-            raise WordError("prefix length must be >= 0")
-        h, c = self.head, self.cycle
-        if n <= len(h):
-            return h[:n]
-        reps = (n - len(h)) // len(c) + 1
-        return (h + c * reps)[:n]
 
     def letters_used(self) -> set:
         return set(self.head) | set(self.cycle)
@@ -177,9 +155,9 @@ class BiWord:
     __slots__ = ("left", "core", "right", "start")
 
     def __init__(self, left, core, right, start: int = 0):
-        left = primitive_root(as_word(left))
-        right = primitive_root(as_word(right))
-        core = list(as_word(core))
+        left = primitive_root(tuple(left))
+        right = primitive_root(tuple(right))
+        core = list(core)
         if not left or not right:
             raise WordError("both cycles must be nonempty")
 
@@ -278,7 +256,7 @@ class BlockWord:
 
     def __init__(self, left, blocks: Callable[[int], Word], start: int = 0,
                  _shared=None):
-        self.left: Word = primitive_root(as_word(left))
+        self.left: Word = primitive_root(tuple(left))
         self.blocks = blocks
         self.start = start
         if _shared is not None:
@@ -291,7 +269,7 @@ class BlockWord:
             return self.left[(p - self.start) % len(self.left)]
         i = p - self.start
         while len(self._buf) <= i:
-            blk = as_word(self.blocks(self._nblocks[0]))
+            blk = tuple(self.blocks(self._nblocks[0]))
             if not blk:
                 raise WordError("block generator produced an empty block")
             self._buf.extend(blk)
@@ -324,11 +302,12 @@ class BlockWord:
 #
 # Letters are single characters unless the word contains a comma, in which
 # case letters are the comma-separated tokens (needed for letters like
-# "abar" or numerals >= 10).  Parsing with an Alphabet also accepts
-# comma-free strings of multi-character letters via greedy longest match.
+# "abar" or numerals >= 10).  A prefix parsed over an Alphabet
+# (`parse_prefix`) also accepts comma-free strings of multi-character
+# letters via greedy longest match.
 
 
-def _split_letters(s: str, alphabet: Alphabet | None) -> Word:
+def _split_letters(s: str, alphabet: Alphabet | None = None) -> Word:
     if s == "":
         return ()
     if "," in s:
@@ -361,8 +340,8 @@ def _fmt(part: Word, commas: bool) -> str:
     return ",".join(part) if commas else "".join(part)
 
 
-def format_ult(w: UltWord, alphabet: Alphabet | None = None) -> str:
-    commas = _needs_commas([w.head, w.cycle], alphabet)
+def format_ult(w: UltWord) -> str:
+    commas = _needs_commas([w.head, w.cycle])
     head = _fmt(w.head, commas)
     cyc = "(%s)^inf" % _fmt(w.cycle, commas)
     if head and commas:
@@ -370,23 +349,21 @@ def format_ult(w: UltWord, alphabet: Alphabet | None = None) -> str:
     return head + cyc
 
 
-def parse_ult(s: str, alphabet: Alphabet | None = None) -> UltWord:
+def parse_ult(s: str) -> UltWord:
     s = s.strip()
     if not s.endswith(")^inf"):
         raise WordError("one-sided word must end with (cycle)^inf: %r" % s)
     open_idx = s.rfind("(")
     if open_idx < 0:
         raise WordError("missing '(' in %r" % s)
-    cyc = _split_letters(s[open_idx + 1 : -len(")^inf")], alphabet)
-    head_str = s[:open_idx].rstrip(",")
-    head = _split_letters(head_str, alphabet)
-    return UltWord(head, cyc)
+    cyc = _split_letters(s[open_idx + 1 : -len(")^inf")])
+    return UltWord(_split_letters(s[:open_idx].rstrip(",")), cyc)
 
 
-def format_bi(b: BiWord, alphabet: Alphabet | None = None) -> str:
+def format_bi(b: BiWord) -> str:
     # render cycles re-anchored so the left one ends just before the printed
     # core and the right one starts just after it; the dot marks coordinate 0
-    commas = _needs_commas([b.left, b.core, b.right], alphabet)
+    commas = _needs_commas([b.left, b.core, b.right])
     pre = b.window(b.start, 0) if b.start < 0 else ()
     post = b.window(0, b.end) if b.end > 0 else ()
     left_anchor = min(b.start, 0)
@@ -403,25 +380,25 @@ def format_bi(b: BiWord, alphabet: Alphabet | None = None) -> str:
     return out
 
 
-def parse_bi(s: str, alphabet: Alphabet | None = None) -> BiWord:
+def parse_bi(s: str) -> BiWord:
     s = s.strip()
     if not s.startswith("("):
         raise WordError("two-sided word must start with (cycle)^inf: %r" % s)
     close = s.find(")^inf")
     if close < 0:
         raise WordError("missing ')^inf' in %r" % s)
-    left = _split_letters(s[1:close], alphabet)
+    left = _split_letters(s[1:close])
     rest = s[close + len(")^inf") :]
     dot = rest.find(".")
     if dot < 0:
         raise WordError("missing '.' (origin) in %r" % s)
-    pre = _split_letters(rest[:dot].strip(","), alphabet)
+    pre = _split_letters(rest[:dot].strip(","))
     tail = rest[dot + 1 :]
     if not tail.endswith(")^inf"):
         raise WordError("two-sided word must end with (cycle)^inf: %r" % s)
     open_idx = tail.rfind("(")
-    right = _split_letters(tail[open_idx + 1 : -len(")^inf")], alphabet)
-    post = _split_letters(tail[:open_idx].strip(","), alphabet)
+    right = _split_letters(tail[open_idx + 1 : -len(")^inf")])
+    post = _split_letters(tail[:open_idx].strip(","))
     return BiWord(left, pre + post, right, start=-len(pre))
 
 

@@ -153,7 +153,7 @@ def test_hom_decides_before_search(capsys):
     # both bipartite, 108 source vertices: the connected source order finds
     # the map at once (the former order did not finish in 20 s)
     from clopen.cli import _finite_graph
-    from clopen.homs import HomWitness
+    from test_oracles import is_hom
 
     source, target = GO34 + "@4", GO34 + "@2"
     code, out, _ = run(capsys, "hom", "--source", source, "--target", target,
@@ -164,7 +164,7 @@ def test_hom_decides_before_search(capsys):
     g_vertex, h_vertex = ({q.label(v): v for v in q.vertices} for q in (G, H))
     mapping = {g_vertex[u]: h_vertex[w]
                for u, w in (ln.strip().split(" -> ") for ln in lines[1:])}
-    assert len(G.vertices) == 108 and HomWitness(mapping, False).check(G, H)
+    assert len(G.vertices) == 108 and is_hom(mapping, G, H)
     # odd girth 729 below 2187: refused before the size budget (729 x 2187
     # vertices) applies
     code, out, err = run(capsys, "hom", "--source", "graph-o:d=(3)^inf@6",
@@ -275,14 +275,20 @@ def test_one_command_parser_has_no_other_arguments(capsys):
     assert code == 2 and "unrecognized arguments: --source" in err
 
 
+def subprocess_env(**extra):
+    """The environment for a `clopen` subprocess: this checkout's `src`
+    first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def test_scan_orbit_with_a_long_scheme_interval_finishes():
     # sa{{0,14}} holds the interval [3^16, 3^16 + 3^14), which each level's
     # bound passes; the walk leaves it after P_n indices, so the scan takes
     # a fraction of a second, where walking all 3^14 did not finish level 1
     # in 20 s
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    env = subprocess_env()
     proc = subprocess.run(
         [sys.executable, "-m", "clopen.cli", "scan", "--family", "orbit:d=(3)^inf,S=sa{{0,14}}",
          "--levels", "4", "--format", "json", "--no-timing"],
@@ -291,15 +297,27 @@ def test_scan_orbit_with_a_long_scheme_interval_finishes():
     assert [(e["edgeCount"], e["oddGirth"]) for e in levels] == [(3**n, 3**n) for n in range(1, 5)]
 
 
+@pytest.mark.parametrize("forbidden,nmax,length", [("11", 28, 26), ("0" * 30, 1, 29)],
+                         ids=["fibonacci", "thirty-zeros"])
+def test_forbidden_language_past_the_word_budget_exits_2(forbidden, nmax, length):
+    # {11} has 317,811 words of length 26, and one run 0^30 has 2^29 words
+    # of length 29 to enumerate before its first length: both are refused
+    # at 200,000 words of one length, within the timeout
+    proc = subprocess.run(
+        [sys.executable, "-m", "clopen.cli", "subshift", "complexity", "--forbidden", forbidden,
+         "--nmax", str(nmax)], env=subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: more than 200000 words of length %d avoid the forbidden "
+                           "words, over the budget\n" % length)
+
+
 # the modules perfbench/tracer.py wraps right after `import clopen.cli`
 TRACED_MODULES = ("cli", "words", "dynamics", "families", "quotients", "colorings", "homs",
                   "subshift_lang")
 
 
 def test_cli_import_loads_the_library_but_not_json_or_fractions():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    env = subprocess_env()
     # -S: no site hooks, so only what the import itself loads is counted
     proc = subprocess.run(
         [sys.executable, "-S", "-c", "import clopen.cli, sys; print(*sorted(sys.modules))"],
@@ -313,9 +331,7 @@ def test_cli_import_loads_the_library_but_not_json_or_fractions():
 def test_closed_output_pipe_exits_141_quietly(unbuffered):
     # the reader closes the pipe before the command writes its 229 KB, more
     # than a pipe holds, so the write fails whether stdout is buffered or not
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    env = subprocess_env(PYTHONUNBUFFERED=unbuffered)
     proc = subprocess.Popen(
         [sys.executable, "-m", "clopen.cli", "family", "show", "--family", "gm", "--level", "6",
          "--sample", "3000"], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)

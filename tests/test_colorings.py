@@ -226,7 +226,7 @@ def test_predicate_coloring_constant_on_claimed_cylinders():
             UltWord(base + ("5",), ("0",)),
             UltWord(base + ("0", "7"), ("1",)),
         ]
-        colors = {c.color_of_point(x) for x in pts}
+        colors = {c(x) for x in pts}
         assert len(colors) == 1
 
 

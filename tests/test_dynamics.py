@@ -30,7 +30,9 @@ from clopen.dynamics import (
     prefix_value,
     sturmian_code,
 )
-from clopen.words import BiWord, UltWord, as_word, parse_bi, parse_ult
+from clopen.words import BiWord, UltWord, parse_bi, parse_ult
+
+from test_words import prefix
 
 
 R3 = parse_radix("(3)^inf")
@@ -46,7 +48,7 @@ R23 = parse_radix("2,(3)^inf")
 def drop(x, n):
     """The word x with its first n letters removed."""
     m = max(n, len(x.head))
-    return UltWord(x.prefix(m)[n:], tuple(x.letter(m + k) for k in range(len(x.cycle))))
+    return UltWord(prefix(x, m)[n:], tuple(x.letter(m + k) for k in range(len(x.cycle))))
 
 
 def max_word_from(d, j):
@@ -119,7 +121,7 @@ FIB_SUBSTITUTION = {"0": ("1",), "1": ("0", "1")}
 
 def substitute(images, w, k):
     """The k-th iterate of the substitution on the word w."""
-    out = as_word(w)
+    out = tuple(w)
     for _ in range(k):
         out = tuple(b for a in out for b in images[a])
     return out
@@ -183,7 +185,7 @@ def test_iter_examples():
     assert odometer_iter(R3, x, 1) == parse_ult("22(0)^inf")
     assert odometer_carry(R3, odometer_iter(R3, x, 1), -1) == x
     # full period at level l returns into the level-l cylinder of zero
-    assert odometer_iter(R3, R3.zero(), 9).prefix(2) == ("0", "0")
+    assert prefix(odometer_iter(R3, R3.zero(), 9), 2) == ("0", "0")
 
 
 def test_iter_negative_from_zero():
@@ -249,7 +251,7 @@ def test_prefix_of_value_is_the_orbit_of_zero_cut(d):
     # digits, through more than one period of the prefix
     for l in range(3):
         for i in range(3 * d.period(l + 1)):
-            assert prefix_of_value(d, i, l + 1) == odometer_iter(d, d.zero(), i).prefix(l + 1)
+            assert prefix_of_value(d, i, l + 1) == prefix(odometer_iter(d, d.zero(), i), l + 1)
 
 
 @pytest.mark.parametrize("d", RADICES, ids=format_radix)
@@ -263,7 +265,7 @@ def test_full_period_returns_to_zero_cylinder():
     for d in (R3, R23, parse_radix("2,5,(3)^inf")):
         for l in range(1, 5):
             y = odometer_iter(d, d.zero(), d.period(l))
-            assert y.prefix(l) == ("0",) * l
+            assert prefix(y, l) == ("0",) * l
 
 
 def test_period_spectrum():
@@ -495,7 +497,7 @@ def test_half_period_iterates_reach_the_midpoint_words():
             n_l = (prod - 1) // 2
             mid = odometer_iter(d, d.zero(), 2 * n_l + 1)
             want_mid = ("1",) + tuple(str((d.digit(j) - 1) // 2) for j in range(1, l + 1))
-            assert mid.prefix(l + 1) == want_mid, (s, l)
+            assert prefix(mid, l + 1) == want_mid, (s, l)
             top = odometer_iter(d, d.zero(), 4 * n_l + 1)
             want_top = tuple(str(d.digit(j) - 1) for j in range(l + 1))
-            assert top.prefix(l + 1) == want_top, (s, l)
+            assert prefix(top, l + 1) == want_top, (s, l)

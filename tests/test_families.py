@@ -35,6 +35,8 @@ from clopen.families import (
 from clopen.quotients import quotient
 from clopen.words import UltWord, format_ult, format_word, parse_ult
 
+from test_words import prefix
+
 
 ALL_FAMILY_SPECS = [
     "gm",
@@ -384,6 +386,18 @@ def test_orbit_walk_leaves_a_scheme_interval_after_a_period():
     assert len(g.generate(100, 0)) == 2 + 9
 
 
+@pytest.mark.parametrize("spec", [s for spec in ALL_FAMILY_SPECS
+                                  for s in (spec, spec + ":oriented")])
+def test_level_zero_walks_every_clause(spec):
+    # a predicate sweep reads the level-0 stream, so no family cuts it: at
+    # bounds 0-5 it yields the edges of a level-40 walk, which no cut reaches
+    g = parse_family(spec)
+    for bound in range(6):
+        printed = [[list(map(_point_str, points())) for (_, _, points) in g.generate(bound, n)]
+                   for n in (0, 40)]
+        assert printed[0] == printed[1], (spec, bound)
+
+
 @pytest.mark.parametrize("spec", ["graph-o:d=(3)^inf", "gp:d=2,(3)^inf,p=1"])
 def test_level_pairs_build_no_point(monkeypatch, spec):
     # odometer digits and block letters give the pairs: no iterate, no word
@@ -510,7 +524,7 @@ def test_ka_clauses_match_the_point_oracle(A):
             assert edge_points(g.generate(depth)) == oracle, (g.spec, depth)
             for n in range(8):
                 assert [(s, t) for (s, t, _) in g.generate(depth, n)] == [
-                    (x.prefix(n), y.prefix(n)) for (x, y) in oracle], (g.spec, depth, n)
+                    (prefix(x, n), prefix(y, n)) for (x, y) in oracle], (g.spec, depth, n)
         core, old = g.finite_core(), ka_core(A)
         assert (core.vertices, core.index()) == (old.vertices, old.index())
 
@@ -791,7 +805,7 @@ def test_level_enumeration_interns_its_words():
     assert (len(lev.pairs), len(lev.vertices)) == (5390, 4853)
     assert len({id(w) for pair in lev.pairs for w in pair}) == len(lev.vertices)
     letters = lev.alphabet.letters
-    assert all(a is letters[lev.alphabet.index(a)] for w in lev.vertices for a in w)
+    assert all(a is letters[lev.alphabet.letters.index(a)] for w in lev.vertices for a in w)
     # on CPython 3.11, the version CI runs, the second call peaks at 0.83 MB,
     # right after the stream, while the key table and one int per distinct
     # undirected pair are held.  The table goes before the ranks are built,
@@ -836,7 +850,7 @@ def former_pairs(g, n):
     """Oracle: the level-n pairs as they used to be built, the distinct
     projected pairs of the stream (each edge also swapped when g is
     undirected), sorted by the alphabet positions of their letters."""
-    pos = lambda w: tuple(g.alphabet_for(n).index(a) for a in w)
+    pos = lambda w: tuple(g.alphabet_for(n).letters.index(a) for a in w)
     out = set()
     for (s, t, _) in g.generate(g.saturation(n), n):
         if s is not None:
@@ -865,7 +879,7 @@ def test_quotient_index_matches_the_word_pairs(spec):
         pairs = former_pairs(g, n)
         ab = g.alphabet_for(n)
         assert q.vertices == alone == sorted({w for p in pairs for w in p},
-                                             key=lambda w: [ab.index(a) for a in w])
+                                             key=lambda w: [ab.letters.index(a) for a in w])
         assert [q.vertex(i) for i in range(len(q.vertices))] == q.vertices
         ids = {v: i for i, v in enumerate(q.vertices)}
         index = [[] for _ in ids]

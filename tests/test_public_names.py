@@ -4,8 +4,11 @@
 Each module but `__init__.py` is parsed with `ast`.  A public top-level
 function, class or constant counts as called when some module of
 `src/clopen` or `tests/test_acceptance.py` loads it (a name or attribute
-load) or imports it by name, outside its own definition.  `__init__.py`
-re-exports names and does not count as a caller.
+load) or imports it by name, outside its own definition.  So does a public
+method of a public class, properties included, except that only an
+attribute load counts: a method is reached through an instance or its
+class, never as a bare name.  `__init__.py` re-exports names and does not
+count as a caller.
 
 The modules import each other in one order, at their top level only.
 """
@@ -20,7 +23,8 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 CALLERS = MODULES + [ROOT / "tests" / "test_acceptance.py"]
 
 def public_definitions(path):
-    """(name, first line, last line) of each public top-level definition."""
+    """(name, first line, last line) of each public top-level definition,
+    and of each public method of a public class as ``Class.method``."""
     out = []
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -31,19 +35,23 @@ def public_definitions(path):
         else:
             continue
         out += [(n, node.lineno, node.end_lineno) for n in names if not n.startswith("_")]
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            out += [("%s.%s" % (node.name, f.name), f.lineno, f.end_lineno) for f in node.body
+                    if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
     return out
 
 
 def uses(path):
-    """(name, line) of every name or attribute load and every name imported."""
+    """(name, line, attribute) of every name or attribute load and every
+    name imported; `attribute` is True for an attribute load."""
     out = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.append((node.id, node.lineno))
+            out.append((node.id, node.lineno, False))
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out.append((node.attr, node.lineno))
+            out.append((node.attr, node.lineno, True))
         elif isinstance(node, ast.ImportFrom):
-            out += [(alias.name, node.lineno) for alias in node.names]
+            out += [(alias.name, node.lineno, False) for alias in node.names]
     return out
 
 
@@ -52,8 +60,10 @@ def uncalled_names():
     out = set()
     for module in MODULES:
         for (name, first, last) in public_definitions(module):
-            if not any(used == name and not (path == module and first <= line <= last)
-                       for path, found in sites.items() for (used, line) in found):
+            owner, _, attr = name.rpartition(".")
+            if not any(used == attr and (attribute or not owner)
+                       and not (path == module and first <= line <= last)
+                       for path, found in sites.items() for (used, line, attribute) in found):
                 out.add("%s.%s" % (module.stem, name))
     return out
 

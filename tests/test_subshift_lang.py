@@ -53,9 +53,9 @@ def test_member_monotone_in_forbidden_set():
 
 def test_expand_fib_forbidden():
     F = expand_fib_forbidden(0)
-    assert len(F) == 8  # 00, 111 and six eighth powers
-    assert ("0",) * 2 in F and ("1",) * 3 in F
-    assert ("0", "1") * 8 in F
+    assert len(F.words) == 8  # 00, 111 and six eighth powers
+    assert ("0",) * 2 in F.words and ("1",) * 3 in F.words
+    assert ("0", "1") * 8 in F.words
     with pytest.raises(BudgetError):
         expand_fib_forbidden(1)
 
@@ -73,6 +73,15 @@ def test_language_of_forbidden_subshift_small():
     # a letter that cannot extend biinfinitely is pruned away
     sf2 = ForbiddenSubshift(["0", "1"], ForbiddenSet(["10", "11"]))
     assert sf2.language(2) == {("0", "0")}
+
+
+def test_forbidden_language_stops_at_the_word_budget():
+    # 196,418 words of length 25 avoid 11, within the budget of 200,000;
+    # the 317,811 of length 26 are refused
+    sf = ForbiddenSubshift(["0", "1"], ForbiddenSet(["11"]))
+    assert len(sf.language(25)) == 196_418
+    with pytest.raises(BudgetError, match="more than 200000 words of length 26 "):
+        sf.language(26)
 
 
 def test_complexity_growth_bounds():

@@ -15,6 +15,7 @@ from clopen.words import (
     format_ult,
     numerals,
     parse_bi,
+    parse_prefix,
     parse_ult,
 )
 
@@ -25,6 +26,11 @@ def unroll(head, cycle, n):
     while len(out) < n:
         out.extend(cycle)
     return tuple(out[:n])
+
+
+def prefix(w, n):
+    """Oracle: the first n letters of the UltWord w."""
+    return unroll(w.head, w.cycle, n)
 
 
 def bi_window(left, core, right, start, a, b):
@@ -40,22 +46,6 @@ def bi_window(left, core, right, start, a, b):
     return tuple(out)
 
 
-def test_prefix_unrolls_definition():
-    assert UltWord("0", "1").prefix(3) == ("0", "1", "1")
-    assert UltWord("", "0").prefix(5) == ("0",) * 5
-    assert UltWord(["c", "a"], ["abar"]).prefix(4) == ("c", "a", "abar", "abar")
-
-
-def test_prefix_random_against_oracle():
-    rng = random.Random(7)
-    for _ in range(200):
-        head = tuple(rng.choice("01") for _ in range(rng.randrange(0, 5)))
-        cycle = tuple(rng.choice("01") for _ in range(rng.randrange(1, 5)))
-        w = UltWord(head, cycle)
-        for n in (0, 1, 3, 11):
-            assert w.prefix(n) == unroll(head, cycle, n)
-
-
 def test_canonicalization_idempotent_and_value_preserving():
     rng = random.Random(11)
     for _ in range(300):
@@ -64,7 +54,7 @@ def test_canonicalization_idempotent_and_value_preserving():
         w = UltWord(head, cycle)
         again = UltWord(w.head, w.cycle)
         assert (again.head, again.cycle) == (w.head, w.cycle)
-        assert w.prefix(30) == unroll(head, cycle, 30)
+        assert prefix(w, 30) == unroll(head, cycle, 30)
 
 
 def test_eq_one_sided():
@@ -85,12 +75,6 @@ def test_eq_matches_long_unroll():
         # 20 letters decide equality for these sizes (oracle)
         same = unroll(h1, c1, 20) == unroll(h2, c2, 20)
         assert (w1 == w2) == same
-
-
-def test_prefix_consistency():
-    w = parse_ult("0110(100)^inf")
-    for n in range(64):
-        assert w.prefix(n) == w.prefix(n + 1)[:n]
 
 
 def test_factors_trivial_cases():
@@ -172,8 +156,8 @@ def test_round_trip_text_grammar():
         "0110(100)^inf",
         "c,a,(abar)^inf",
     ]:
-        w = parse_ult(s, alphabet=Alphabet(["0", "1", "c", "a", "abar"]))
-        assert parse_ult(format_ult(w), alphabet=Alphabet(["0", "1", "c", "a", "abar"])) == w
+        w = parse_ult(s)
+        assert parse_ult(format_ult(w)) == w
     for s in [
         "(01)^inf.1(01)^inf",
         "(01)^inf1.(01)^inf",
@@ -188,7 +172,12 @@ def test_multicharacter_letters_round_trip():
     ab = Alphabet(["0", "1", "c", "a", "abar"])
     w = UltWord(("c", "a"), ("abar",))
     assert format_ult(w) == "c,a,(abar)^inf"
-    assert parse_ult("c,a,(abar)^inf", alphabet=ab) == w
+    # a part with a comma splits at its commas, and a comma-free part into
+    # single characters, unless an alphabet tokenizes it by greedy longest
+    # match, as coloring files are read
+    assert parse_ult("c,a,(abar,c)^inf") == UltWord(("c", "a"), ("abar", "c"))
+    assert parse_prefix("c,a,abar", ab) == parse_prefix("caabar", ab) == ("c", "a", "abar")
+    assert parse_prefix("abara", ab) == ("abar", "a")
 
 
 def test_alphabet_validation():
@@ -204,14 +193,14 @@ def test_alphabet_key_orders_words_as_index_tuples():
     # multi-character letters ("10", "abar") sort by alphabet position, not
     # by their characters, and a word sorts before its extensions
     ab = Alphabet(numerals(11) + ["c", "a", "abar"])
-    assert len(ab) >= 12 and "10" in ab and "abar" in ab
+    assert len(ab.letters) >= 12 and "10" in ab and "abar" in ab
     words = [w for n in range(4) for w in itertools.product(ab.letters, repeat=n)]
-    by_index = sorted(words, key=lambda w: tuple(ab.index(a) for a in w))
+    by_index = sorted(words, key=lambda w: tuple(ab.letters.index(a) for a in w))
     assert sorted(words, key=ab.key) == by_index
     assert len({ab.key(w) for w in words}) == len(words)
     # a key decodes back to its word, in the alphabet's own letter objects
     for w in words:
         back = ab.word(ab.key(w))
-        assert back == w and all(a is ab.letters[ab.index(a)] for a in back)
+        assert back == w and all(a is ab.letters[ab.letters.index(a)] for a in back)
     with pytest.raises(WordError, match="'b' not in alphabet"):
         ab.key(("0", "b"))
