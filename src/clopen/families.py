@@ -35,7 +35,7 @@ and every graph's vertex pairs are derived on request.
 from __future__ import annotations
 
 import copy
-from itertools import groupby
+from itertools import groupby, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .dynamics import (
@@ -204,8 +204,9 @@ class SymbolicGraph:
     A family may cut its walk to the edges a level-n projection can tell
     apart, but only for n >= 1.  At level 0 it yields every edge with
     parameters up to `bound`, since a predicate sweep (`verify_coloring`)
-    checks each edge's points there; level 0 has the single pair ((), ()),
-    whose first edge is the walk's first either way.
+    checks each edge's points there.  Level 0 has the single pair ((), ()),
+    so `edges_at_level` and `first_edges` read the level-0 stream only up
+    to the first edge that projects, which no cut ever skipped.
 
     A two-sided family carries its `forest`, the LimitForest whose orbits
     it walks and whose Cantor-Bendixson rank `cb rank` verifies; a block
@@ -275,9 +276,11 @@ def edges_at_level(g: SymbolicGraph, n: int, bound: int | None = None) -> Quotie
     alphabet = g.alphabet_for(n)
     key, ids = alphabet.key, {}
     pack = lambda i, j: i << 32 | j if g.directed or i <= j else j << 32 | i
+    stream = g.generate(g.saturation(n) if bound is None else bound, n)
+    if not n:  # the one pair ((), ()), read off the first edge that has it
+        stream = islice((e for e in stream if e[0] is not None), 1)
     seen = {pack(ids.setdefault(key(s), len(ids)), ids.setdefault(key(t), len(ids)))
-            for (s, t, _) in g.generate(g.saturation(n) if bound is None else bound, n)
-            if s is not None}
+            for (s, t, _) in stream if s is not None}
     keys = sorted(ids)
     old = [ids[k] for k in keys]  # the id of each rank
     del ids
@@ -303,12 +306,12 @@ def first_edges(g: SymbolicGraph, n: int, pairs: Iterable, bound: int | None = N
     every pair is found, that builds the points of those edges only."""
     want, found = set(pairs), {}
     for (s, t, points) in g.generate(g.saturation(n) if bound is None else bound, n):
-        if len(found) == len(want):
-            break
         if (s, t) in want and (s, t) not in found:
             found[s, t] = points()
         if not g.directed and (t, s) in want and (t, s) not in found:
             found[t, s] = points()[::-1]
+        if len(found) == len(want):
+            break
     return found
 
 
@@ -530,6 +533,16 @@ def sturmian_block_system(r_spec: str) -> BlockSystem:
     )
 
 
+class _ChainBlocks:
+    """s_l(i) by index i, built on each read and not kept."""
+
+    def __init__(self, block: Callable[[int, int], Word], l: int):
+        self.block, self.l = block, l
+
+    def __getitem__(self, i: int) -> Word:
+        return self.block(self.l, i)
+
+
 def graph_from_system(system: BlockSystem, spec: str,
                       chain: int | None = None) -> SymbolicGraph:
     """The degree-<=1 graph whose level-l part chains the blocks s_l(0),...,
@@ -576,8 +589,10 @@ def graph_from_system(system: BlockSystem, spec: str,
             else:
                 middle = range(system.width(l - 1) - 1 if first < l and level <= l else 0,
                                lam - 1)
-            # each block once per level, shared by every marker
-            s = {i: system.block(l, i) for i in {0, *middle, middle.stop, lam - 1}}
+            if level:  # each block once per level, shared by every marker
+                s = {i: system.block(l, i) for i in {0, *middle, middle.stop, lam - 1}}
+            else:  # a sweep of the whole chain builds each block as it reads it
+                s = _ChainBlocks(system.block, l)
             for D in markers[: max(level - l - 1, 1) if level else None]:
                 yield _edge(level, (_c(l + 1) + D, "a", 1, "abar"), (s[0] + D, "abar", 1, "a"))
                 for i in middle:

@@ -311,6 +311,21 @@ def test_forbidden_language_past_the_word_budget_exits_2(forbidden, nmax, length
                            "words, over the budget\n" % length)
 
 
+@pytest.mark.parametrize("argv,out", [
+    (["decide", "--family", "gp:d=2,(3)^inf,p=12", "--level", "0"],
+     "gp:d=2,(3)^inf,p=12 level 0: odd-walk\n  odd closed walk: <empty> <empty>\n"),
+    (["quotient", "--family", "go-plus:d=2,(3)^inf", "--level", "0", "--bound", "13"],
+     "go-plus:d=2,(3)^inf level 0: 1 vertices, 1 edges\n  <empty> -- <empty>\n"),
+], ids=["decide-gp-12", "quotient-go-plus-13"])
+def test_level_zero_quotient_reads_one_edge(argv, out):
+    # level 0 has the one pair ((), ()): the quotient and its first edge stop
+    # at the stream's first edge, where the uncut chains 12-13 hold about
+    # 2 * 10^6 blocks
+    proc = subprocess.run([sys.executable, "-m", "clopen.cli", *argv], env=subprocess_env(),
+                          capture_output=True, text=True, check=True, timeout=10)
+    assert proc.stdout == out
+
+
 # the modules perfbench/tracer.py wraps right after `import clopen.cli`
 TRACED_MODULES = ("cli", "words", "dynamics", "families", "quotients", "colorings", "homs",
                   "subshift_lang")

@@ -154,7 +154,7 @@ def test_round_trip_text_grammar():
         "01(10)^inf",
         "(0)^inf",
         "0110(100)^inf",
-        "c,a,(abar)^inf",
+        "c,a,(abar,c)^inf",
     ]:
         w = parse_ult(s)
         assert parse_ult(format_ult(w)) == w
@@ -175,7 +175,9 @@ def test_multicharacter_letters_round_trip():
     # a part with a comma splits at its commas, and a comma-free part into
     # single characters, unless an alphabet tokenizes it by greedy longest
     # match, as coloring files are read
-    assert parse_ult("c,a,(abar,c)^inf") == UltWord(("c", "a"), ("abar", "c"))
+    w = UltWord(("c", "a"), ("abar", "c"))
+    assert parse_ult("c,a,(abar,c)^inf") == w
+    assert parse_ult(format_ult(w)) == w
     assert parse_prefix("c,a,abar", ab) == parse_prefix("caabar", ab) == ("c", "a", "abar")
     assert parse_prefix("abara", ab) == ("abar", "a")
 
