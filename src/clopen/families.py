@@ -10,8 +10,8 @@ for two-sided families, read off the family's own arithmetic: the clause
 families (`gm`, `gdelta`, `t`, the block graphs and `ka`) write each point
 as a head, a run and a repeated tail for `_edge` to cut, the odometer
 families write an orbit index in the radix, and the shift families slice
-both from one window of each forest node's base (`ForestNode.windows`, the
-reader `cb rank` shares); `points()` builds the two exact points.
+both from one window of each forest node's base (`ForestNode.windows`;
+`cb rank` reads it as text); `points()` builds the two exact points.
 `edges_at_level(g, n)` interns the alphabet keys of the projections below
 the saturation bound B(n), holding each distinct pair as one int, and
 returns the level quotient on the sorted keys, joined into one string, with

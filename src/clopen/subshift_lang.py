@@ -5,7 +5,6 @@ presented countable compacta."""
 from __future__ import annotations
 
 from functools import cmp_to_key
-from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .dynamics import (
@@ -207,7 +206,20 @@ Subshift = ForbiddenSubshift | SturmianSubshift | FinitePointSet
 
 
 def complexity(s: Subshift, n_max: int) -> list[int]:
-    return [len(s.language(n)) for n in range(1, n_max + 1)]
+    """The factor counts of lengths 1..n_max, from the one language of
+    length n_max: every factor of a subshift extends to the right (an arc's
+    word is a prefix of a longer arc's, the pruned graph has a successor at
+    every vertex, a point's factor continues along the point), so the
+    length-(n - 1) factors are exactly the length-n ones without their last
+    letter."""
+    if n_max < 1:
+        return []
+    words = s.language(n_max)
+    counts = [len(words)]
+    for _ in range(n_max - 1):
+        words = {w[:-1] for w in words}
+        counts.append(len(words))
+    return counts[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +338,25 @@ class LimitForest:
         return out
 
 
-def _family_factors(node: ForestNode, m: int, span: int) -> set:
-    # a factor set is shift-invariant, and exact for an eventually periodic base
-    if isinstance(node.base, BiWord):
-        return node.base.factors(m)
-    buf = node.base.window(-span, span)
-    return {buf[i : i + m] for i in range(len(buf) - m + 1)}
+def _text(base, a: int, b: int, code: dict) -> str:
+    """base.window(a, b) as one string, one character per letter: code maps
+    each letter to its character, and a letter it lacks takes the next one,
+    so two texts are equal exactly when their letter tuples are."""
+    parts = []
+    for c in range(a, b, 1024):  # in pieces, so that no long letter tuple is held
+        word = base.window(c, min(c + 1024, b))
+        for x in dict.fromkeys(word):
+            code.setdefault(x, chr(len(code)))
+        parts.append("".join(map(code.__getitem__, word)))
+    return "".join(parts)
+
+
+def _family_factors(node: ForestNode, text: str, m: int, D: int) -> set:
+    # a factor set is shift-invariant, and exact for an eventually periodic
+    # base, whose text runs D letters past both cycles where
+    # BiWord.factors(m) reads m
+    cut = D - m if isinstance(node.base, BiWord) else 0
+    return {text[i : i + m] for i in range(cut, len(text) - cut - m + 1)}
 
 
 class CBReport:
@@ -362,10 +387,16 @@ def cb_rank(forest: LimitForest, resolution: int = 40) -> CBReport:
     three of its windows match parent windows for parameters beyond the
     declared span, on both sides when possible) and (ii) each node carries a
     factor of length <= the resolution that no non-descendant family
-    contains."""
+    contains.
+
+    Each family is read once per probe as one text, one character per
+    letter from a map shared by the whole call, and its windows and factors
+    are slices of that text; only a separating factor is decoded back to
+    letters, and the least one is taken as letters."""
     edge_checks = {}
     node_checks = {}
     D = resolution
+    code: dict = {}  # letter -> its character in every text of this call
     for node in forest.nodes.values():
         if node.parent is None:
             continue
@@ -376,12 +407,17 @@ def cb_rank(forest: LimitForest, resolution: int = 40) -> CBReport:
                 "finite families cannot accumulate on anything",
             )
             continue
-        parent_windows = set(parent.windows(4 * D + 8, -D, D))
-        # the shifts -span..span, of which |k| <= D are skipped
+        # the [-D, D) windows of the parent's orbit points, as ForestNode.windows
+        ks = parent.shifts(4 * D + 8)
+        text = _text(parent.base, ks.start - D, ks.stop - 1 + D, code)
+        parent_windows = {text[i : i + 2 * D] for i in range(len(ks))}
+        # the node's at the shifts -span..span, of which |k| <= D are skipped
         span = _probe_span(node, D) - 1
-        wins = node.windows(span, -D, D)
-        hits_neg = sum(w in parent_windows for w in islice(wins, span - D))
-        hits_pos = sum(w in parent_windows for w in islice(wins, 2 * D + 1, None))
+        text = _text(node.base, -span - D, span + D, code)
+        hits_neg = sum(text[i : i + 2 * D] in parent_windows for i in range(span - D))
+        hits_pos = sum(text[i : i + 2 * D] in parent_windows
+                       for i in range(span + D + 1, 2 * span + 1))
+        del parent_windows, text  # so that no two probes hold their windows at once
         ok = hits_pos + hits_neg >= 3 and max(hits_pos, hits_neg) > 0
         edge_checks[(node.id, node.parent)] = (
             ok,
@@ -389,7 +425,8 @@ def cb_rank(forest: LimitForest, resolution: int = 40) -> CBReport:
             % (hits_pos + hits_neg, hits_pos, hits_neg),
         )
     # isolation, one factor length m at a time for every open node, so that
-    # each family's length-m factor set is built once per probe span
+    # each family's length-m factor set is built once per probe span, from
+    # one text per probe span
     others = {}
     for node in forest.nodes.values():
         desc = forest.descendants(node.id)
@@ -398,16 +435,24 @@ def cb_rank(forest: LimitForest, resolution: int = 40) -> CBReport:
         if not others[node]:
             node_checks[node.id] = (True, "no non-descendant families")
     open_nodes = {node: _probe_span(node, D) for node in others if others[node]}
+    texts = {}  # (node, span) -> its text
     for m in range(1, D + 1):
         factors = {}  # (node, span) -> its length-m factors
         for node, span in list(open_nodes.items()):
             for x in [node] + others[node]:
+                if (x, span) not in texts:
+                    b = x.base
+                    texts[x, span] = (
+                        _text(b, b.start - len(b.left) - D, b.end + len(b.right) + D, code)
+                        if isinstance(b, BiWord) else _text(b, -span, span, code))
                 if (x, span) not in factors:
-                    factors[x, span] = _family_factors(x, m, span)
+                    factors[x, span] = _family_factors(x, texts[x, span], m, D)
             mine = factors[node, span].difference(
                 *(factors[o, span] for o in others[node]))
             if mine:
-                node_checks[node.id] = (True, "separating factor %s" % format_word(min(mine)))
+                letters = list(code)
+                least = min(tuple(letters[ord(c)] for c in f) for f in mine)
+                node_checks[node.id] = (True, "separating factor %s" % format_word(least))
                 del open_nodes[node]
     for node in open_nodes:
         node_checks[node.id] = (False, "no separating factor of length <= %d" % D)

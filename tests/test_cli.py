@@ -486,12 +486,15 @@ STURMIAN = "(3 - 1 sqrt 5)/2"
      "cb-rank-subshift-3-r10.txt"),
     (("cb", "rank", "--family", "rank-subshift:n=3", "--resolution", "80"),
      "cb-rank-subshift-3-r80.txt"),
+    (("cb", "rank", "--family", "rank-subshift:n=3", "--resolution", "200"),
+     "cb-rank-subshift-3-r200.txt"),
     (("subshift", "complexity", "--forbidden", "11,000", "--nmax", "16"),
      "subshift-complexity-forbidden-16.txt"),
     (("subshift", "complexity", "--sturmian", "(1999 - 1 sqrt 5)/1997998", "--nmax", "12"),
      "subshift-complexity-sturmian-near-zero-12.txt"),
 ], ids=["complexity-30", "lang-40", "powerfree-4", "powerfree-3", "cb-rank-3", "cb-rank-0",
         "cb-rank-1", "cb-rank-2", "cb-rank-4", "cb-rank-3-r10", "cb-rank-3-r80",
+        "cb-rank-3-r200",
         "complexity-forbidden-16", "complexity-near-zero-12"])
 def test_subshift_text_matches_golden(capsys, argv, name):
     # pins the coded languages, the power witness and the CB window probes
@@ -674,6 +677,12 @@ FOREST = (
     "node alpha0 orbit=(01)^inf.(01)^inf parent=root\n"
     "node beta0 orbit=(01)^inf.1(01)^inf parent=alpha0\n"
 )
+# multi-character letters: pair's separating factors of length 2 are a,a and
+# bb,bb, and the least as letters is a,a
+FOREST_LETTERS = (
+    "node ring orbit=(bb,a)^inf.(bb,a)^inf parent=root\n"
+    "node pair orbit=(bb,a)^inf.bb,bb,a,a,(bb,a)^inf parent=ring\n"
+)
 # finite graph files: string vertex names, a directed graph, an isolated vertex
 GRAPH_FILES = {
     "c5.txt": "directed=0\n0 1\n1 2\n2 3\n3 4\n4 0\n",
@@ -714,6 +723,8 @@ CORPUS = [
     (("subshift", "powerfree", "--fib-prefix", "500", "--power", "4"), "readme-powerfree.txt"),
     (("cb", "rank", "--family", "k0", "--resolution", "40"), "readme-cb-k0.txt"),
     (("cb", "rank", "--forest", "forest.txt", "--resolution", "40"), "readme-cb-forest.txt"),
+    (("cb", "rank", "--forest", "forest-letters.txt", "--resolution", "40"),
+     "cb-forest-letters.txt"),
     (("hom", "--source", "odd-cycle:p=1", "--target", "odd-cycle:p=0"), "readme-hom-c5-c3.txt"),
     (("hom", "--source", "odd-cycle:p=0", "--target", "graph-o:d=(3)^inf@1"),
      "readme-hom-c3-go1.txt"),
@@ -808,6 +819,7 @@ def test_cli_matches_golden(tmp_path, monkeypatch, capsys, argv, name):
     # the coloring file is the one the README's decide example writes
     monkeypatch.chdir(tmp_path)
     (tmp_path / "forest.txt").write_text(FOREST, encoding="utf-8")
+    (tmp_path / "forest-letters.txt").write_text(FOREST_LETTERS, encoding="utf-8")
     for fname, text in GRAPH_FILES.items():
         (tmp_path / fname).write_text(text, encoding="utf-8")
     colf = tmp_path / "c.txt"

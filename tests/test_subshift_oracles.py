@@ -1,8 +1,9 @@
 """Exact differential oracles for the subshift layer: the closed-form floor,
 the floor-based sign, the identity-based Sturmian coding, its growing code
-buffers, the arc-based Sturmian language, the bit-parallel power check,
-sliced BiWord and BlockWord windows, the sliding windows of the cb_rank
-edge probe, the shift graphs' level pairs and the suffix-only
+buffers, the arc-based Sturmian language, complexity read off one
+language, the bit-parallel power check, sliced BiWord and BlockWord
+windows, the text windows of the cb_rank edge probe and the text factors of
+its isolation loop, the shift graphs' level pairs and the suffix-only
 forbidden-factor test, each against the definition it replaced."""
 
 import math
@@ -15,15 +16,18 @@ from hypothesis import strategies as st
 from clopen.dynamics import QuadraticReal, parse_quadratic, sturmian_code
 from clopen.families import parse_family
 from clopen.subshift_lang import (
+    FinitePointSet,
     ForbiddenSet,
     ForbiddenSubshift,
     SturmianSubshift,
     _probe_span,
     cb_rank,
+    complexity,
+    forest_from_text,
     power_free_check,
     rank_forest,
 )
-from clopen.words import BiWord, BlockWord
+from clopen.words import BiWord, BlockWord, format_word, parse_bi
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -122,6 +126,24 @@ def test_arc_language_matches_the_window_language():
             lang = s.language(n)
             assert lang == window_language(r, n, length or 4 * (n + 2) ** 2), (spec, n)
             assert len(lang) == n + 1
+
+
+@pytest.mark.parametrize("s,n_max", [
+    (SturmianSubshift(parse_quadratic("(3 - 1 sqrt 5)/2")), 40),
+    (SturmianSubshift(parse_quadratic("(7 - 3 sqrt 5)/2")), 40),
+    (SturmianSubshift(parse_quadratic("(1999 - 1 sqrt 5)/1997998")), 40),
+] + [(ForbiddenSubshift(["0", "1"], ForbiddenSet(words.split(","))), 20)
+     for words in ("11", "11,000", "00,11", "010", "000,111")] + [
+    (FinitePointSet([parse_bi("(01)^inf.(01)^inf"), parse_bi("(01)^inf.1(01)^inf"),
+                     parse_bi("(0)^inf.1,0,1,1(001)^inf")]), 20),
+], ids=["golden", "other", "near-zero", "no-11", "no-11-000", "no-00-11", "no-010",
+        "no-000-111", "points"])
+def test_complexity_counts_each_language(s, n_max):
+    # one language read down by dropping last letters, against every length's
+    # own language; {00, 11} leaves the two points of (01)^inf, {000, 111} and
+    # {010} leave languages that grow, and n_max = 0 asks for nothing
+    assert complexity(s, n_max) == [len(s.language(n)) for n in range(1, n_max + 1)]
+    assert complexity(s, 0) == []
 
 
 @SETTINGS
@@ -229,7 +251,10 @@ def edge_details_by_shifts(forest, D):
     """The former cb_rank edge probe: one shifted point per parameter k."""
     out = {}
     for node in forest.nodes.values():
-        if node.parent is None or node.period() is not None:
+        if node.parent is None:
+            continue
+        if node.period() is not None:
+            out[node.id, node.parent] = (False, "finite families cannot accumulate on anything")
             continue
         parent = forest.nodes[node.parent]
         parent_windows = {window_by_letters(x, -D, D) for x in orbit(parent, 4 * D + 8)}
@@ -252,6 +277,67 @@ def test_cb_rank_edge_hits_match_shifted_points(n, D):
     for node in forest.nodes.values():
         assert list(node.windows(D + 3, -D, D)) == [
             window_by_letters(x, -D, D) for x in orbit(node, D + 3)]
+
+
+def factors_by_tuples(node, m, span):
+    """The former factor sets of the cb_rank isolation loop: letter tuples,
+    a BiWord's from BiWord.factors, a BlockWord's from its [-span, span)
+    window."""
+    if isinstance(node.base, BiWord):
+        return node.base.factors(m)
+    buf = node.base.window(-span, span)
+    return {buf[i : i + m] for i in range(len(buf) - m + 1)}
+
+
+def node_details_by_tuples(forest, D):
+    """The former cb_rank isolation loop, on sets of letter tuples."""
+    out = {}
+    others = {}
+    for node in forest.nodes.values():
+        desc = forest.descendants(node.id)
+        others[node] = [o for o in forest.nodes.values()
+                        if o.id != node.id and o.id not in desc]
+        if not others[node]:
+            out[node.id] = (True, "no non-descendant families")
+    open_nodes = {node: _probe_span(node, D) for node in others if others[node]}
+    for m in range(1, D + 1):
+        for node, span in list(open_nodes.items()):
+            mine = factors_by_tuples(node, m, span).difference(
+                *(factors_by_tuples(o, m, span) for o in others[node]))
+            if mine:
+                out[node.id] = (True, "separating factor %s" % format_word(min(mine)))
+                del open_nodes[node]
+    for node in open_nodes:
+        out[node.id] = (False, "no separating factor of length <= %d" % D)
+    return out
+
+
+# a shift-periodic child (its edge fails) beside a periodic root, and
+# multi-character letters whose least separating factor as letters, a,a, is
+# not the least under a character map that reads bb first (as the even
+# resolutions do, from the ring's window at -D)
+PERIODIC_FOREST = """\
+node alpha0 orbit=(01)^inf.(01)^inf parent=root
+node beta0 orbit=(01)^inf.1(01)^inf parent=alpha0
+node gamma orbit=(001)^inf.(001)^inf parent=alpha0
+node delta orbit=(0011)^inf.(0011)^inf parent=root
+"""
+LETTERS_FOREST = """\
+node ring orbit=(bb,a)^inf.(bb,a)^inf parent=root
+node pair orbit=(bb,a)^inf.bb,bb,a,a,(bb,a)^inf parent=ring
+"""
+
+
+@pytest.mark.parametrize("D", [1, 2, 5, 12, 40])
+@pytest.mark.parametrize("forest", [0, 1, 2, 3, 4, "periodic", "letters"])
+def test_cb_rank_matches_the_tuple_probes(forest, D):
+    f = (rank_forest(forest) if isinstance(forest, int)
+         else forest_from_text(PERIODIC_FOREST if forest == "periodic" else LETTERS_FOREST))
+    rep = cb_rank(f, D)
+    assert rep.node_checks == node_details_by_tuples(f, D)
+    assert rep.edge_checks == edge_details_by_shifts(f, D)
+    if forest == "letters" and D > 1:
+        assert rep.node_checks["pair"] == (True, "separating factor aa")
 
 
 def shift_edges_by_points(forest, bound, n):
