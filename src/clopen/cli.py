@@ -148,7 +148,7 @@ def cmd_quotient(args):
     g = _family(args.family)
     q = _bounded_quotient(g, args)
     if args.format == "dot":
-        print(quo.to_dot(q))
+        print(quo.to_dot(q, g.spec))
     elif args.format == "json":
         payload = {
             "family": g.spec,

@@ -1,6 +1,6 @@
-"""Odometer arithmetic on mixed-radix spaces, Fibonacci words, exact
-quadratic-irrational arithmetic and Sturmian codings, and periodicity of
-two-sided words."""
+"""Odometer arithmetic on mixed-radix spaces, Fibonacci words, exact floors
+of quadratic irrationals and Sturmian codings, and periodicity of two-sided
+words."""
 
 from __future__ import annotations
 
@@ -184,7 +184,7 @@ def fibonacci_limit_prefix(n: int) -> Word:
 
 
 # ---------------------------------------------------------------------------
-# exact quadratic arithmetic
+# exact quadratic floors
 
 
 def _floor_quadratic(a: int, b: int, c: int, disc: int) -> int:
@@ -201,7 +201,7 @@ def _floor_quadratic(a: int, b: int, c: int, disc: int) -> int:
 
 class QuadraticReal:
     """(a + b*sqrt(disc)) / c with integer a, b, c > 0 and disc a positive
-    non-square; comparisons are decided exactly."""
+    non-square; its floor is exact."""
 
     __slots__ = ("a", "b", "c", "disc")
 
@@ -215,62 +215,12 @@ class QuadraticReal:
         g = math.gcd(math.gcd(abs(a), abs(b)), c)
         self.a, self.b, self.c, self.disc = a // g, b // g, c // g, disc
 
-    @classmethod
-    def from_fraction(cls, q, disc: int) -> "QuadraticReal":
-        """q is an int or a Fraction; a float has no numerator and never enters."""
-        return cls(q.numerator, 0, q.denominator, disc)
-
     @property
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def _coerce(self, other):
-        """`other` as a QuadraticReal, and the discriminant of a sum or
-        difference: that of whichever operand is irrational."""
-        if isinstance(other, QuadraticReal):
-            if other.disc != self.disc and other.b != 0 and self.b != 0:
-                raise ValueError("mixed discriminants are not comparable here")
-            return other, (other.disc if self.b == 0 and other.b != 0 else self.disc)
-        return QuadraticReal.from_fraction(other, self.disc), self.disc
-
-    def __add__(self, other) -> "QuadraticReal":
-        o, disc = self._coerce(other)
-        return QuadraticReal(
-            self.a * o.c + o.a * self.c,
-            self.b * o.c + o.b * self.c,
-            self.c * o.c,
-            disc,
-        )
-
-    def __sub__(self, other) -> "QuadraticReal":
-        o, disc = self._coerce(other)
-        return QuadraticReal(
-            self.a * o.c - o.a * self.c,
-            self.b * o.c - o.b * self.c,
-            self.c * o.c,
-            disc,
-        )
-
     def scale(self, n: int) -> "QuadraticReal":
         return QuadraticReal(self.a * n, self.b * n, self.c, self.disc)
-
-    def sign(self) -> int:
-        """A rational value has the sign of a; an irrational one is never 0,
-        and is positive iff its floor is >= 0."""
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        return 1 if _floor_quadratic(self.a, self.b, self.c, self.disc) >= 0 else -1
-
-    def cmp(self, other) -> int:
-        return (self - other).sign()
-
-    def __eq__(self, other):
-        if not isinstance(other, QuadraticReal) and not hasattr(other, "denominator"):
-            return NotImplemented  # a float: never exactly equal
-        return self.cmp(other) == 0
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.disc))
 
     def floor(self) -> int:
         return _floor_quadratic(self.a, self.b, self.c, self.disc)
@@ -324,30 +274,30 @@ class SturmianParameterError(ValueError):
 
 
 def check_rotation_number(r: QuadraticReal):
+    """An irrational r lies in (0, 1/2) exactly when floor(2r) = 0, since 2r
+    is then never an integer."""
     if r.is_rational:
         raise SturmianParameterError("rotation number must be irrational")
-    if not (r.cmp(0) > 0 and r.scale(2).cmp(1) < 0):
+    if r.scale(2).floor() != 0:
         raise SturmianParameterError("rotation number must lie in (0, 1/2)")
 
 
-def sturmian_code(r: QuadraticReal, x, a: int, b: int) -> Word:
-    """Letters 0/1 of the rotation coding on window a..b (inclusive): position
-    n is 0 exactly when frac(x + n*r) lies in [0, r).
+def sturmian_code(r: QuadraticReal, a: int, b: int) -> Word:
+    """Letters 0/1 of the rotation coding of 0 on window a..b (inclusive):
+    position n is 0 exactly when frac(n*r) lies in [0, r).
 
     Coded by the mechanical-word identity (Lothaire, Algebraic Combinatorics
-    on Words, ch. 2): letter n is 0 iff floor(x + n*r) > floor(x + (n-1)*r).
-    It is exact with no edge case: frac(x + n*r) < r iff x + (n-1)*r <
-    floor(x + n*r) iff floor(x + (n-1)*r) < floor(x + n*r), the last step
-    because floor(x + n*r) is an integer.  One exact integer floor per
-    letter, over the common denominator of x and r."""
+    on Words, ch. 2): letter n is 0 iff floor(n*r) > floor((n-1)*r).  It is
+    exact with no edge case: frac(n*r) < r iff (n-1)*r < floor(n*r) iff
+    floor((n-1)*r) < floor(n*r), the last step because floor(n*r) is an
+    integer.  One exact integer floor per letter."""
     check_rotation_number(r)
     if a > b:
         raise ValueError("window must satisfy a <= b")
-    y = r.scale(a - 1) + x
-    # x + n*r = (ya + yb*sqrt(D) + (n-a+1)*(ra + rb*sqrt(D))) / c
-    c, disc = y.c * r.c, r.disc
-    ya, yb, ra, rb = y.a * r.c, y.b * r.c, r.a * y.c, r.b * y.c
-    prev = y.floor()
+    # n*r = (n*ra + n*rb*sqrt(D)) / c, stepped from n = a - 1
+    ra, rb, c, disc = r.a, r.b, r.c, r.disc
+    ya, yb = (a - 1) * ra, (a - 1) * rb
+    prev = _floor_quadratic(ya, yb, c, disc)
     out = []
     for _ in range(a, b + 1):
         ya += ra

@@ -70,13 +70,12 @@ class QuotientGraph:
     derived on request."""
 
     def __init__(self, level, vertices, adj, directed, alphabet=None,
-                 source=None, two_sided=False, keys=None):
+                 two_sided=False, keys=None):
         self.level = level
         self._vertices, self._keys = vertices, keys
         self._adj = adj
         self.directed = directed
         self.alphabet = alphabet
-        self.source = source
         self.two_sided = two_sided
 
     @property
@@ -106,7 +105,7 @@ class QuotientGraph:
         if not self.directed:
             return self
         return QuotientGraph(self.level, self._vertices, _symmetric(self._adj), False,
-                             self.alphabet, self.source, self.two_sided, self._keys)
+                             self.alphabet, self.two_sided, self._keys)
 
     def index(self) -> list:
         """The integer index: ``adj[i]`` the ascending ids of i's out-neighbours."""
@@ -296,7 +295,7 @@ def edges_at_level(g: SymbolicGraph, n: int, bound: int | None = None) -> Quotie
     codes.sort()
     for i, run in groupby(codes, lambda c: c >> 32):
         adj[i] = tuple(c & 0xFFFFFFFF for c in run)
-    return QuotientGraph(n, None, adj, g.directed, alphabet, g.spec, g.two_sided, keys)
+    return QuotientGraph(n, None, adj, g.directed, alphabet, g.two_sided, keys)
 
 
 def first_edges(g: SymbolicGraph, n: int, pairs: Iterable, bound: int | None = None) -> dict:
@@ -523,7 +522,7 @@ def sturmian_block_system(r_spec: str) -> BlockSystem:
 
     def block(l: int, i: int) -> Word:
         if i + l >= len(code):
-            code.extend(sturmian_code(r, 0, len(code), i + l))
+            code.extend(sturmian_code(r, len(code), i + l))
         return tuple(code[i : i + l + 1])
 
     return BlockSystem(

@@ -332,11 +332,12 @@ def scan(g: SymbolicGraph, n_max: int, budget_ms: float | None = None) -> dict:
     }
 
 
-def to_dot(q: QuotientGraph) -> str:
-    """Graphviz export with vertices labeled by prefix strings."""
+def to_dot(q: QuotientGraph, name: str) -> str:
+    """Graphviz export of a quotient of the family `name`, with vertices
+    labeled by prefix strings."""
     kind = "digraph" if q.directed else "graph"
     arrow = "->" if q.directed else "--"
-    lines = ['%s "%s level %d" {' % (kind, q.source or "quotient", q.level)]
+    lines = ['%s "%s level %d" {' % (kind, name, q.level)]
     for v in q.vertices:
         lines.append('  "%s";' % q.label(v))
     for (u, v) in q.distinct_edges():

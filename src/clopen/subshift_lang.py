@@ -4,7 +4,6 @@ presented countable compacta."""
 
 from __future__ import annotations
 
-from functools import cmp_to_key
 from typing import Iterable, Optional, Sequence
 
 from .dynamics import (
@@ -158,18 +157,21 @@ def _check_budget(words: set, n: int):
 
 
 class SturmianSubshift:
-    """Factors of the rotation coding by an irrational r, exact from arcs.
+    """Factors of the rotation coding by an irrational r, exact from one
+    window of the coding of 0.
 
     Letter k of the coding at y is 0 exactly when frac(y + k*r) lies in
     [0, r), that is when y lies in the half-open arc [frac(-k*r),
-    frac(-(k-1)*r)) of the circle.  So the n letters at y change only at
-    the cut points frac(-j*r), j = -1 .. n-1, which are n + 1 distinct
-    points since r is irrational, and each half-open arc between two
-    consecutive cuts has one word: the code at its exact midpoint.  Every
-    arc has an interior and every orbit of an irrational rotation is dense,
-    so every arc's word occurs in every coding, and the factor at any
-    position is the word of the arc that holds its point.  The arc words
-    are thus the language, exactly, at every n."""
+    frac(-(k-1)*r)) of the circle.  So the n letters at y are constant on
+    each half-open arc between consecutive cut points frac(-j*r), j = -1 ..
+    n-1, its left end included; these are n + 1 distinct points since r is
+    irrational.  Every arc has an interior and every orbit of an irrational
+    rotation is dense, so every arc's word occurs in every coding, and the
+    language of length n is the n + 1 arc words.  The word of the arc whose
+    left end is frac(-j*r) is the coding there, which is the coding of 0
+    read from position -j: the window of the coding of 0 at positions
+    -j .. n-1-j.  So the language is the n + 1 length-n windows of the
+    coding of 0 on positions 1-n .. n."""
 
     def __init__(self, r: QuadraticReal):
         check_rotation_number(r)
@@ -178,12 +180,8 @@ class SturmianSubshift:
     def language(self, n: int) -> set:
         if n == 0:
             return {()}
-        fracs = [v - v.floor() for v in (self.r.scale(-j) for j in range(-1, n))]
-        cuts = sorted(fracs, key=cmp_to_key(QuadraticReal.cmp))
-        # twice each arc's midpoint; the last arc closes at the first cut + 1
-        sums = [a + b for a, b in zip(cuts, cuts[1:] + [cuts[0] + 1])]
-        return {sturmian_code(self.r, QuadraticReal(s.a, s.b, 2 * s.c, s.disc), 0, n - 1)
-                for s in sums}
+        code = sturmian_code(self.r, 1 - n, n)
+        return {code[i : i + n] for i in range(n + 1)}
 
 
 class FinitePointSet:
@@ -207,8 +205,8 @@ Subshift = ForbiddenSubshift | SturmianSubshift | FinitePointSet
 
 def complexity(s: Subshift, n_max: int) -> list[int]:
     """The factor counts of lengths 1..n_max, from the one language of
-    length n_max: every factor of a subshift extends to the right (an arc's
-    word is a prefix of a longer arc's, the pruned graph has a successor at
+    length n_max: every factor of a subshift extends to the right (a Sturmian
+    window continues along the coding, the pruned graph has a successor at
     every vertex, a point's factor continues along the point), so the
     length-(n - 1) factors are exactly the length-n ones without their last
     letter."""

@@ -300,32 +300,20 @@ class BlockWord:
 # one-sided:  u(v)^inf           e.g.  01(10)^inf
 # two-sided:  (u)^inf t.s(v)^inf e.g.  (01)^inf.1(01)^inf,  (01)^inf1.(01)^inf
 #
-# Letters are single characters unless the word contains a comma, in which
-# case letters are the comma-separated tokens (needed for letters like
-# "abar" or numerals >= 10).  A prefix parsed over an Alphabet
-# (`parse_prefix`) also accepts comma-free strings of multi-character
-# letters via greedy longest match.
+# Letters are single characters unless the word's text holds a comma
+# anywhere, in which case the letters of every part are its comma-separated
+# tokens (needed for letters like "abar" or numerals >= 10); a word with a
+# multi-character letter is written with at least one comma, as in
+# `(abar,)^inf`.  A prefix parsed over an Alphabet (`parse_prefix`) also
+# accepts comma-free strings of multi-character letters via greedy longest
+# match.
 
 
-def _split_letters(s: str, alphabet: Alphabet | None = None) -> Word:
-    if s == "":
-        return ()
-    if "," in s:
-        return tuple(tok for tok in s.split(",") if tok != "")
-    if alphabet is not None and any(len(a) > 1 for a in alphabet):
-        out = []
-        i = 0
-        toks = sorted(alphabet.letters, key=len, reverse=True)
-        while i < len(s):
-            for tok in toks:
-                if s.startswith(tok, i):
-                    out.append(tok)
-                    i += len(tok)
-                    break
-            else:
-                raise WordError("cannot tokenize %r over %r" % (s, alphabet))
-        return tuple(out)
-    return tuple(s)
+def _letters(part: str, text: str) -> Word:
+    """The letters of one part of a word's text."""
+    if "," in text:
+        return tuple(tok for tok in part.split(",") if tok != "")
+    return tuple(part)
 
 
 def _needs_commas(parts: Iterable[Word], alphabet: Alphabet | None = None) -> bool:
@@ -340,13 +328,19 @@ def _fmt(part: Word, commas: bool) -> str:
     return ",".join(part) if commas else "".join(part)
 
 
+def _comma_once(text: str, commas: bool) -> str:
+    """A text written with commas holds one: else a comma closes the first
+    cycle, as in `(abar,)^inf`, so the parser splits at commas."""
+    if commas and "," not in text:
+        return text.replace(")^inf", ",)^inf", 1)
+    return text
+
+
 def format_ult(w: UltWord) -> str:
     commas = _needs_commas([w.head, w.cycle])
     head = _fmt(w.head, commas)
     cyc = "(%s)^inf" % _fmt(w.cycle, commas)
-    if head and commas:
-        return head + "," + cyc
-    return head + cyc
+    return _comma_once(head + "," + cyc if head and commas else head + cyc, commas)
 
 
 def parse_ult(s: str) -> UltWord:
@@ -356,8 +350,8 @@ def parse_ult(s: str) -> UltWord:
     open_idx = s.rfind("(")
     if open_idx < 0:
         raise WordError("missing '(' in %r" % s)
-    cyc = _split_letters(s[open_idx + 1 : -len(")^inf")])
-    return UltWord(_split_letters(s[:open_idx].rstrip(",")), cyc)
+    cyc = _letters(s[open_idx + 1 : -len(")^inf")], s)
+    return UltWord(_letters(s[:open_idx], s), cyc)
 
 
 def format_bi(b: BiWord) -> str:
@@ -377,7 +371,7 @@ def format_bi(b: BiWord) -> str:
     if post:
         out += _fmt(post, commas) + ("," if commas else "")
     out += "(%s)^inf" % _fmt(rcyc, commas)
-    return out
+    return _comma_once(out, commas)
 
 
 def parse_bi(s: str) -> BiWord:
@@ -387,18 +381,18 @@ def parse_bi(s: str) -> BiWord:
     close = s.find(")^inf")
     if close < 0:
         raise WordError("missing ')^inf' in %r" % s)
-    left = _split_letters(s[1:close])
+    left = _letters(s[1:close], s)
     rest = s[close + len(")^inf") :]
     dot = rest.find(".")
     if dot < 0:
         raise WordError("missing '.' (origin) in %r" % s)
-    pre = _split_letters(rest[:dot].strip(","))
+    pre = _letters(rest[:dot], s)
     tail = rest[dot + 1 :]
     if not tail.endswith(")^inf"):
         raise WordError("two-sided word must end with (cycle)^inf: %r" % s)
     open_idx = tail.rfind("(")
-    right = _split_letters(tail[open_idx + 1 : -len(")^inf")])
-    post = _split_letters(tail[:open_idx].strip(","))
+    right = _letters(tail[open_idx + 1 : -len(")^inf")], s)
+    post = _letters(tail[:open_idx], s)
     return BiWord(left, pre + post, right, start=-len(pre))
 
 
@@ -407,4 +401,18 @@ def format_word(w: Word, alphabet: Alphabet | None = None) -> str:
 
 
 def parse_prefix(s: str, alphabet: Alphabet | None = None) -> Word:
-    return _split_letters(s.strip(), alphabet)
+    s = s.strip()
+    if "," in s or alphabet is None or all(len(a) == 1 for a in alphabet):
+        return _letters(s, s)
+    out = []
+    i = 0
+    toks = sorted(alphabet.letters, key=len, reverse=True)
+    while i < len(s):
+        for tok in toks:
+            if s.startswith(tok, i):
+                out.append(tok)
+                i += len(tok)
+                break
+        else:
+            raise WordError("cannot tokenize %r over %r" % (s, alphabet))
+    return tuple(out)

@@ -492,10 +492,18 @@ STURMIAN = "(3 - 1 sqrt 5)/2"
      "subshift-complexity-forbidden-16.txt"),
     (("subshift", "complexity", "--sturmian", "(1999 - 1 sqrt 5)/1997998", "--nmax", "12"),
      "subshift-complexity-sturmian-near-zero-12.txt"),
+    # recorded while each language was still read off n + 1 arc midpoints
+    (("subshift", "lang", "--sturmian", "(7 - 3 sqrt 5)/2", "--n", "40"),
+     "subshift-lang-sturmian-other-40.txt"),
+    (("subshift", "lang", "--sturmian", "(1999 - 1 sqrt 5)/1997998", "--n", "40"),
+     "subshift-lang-sturmian-near-zero-40.txt"),
+    (("subshift", "complexity", "--sturmian", "(7 - 3 sqrt 5)/2", "--nmax", "40"),
+     "subshift-complexity-sturmian-other-40.txt"),
 ], ids=["complexity-30", "lang-40", "powerfree-4", "powerfree-3", "cb-rank-3", "cb-rank-0",
         "cb-rank-1", "cb-rank-2", "cb-rank-4", "cb-rank-3-r10", "cb-rank-3-r80",
         "cb-rank-3-r200",
-        "complexity-forbidden-16", "complexity-near-zero-12"])
+        "complexity-forbidden-16", "complexity-near-zero-12", "lang-other-40",
+        "lang-near-zero-40", "complexity-other-40"])
 def test_subshift_text_matches_golden(capsys, argv, name):
     # pins the coded languages, the power witness and the CB window probes
     code, out, _ = run(capsys, *argv)
@@ -631,6 +639,11 @@ GRAPH_HEADER = "error: graph file must start with the header directed=0 or direc
     # a Sturmian block family fails the three-coloring's block hypothesis
     (("color", "build", "--family", "sturmian:r=" + STURMIAN, "--kind", "three-beta"),
      "error: block hypothesis fails at level 1 index 2: first letter '1', expected '0'\n"),
+    # rotation numbers outside the irrationals of (0, 1/2)
+    (("subshift", "lang", "--sturmian", "(1 + 1 sqrt 5)/2", "--n", "40"),
+     "error: rotation number must lie in (0, 1/2)\n"),
+    (("subshift", "lang", "--sturmian", "(1 + 0 sqrt 5)/2", "--n", "40"),
+     "error: rotation number must be irrational\n"),
 ], ids=["fib-budget", "color-budget", "hom-budget", "missing-file", "fib-negative",
         "fib-2", "fib-120", "fib-100000", "odd-cycle-key", "parity-no-radix", "verify-no-coloring",
         "cylinder-letter", "cylinder-digit", "quotient-negative-bound", "show-negative-bound",
@@ -648,7 +661,8 @@ GRAPH_HEADER = "error: graph file must start with the header directed=0 or direc
         "sturmian-trailing-token",
         "t-coloring-letter", "forest-empty",
         "forest-blank", "graph-empty", "graph-header-2", "graph-header-extra",
-        "graph-three-tokens", "spectrum-budget-k12", "three-beta-sturmian"])
+        "graph-three-tokens", "spectrum-budget-k12", "three-beta-sturmian",
+        "sturmian-above-half", "sturmian-rational"])
 def test_budget_and_file_errors_exit_2(tmp_path, monkeypatch, capsys, argv, prefix):
     monkeypatch.chdir(tmp_path)
     for name, text in INPUT_FILES.items():

@@ -32,6 +32,7 @@ from clopen.dynamics import (
 )
 from clopen.words import BiWord, UltWord, parse_bi, parse_ult
 
+from test_subshift_oracles import sign_by_squares, sub
 from test_words import prefix
 
 
@@ -322,36 +323,37 @@ def test_fibonacci_limit_prefixes_are_nested():
 
 
 def test_quadratic_parse_and_compare():
+    # each value lies between k/100 and (k+1)/100 for k = floor(100 v)
     r = parse_quadratic("(3 - 1 sqrt 5)/2")
     assert repr(r) == "(3 - 1 sqrt 5)/2"
-    assert r.cmp(0) > 0 and r.cmp(Fraction(1, 2)) < 0
-    assert r.cmp(Fraction(39, 100)) < 0 and r.cmp(Fraction(38, 100)) > 0
+    assert r.scale(100).floor() == 38 and r.scale(2).floor() == 0
     s = parse_quadratic("(7 - 3 sqrt 5)/2")
-    assert s.cmp(0) > 0 and s.cmp(Fraction(1, 2)) < 0
-    assert s.cmp(r) < 0
-    assert r == r + 0
-    assert (r - r).sign() == 0
-
-
-def test_quadratic_mixed_discriminants():
-    # 1/2 + sqrt 2 in either order: the irrational operand's discriminant
-    half, root2 = QuadraticReal(1, 0, 2, 5), QuadraticReal(0, 1, 1, 2)
-    for v in (half + root2, root2 + half):
-        assert repr(v) == "(1 + 2 sqrt 2)/2" and v.floor() == 1
-    for v, want in ((half - root2, "(1 - 2 sqrt 2)/2"), (root2 - half, "(-1 + 2 sqrt 2)/2")):
-        assert repr(v) == want
-    with pytest.raises(ValueError):
-        root2 + QuadraticReal(0, 1, 1, 3)
+    assert s.scale(100).floor() == 14 and s.scale(2).floor() == 0
+    assert repr(parse_quadratic("(-4)/2")) == "(-2 + 0 sqrt 5)/1"
 
 
 GOLDEN_RATIO_PART = "(3 - 1 sqrt 5)/2"  # ~0.382
 HALF = "(1 + 0 sqrt 5)/2"
 
 
-# value, rational operand, then cmp, ==, + and - as the Fraction-based
-# coercion gave them; int and Fraction operands both coerce through their
-# numerator and denominator
-@pytest.mark.parametrize("value,other,cmp,eq,plus,minus", [
+def minus(v: QuadraticReal, p: int, q: int = 1) -> QuadraticReal:
+    """v - p/q; v + p/q is minus(v, -p, q)."""
+    return sub(v, QuadraticReal(p, 0, q, v.disc))
+
+
+def cmp_rational(v: QuadraticReal, p: int, q: int) -> int:
+    """The sign of v - p/q, q > 0, from one floor: floor(q*v) < p exactly
+    when v < p/q, and v = p/q exactly when q*v is the integer p."""
+    qv = v.scale(q)
+    if qv.floor() < p:
+        return -1
+    return 0 if qv.is_rational and qv.c == 1 and qv.a == p else 1
+
+
+# value, rational operand, then the sign of their difference, equality, and
+# the sum and difference built on the integer fields, as the constructor
+# reduces them
+@pytest.mark.parametrize("value,other,cmp,eq,plus,minus_", [
     (GOLDEN_RATIO_PART, 0, 1, False, "(3 - 1 sqrt 5)/2", "(3 - 1 sqrt 5)/2"),
     (GOLDEN_RATIO_PART, 1, -1, False, "(5 - 1 sqrt 5)/2", "(1 - 1 sqrt 5)/2"),
     (GOLDEN_RATIO_PART, -2, 1, False, "(-1 - 1 sqrt 5)/2", "(7 - 1 sqrt 5)/2"),
@@ -369,92 +371,93 @@ HALF = "(1 + 0 sqrt 5)/2"
     ("(-4)/2", -2, 0, True, "(-4 + 0 sqrt 5)/1", "(0 + 0 sqrt 5)/1"),
     ("(-4)/2", Fraction(-2), 0, True, "(-4 + 0 sqrt 5)/1", "(0 + 0 sqrt 5)/1"),
 ])
-def test_quadratic_rational_operands(value, other, cmp, eq, plus, minus):
+def test_quadratic_rational_operands(value, other, cmp, eq, plus, minus_):
     v = parse_quadratic(value)
-    assert v.cmp(other) == cmp
-    assert (v == other) is eq and (other == v) is eq
-    assert repr(v + other) == plus and repr(v - other) == minus
+    p, q = Fraction(other).numerator, Fraction(other).denominator
+    assert cmp_rational(v, p, q) == cmp and (cmp == 0) is eq
+    assert sign_by_squares(minus(v, p, q)) == cmp
+    assert repr(minus(v, -p, q)) == plus and repr(minus(v, p, q)) == minus_
 
 
 def test_quadratic_never_equals_a_float():
-    for v in (parse_quadratic(HALF), parse_quadratic(GOLDEN_RATIO_PART), QuadraticReal(0, 0, 1, 5)):
-        assert v != 0.5 and 0.5 != v and v != 0.0 and 0.0 != v
-    # nor does a float enter a comparison or a sum
-    with pytest.raises(AttributeError):
-        parse_quadratic(HALF).cmp(0.5)
-    with pytest.raises(AttributeError):
-        parse_quadratic(GOLDEN_RATIO_PART) + 0.5
+    # no float enters: the constructor refuses one in every field, so no
+    # value is ever a float's neighbour or equal to one
+    for fields in ((0.5, 0, 1, 5), (1, 0.5, 2, 5), (1, 1, 2.0, 5), (1, 1, 2, 5.0)):
+        with pytest.raises(TypeError):
+            QuadraticReal(*fields)
+    with pytest.raises(TypeError):
+        parse_quadratic(HALF).scale(0.5)
 
 
 def test_rotation_number_bounds_are_exact():
     # r = 0 and r = 1/2 exactly are rational; an irrational r within 10^-9
-    # of either end falls on the side it lies on
-    tiny = QuadraticReal(-2, 1, 10**9, 5)  # (sqrt 5 - 2)/10^9 > 0
+    # of either end falls on the side it lies on: tiny = (sqrt 5 - 2)/10^9
+    e = 10**9
     for r, reason in ((QuadraticReal(0, 0, 1, 5), "irrational"),
                       (QuadraticReal(1, 0, 2, 5), "irrational"),
-                      (QuadraticReal(0, 0, 1, 5) - tiny, "(0, 1/2)"),
-                      (QuadraticReal(1, 0, 2, 5) + tiny, "(0, 1/2)")):
+                      (QuadraticReal(2, -1, e, 5), "(0, 1/2)"),  # -tiny
+                      (QuadraticReal(e // 2 - 2, 1, e, 5), "(0, 1/2)")):  # 1/2 + tiny
         with pytest.raises(SturmianParameterError, match=re.escape(reason)):
-            sturmian_code(r, 0, 0, 1)
-    for r in (tiny, QuadraticReal(1, 0, 2, 5) - tiny):
-        assert len(sturmian_code(r, 0, 0, 3)) == 4
+            sturmian_code(r, 0, 1)
+    for r in (QuadraticReal(-2, 1, e, 5), QuadraticReal(e // 2 + 2, -1, e, 5)):
+        assert len(sturmian_code(r, 0, 3)) == 4
 
 
 def approx(v: QuadraticReal) -> float:
     return (v.a + v.b * math.sqrt(v.disc)) / v.c
 
 
-def frac(v: QuadraticReal) -> QuadraticReal:
-    return v - v.floor()
-
-
 def test_quadratic_floor_and_frac():
     r = parse_quadratic("(3 - 1 sqrt 5)/2")
     big = r.scale(13)  # ~4.97
     assert big.floor() == 4
-    fr = frac(big)
-    assert 0 <= fr.cmp(0) or fr.cmp(0) == 0
-    assert fr.cmp(1) < 0
+    # frac(big) = big - 4 lies in [0, 1)
+    assert sign_by_squares(minus(big, 4)) >= 0 and sign_by_squares(minus(big, 5)) < 0
     neg = r.scale(-3)  # ~-1.14
     assert neg.floor() == -2
     rng = random.Random(29)
     for _ in range(100):
         n = rng.randrange(-50, 50)
-        v = r.scale(n) + Fraction(rng.randrange(-10, 10), 7)
+        v = minus(r.scale(n), rng.randrange(-10, 10), 7)
         f = v.floor()
         assert f == math.floor(approx(v))  # far from integers for these inputs
-        assert v.cmp(f) >= 0 and v.cmp(f + 1) < 0
+        assert sign_by_squares(minus(v, f)) >= 0 and sign_by_squares(minus(v, f + 1)) < 0
 
 
 def test_sturmian_endpoints_exact():
     r = parse_quadratic("(3 - 1 sqrt 5)/2")
-    assert sturmian_code(r, 0, 0, 1) == ("0", "1")
+    assert sturmian_code(r, 0, 1) == ("0", "1")
 
 
 def test_sturmian_rejects_bad_parameters():
     with pytest.raises(SturmianParameterError):
-        sturmian_code(QuadraticReal(1, 0, 3, 5), 0, 0, 1)  # rational
+        sturmian_code(QuadraticReal(1, 0, 3, 5), 0, 1)  # rational
     with pytest.raises(SturmianParameterError):
-        sturmian_code(parse_quadratic("(1 + 1 sqrt 5)/2"), 0, 0, 1)  # > 1/2
+        sturmian_code(parse_quadratic("(1 + 1 sqrt 5)/2"), 0, 1)  # > 1/2
 
 
 def test_sturmian_equivariance():
+    # windows of the one coding of 0 agree wherever they overlap, whatever
+    # their starts, negative ones included
     rng = random.Random(31)
     r = parse_quadratic("(3 - 1 sqrt 5)/2")
     for _ in range(10):
-        x = Fraction(rng.randrange(0, 40), 41)
         a = rng.randrange(-50, 0)
         b = rng.randrange(0, 50)
-        x1 = frac(QuadraticReal.from_fraction(x, r.disc) + r)
-        assert sturmian_code(r, x, a + 1, b + 1) == sturmian_code(r, x1, a, b)
+        k = rng.randrange(1, 20)
+        assert sturmian_code(r, a + k, b + k)[: b - a + 1 - k] == sturmian_code(r, a, b)[k:]
 
 
 def test_sturmian_matches_float_oracle():
     r = parse_quadratic("(3 - 1 sqrt 5)/2")
     rf = approx(r)
-    code = sturmian_code(r, Fraction(1, 7), -30, 30)
+    code = sturmian_code(r, -30, 30)
+    # the cut points themselves: frac(0) = 0 lies in [0, r), frac(r) = r not
+    assert code[30:32] == ("0", "1")
     for idx, n in enumerate(range(-30, 31)):
-        y = (1 / 7 + n * rf) % 1.0
+        if n in (0, 1):
+            continue
+        y = (n * rf) % 1.0
         assert min(abs(y - rf), y, 1 - y) > 1e-9  # oracle is safe here
         assert code[idx] == ("0" if y < rf else "1")
 
@@ -480,7 +483,7 @@ def test_periodic_period_divides_word_length():
 
 def test_sturmian_window_factor_count():
     r = parse_quadratic("(3 - 1 sqrt 5)/2")
-    code = sturmian_code(r, 0, 0, 2000)
+    code = sturmian_code(r, 0, 2000)
     factors4 = {code[i : i + 4] for i in range(len(code) - 3)}
     assert len(factors4) == 5
 

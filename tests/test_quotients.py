@@ -226,11 +226,11 @@ def test_scan_noncompact_caveat():
 
 def test_dot_export():
     q = quotient(parse_family("graph-o:d=(3)^inf"), 1)
-    dot = to_dot(q)
-    assert dot.startswith("graph")
+    dot = to_dot(q, "graph-o:d=(3)^inf")
+    assert dot.startswith('graph "graph-o:d=(3)^inf level 1" {')
     assert '"0" -- "1"' in dot
     q2 = quotient(parse_family("k0"), 1)
-    dot2 = to_dot(q2)
+    dot2 = to_dot(q2, "k0")
     assert '"1.1"' in dot2  # window labels carry the origin dot
 
 

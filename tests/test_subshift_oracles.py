@@ -1,19 +1,26 @@
 """Exact differential oracles for the subshift layer: the closed-form floor,
-the floor-based sign, the identity-based Sturmian coding, its growing code
-buffers, the arc-based Sturmian language, complexity read off one
-language, the bit-parallel power check, sliced BiWord and BlockWord
+the floor-based rotation bound, the identity-based Sturmian coding, its
+growing code buffers, the window-based Sturmian language, complexity read
+off one language, the bit-parallel power check, sliced BiWord and BlockWord
 windows, the text windows of the cb_rank edge probe and the text factors of
 its isolation loop, the shift graphs' level pairs and the suffix-only
 forbidden-factor test, each against the definition it replaced."""
 
 import math
+from functools import cmp_to_key
 from itertools import zip_longest
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clopen.dynamics import QuadraticReal, parse_quadratic, sturmian_code
+from clopen.dynamics import (
+    QuadraticReal,
+    SturmianParameterError,
+    check_rotation_number,
+    parse_quadratic,
+    sturmian_code,
+)
 from clopen.families import parse_family
 from clopen.subshift_lang import (
     FinitePointSet,
@@ -36,14 +43,46 @@ ints = st.one_of(st.integers(-60, 60), st.integers(-10**400, 10**400))
 discs = st.integers(2, 10**6).filter(lambda d: math.isqrt(d) ** 2 != d)
 
 
+def sign_by_squares(v: QuadraticReal) -> int:
+    """The sign of v: the signs of a and b, and a^2 against b^2 * disc when
+    they differ."""
+    a, b = v.a, v.b
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return (b > 0) - (b < 0)
+    if (a > 0) == (b > 0):
+        return 1 if a > 0 else -1
+    lhs, rhs = a * a, b * b * v.disc
+    if lhs == rhs:
+        return 0
+    if a > 0:
+        return 1 if lhs > rhs else -1
+    return -1 if lhs > rhs else 1
+
+
+def sub(u: QuadraticReal, v: QuadraticReal) -> QuadraticReal:
+    """u - v over the integer fields, for u and v of one discriminant."""
+    return QuadraticReal(u.a * v.c - v.a * u.c, u.b * v.c - v.b * u.c, u.c * v.c, u.disc)
+
+
+def integer(k: int, disc: int) -> QuadraticReal:
+    return QuadraticReal(k, 0, 1, disc)
+
+
+def cmp(u: QuadraticReal, v: QuadraticReal) -> int:
+    """The exact comparison: the sign of u - v."""
+    return sign_by_squares(sub(u, v))
+
+
 def floor_by_bisection(v: QuadraticReal) -> int:
-    """The former QuadraticReal.floor: bracket with an integer square root,
+    """The floor by its definition: bracket with an integer square root,
     then bisect with the exact comparison."""
     lo = (v.a - abs(v.b) * (math.isqrt(v.disc) + 1)) // v.c - 1
     hi = (v.a + abs(v.b) * (math.isqrt(v.disc) + 1)) // v.c + 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if v.cmp(mid) >= 0:
+        if cmp(v, integer(mid, v.disc)) >= 0:
             lo = mid
         else:
             hi = mid - 1
@@ -51,11 +90,12 @@ def floor_by_bisection(v: QuadraticReal) -> int:
 
 
 def code_by_frac(r, x, a, b):
-    """The former sturmian_code: letter n is 0 iff frac(x + n*r) < r."""
+    """The coding at x by its definition: letter n is 0 iff frac(x + n*r) < r."""
     out = []
     for n in range(a, b + 1):
-        y = x + r.scale(n)
-        out.append("0" if (y - floor_by_bisection(y)).cmp(r) < 0 else "1")
+        y = sub(x, r.scale(-n))
+        frac = sub(y, integer(floor_by_bisection(y), y.disc))
+        out.append("0" if cmp(frac, r) < 0 else "1")
     return tuple(out)
 
 
@@ -73,9 +113,13 @@ def power_by_slices(w, k):
 @SETTINGS
 @given(ints, ints, st.one_of(st.integers(1, 60), st.integers(1, 10**300)), discs)
 def test_floor_satisfies_its_definition(a, b, c, disc):
-    for v in (QuadraticReal(a, b, c, disc), QuadraticReal(a, -b, c, disc)):
+    # f <= v < f + 1, by the exact comparison; then (a0 +- b*sqrt(disc))/c
+    # for a0 next to +-b*sqrt(disc), among them values within 1/c of zero
+    m = math.isqrt(b * b * disc)
+    for v in (QuadraticReal(a, b, c, disc), QuadraticReal(a, -b, c, disc),
+              *(QuadraticReal(a0, s, c, disc) for a0 in (m, m + 1, -m, -m - 1) for s in (b, -b))):
         f = v.floor()
-        assert v.cmp(f) >= 0 and v.cmp(f + 1) < 0, v
+        assert cmp(v, integer(f, disc)) >= 0 and cmp(v, integer(f + 1, disc)) < 0, v
 
 
 @st.composite
@@ -88,35 +132,77 @@ def rotations(draw):
     return QuadraticReal(-floor_b_sqrt, b, draw(st.integers(2, 40)), disc)
 
 
+@SETTINGS
+@given(rotations(), st.integers(-80, 80), st.integers(0, 80))
+# the window the length-40 language reads, from position -39
+@example(parse_quadratic("(3 - 1 sqrt 5)/2"), -39, 79)
+def test_sturmian_code_matches_frac_definition(r, a, width):
+    b = a + width
+    assert sturmian_code(r, a, b) == code_by_frac(r, integer(0, r.disc), a, b)
+
+
 @st.composite
-def starts(draw, r):
-    """A rational or a quadratic start point over r's discriminant."""
-    a = draw(st.integers(-100, 100))
-    b = draw(st.sampled_from((0, draw(st.integers(-9, 9)))))
-    return QuadraticReal(a, b, draw(st.integers(1, 50)), r.disc)
+def near_bounds(draw):
+    """An irrational within 10^-9 of 0 or of 1/2, on either side: the end
+    plus or minus frac(b*sqrt(D)) / c with c >= 10^9."""
+    disc = draw(st.integers(2, 10**6).filter(lambda d: math.isqrt(d) ** 2 != d))
+    b = draw(st.integers(1, 10**6))
+    c = draw(st.integers(10**9, 10**30))
+    side = draw(st.sampled_from((1, -1)))
+    # side * (b*sqrt(D) - m) / c, with m = floor(b*sqrt(D)), lies within 1/c
+    # of 0 on the side of `side`
+    a0, b0 = -math.isqrt(b * b * disc) * side, b * side
+    if draw(st.booleans()):
+        return QuadraticReal(a0, b0, c, disc)
+    return QuadraticReal(c + 2 * a0, 2 * b0, 2 * c, disc)  # 1/2 plus it
 
 
 @SETTINGS
-@given(st.data())
-def test_sturmian_code_matches_frac_definition(data):
-    r = data.draw(rotations())
-    x = data.draw(starts(r))
-    a = data.draw(st.integers(-80, 80))
-    b = a + data.draw(st.integers(0, 60))
-    assert sturmian_code(r, x, a, b) == code_by_frac(r, x, a, b)
+@given(near_bounds())
+def test_rotation_bound_by_one_floor_matches_the_comparisons(r):
+    # 0 < r < 1/2 by exact comparison, against floor(2r) = 0
+    inside = cmp(r, integer(0, r.disc)) > 0 and cmp(r.scale(2), integer(1, r.disc)) < 0
+    try:
+        check_rotation_number(r)
+        refused = False
+    except SturmianParameterError as e:
+        assert str(e) == "rotation number must lie in (0, 1/2)"
+        refused = True
+    assert refused is not inside
+
+
+def arc_language(r, n):
+    """The language by arcs: sort the n + 1 cut points frac(-j*r), j = -1 ..
+    n-1, by the exact comparison, and code each half-open arc between two
+    consecutive cuts at its midpoint, the last arc closing at the first cut
+    plus 1.  The coding at the midpoint x is the mechanical word: letter k
+    is 0 iff floor(x + k*r) > floor(x + (k-1)*r)."""
+    fracs = []
+    for j in range(-1, n):
+        v = r.scale(-j)
+        fracs.append(sub(v, integer(v.floor(), r.disc)))
+    cuts = sorted(fracs, key=cmp_to_key(cmp))
+    words = set()
+    for lo, hi in zip(cuts, cuts[1:] + [sub(cuts[0], integer(-1, r.disc))]):
+        twice = sub(lo, hi.scale(-1))
+        mid = QuadraticReal(twice.a, twice.b, 2 * twice.c, r.disc)
+        floors = [sub(mid, r.scale(-k)).floor() for k in range(-1, n)]
+        words.add(tuple("0" if f1 > f0 else "1" for f0, f1 in zip(floors, floors[1:])))
+    return words
 
 
 def window_language(r, n, length):
-    """The former SturmianSubshift.language: the length-n factors of the
-    first `length` letters of the coding at 0, a subset of the language
-    that equals it once the window is long enough for the rotation."""
-    buf = sturmian_code(r, 0, 0, length - 1)
+    """The length-n factors of the first `length` letters of the coding at
+    0, a subset of the language that equals it once the window is long
+    enough for the rotation."""
+    buf = sturmian_code(r, 0, length - 1)
     return {buf[i : i + n] for i in range(length - n + 1)}
 
 
 def test_arc_language_matches_the_window_language():
     # a window of 4(n+2)^2 letters is long enough for the first two
-    # rotations; the third, near 1/1000, needs a longer one
+    # rotations; the third, near 1/1000, needs a longer one; the library's
+    # language, read off one window of 2n letters, is the same set
     for spec, n_max, length in (("(3 - 1 sqrt 5)/2", 40, None),
                                 ("(7 - 3 sqrt 5)/2", 20, None),
                                 ("(1999 - 1 sqrt 5)/1997998", 12, 20000)):
@@ -125,7 +211,15 @@ def test_arc_language_matches_the_window_language():
         for n in range(1, n_max + 1):
             lang = s.language(n)
             assert lang == window_language(r, n, length or 4 * (n + 2) ** 2), (spec, n)
+            assert lang == arc_language(r, n), (spec, n)
             assert len(lang) == n + 1
+
+
+@SETTINGS
+@given(rotations(), st.integers(0, 40))
+def test_window_language_equals_the_arc_language(r, n):
+    lang = SturmianSubshift(r).language(n)
+    assert lang == (arc_language(r, n) if n else {()})
 
 
 @pytest.mark.parametrize("s,n_max", [
@@ -135,7 +229,7 @@ def test_arc_language_matches_the_window_language():
 ] + [(ForbiddenSubshift(["0", "1"], ForbiddenSet(words.split(","))), 20)
      for words in ("11", "11,000", "00,11", "010", "000,111")] + [
     (FinitePointSet([parse_bi("(01)^inf.(01)^inf"), parse_bi("(01)^inf.1(01)^inf"),
-                     parse_bi("(0)^inf.1,0,1,1(001)^inf")]), 20),
+                     parse_bi("(0)^inf.1,0,1,1,(0,0,1)^inf")]), 20),
 ], ids=["golden", "other", "near-zero", "no-11", "no-11-000", "no-00-11", "no-010",
         "no-000-111", "points"])
 def test_complexity_counts_each_language(s, n_max):
@@ -155,36 +249,6 @@ def test_arc_language_is_n_plus_one_factors_of_the_coding(data):
     lang = SturmianSubshift(r).language(n)
     assert len(lang) == n + 1
     assert window_language(r, n, 200) <= lang
-
-
-def sign_by_squares(v: QuadraticReal) -> int:
-    """The former QuadraticReal.sign: the signs of a and b, and a^2 against
-    b^2 * disc when they differ."""
-    a, b = v.a, v.b
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return (b > 0) - (b < 0)
-    if (a > 0) == (b > 0):
-        return 1 if a > 0 else -1
-    lhs, rhs = a * a, b * b * v.disc
-    if lhs == rhs:
-        return 0
-    if a > 0:
-        return 1 if lhs > rhs else -1
-    return -1 if lhs > rhs else 1
-
-
-@SETTINGS
-@given(ints, ints, st.one_of(st.integers(1, 60), st.integers(1, 10**300)), discs)
-def test_sign_matches_the_squares_definition(a, b, c, disc):
-    v = QuadraticReal(a, b, c, disc)
-    assert v.sign() == sign_by_squares(v)
-    # values next to zero: a = round(b * sqrt(disc)) on either side
-    m = math.isqrt(b * b * disc)
-    for a0 in (m, m + 1, -m, -m - 1):
-        for w in (QuadraticReal(a0, -b, c, disc), QuadraticReal(a0, b, c, disc)):
-            assert w.sign() == sign_by_squares(w)
 
 
 WIDE = tuple(str(i) for i in range(300))

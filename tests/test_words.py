@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clopen.words import (
     Alphabet,
@@ -155,6 +157,8 @@ def test_round_trip_text_grammar():
         "(0)^inf",
         "0110(100)^inf",
         "c,a,(abar,c)^inf",
+        "c,a,(abar)^inf",
+        "(abar,)^inf",
     ]:
         w = parse_ult(s)
         assert parse_ult(format_ult(w)) == w
@@ -163,6 +167,7 @@ def test_round_trip_text_grammar():
         "(01)^inf1.(01)^inf",
         "(0)^inf.(1)^inf",
         "(01)^inf10.(10)^inf",
+        "(abar,)^inf.(c)^inf",
     ]:
         b = parse_bi(s)
         assert parse_bi(format_bi(b)) == b
@@ -172,14 +177,37 @@ def test_multicharacter_letters_round_trip():
     ab = Alphabet(["0", "1", "c", "a", "abar"])
     w = UltWord(("c", "a"), ("abar",))
     assert format_ult(w) == "c,a,(abar)^inf"
-    # a part with a comma splits at its commas, and a comma-free part into
-    # single characters, unless an alphabet tokenizes it by greedy longest
-    # match, as coloring files are read
+    assert parse_ult("c,a,(abar)^inf") == w
+    # a text with a comma anywhere splits every part at its commas, and a
+    # comma-free text into single characters, so a word with a
+    # multi-character letter is written with a comma, closing its first
+    # cycle when it has no other; a prefix over an alphabet is tokenized by
+    # greedy longest match, as coloring files are read
     w = UltWord(("c", "a"), ("abar", "c"))
     assert parse_ult("c,a,(abar,c)^inf") == w
     assert parse_ult(format_ult(w)) == w
+    w = UltWord((), ("abar",))
+    assert format_ult(w) == "(abar,)^inf" and parse_ult("(abar,)^inf") == w
+    assert parse_ult("(abar)^inf") == UltWord((), ("a", "b", "a", "r"))
+    b = BiWord(("abar",), (), ("c",))
+    assert format_bi(b) == "(abar,)^inf.(c)^inf" and parse_bi(format_bi(b)) == b
     assert parse_prefix("c,a,abar", ab) == parse_prefix("caabar", ab) == ("c", "a", "abar")
     assert parse_prefix("abara", ab) == ("abar", "a")
+
+
+# letters of one to three characters, none of them a character of the grammar
+LETTERS = st.text(alphabet="abc01", min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(LETTERS, max_size=4), st.lists(LETTERS, min_size=1, max_size=4),
+       st.lists(LETTERS, max_size=4), st.lists(LETTERS, min_size=1, max_size=4),
+       st.integers(-5, 5))
+def test_text_round_trips_words_of_any_letters(head, cycle, core, right, start):
+    w = UltWord(head, cycle)
+    assert parse_ult(format_ult(w)) == w
+    b = BiWord(cycle, core, right, start)
+    assert parse_bi(format_bi(b)) == b
 
 
 def test_alphabet_validation():
