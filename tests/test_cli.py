@@ -269,6 +269,25 @@ def test_usage_errors_equal_the_full_parser(capsys, argv):
     assert exit_and_output(capsys, main, argv) == full
 
 
+@pytest.mark.parametrize("argv,code,name", [
+    (("--help",), 0, "help-clopen.txt"),
+    (("scan", "--help"), 0, "help-scan.txt"),
+    (("color", "search", "--help"), 0, "help-color-search.txt"),
+    (("bogus",), 2, "usage-bogus.txt"),
+    (("scan", "--levels", "2"), 2, "usage-scan-levels-2.txt"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_help_and_usage_errors_match_golden(argv, code, name):
+    # a fresh process at a fixed width, against text recorded while every
+    # message of the parser went through gettext: the two tests above compare
+    # main with build_parser, which share one message hook
+    proc = subprocess.run([sys.executable, "-m", "clopen.cli", *argv],
+                          env=subprocess_env(COLUMNS="80"), capture_output=True, text=True,
+                          timeout=60)
+    golden = (GOLDEN / name).read_text(encoding="utf-8")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        (code, golden, "") if code == 0 else (code, "", golden))
+
+
 def test_one_command_parser_has_no_other_arguments(capsys):
     code, _, err = exit_and_output(capsys, build_parser("scan").parse_args,
                                    ("hom", "--source", "odd-cycle:p=1", "--target", "k0@1"))
