@@ -423,7 +423,21 @@ def cmd_obstruct(args):
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """Every subcommand is listed; when `command` names one, only it gets its
-    arguments, as argparse builds a help formatter for each argument added."""
+    arguments, as argparse builds a help formatter for each argument added.
+
+    argparse passes each title and help text it adds through its message
+    hook, gettext, whose catalogue search stats files and imports `locale`.
+    The hook is the identity while the parser is built, so a command that
+    parses cleanly never enters gettext; the help pages and usage errors,
+    formatted after it is restored, still go through it."""
+    hook, argparse._ = argparse._, str
+    try:
+        return _parser(command)
+    finally:
+        argparse._ = hook
+
+
+def _parser(command: str | None) -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="clopen",
         description="level-by-level clopen colorability of symbolic graphs",

@@ -3,7 +3,7 @@ coloring search on quotients, and return-time colorings."""
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .dynamics import Radix, prefix_of_value, prefix_value
 from .families import SymbolicGraph, finite_graph
@@ -22,7 +22,7 @@ class Violation:
 
 
 class VerifyResult:
-    def __init__(self, ok: bool, violation: Optional[Violation], complete: bool,
+    def __init__(self, ok: bool, violation: Violation | None, complete: bool,
                  checked: int, bound: int):
         self.ok = ok
         self.violation = violation
@@ -150,7 +150,7 @@ def t_coloring() -> Callable[[UltWord], int]:
 # coloring search
 
 
-def search_coloring(q: QuotientGraph, k: int) -> Optional[ClopenColoring]:
+def search_coloring(q: QuotientGraph, k: int) -> ClopenColoring | None:
     """Exhaustive search for a proper k-coloring of the quotient, or None as
     an absence certificate.
 

@@ -5,8 +5,8 @@ words."""
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
 from .words import Alphabet, BiWord, UltWord, Word, numerals
 

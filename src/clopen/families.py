@@ -34,9 +34,8 @@ and every graph's vertex pairs are derived on request.
 
 from __future__ import annotations
 
-import copy
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import groupby, islice
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .dynamics import (
     Radix,
@@ -49,7 +48,8 @@ from .dynamics import (
     sturmian_code,
 )
 from .subshift_lang import rank_block, rank_forest
-from .words import Alphabet, UltWord, Word, format_ult, format_word, numerals, parse_ult
+from .words import (Alphabet, BudgetError, UltWord, Word, format_ult, format_word, numerals,
+                    parse_ult)
 
 
 class FamilyError(ValueError):
@@ -251,10 +251,9 @@ def with_direction(g: SymbolicGraph, directed: bool) -> SymbolicGraph:
     """A copy of g that keeps one direction per generated pair, by clause
     order of the generator, when `directed`, and is closed under swaps
     otherwise; the spec carries the `:oriented` suffix exactly when directed."""
-    out = copy.copy(g)
-    out.directed = directed
     spec = g.spec.removesuffix(":oriented")
-    out.spec = spec + ":oriented" if directed else spec
+    out = object.__new__(type(g))  # shallow: g's other attributes are shared
+    vars(out).update(vars(g), directed=directed, spec=spec + ":oriented" if directed else spec)
     return out
 
 
@@ -451,6 +450,12 @@ def t_graph() -> SymbolicGraph:
 # block graphs built from a dynamical system
 
 
+# the most chain blocks, summed over block levels 0..L, that a Sturmian
+# system's saturation bound L may ask a level walk to read: the rotation
+# number near 1/1000 in the tests needs L = 1000, about 10^6 blocks, at level 2
+_CHAIN_BLOCK_BUDGET = 10**7
+
+
 class BlockSystem:
     """Supplies the words s_l(i) used as block labels, the half-lengths n_l,
     and for a periodic system `period(n)`: a period in i of every s_l(i) cut
@@ -482,11 +487,22 @@ class BlockSystem:
         (Morse-Hedlund), and each occurs at positions of both parities,
         since the points jr and (2k+1)r are dense in the circle and each
         factor codes an arc.  So all n + 2 and n + 1 of them are read by some
-        L, and no chain past L gives a new pair."""
+        L, and no chain past L gives a new pair.
+
+        The level-n walk reads chains 0..L, whose blocks number the sum of
+        width(l) for l <= L; past `_CHAIN_BLOCK_BUDGET` of them a Sturmian
+        system raises BudgetError.  A rotation number near a rational of
+        small denominator repeats short factors for long stretches, so its
+        L can reach the hundreds of thousands at level 1."""
         if self.period is not None:
             return max(n, 1)
         factors, ends, l, start = set(), set(), max(n - 1, 0), 0
+        blocks = sum(self.width(k) for k in range(l))
         while True:
+            blocks += self.width(l)
+            if blocks > _CHAIN_BLOCK_BUDGET:
+                raise BudgetError("the level-%d pairs need the chains past block level %d, "
+                                  "over the budget of 10^7 chain blocks" % (n, l - 1))
             factors.update(self.block(n, i) for i in range(start, self.width(l) - 1))
             ends.add(self.block(n - 1, self.width(l) - 1))
             if len(factors) == n + 2 and len(ends) == n + 1:

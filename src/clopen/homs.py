@@ -5,15 +5,13 @@ its integer index."""
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .families import QuotientGraph, SymbolicGraph, finite_graph
 from .quotients import odd_girth_root, quotient
 from .words import BudgetError
 
 
 def hom_exists(G: QuotientGraph, H: QuotientGraph, injective: bool = False
-               ) -> Optional[dict]:
+               ) -> dict | None:
     """Backtracking search with forward checking over the integer indexes of
     G and H; returns the witness, a map from G's vertices to H's that sends
     every edge to an edge, or None as an absence certificate.

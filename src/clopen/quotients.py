@@ -19,7 +19,6 @@ verifies the others.
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 from .families import QuotientGraph, SymbolicGraph, edges_at_level
 from .words import Alphabet, Word, format_word
@@ -168,7 +167,7 @@ def odd_girth_root(adj, colors=None):
     return best if best[0] <= len(adj) else None
 
 
-def odd_closed_walk(q: QuotientGraph, colors=None) -> Optional[OddWalk]:
+def odd_closed_walk(q: QuotientGraph, colors=None) -> OddWalk | None:
     """A shortest odd closed walk if one exists (a self-loop has length one),
     else None; `colors` is passed on to ``odd_girth_root``.
 

@@ -4,7 +4,7 @@ presented countable compacta."""
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from .dynamics import (
     QuadraticReal,
@@ -87,7 +87,7 @@ class ForbiddenSubshift:
         self.letters = tuple(letters)
         self.F = F
         self._lengths = sorted({len(f) for f in F.words})
-        self._pruned: Optional[set] = None
+        self._pruned: set | None = None
 
     def _avoids(self, ext: Word) -> bool:
         """Whether ext avoids F, given that ext[:-1] does: only a suffix of

@@ -12,7 +12,7 @@ All values are immutable and all operations are pure.
 from __future__ import annotations
 
 import sys
-from typing import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 Letter = str
 Word = tuple  # tuple of letters

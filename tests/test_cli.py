@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -330,6 +331,21 @@ def test_forbidden_language_past_the_word_budget_exits_2(forbidden, nmax, length
                            "words, over the budget\n" % length)
 
 
+def test_sturmian_saturation_past_the_chain_block_budget_exits_2():
+    # r = sqrt(1000003)/4000 lies within 4 * 10^-7 of 1/4: the level-1 pairs
+    # need block level 333,335, some 10^11 chain blocks, where the command ran
+    # for more than 150 s; it is refused at block level 3161, past 10^7 blocks
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "clopen.cli", "scan", "--family",
+         "sturmian:r=(0 + 1 sqrt 1000003)/4000", "--levels", "3"],
+        env=subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - started < 5
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: the level-1 pairs need the chains past block level 3160, "
+                           "over the budget of 10^7 chain blocks\n")
+
+
 @pytest.mark.parametrize("argv,out", [
     (["decide", "--family", "gp:d=2,(3)^inf,p=12", "--level", "0"],
      "gp:d=2,(3)^inf,p=12 level 0: odd-walk\n  odd closed walk: <empty> <empty>\n"),
@@ -358,7 +374,28 @@ def test_cli_import_loads_the_library_but_not_json_or_fractions():
         env=env, capture_output=True, text=True, check=True)
     loaded = set(proc.stdout.split())
     assert {"clopen." + m for m in TRACED_MODULES} <= loaded
-    assert not loaded & {"json", "fractions", "decimal"}
+    assert not loaded & {"json", "fractions", "decimal", "typing", "copy"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("hom", "--source", "odd-cycle:p=1", "--target", "odd-cycle:p=0"),
+    ("scan", "--family", "gm", "--levels", "3", "--format", "json"),
+], ids=["hom", "scan-json"])
+def test_a_command_that_parses_cleanly_loads_no_locale_typing_or_copy(argv):
+    # -S: no site hooks, which may load typing and weakref themselves; the
+    # parser is built without gettext's catalogue search, which imports
+    # locale, and the library needs typing only for annotations
+    code = ("import sys, argparse\n"
+            "hook = argparse._\n"
+            "from clopen.cli import main\n"
+            "rc = main(%r)\n"
+            "assert argparse._ is hook\n"
+            "print(rc, *sorted(sys.modules), file=sys.stderr)\n" % list(argv))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=subprocess_env(),
+                          capture_output=True, text=True, check=True, timeout=60)
+    rc, *loaded = proc.stderr.split()
+    assert rc == "0" and "clopen.cli" in loaded
+    assert not set(loaded) & {"locale", "typing", "copy", "weakref"}
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])
