@@ -6,9 +6,9 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .dynamics import Radix, prefix_of_value, prefix_value
-from .families import SymbolicGraph, finite_graph
+from .families import QuotientGraph, SymbolicGraph, finite_graph
 from .homs import hom_exists
-from .quotients import ClopenColoring, ColoringError, QuotientGraph, TotalityError, quotient
+from .quotients import ClopenColoring, ColoringError, quotient
 from .words import Alphabet, BudgetError, UltWord, Word, format_word, parse_prefix
 
 

@@ -228,7 +228,7 @@ class SymbolicGraph:
         self.alphabet_for = alphabet_for
         self._generate = generate
         self.saturation = saturation
-        self.directed = False  # `with_direction` sets it
+        self.directed = False  # `parse_family` sets it for an `:oriented` spec
         self.forest = forest
         self.compact = compact
         self.point_set = point_set
@@ -245,16 +245,6 @@ class SymbolicGraph:
 
     def __repr__(self):
         return "SymbolicGraph(%s)" % self.spec
-
-
-def with_direction(g: SymbolicGraph, directed: bool) -> SymbolicGraph:
-    """A copy of g that keeps one direction per generated pair, by clause
-    order of the generator, when `directed`, and is closed under swaps
-    otherwise; the spec carries the `:oriented` suffix exactly when directed."""
-    spec = g.spec.removesuffix(":oriented")
-    out = object.__new__(type(g))  # shallow: g's other attributes are shared
-    vars(out).update(vars(g), directed=directed, spec=spec + ":oriented" if directed else spec)
-    return out
 
 
 def edges_at_level(g: SymbolicGraph, n: int, bound: int | None = None) -> QuotientGraph:
@@ -473,6 +463,14 @@ class BlockSystem:
     def width(self, l: int) -> int:
         return 2 * self.half_lengths(l) + 2
 
+    def check_chains(self, n: int, last: int) -> None:
+        """Raises BudgetError when a Sturmian level-n walk through chains
+        0..last would read more than `_CHAIN_BLOCK_BUDGET` blocks: chain l
+        has width 2l + 2, so chains 0..L hold (L + 1)(L + 2)."""
+        if self.period is None and (last + 1) * (last + 2) > _CHAIN_BLOCK_BUDGET:
+            raise BudgetError("the level-%d pairs need the chains past block level %d, "
+                              "over the budget of 10^7 chain blocks" % (n, last - 1))
+
     def saturation(self, n: int) -> int:
         """The block levels whose chains give every level-n pair: max(n, 1)
         for a periodic system, and for a Sturmian one the first L >= n - 1
@@ -489,20 +487,15 @@ class BlockSystem:
         factor codes an arc.  So all n + 2 and n + 1 of them are read by some
         L, and no chain past L gives a new pair.
 
-        The level-n walk reads chains 0..L, whose blocks number the sum of
-        width(l) for l <= L; past `_CHAIN_BLOCK_BUDGET` of them a Sturmian
-        system raises BudgetError.  A rotation number near a rational of
+        The level-n walk reads chains 0..L, and `check_chains` refuses an L
+        past the chain block budget.  A rotation number near a rational of
         small denominator repeats short factors for long stretches, so its
         L can reach the hundreds of thousands at level 1."""
         if self.period is not None:
             return max(n, 1)
         factors, ends, l, start = set(), set(), max(n - 1, 0), 0
-        blocks = sum(self.width(k) for k in range(l))
         while True:
-            blocks += self.width(l)
-            if blocks > _CHAIN_BLOCK_BUDGET:
-                raise BudgetError("the level-%d pairs need the chains past block level %d, "
-                                  "over the budget of 10^7 chain blocks" % (n, l - 1))
+            self.check_chains(n, l)
             factors.update(self.block(n, i) for i in range(start, self.width(l) - 1))
             ends.add(self.block(n - 1, self.width(l) - 1))
             if len(factors) == n + 2 and len(ends) == n + 1:
@@ -594,6 +587,7 @@ def graph_from_system(system: BlockSystem, spec: str,
     alphabet = Alphabet(system.alphabet_base + ["c", "a", "abar"] + (["d"] if marked else []))
 
     def generate(bound: int, level: int) -> Iterator:
+        system.check_chains(level, first + bound)  # a given bound as well as B(n)
         markers = [("d",) * (j + 1) for j in range(bound + 1)] if marked else [()]
         for l in range(first, first + bound + 1):
             lam = system.width(l)
@@ -1006,7 +1000,9 @@ def parse_family(spec: str) -> SymbolicGraph:
             raise FamilyError(usage + str(e)) from None
     g = build(*values)
     g.args = dict(zip(takes, values))
-    return with_direction(g, True) if oriented else g
+    if oriented:  # one direction per generated pair, by the generator's clause order
+        g.directed, g.spec = True, g.spec + ":oriented"
+    return g
 
 
 def _parse_args(argstr: str, usage: str) -> dict:

@@ -331,19 +331,27 @@ def test_forbidden_language_past_the_word_budget_exits_2(forbidden, nmax, length
                            "words, over the budget\n" % length)
 
 
-def test_sturmian_saturation_past_the_chain_block_budget_exits_2():
+NEAR_QUARTER = "sturmian:r=(0 + 1 sqrt 1000003)/4000"
+
+
+@pytest.mark.parametrize("argv,past", [
+    (["scan", "--family", NEAR_QUARTER, "--levels", "3"], 3160),
+    (["quotient", "--family", NEAR_QUARTER, "--level", "1", "--bound", "100000"], 99999),
+    (["family", "show", "--family", NEAR_QUARTER, "--level", "1", "--bound", "100000"], 99999),
+], ids=["scan", "quotient-bound", "family-show-bound"])
+def test_sturmian_saturation_past_the_chain_block_budget_exits_2(argv, past):
     # r = sqrt(1000003)/4000 lies within 4 * 10^-7 of 1/4: the level-1 pairs
-    # need block level 333,335, some 10^11 chain blocks, where the command ran
-    # for more than 150 s; it is refused at block level 3161, past 10^7 blocks
+    # need block level 333,335, some 10^11 chain blocks, where the scan ran
+    # for more than 150 s; it is refused at block level 3161, past 10^7 blocks.
+    # An explicit --bound of 10^5 asks for chains 0..10^5, some 10^10 blocks,
+    # where the walk ran past a 10-s timeout; the same check refuses it
     started = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "clopen.cli", "scan", "--family",
-         "sturmian:r=(0 + 1 sqrt 1000003)/4000", "--levels", "3"],
-        env=subprocess_env(), capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-m", "clopen.cli", *argv],
+                          env=subprocess_env(), capture_output=True, text=True, timeout=60)
     assert time.perf_counter() - started < 5
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == ("error: the level-1 pairs need the chains past block level 3160, "
-                           "over the budget of 10^7 chain blocks\n")
+    assert proc.stderr == ("error: the level-1 pairs need the chains past block level %d, "
+                           "over the budget of 10^7 chain blocks\n" % past)
 
 
 @pytest.mark.parametrize("argv,out", [

@@ -6,8 +6,6 @@ import random
 import pytest
 
 from clopen.colorings import (
-    ClopenColoring,
-    ColoringError,
     UndeterminedPrefixError,
     coloring_from_text,
     coloring_to_text,
@@ -21,7 +19,7 @@ from clopen.colorings import (
 )
 from clopen.dynamics import parse_radix
 from clopen.families import edges_at_level, go_graph, go_plus, parse_family
-from clopen.quotients import odd_closed_walk, quotient
+from clopen.quotients import ClopenColoring, ColoringError, TotalityError, odd_closed_walk, quotient
 from test_dynamics import prefix_succ
 
 R3 = parse_radix("(3)^inf")
@@ -208,8 +206,6 @@ def test_coloring_file_round_trip():
 
 def test_totality_error():
     c = ClopenColoring(level=1, colors=2, mapping={("0",): 0})
-    from clopen.colorings import TotalityError
-
     with pytest.raises(TotalityError):
         verify_coloring(go_graph(R3), c, 1)
 

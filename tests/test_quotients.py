@@ -166,13 +166,10 @@ def test_an_odd_walk_level_decodes_only_its_walk(monkeypatch):
 
 
 def test_symmetrization_commutes_with_quotient():
-    from clopen.families import with_direction
-
     for spec in ("go-plus:d=2,(3)^inf", "gm", "graph-o:d=(3)^inf"):
-        g = parse_family(spec)
-        o = with_direction(g, True)
+        g, o = parse_family(spec), parse_family(spec + ":oriented")
         for n in (1, 2, 3):
-            q_sym_first = quotient(with_direction(o, False), n)
+            q_sym_first = quotient(g, n)
             q_sym_last = quotient(o, n).undirected()
             assert set(q_sym_first.edges) == set(q_sym_last.edges), (spec, n)
 
