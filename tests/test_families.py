@@ -545,6 +545,18 @@ def test_ka_bound_is_exact(A):
                 assert missed == ({pair} if g.directed else {pair, pair[::-1]}), (g.spec, n)
 
 
+
+@pytest.mark.parametrize("oriented", ["", ":oriented"])
+def test_k0_bound_gives_the_pairs_of_a_wider_one(oriented):
+    # the quotient and every pair's first edge at B(n) are those at four
+    # times 2n + 4, through level 12
+    g = parse_family("k0" + oriented)
+    for n in range(13):
+        wide = 4 * (2 * n + 4)
+        q = edges_at_level(g, n)
+        assert q.edges == edges_at_level(g, n, bound=wide).edges, (g.spec, n)
+        assert first_edges(g, n, q.edges) == first_edges(g, n, q.edges, wide), (g.spec, n)
+
 def test_ka_level_pairs_build_no_point(monkeypatch):
     g = parse_family("ka:A=0,1,2,3")
     monkeypatch.setattr(UltWord, "__init__", lambda *a: pytest.fail("a point was built"))

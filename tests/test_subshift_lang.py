@@ -148,6 +148,26 @@ def test_cb_rank_drops_by_one_when_leaves_removed():
     assert rep.rank == 2 and rep.verified
 
 
+
+def test_forest_errors_in_order():
+    # duplicate ids are refused first, then an unknown parent, then a cycle
+    def forest(*links):
+        return LimitForest([ForestNode(i, parse_bi("(01)^inf.(01)^inf"), p) for i, p in links])
+
+    cases = [
+        ((("a", None), ("a", None)), "duplicate node ids"),
+        ((("a", "x"), ("b", None), ("a", None)), "duplicate node ids"),
+        ((("a", None), ("b", "c")), "unknown parent 'c'"),
+        ((("a", "b"), ("b", "a")), "parent links contain a cycle"),
+        ((("a", "a"),), "parent links contain a cycle"),
+        ((("c", "a"), ("a", "b"), ("b", "a")), "parent links contain a cycle"),
+        ((("a", "b"), ("b", "a"), ("c", "x")), "unknown parent 'x'"),
+    ]
+    for links, message in cases:
+        with pytest.raises(SubshiftError) as e:
+            forest(*links)
+        assert str(e.value) == message, links
+
 def test_cb_rank_rejects_false_declarations():
     # a finite orbit cannot accumulate on anything
     f = LimitForest(
