@@ -50,8 +50,7 @@ def verify_coloring(g: SymbolicGraph, c, bound: int) -> VerifyResult:
         q = quotient(g, n).undirected()
         checked = 0
         for (s, t) in q.edges:
-            cs = c.color_of_prefix(s[: c.level] if not c.two_sided else _mid(s, c))
-            ct = c.color_of_prefix(t[: c.level] if not c.two_sided else _mid(t, c))
+            cs, ct = c.color_of(s), c.color_of(t)
             checked += 1
             if cs == ct:
                 return VerifyResult(False, Violation((q.label(s), q.label(t)), (cs, ct)),
@@ -65,12 +64,6 @@ def verify_coloring(g: SymbolicGraph, c, bound: int) -> VerifyResult:
         if cx == cy:
             return VerifyResult(False, Violation((x, y), (cx, cy)), False, count, bound)
     return VerifyResult(True, None, False, count, bound)
-
-
-def _mid(s: Word, c: ClopenColoring) -> Word:
-    # central truncation of a window of width 2n down to width 2L
-    n = len(s) // 2
-    return s[n - c.level : n + c.level]
 
 
 # ---------------------------------------------------------------------------

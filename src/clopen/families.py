@@ -35,6 +35,7 @@ and every graph's vertex pairs are derived on request.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from functools import partial
 from itertools import groupby, islice
 
 from .dynamics import (
@@ -541,16 +542,6 @@ def sturmian_block_system(r_spec: str) -> BlockSystem:
     )
 
 
-class _ChainBlocks:
-    """s_l(i) by index i, built on each read and not kept."""
-
-    def __init__(self, block: Callable[[int, int], Word], l: int):
-        self.block, self.l = block, l
-
-    def __getitem__(self, i: int) -> Word:
-        return self.block(self.l, i)
-
-
 def graph_from_system(system: BlockSystem, spec: str,
                       chain: int | None = None) -> SymbolicGraph:
     """The degree-<=1 graph whose level-l part chains the blocks s_l(0),...,
@@ -598,16 +589,17 @@ def graph_from_system(system: BlockSystem, spec: str,
             else:
                 middle = range(system.width(l - 1) - 1 if first < l and level <= l else 0,
                                lam - 1)
-            if level:  # each block once per level, shared by every marker
-                s = {i: system.block(l, i) for i in {0, *middle, middle.stop, lam - 1}}
-            else:  # a sweep of the whole chain builds each block as it reads it
-                s = _ChainBlocks(system.block, l)
+            # s(i) = s_l(i): each block built once per level and shared by
+            # every marker, but built as it is read by a level-0 sweep of the
+            # whole chain
+            s = ({i: system.block(l, i) for i in {0, *middle, middle.stop, lam - 1}}.__getitem__
+                 if level else partial(system.block, l))
             for D in markers[: max(level - l - 1, 1) if level else None]:
-                yield _edge(level, (_c(l + 1) + D, "a", 1, "abar"), (s[0] + D, "abar", 1, "a"))
+                yield _edge(level, (_c(l + 1) + D, "a", 1, "abar"), (s(0) + D, "abar", 1, "a"))
                 for i in middle:
-                    yield _edge(level, (s[i] + D, "a", i + 1, "abar"),
-                                (s[i + 1] + D, "abar", i + 2, "a"))
-                yield _edge(level, (s[lam - 1] + D, "a", lam, "abar"),
+                    yield _edge(level, (s(i) + D, "a", i + 1, "abar"),
+                                (s(i + 1) + D, "abar", i + 2, "a"))
+                yield _edge(level, (s(lam - 1) + D, "a", lam, "abar"),
                             (_c(l + 1) + D, "abar", 1, "a"))
 
     return SymbolicGraph(
@@ -849,8 +841,15 @@ def _shift_graph(spec: str, forest, saturation: Callable[[int], int],
 
 def k0_graph() -> SymbolicGraph:
     """Graph of the shift on the union of the 2-periodic orbit and the orbit
-    of the word with a single doubled letter: the forest rank_forest(0)."""
-    return _shift_graph("k0", rank_forest(0), lambda n: 2 * n + 4,
+    of the word with a single doubled letter: the forest rank_forest(0).
+
+    B(n) = n is exact.  beta0 = (01)^inf.1(01)^inf has its doubled letter at
+    positions -1 and 0, and the window [k - n, k + n] of its shift k holds
+    both iff -n <= k <= n - 1.  Every other window is a factor of (01)^inf,
+    whose pair alpha0's two shifts give earlier in forest order.  So the
+    shifts -n..n give every level-n pair and each pair's first edge; the
+    bound n - 1 misses the window at k = -n, whose doubled letter ends it."""
+    return _shift_graph("k0", rank_forest(0), lambda n: n,
                         "two shift orbits in {0,1}^Z")
 
 

@@ -202,7 +202,8 @@ class TotalityError(ColoringError):
 
 class ClopenColoring:
     """Color map constant on level-L cylinders: a total map from length-L
-    prefixes (windows for two-sided families) to colors 0..k-1."""
+    prefixes (central 2L-letter windows for two-sided families) to colors
+    0..k-1."""
 
     def __init__(self, level: int, colors: int, mapping: dict,
                  alphabet: Alphabet | None = None, two_sided: bool = False):
@@ -217,8 +218,11 @@ class ClopenColoring:
             if not (0 <= c < colors):
                 raise ColoringError("color %r out of range for %r" % (c, v))
 
-    def color_of_prefix(self, s: Word) -> int:
-        key = tuple(s)
+    def color_of(self, v: Word) -> int:
+        """The color of a vertex of any level >= L, read off its level-L
+        cylinder: its first L letters, or the central 2L of a window."""
+        mid = len(v) // 2
+        key = v[mid - self.level : mid + self.level] if self.two_sided else v[: self.level]
         if key not in self.mapping:
             raise TotalityError("prefix %r not in the declared map" % (format_word(key),))
         return self.mapping[key]

@@ -269,16 +269,14 @@ class ForestNode:
         self.id = node_id
         self.base = base  # BiWord or BlockWord
         self.parent = parent  # node id or None for roots
-
-    def period(self):
-        """The least shift period of a shift-periodic base, else None."""
-        return periodic_point_period(self.base) if isinstance(self.base, BiWord) else None
+        # the least shift period of a shift-periodic base, else None
+        self.period = periodic_point_period(base) if isinstance(base, BiWord) else None
 
     def shifts(self, span: int) -> range:
         """The shifts k whose points base.shift(k) walk the orbit: the whole
         finite orbit, k < period, when the base is shift-periodic; else
         -span <= k <= span."""
-        p = self.period()
+        p = self.period
         return range(p) if p is not None else range(-span, span + 1)
 
     def windows(self, span: int, a: int, b: int):
@@ -292,7 +290,9 @@ class ForestNode:
 
 class LimitForest:
     """Nodes with parent links meaning "the child family accumulates on the
-    parent family"; verification is resolution-bounded."""
+    parent family"; verification is resolution-bounded.  `ancestors[id]`
+    holds the ids above a node, parent first, read off its parent links once
+    here, where a link back into the walk is refused as a cycle."""
 
     def __init__(self, nodes: Sequence[ForestNode]):
         self.nodes = {n.id: n for n in nodes}
@@ -301,39 +301,18 @@ class LimitForest:
         for n in nodes:
             if n.parent is not None and n.parent not in self.nodes:
                 raise SubshiftError("unknown parent %r" % n.parent)
-        # acyclicity
+        self.ancestors = {}
         for n in nodes:
-            seen = set()
-            cur = n
-            while cur.parent is not None:
-                if cur.id in seen:
+            up, p = [], n.parent
+            while p is not None:
+                if p == n.id or p in up:
                     raise SubshiftError("parent links contain a cycle")
-                seen.add(cur.id)
-                cur = self.nodes[cur.parent]
-
-    def children(self, node_id: str) -> list[ForestNode]:
-        return [n for n in self.nodes.values() if n.parent == node_id]
-
-    def depth(self, node_id: str) -> int:
-        d = 1
-        cur = self.nodes[node_id]
-        while cur.parent is not None:
-            d += 1
-            cur = self.nodes[cur.parent]
-        return d
+                up.append(p)
+                p = self.nodes[p].parent
+            self.ancestors[n.id] = tuple(up)
 
     def height(self) -> int:
-        return max(self.depth(i) for i in self.nodes)
-
-    def descendants(self, node_id: str) -> set:
-        out = set()
-        stack = [node_id]
-        while stack:
-            cur = stack.pop()
-            for ch in self.children(cur):
-                out.add(ch.id)
-                stack.append(ch.id)
-        return out
+        return 1 + max(map(len, self.ancestors.values()))
 
 
 def _text(base, a: int, b: int, code: dict) -> str:
@@ -380,12 +359,14 @@ class CBReport:
 
 
 def cb_rank(forest: LimitForest, resolution: int = 40) -> CBReport:
-    """Rank = forest height; the verification checks, at the given resolution,
-    that (i) each child family really accumulates on its parent (at least
-    three of its windows match parent windows for parameters beyond the
-    declared span, on both sides when possible) and (ii) each node carries a
-    factor of length <= the resolution that no non-descendant family
-    contains.
+    """Rank = forest height; the verification checks, at the given resolution
+    D, that (i) each child family really accumulates on its parent: at least
+    three of its [-D, D) windows at shifts k with D < |k| <= the probe span,
+    on either side, are windows of the parent's points at the shifts
+    `parent.shifts(4D + 8)` (the report gives the count on each side), and
+    (ii) each node carries a factor of length <= D
+    that no non-descendant family contains; a family is a non-descendant of
+    a node when the node is not among its `ancestors`.
 
     Each family is read once per probe as one text, one character per
     letter from a map shared by the whole call, and its windows and factors
@@ -399,7 +380,7 @@ def cb_rank(forest: LimitForest, resolution: int = 40) -> CBReport:
         if node.parent is None:
             continue
         parent = forest.nodes[node.parent]
-        if node.period() is not None:
+        if node.period is not None:
             edge_checks[(node.id, node.parent)] = (
                 False,
                 "finite families cannot accumulate on anything",
@@ -416,7 +397,7 @@ def cb_rank(forest: LimitForest, resolution: int = 40) -> CBReport:
         hits_pos = sum(text[i : i + 2 * D] in parent_windows
                        for i in range(span + D + 1, 2 * span + 1))
         del parent_windows, text  # so that no two probes hold their windows at once
-        ok = hits_pos + hits_neg >= 3 and max(hits_pos, hits_neg) > 0
+        ok = hits_pos + hits_neg >= 3
         edge_checks[(node.id, node.parent)] = (
             ok,
             "%d matching windows beyond the resolution (+%d/-%d)"
@@ -427,9 +408,8 @@ def cb_rank(forest: LimitForest, resolution: int = 40) -> CBReport:
     # one text per probe span
     others = {}
     for node in forest.nodes.values():
-        desc = forest.descendants(node.id)
         others[node] = [o for o in forest.nodes.values()
-                        if o.id != node.id and o.id not in desc]
+                        if o.id != node.id and node.id not in forest.ancestors[o.id]]
         if not others[node]:
             node_checks[node.id] = (True, "no non-descendant families")
     open_nodes = {node: _probe_span(node, D) for node in others if others[node]}
@@ -466,10 +446,7 @@ def _probe_span(node: ForestNode, D: int) -> int:
     base = node.base
     if isinstance(base, BiWord):
         return 4 * D + 8 + len(base.core) + len(base.left) + len(base.right)
-    # materialize until the tail is clearly longer than a few widths
-    need = 40 * D + 200
-    base.letter(base.start + need)
-    return need
+    return 40 * D + 200
 
 
 # ---------------------------------------------------------------------------

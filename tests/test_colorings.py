@@ -190,7 +190,7 @@ def test_return_parity_proper_off_the_cylinder():
         if s[:2] == C or t[:2] == C:
             continue
         checked += 1
-        assert c.color_of_prefix(s[:2]) != c.color_of_prefix(t[:2])
+        assert c.color_of(s) != c.color_of(t)
     assert checked > 0
 
 

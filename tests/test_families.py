@@ -548,14 +548,21 @@ def test_ka_bound_is_exact(A):
 
 @pytest.mark.parametrize("oriented", ["", ":oriented"])
 def test_k0_bound_gives_the_pairs_of_a_wider_one(oriented):
-    # the quotient and every pair's first edge at B(n) are those at four
-    # times 2n + 4, through level 12
+    # the quotient and every pair's first edge at B(n) = n are those at
+    # four times the former bound 2n + 4, through level 12; the bound n - 1
+    # misses the pair of the window at shift -n, (01)^n 1
     g = parse_family("k0" + oriented)
     for n in range(13):
+        assert g.saturation(n) == n
         wide = 4 * (2 * n + 4)
         q = edges_at_level(g, n)
         assert q.edges == edges_at_level(g, n, bound=wide).edges, (g.spec, n)
         assert first_edges(g, n, q.edges) == first_edges(g, n, q.edges, wide), (g.spec, n)
+        if n:
+            w = ("0", "1") * n + ("1",)
+            pair = (w[:-1], w[1:])
+            missed = set(q.edges) - set(edges_at_level(g, n, bound=n - 1).edges)
+            assert missed == ({pair} if g.directed else {pair, pair[::-1]}), (g.spec, n)
 
 def test_ka_level_pairs_build_no_point(monkeypatch):
     g = parse_family("ka:A=0,1,2,3")

@@ -138,7 +138,8 @@ def test_cb_rank_chain():
 
 def test_cb_rank_drops_by_one_when_leaves_removed():
     def leaves_removed(f):
-        return LimitForest([n for n in f.nodes.values() if f.children(n.id)])
+        return LimitForest([n for n in f.nodes.values()
+                            if any(m.parent == n.id for m in f.nodes.values())])
 
     f = rank_forest(1)
     assert f.height() == 3

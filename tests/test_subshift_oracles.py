@@ -307,7 +307,7 @@ def window_by_letters(x, a, b):
 def orbit(node, span):
     """The former ForestNode.orbit: one shifted point per parameter k, the
     whole finite orbit of a shift-periodic base, else -span <= k <= span."""
-    p = node.period()
+    p = node.period
     return [node.base.shift(k) for k in (range(p) if p is not None else range(-span, span + 1))]
 
 
@@ -317,7 +317,7 @@ def edge_details_by_shifts(forest, D):
     for node in forest.nodes.values():
         if node.parent is None:
             continue
-        if node.period() is not None:
+        if node.period is not None:
             out[node.id, node.parent] = (False, "finite families cannot accumulate on anything")
             continue
         parent = forest.nodes[node.parent]
@@ -358,9 +358,12 @@ def node_details_by_tuples(forest, D):
     out = {}
     others = {}
     for node in forest.nodes.values():
-        desc = forest.descendants(node.id)
-        others[node] = [o for o in forest.nodes.values()
-                        if o.id != node.id and o.id not in desc]
+        # the node and its descendants, grown along parent links
+        desc, grown = set(), {node.id}
+        while grown:
+            desc |= grown
+            grown = {o.id for o in forest.nodes.values() if o.parent in grown} - desc
+        others[node] = [o for o in forest.nodes.values() if o.id not in desc]
         if not others[node]:
             out[node.id] = (True, "no non-descendant families")
     open_nodes = {node: _probe_span(node, D) for node in others if others[node]}
@@ -420,7 +423,8 @@ def test_shift_graph_windows_match_shifted_points(spec, oriented):
     # wider than the level's on both sides of the origin
     g = parse_family(spec + oriented)
     for n in range(6):
-        bound = g.saturation(n)
+        # k0's former bound: a wider span than its B(n) = n
+        bound = 2 * n + 4 if spec == "k0" else g.saturation(n)
         stream = zip_longest(g.generate(bound, n), shift_edges_by_points(g.forest, bound, n))
         for (s, t, points), (s0, t0, xy) in stream:
             assert (s, t) == (s0, t0)
