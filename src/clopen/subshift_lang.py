@@ -364,9 +364,9 @@ def cb_rank(forest: LimitForest, resolution: int = 40) -> CBReport:
     three of its [-D, D) windows at shifts k with D < |k| <= the probe span,
     on either side, are windows of the parent's points at the shifts
     `parent.shifts(4D + 8)` (the report gives the count on each side), and
-    (ii) each node carries a factor of length <= D
-    that no non-descendant family contains; a family is a non-descendant of
-    a node when the node is not among its `ancestors`.
+    (ii) each node carries a factor of length <= D that no non-descendant
+    family contains: no family other than the node whose `ancestors` lack
+    it.
 
     Each family is read once per probe as one text, one character per
     letter from a map shared by the whole call, and its windows and factors
