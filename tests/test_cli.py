@@ -547,6 +547,22 @@ def test_scan_go_plus_8_matches_golden_digests(capsys):
     assert [e["oddGirth"] for e in payload["levels"]] == [3 ** (n - 1) + 2 for n in range(1, 9)]
 
 
+def test_scan_go_plus_10_matches_golden_digests(capsys):
+    # levels 9 and 10 have 19,715 and 59,085 vertices, enough for the flat
+    # index, its build and the walk's state to show; the golden, recorded
+    # with a tuple per index row and a dict of walk state, holds a sha256 of
+    # each witness's labels
+    code, out, _ = run(capsys, "scan", "--family", "go-plus:d=2,(3)^inf", "--levels", "10",
+                       "--format", "json", "--no-timing")
+    assert code == 0
+    payload = json.loads(out)
+    for e in payload["levels"]:
+        vertices = e["witness"].pop("vertices")
+        e["witness"]["sha256"] = hashlib.sha256("\n".join(vertices).encode()).hexdigest()
+    assert payload == json.loads((GOLDEN / "scan-go-plus-10-digests.json").read_text(encoding="utf-8"))
+    assert [e["oddGirth"] for e in payload["levels"]] == [3 ** (n - 1) + 2 for n in range(1, 11)]
+
+
 @pytest.mark.parametrize("argv,name", SUBSHIFT_TEXT, ids=["complexity-30", "lang-40", "powerfree-4", "powerfree-3", "cb-rank-3", "cb-rank-0",
         "cb-rank-1", "cb-rank-2", "cb-rank-4", "cb-rank-3-r10", "cb-rank-3-r80",
         "cb-rank-3-r200",
