@@ -48,13 +48,14 @@ def verify_coloring(g: SymbolicGraph, c, bound: int) -> VerifyResult:
     if isinstance(c, ClopenColoring):
         n = max(c.level, bound)
         q = quotient(g, n).undirected()
-        checked = 0
-        for (s, t) in q.edges:
-            cs, ct = c.color_of(s), c.color_of(t)
-            checked += 1
-            if cs == ct:
-                return VerifyResult(False, Violation((q.label(s), q.label(t)), (cs, ct)),
-                                    True, checked, n)
+        vs, checked = q.vertices, 0
+        for s, row in zip(vs, q.index()):
+            for t in map(vs.__getitem__, row):
+                cs, ct = c.color_of(s), c.color_of(t)
+                checked += 1
+                if cs == ct:
+                    return VerifyResult(False, Violation((q.label(s), q.label(t)), (cs, ct)),
+                                        True, checked, n)
         return VerifyResult(True, None, True, checked, n)
     count = 0
     for (_, _, points) in g.generate(bound):

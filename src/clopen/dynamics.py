@@ -130,14 +130,20 @@ def prefix_value(d: Radix, t: Word) -> int:
     return value
 
 
+@lru_cache(maxsize=None)
+def _bounds(d: Radix, n: int) -> tuple:
+    """(d_0, ..., d_{n-1}), read off `Radix.digit` once per radix and length."""
+    return tuple(map(d.digit, range(n)))
+
+
 def prefix_of_value(d: Radix, v: int, n: int) -> Word:
     """The n digits of v mod d_0 ... d_{n-1} in the radix d, least
     significant first: the inverse of prefix_value on length-n strings,
     written in the radix's own letters, so a word holds no string of its
     own."""
     letters, out = d.letters, []
-    for j in range(n):
-        v, digit = divmod(v, d.digit(j))
+    for bound in _bounds(d, n):
+        v, digit = divmod(v, bound)
         out.append(letters[digit])
     return tuple(out)
 

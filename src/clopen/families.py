@@ -12,12 +12,13 @@ as a head, a run and a repeated tail for `_edge` to cut, the odometer
 families write an orbit index in the radix, and the shift families slice
 both from one window of each forest node's base (`ForestNode.windows`;
 `cb rank` reads it as text); `points()` builds the two exact points.
-`edges_at_level(g, n)` interns the alphabet keys of the projections below
-the saturation bound B(n), holding each distinct pair as one int, and
-returns the level quotient on the sorted keys, joined into one string, with
-its integer index, which `quotient()` keeps as it is; `first_edges` walks
-the stream again for the points behind chosen pairs.  Stability under
-enlarging the bound is a runtime-checkable property.
+`edges_at_level(g, n)` codes the projections below the saturation bound
+B(n) as the ints of their alphabet keys, holding each distinct pair as one
+int and no table per word, and returns the level quotient on the sorted
+keys, joined into one string, with its flat integer index, which
+`quotient()` keeps as it is; `first_edges` walks the stream again for the
+points behind chosen pairs.  Stability under enlarging the bound is a
+runtime-checkable property.
 
 Families over an infinite numeral alphabet (`gm`, `gdelta`, `t`) are capped
 at the letters reachable below B(n): their generators hand `_edge` the
@@ -28,15 +29,18 @@ same objects, so every word shares the alphabet's letter objects.
 
 `QuotientGraph` is the one finite graph type: a level quotient, an odd
 cycle, a finite core, a complete graph or a graph read from a file, held
-as its integer index; a quotient's letter tuples, decoded from its keys,
-and every graph's vertex pairs are derived on request.
+as its integer index, an `Index` of two flat buffers of 4-byte ints (row
+offsets and neighbours) with no object per vertex or edge; a quotient's
+letter tuples, decoded from its keys, and every graph's vertex pairs are
+derived on request.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
-from itertools import groupby, islice
+from itertools import groupby, islice, repeat
 
 from .dynamics import (
     Radix,
@@ -62,9 +66,9 @@ class QuotientGraph:
     length-n prefixes in alphabet order, or an odd cycle, a finite core, a
     complete graph or a graph read from a file, whose vertices keep their
     first-seen order.  Vertex i is ``vertex(i)``.  The graph is its integer
-    index: ``index()[i]`` lists the ids of i's out-neighbours, ascending, an
-    undirected edge held at both ends and a self-loop once.  `edges_at_level`
-    builds a quotient's index, its rows tuples, on its words' sorted
+    index, an `Index`: row i lists the ids of i's out-neighbours, ascending,
+    an undirected edge held at both ends and a self-loop once.
+    `edges_at_level` builds a quotient's index on its words' sorted
     `Alphabet.key` strings, held joined as one string `keys` of n characters
     per word, 2n on a two-sided family, and `finite_graph` every other one;
     the letter tuples of `vertices` and the vertex pairs of `edges` are
@@ -96,8 +100,8 @@ class QuotientGraph:
     @property
     def edges(self) -> list:
         """The edges as vertex pairs, sorted by the ids of their ends."""
-        vs = self.vertices
-        return [(vs[i], vs[j]) for i, a in enumerate(self._adj) for j in a]
+        vs, off, nbr = self.vertices, self._adj.off, self._adj.nbr
+        return [(vs[i], vs[j]) for i in range(len(vs)) for j in nbr[off[i]:off[i + 1]]]
 
     pairs = edges  # a level quotient's pairs, as `edges_at_level`'s callers name them
 
@@ -105,19 +109,20 @@ class QuotientGraph:
         """The underlying undirected graph, on the same vertex ids."""
         if not self.directed:
             return self
-        return QuotientGraph(self.level, self._vertices, _symmetric(self._adj), False,
-                             self.alphabet, self.two_sided, self._keys)
+        pairs = ((i, j) for i, a in enumerate(self._adj) for j in a)
+        return QuotientGraph(self.level, self._vertices, flat_index(len(self._adj), pairs, True),
+                             False, self.alphabet, self.two_sided, self._keys)
 
-    def index(self) -> list:
-        """The integer index: ``adj[i]`` the ascending ids of i's out-neighbours."""
+    def index(self) -> Index:
+        """The integer index: row i the ascending ids of i's out-neighbours."""
         return self._adj
 
     def edge_count(self) -> int:
         """The number of edges, an undirected one counted once."""
-        count = sum(map(len, self._adj))
+        count = len(self._adj.nbr)
         if self.directed:
             return count
-        loops = sum(i in a for i, a in enumerate(self._adj))
+        loops = len(self._adj.loops)
         return (count - loops) // 2 + loops
 
     def label(self, v) -> str:
@@ -135,18 +140,66 @@ class QuotientGraph:
 
     def distinct_edges(self) -> list:
         """The edges, an undirected one once from its lower id."""
-        vs = self.vertices
-        return [(vs[i], vs[j]) for i, a in enumerate(self._adj) for j in a
+        vs, off, nbr = self.vertices, self._adj.off, self._adj.nbr
+        return [(vs[i], vs[j]) for i in range(len(vs)) for j in nbr[off[i]:off[i + 1]]
                 if self.directed or i <= j]
 
 
-def _symmetric(adj) -> list:
-    """The ascending neighbour lists of the undirected closure of `adj`."""
-    out = [set(a) for a in adj]
-    for i, a in enumerate(adj):
-        for j in a:
-            out[j].add(i)
-    return [sorted(a) for a in out]
+def flat_buffer(k: int) -> memoryview:
+    """k zeroed 4-byte unsigned ints in one flat buffer."""
+    return memoryview(bytearray(4 * k)).cast("I")
+
+
+class Index:
+    """A finite graph's integer index in two flat buffers of 4-byte ints:
+    `off`, V + 1 row offsets, and `nbr`, one neighbour per row entry, so row
+    i is ``nbr[off[i]:off[i + 1]]``.  That memoryview slice iterates, takes
+    `len`, `in` and indexing as a tuple of ids does, and the index iterates
+    its V rows through it; hot loops slice `off` and `nbr` themselves.
+    `loops` lists the looped ids, ascending, as the builder met them, since a
+    memoryview has no fast `in`."""
+
+    __slots__ = ("off", "nbr", "loops")
+
+    def __init__(self, off: memoryview, nbr: memoryview, loops: list):
+        self.off, self.nbr, self.loops = off, nbr, loops
+
+    def __len__(self) -> int:
+        return len(self.off) - 1
+
+    def __getitem__(self, i: int) -> memoryview:
+        return self.nbr[self.off[i]:self.off[i + 1]]
+
+
+def _csr(size: int, src: Sequence, dst: Sequence, undirected: bool) -> Index:
+    """The `Index` on `size` vertices of the distinct entries (src[k],
+    dst[k]), sorted, an undirected pair, held once with i <= j, put at both
+    ends: the row lengths, summed into offsets, then one cursor per row, so
+    every row ascends."""
+    off, loops = flat_buffer(size + 1), []
+    for i, j in zip(src, dst):  # each row's length, at the next row's offset
+        off[i + 1] += 1
+        if i == j:
+            loops.append(i)
+        elif undirected:
+            off[j + 1] += 1
+    for i in range(size):
+        off[i + 1] += off[i]
+    nbr, end = flat_buffer(off[size]), memoryview(bytearray(off[:size])).cast("I")  # row cursors
+    for i, j in zip(src, dst):
+        nbr[end[i]] = j
+        end[i] += 1
+        if undirected and i != j:
+            nbr[end[j]] = i
+            end[j] += 1
+    return Index(off, nbr, loops)
+
+
+def flat_index(size: int, pairs: Iterable, undirected: bool) -> Index:
+    """The `Index` on `size` vertices of the id pairs (i, j), each an edge
+    from i to j, an undirected one put at both ends."""
+    pairs = sorted({(j, i) if undirected and j < i else (i, j) for (i, j) in pairs})
+    return _csr(size, [i for i, _ in pairs], [j for _, j in pairs], undirected)
 
 
 def finite_graph(vertices: Iterable, edges: Iterable, directed: bool = False) -> QuotientGraph:
@@ -155,13 +208,12 @@ def finite_graph(vertices: Iterable, edges: Iterable, directed: bool = False) ->
     ids: dict = {}
     for v in vertices:
         ids.setdefault(v, len(ids))
-    adj = [set() for _ in ids]
+    pairs = []
     for (u, v) in edges:
         if u not in ids or v not in ids:
             raise FamilyError("edge (%r, %r) references unknown vertex" % (u, v))
-        adj[ids[u]].add(ids[v])
-    adj = [sorted(a) for a in adj] if directed else _symmetric(adj)
-    return QuotientGraph(None, list(ids), adj, directed)
+        pairs.append((ids[u], ids[v]))
+    return QuotientGraph(None, list(ids), flat_index(len(ids), pairs, not directed), directed)
 
 
 def odd_cycle(p: int) -> QuotientGraph:
@@ -253,39 +305,44 @@ def edges_at_level(g: SymbolicGraph, n: int, bound: int | None = None) -> Quotie
     the saturation bound, with the letter cap fixed by B(n) even when the
     bound is enlarged.
 
-    Each word's alphabet key is interned as an id when first seen, and each
-    distinct pair is held as one int, ``i << 32 | j`` for the ids of its
-    words, an undirected pair once with i <= j.  The keys are sorted and
-    joined into the quotient's one key string, and the pairs, re-coded by
-    rank with an undirected pair also swapped and sorted, are cut into the
-    ascending neighbour tuples of the index.  Each table is freed before the
-    next one is built."""
+    Each word is coded as the int of its alphabet key's bytes, big-endian,
+    one byte per letter (four past 256 letters), so codes compare as keys
+    do, and each distinct pair is held as one int, its two words' codes side
+    by side, an undirected pair once with the lesser first: no per-word
+    table is held while the stream runs.  The sorted pairs give the sorted
+    distinct words, which give the quotient's key string and, by bisection,
+    each pair's two ids, held in flat buffers.  Those fill the index by one
+    cursor per row, an undirected pair at both ends; the pairs come in
+    order, so every row ascends.  Each table is freed before the next one
+    is built."""
     if n < 0:
         raise FamilyError("level must be >= 0")
     alphabet = g.alphabet_for(n)
-    key, ids = alphabet.key, {}
-    pack = lambda i, j: i << 32 | j if g.directed or i <= j else j << 32 | i
+    codec = "latin-1" if len(alphabet.letters) <= 256 else "utf-32-be"
+    width = (2 * n if g.two_sided else n) * (1 if codec == "latin-1" else 4)  # bytes per word
+    key, code, bits = alphabet.key, int.from_bytes, 8 * width
     stream = g.generate(g.saturation(n) if bound is None else bound, n)
     if not n:  # the one pair ((), ()), read off the first edge that has it
         stream = islice((e for e in stream if e[0] is not None), 1)
-    seen = {pack(ids.setdefault(key(s), len(ids)), ids.setdefault(key(t), len(ids)))
-            for (s, t, _) in stream if s is not None}
-    keys = sorted(ids)
-    old = [ids[k] for k in keys]  # the id of each rank
-    del ids
-    adj, rank = [()] * len(keys), [0] * len(keys)
-    keys = "".join(keys)
-    for r, i in enumerate(old):
-        rank[i] = r
-    del old
-    codes = [rank[c >> 32] << 32 | rank[c & 0xFFFFFFFF] for c in seen]
-    del seen, rank
-    if not g.directed:  # an undirected pair at both ends, a self-loop once
-        codes += [(c & 0xFFFFFFFF) << 32 | c >> 32 for c in codes if c >> 32 != c & 0xFFFFFFFF]
-    codes.sort()
-    for i, run in groupby(codes, lambda c: c >> 32):
-        adj[i] = tuple(c & 0xFFFFFFFF for c in run)
-    return QuotientGraph(n, None, adj, g.directed, alphabet, g.two_sided, keys)
+    pairs = sorted({code((a + b if g.directed or a <= b else b + a).encode(codec, "surrogatepass"),
+                         "big")
+                    for (s, t, _) in stream if s is not None for a, b in [(key(s), key(t))]})
+    mask = (1 << bits) - 1
+    words = [c >> bits for c in pairs]
+    words += [c & mask for c in pairs]
+    words.sort()
+    words = [c for c, _ in groupby(words)]
+    keys = bytearray()
+    for k in range(0, len(words), 256):  # a slice at a time, so few bytes objects are held
+        keys += b"".join(map(int.to_bytes, words[k:k + 256], repeat(width), repeat("big")))
+    keys = keys.decode(codec, "surrogatepass")
+    rank, src, dst = partial(bisect_left, words), flat_buffer(len(pairs)), flat_buffer(len(pairs))
+    for k, c in enumerate(pairs):
+        src[k], dst[k] = rank(c >> bits), rank(c & mask)
+    size = len(words)
+    del pairs, words
+    return QuotientGraph(n, None, _csr(size, src, dst, not g.directed), g.directed, alphabet,
+                         g.two_sided, keys)
 
 
 def first_edges(g: SymbolicGraph, n: int, pairs: Iterable, bound: int | None = None) -> dict:

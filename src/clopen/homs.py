@@ -44,9 +44,9 @@ def hom_exists(G: QuotientGraph, H: QuotientGraph, injective: bool = False
             g_girth = odd_girth_root(g_adj)
             if g_girth is not None and (h_girth is None or h_girth[0] > g_girth[0]):
                 return None
-    h_adj = [set(a) for a in h_adj]
+    looped = h_adj.loops
+    g_adj, h_adj = list(map(tuple, g_adj)), [set(a) for a in h_adj]
     every = list(range(len(h_adj)))
-    looped = [w for w in every if w in h_adj[w]]
     # a source loop maps onto a target loop; every other edge is checked when
     # its second end is assigned
     domains = [looped if v in g_adj[v] else every for v in range(len(g_adj))]
@@ -54,7 +54,7 @@ def hom_exists(G: QuotientGraph, H: QuotientGraph, injective: bool = False
         return None
     if len(g_adj) * len(h_adj) > 10**6:
         raise BudgetError("source x target size exceeds the search budget")
-    und = G.undirected().index()
+    und = list(map(tuple, G.undirected().index()))
     order = []
     placed = [False] * len(g_adj)
     for seed in sorted(range(len(g_adj)), key=lambda v: (-len(g_adj[v]), v)):
@@ -123,7 +123,7 @@ def cycle_spectrum(G: QuotientGraph, max_len: int = 64) -> set:
     scanned more than 10^7 neighbours: K_9 takes 1.0 M, K_10 10.0 M."""
     if max_len > 64:
         raise BudgetError("cycle length cap exceeds the search budget")
-    adj = G.undirected().index()
+    adj = list(map(tuple, G.undirected().index()))
     lengths: set = set()
     scans = 0
 

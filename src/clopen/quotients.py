@@ -19,8 +19,9 @@ verifies the others.
 from __future__ import annotations
 
 import time
+from operator import sub
 
-from .families import QuotientGraph, SymbolicGraph, edges_at_level
+from .families import QuotientGraph, SymbolicGraph, edges_at_level, flat_buffer
 from .words import Alphabet, Word, format_word
 
 
@@ -31,11 +32,11 @@ def quotient(g: SymbolicGraph, n: int, bound: int | None = None) -> QuotientGrap
 
 
 def _bfs_two_color(adj):
-    """One BFS 2-coloring pass over the integer index `adj` of an undirected
-    graph, neighbour lists ascending.  Returns ``(colors, odd)``, two
-    bytearrays: ``colors[i]`` is i's BFS color (0 at the first vertex of
-    each component) and ``odd[i]`` is 1 when its component is not
-    bipartite."""
+    """One BFS 2-coloring pass over the flat `Index` `adj` of an undirected
+    graph.  Returns ``(colors, odd)``, two bytearrays: ``colors[i]`` is i's
+    BFS color (0 at the first vertex of each component) and ``odd[i]`` is 1
+    when its component is not bipartite."""
+    off, nbr = adj.off, adj.nbr
     colors = bytearray(b"\x02") * len(adj)  # 2: not reached yet
     odd = bytearray(len(adj))
     for seed in range(len(adj)):
@@ -46,7 +47,7 @@ def _bfs_two_color(adj):
         bipartite = True
         for u in component:  # appended to while walked: a FIFO queue
             c = 1 - colors[u]
-            for v in adj[u]:
+            for v in nbr[off[u]:off[u + 1]]:
                 if colors[v] == 2:
                     colors[v] = c
                     component.append(v)
@@ -58,39 +59,40 @@ def _bfs_two_color(adj):
     return colors, odd
 
 
-def _double_cover_bfs(adj, root: int, limit: int):
-    """``{node: depth << 32 | parent}`` of a BFS in the bipartite double
-    cover, node ``2 * vertex + side``, from (root, 0), which maps to 0,
-    depth by depth; each node keeps the parent that discovered it first,
-    neighbours in list order, and the search stops on discovering (root, 1)
-    or before depth `limit`."""
+def _double_cover_bfs(adj, root: int, limit: int, depth, parent) -> list:
+    """A BFS in the bipartite double cover, node ``2 * vertex + side``, from
+    (root, 0), depth by depth; each node keeps the parent that discovered it
+    first, neighbours in index order, and the search stops on discovering
+    (root, 1) or before depth `limit`.  It writes into two flat buffers of
+    2V entries, zero at every node it will reach, which the caller
+    allocates once per search: ``depth[y]`` is 1 + y's depth and
+    ``parent[y]`` its parent.  Returns the reached nodes, (root, 0) first,
+    through which the caller zeroes `depth` again."""
+    off, nbr = adj.off, adj.nbr
     target = 2 * root + 1
-    seen = {2 * root: 0}
-    frontier = [2 * root]
-    depth = 1
-    while frontier and depth < limit:
-        nxt = []
-        for x in frontier:
-            side = (x & 1) ^ 1
-            for v in adj[x >> 1]:
-                y = 2 * v + side
-                if y not in seen:
-                    seen[y] = depth << 32 | x
-                    if y == target:
-                        return seen
-                    nxt.append(y)
-        frontier = nxt
-        depth += 1
-    return seen
+    depth[2 * root] = 1
+    reached = [2 * root]
+    for x in reached:  # appended to while walked: a FIFO queue, depth by depth
+        d = depth[x] + 1
+        if d > limit:
+            break
+        u, side = x >> 1, (x & 1) ^ 1
+        for v in nbr[off[u]:off[u + 1]]:
+            y = 2 * v + side
+            if not depth[y]:
+                depth[y], parent[y] = d, x
+                reached.append(y)
+                if y == target:
+                    return reached
+    return reached
 
 
 def odd_girth_root(adj, colors=None):
     """``(length, root)`` of a shortest odd closed walk of the undirected
-    graph with integer index `adj` (neighbour lists ascending; a self-loop
-    has length one), root the least id attaining that length, or None when
-    the graph is bipartite.  A list passed as `colors` receives the coloring
-    pass's BFS colors, the 2-coloring of a bipartite graph; a self-loop
-    leaves it empty.
+    graph with the flat `Index` `adj` (a self-loop has length one), root the
+    least id attaining that length, or None when the graph is bipartite.  A
+    list passed as `colors` receives the coloring pass's BFS colors, the
+    2-coloring of a bipartite graph; a self-loop leaves it empty.
 
     A self-loop at the least looped id comes first, before any coloring
     pass.  Otherwise ``_bfs_two_color`` marks the non-bipartite components,
@@ -121,18 +123,21 @@ def odd_girth_root(adj, colors=None):
        all its inner vertices tie and the least one is the chain's root.
        That cycle also passes through a, so a attains g, and it returns
        from b in g - L <= g - 2 steps, which the BFS from a has discovered
-       before it stops at depth g and below its cut."""
-    for v, nbrs in enumerate(adj):
-        if v in nbrs:
-            return 1, v
+       before it stops at depth g and below its cut.
+
+    The BFSs share one pair of flat depth and parent buffers, allocated
+    here and zeroed again through each BFS's reached nodes."""
+    if adj.loops:
+        return 1, adj.loops[0]
+    off, nbr = adj.off, adj.nbr
     bfs_colors, odd = _bfs_two_color(adj)
     if colors is not None:
         colors[:] = bfs_colors
-    deg = [len(a) if o else 0 for a, o in zip(adj, odd)]
+    deg = [d if o else 0 for d, o in zip(map(sub, off[1:], off), odd)]
     leaves = [v for v, d in enumerate(deg) if d == 1]
     for v in leaves:  # appended to while walked
         deg[v] = 0
-        for u in adj[v]:
+        for u in nbr[off[v]:off[v + 1]]:
             if deg[u] > 0:  # not peeled yet
                 deg[u] -= 1
                 if deg[u] == 1:
@@ -146,24 +151,27 @@ def odd_girth_root(adj, colors=None):
         seen[seed] = 1
         component = [seed]
         for u in component:  # appended to while walked
-            for v in adj[u]:
+            for v in nbr[off[u]:off[u + 1]]:
                 if core[v] and not seen[v]:
                     seen[v] = 1
                     component.append(v)
         if all(deg[u] == 2 for u in component):
             best = min(best, (len(component), seed))
+    depth, parent = flat_buffer(2 * len(adj)), flat_buffer(2 * len(adj))
     for a in [v for v, d in enumerate(deg) if d > 2]:
-        dist = _double_cover_bfs(adj, a, best[0] + 1)
-        if 2 * a + 1 in dist:
-            best = min(best, (dist[2 * a + 1] >> 32, a))
-        for u in adj[a]:
+        reached = _double_cover_bfs(adj, a, best[0] + 1, depth, parent)
+        if depth[2 * a + 1]:
+            best = min(best, (depth[2 * a + 1] - 1, a))
+        for u in nbr[off[a]:off[a + 1]]:
             chain, prev = [], a
             while deg[u] == 2:
                 chain.append(u)
-                prev, u = u, next(w for w in adj[u] if w != prev and core[w])
-            back = dist.get(2 * u + len(chain) % 2)  # parity (L + 1) % 2
-            if chain and back is not None:
-                best = min(best, (len(chain) + 1 + (back >> 32), min(chain)))
+                prev, u = u, next(w for w in nbr[off[u]:off[u + 1]] if w != prev and core[w])
+            back = depth[2 * u + len(chain) % 2]  # parity (L + 1) % 2
+            if chain and back:
+                best = min(best, (len(chain) + back, min(chain)))
+        for y in reached:
+            depth[y] = 0
     return best if best[0] <= len(adj) else None
 
 
@@ -185,10 +193,11 @@ def odd_closed_walk(q: QuotientGraph, colors=None) -> OddWalk | None:
     if found is None:
         return None
     length, root = found
-    dist = _double_cover_bfs(adj, root, length + 1)
+    depth, parent = flat_buffer(2 * len(adj)), flat_buffer(2 * len(adj))
+    _double_cover_bfs(adj, root, length + 1, depth, parent)
     path = [2 * root + 1]
     while path[-1] != 2 * root:
-        path.append(dist[path[-1]] & 0xFFFFFFFF)
+        path.append(parent[path[-1]])
     return OddWalk([q.vertex(y >> 1) for y in reversed(path)], q)
 
 

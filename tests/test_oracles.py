@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clopen.colorings import search_coloring
-from clopen.families import finite_graph, ka_graph, odd_cycle, parse_family
+from clopen.families import finite_graph, flat_index, ka_graph, odd_cycle, parse_family
 from clopen.homs import cycle_spectrum, hom_exists
 from clopen.quotients import _bfs_two_color, odd_closed_walk, odd_girth_root, quotient
 from test_families import ALL_FAMILY_SPECS
@@ -33,6 +33,11 @@ def adjacency(vertices, edges):
     for (u, v) in edges:
         nbrs[ids[u]].add(ids[v])
     return [sorted(s) for s in nbrs]
+
+
+def flat(adj):
+    """The rows `adj` wrapped in the flat `Index` that the walk reads."""
+    return flat_index(len(adj), [(i, j) for i, a in enumerate(adj) for j in a], False)
 
 
 def nx_graph(q):
@@ -197,10 +202,10 @@ def check_against_oracles(q):
     assert (None if w is None else w.length) == double_cover_odd_girth(G)
     assert (None if w is None else w.vertices) == all_roots_odd_walk(q)
     adj = adjacency(q.vertices, q.undirected().edges)
-    # appended in edge order, never sorted; the rows compared as tuples, which
-    # a quotient's are (a finite graph's are lists)
+    # appended in edge order, never sorted; the rows compared as tuples, since
+    # an index row is a memoryview slice
     assert list(map(tuple, q.undirected().index())) == list(map(tuple, adj))
-    colors, odd = _bfs_two_color(adj)
+    colors, odd = _bfs_two_color(flat(adj))
     assert any(odd) == (not nx.is_bipartite(G))
     index = {v: i for i, v in enumerate(q.vertices)}
     for comp in nx.connected_components(G):
@@ -315,7 +320,7 @@ def first_two_coloring(q):
     in the order (-degree, id) gets color 0, which forces the rest: the
     component's BFS coloring, flipped where that vertex has color 1."""
     adj = adjacency(q.vertices, q.edges)
-    colors, odd = _bfs_two_color(adj)
+    colors, odd = _bfs_two_color(flat(adj))
     if any(odd):
         return None
     first = [-1] * len(adj)
